@@ -1,10 +1,20 @@
 """Wasserstein distances between persistence diagrams, pairwise distance
 matrices, and K-nearest-neighbor queries restricted to split parts.
 
-Matching follows the diagonal-augmented square assignment construction: a
-point of one diagram may match a point of the other or its own diagonal
-projection ((b+d)/2, (b+d)/2); ground cost is the L-infinity norm raised to
-the p-th power. The solver is exact, so oracle tests can demand equality.
+A point of one diagram may match a point of the other diagram or its own
+diagonal projection ((b+d)/2, (b+d)/2); ground cost is the L-infinity norm
+raised to the p-th power, so matching (b, d) to the diagonal costs
+((d-b)/2)^p. The solver is exact, so oracle tests can demand equality.
+
+Each diagram is prepared once: validated (finite, death >= birth), stripped
+of its zero-persistence points (birth == death), and given its diagonal costs
+and their sum. Dropping those points is exact: such a point z lies on the
+diagonal and matches it at cost 0, and a point x matched to z pays at least
+x's own distance to the diagonal (triangle inequality), so sending both to
+the diagonal is never worse. Each pair is then solved as a rectangular
+assignment whose rows are the smaller diagram's points and whose columns are
+the other diagram's points plus one own-diagonal slot per row; the other
+diagram's diagonal costs enter as an offset.
 """
 
 from __future__ import annotations
@@ -24,58 +34,83 @@ from .errors import ParseError
 from .topology import PersistenceDiagram, max_finite_value
 
 _MAGIC = b"CPROCSIM"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
-def _matching_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
-    """Optimal matching cost (sum of p-th powers) between two finite point sets."""
-    # canonical orientation makes the computation literally identical under
-    # argument swap, so W(a,b) == W(b,a) exactly
-    if (len(a), a.tobytes()) > (len(b), b.tobytes()):
-        a, b = b, a
-    n1, n2 = len(a), len(b)
-    if n1 == 0 and n2 == 0:
-        return 0.0
-    diag_a = ((a[:, 1] - a[:, 0]) / 2.0) ** p if n1 else np.zeros(0)
-    diag_b = ((b[:, 1] - b[:, 0]) / 2.0) ** p if n2 else np.zeros(0)
-    size = n1 + n2
-    cost = np.zeros((size, size))
-    if n1 and n2:
-        cost[:n1, :n2] = (
-            np.maximum(
-                np.abs(a[:, None, 0] - b[None, :, 0]),
-                np.abs(a[:, None, 1] - b[None, :, 1]),
-            )
-            ** p
-        )
-    # a-point -> own diagonal slot; all other slots forbidden
-    cost[:n1, n2:] = np.inf
-    cost[:n1, n2:][np.arange(n1), np.arange(n1)] = diag_a
-    cost[n1:, :n2] = np.inf
-    cost[n1:, :n2][np.arange(n2), np.arange(n2)] = diag_b
-    # diagonal-to-diagonal matches are free (the zero block is already zero)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+@dataclass(frozen=True)
+class _Points:
+    """One dimension of a prepared diagram: its positive-persistence points."""
+
+    births: np.ndarray
+    deaths: np.ndarray
+    diag: np.ndarray  # ((death - birth) / 2) ** p, the cost of the diagonal
+    diag_sum: float
+    key: tuple[int, bytes]  # canonical orientation of a pair, see _matching_cost
 
 
-def _finite_points(arr: np.ndarray, label: str) -> np.ndarray:
+def _prepare_points(arr: np.ndarray, p: float, label: str) -> _Points:
     pts = np.asarray(arr, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{label} contains non-finite points; cap essential deaths first")
-    return pts
+    if np.any(pts[:, 1] < pts[:, 0]):
+        raise ValueError(f"{label} contains a point whose death precedes its birth")
+    pts = pts[pts[:, 1] > pts[:, 0]]
+    diag = (pts[:, 1] - pts[:, 0]) / 2.0
+    if p != 1.0:
+        diag **= p
+    return _Points(
+        births=pts[:, 0].copy(),
+        deaths=pts[:, 1].copy(),
+        diag=diag,
+        diag_sum=float(diag.sum()),
+        key=(len(pts), pts.tobytes()),
+    )
+
+
+def _prepare(d: PersistenceDiagram, p: float) -> tuple[_Points, _Points]:
+    """Validate a finite diagram once and precompute what every pair reuses."""
+    if p < 1.0:
+        raise ValueError(f"Wasserstein order must be >= 1, got {p}")
+    return tuple(_prepare_points(d.points(dim), p, f"diagram {d.graph_id} dim{dim}") for dim in (0, 1))
+
+
+def _matching_cost(a: _Points, b: _Points, p: float) -> float:
+    """Optimal matching cost (sum of p-th powers) between two prepared point sets."""
+    # canonical orientation makes the computation literally identical under
+    # argument swap, so W(a,b) == W(b,a) exactly
+    if a.key > b.key:
+        a, b = b, a
+    elif a.key == b.key:
+        return 0.0
+    n1, n2 = len(a.diag), len(b.diag)
+    if n1 == 0:
+        return b.diag_sum
+    # every b-point starts on the diagonal (sum of diag_b); matching it to
+    # a_i instead changes the total by c(a_i, b_j)^p - diag_b[j]
+    cost = np.full((n1, n2 + n1), np.inf)
+    pair = cost[:, :n2]
+    np.maximum(
+        np.abs(a.births[:, None] - b.births), np.abs(a.deaths[:, None] - b.deaths), out=pair
+    )
+    if p != 1.0:
+        pair **= p
+    pair -= b.diag
+    # a-point -> own diagonal slot (row i, column n2 + i); other slots stay forbidden
+    cost.reshape(-1)[n2 :: n1 + n2 + 1] = a.diag
+    rows, cols = linear_sum_assignment(cost)
+    # the offset form can round a zero optimum to a hair below it
+    return max(0.0, b.diag_sum + float(cost[rows, cols].sum()))
+
+
+def _distance(a: tuple[_Points, _Points], b: tuple[_Points, _Points], p: float) -> float:
+    """Wasserstein distance between two prepared diagrams."""
+    return (_matching_cost(a[0], b[0], p) + _matching_cost(a[1], b[1], p)) ** (1.0 / p)
 
 
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
-    if p < 1.0:
-        raise ValueError(f"Wasserstein order must be >= 1, got {p}")
-    total = 0.0
-    for dim in (0, 1):
-        a = _finite_points(d1.points(dim), f"diagram {d1.graph_id} dim{dim}")
-        b = _finite_points(d2.points(dim), f"diagram {d2.graph_id} dim{dim}")
-        total += _matching_cost(a, b, p)
-    return total ** (1.0 / p)
+    return _distance(_prepare(d1, p), _prepare(d2, p), p)
 
 
 def capped_diagram(
@@ -131,21 +166,18 @@ class NeighborSet:
         return np.array([gid for gid, _ in self.neighbors], dtype=np.int64)
 
 
-_WORKER_DIAGRAMS: list[PersistenceDiagram] = []
+_WORKER_PREPARED: list[tuple[_Points, _Points]] = []
 _WORKER_P = 1.0
 
 
-def _pool_init(diagrams: list[PersistenceDiagram], p: float) -> None:
-    global _WORKER_DIAGRAMS, _WORKER_P
-    _WORKER_DIAGRAMS = diagrams
+def _pool_init(prepared: list[tuple[_Points, _Points]], p: float) -> None:
+    global _WORKER_PREPARED, _WORKER_P
+    _WORKER_PREPARED = prepared
     _WORKER_P = p
 
 
 def _pool_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int, float]]:
-    return [
-        (i, j, wasserstein_distance(_WORKER_DIAGRAMS[i], _WORKER_DIAGRAMS[j], _WORKER_P))
-        for i, j in pairs
-    ]
+    return [(i, j, _distance(_WORKER_PREPARED[i], _WORKER_PREPARED[j], _WORKER_P)) for i, j in pairs]
 
 
 def build_similarity_matrix(
@@ -164,22 +196,21 @@ def build_similarity_matrix(
     """
     if cap is None:
         cap = max_finite_value(diagrams)
-    finite = [capped_diagram(d, cap, dims=dims) for d in diagrams]
-    n = len(finite)
+    prepared = [_prepare(capped_diagram(d, cap, dims=dims), p) for d in diagrams]
+    n = len(prepared)
     values = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if workers and workers > 1 and len(pairs) > 1:
         chunks = [pairs[k::workers] for k in range(workers) if pairs[k::workers]]
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(finite, p)
+            max_workers=workers, initializer=_pool_init, initargs=(prepared, p)
         ) as pool:
             for result in pool.map(_pool_pairs, chunks):
                 for i, j, dist in result:
                     values[i, j] = values[j, i] = dist
     else:
         for i, j in pairs:
-            dist = wasserstein_distance(finite[i], finite[j], p)
-            values[i, j] = values[j, i] = dist
+            values[i, j] = values[j, i] = _distance(prepared[i], prepared[j], p)
     return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)
 
 
@@ -211,8 +242,8 @@ def knn_indices(values: np.ndarray, query_ids: np.ndarray, pool_ids: np.ndarray,
 
 
 def save_matrix(matrix: SimilarityMatrix, path: str | Path, extra_meta: dict | None = None) -> None:
-    """Binary layout: magic, format version, n, p, sha256(key), JSON metadata,
-    row-major float64 values."""
+    """Binary layout: magic, format version, n, p, sha256(key), sha256(values),
+    JSON metadata, row-major float64 values."""
     meta = {
         "kinds": list(matrix.kinds),
         "cap": matrix.cap,
@@ -221,17 +252,20 @@ def save_matrix(matrix: SimilarityMatrix, path: str | Path, extra_meta: dict | N
     }
     blob = json.dumps(meta, sort_keys=True).encode()
     digest = hashlib.sha256(matrix.key.encode()).digest()
+    raw = np.ascontiguousarray(matrix.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQd", _FORMAT_VERSION, matrix.n, matrix.p))
         fh.write(digest)
+        fh.write(hashlib.sha256(raw).digest())
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(matrix.values, dtype="<f8").tobytes())
+        fh.write(raw)
 
 
 def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMatrix:
-    """Read a matrix file; raises ParseError on corruption or key mismatch."""
+    """Read a matrix file; raises ParseError on corruption, an older format
+    version or key mismatch."""
     try:
         with open(path, "rb") as fh:
             if fh.read(len(_MAGIC)) != _MAGIC:
@@ -240,13 +274,16 @@ def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMa
             if version != _FORMAT_VERSION:
                 raise ParseError(f"{path}: unsupported format version {version}")
             digest = fh.read(32)
+            values_digest = fh.read(32)
             (meta_len,) = struct.unpack("<Q", fh.read(8))
             meta = json.loads(fh.read(meta_len).decode())
             raw = fh.read(n * n * 8)
             if len(raw) != n * n * 8:
                 raise ParseError(f"{path}: truncated value block")
+            if hashlib.sha256(raw).digest() != values_digest:
+                raise ParseError(f"{path}: value block checksum mismatch")
             values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
-    except (OSError, struct.error, json.JSONDecodeError) as exc:
+    except (OSError, struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     key = meta.get("key", "")
     if hashlib.sha256(key.encode()).digest() != digest:

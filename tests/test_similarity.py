@@ -1,9 +1,16 @@
+import hashlib
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from cproc.errors import ParseError
+from cproc.graphdata import Graph
 from cproc.similarity import (
     SimilarityMatrix,
     build_similarity_matrix,
@@ -15,7 +22,13 @@ from cproc.similarity import (
     save_matrix,
     wasserstein_distance,
 )
-from cproc.topology import PersistenceDiagram
+from cproc.topology import (
+    FiltrationKind,
+    PersistenceDiagram,
+    compute_filtration,
+    max_finite_value,
+    sublevel_persistence,
+)
 
 
 def exhaustive_matching_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -44,6 +57,45 @@ def exhaustive_wasserstein(d1, d2, p):
     total = 0.0
     for dim in (0, 1):
         total += exhaustive_matching_cost(d1.points(dim), d2.points(dim), p)
+    return total ** (1.0 / p)
+
+
+def square_matching_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
+    """Slow reference: the (n1+n2)^2 diagonal-augmented assignment, with
+    every point (zero persistence included) fed to the solver."""
+    if (len(a), a.tobytes()) > (len(b), b.tobytes()):
+        a, b = b, a
+    n1, n2 = len(a), len(b)
+    if n1 == 0 and n2 == 0:
+        return 0.0
+    diag_a = ((a[:, 1] - a[:, 0]) / 2.0) ** p if n1 else np.zeros(0)
+    diag_b = ((b[:, 1] - b[:, 0]) / 2.0) ** p if n2 else np.zeros(0)
+    size = n1 + n2
+    cost = np.zeros((size, size))
+    if n1 and n2:
+        cost[:n1, :n2] = (
+            np.maximum(
+                np.abs(a[:, None, 0] - b[None, :, 0]),
+                np.abs(a[:, None, 1] - b[None, :, 1]),
+            )
+            ** p
+        )
+    # a-point -> own diagonal slot; all other slots forbidden
+    cost[:n1, n2:] = np.inf
+    cost[:n1, n2:][np.arange(n1), np.arange(n1)] = diag_a
+    cost[n1:, :n2] = np.inf
+    cost[n1:, :n2][np.arange(n2), np.arange(n2)] = diag_b
+    # diagonal-to-diagonal matches are free (the zero block is already zero)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def reference_wasserstein(d1, d2, p):
+    total = 0.0
+    for dim in (0, 1):
+        a = np.asarray(d1.points(dim), dtype=float).reshape(-1, 2)
+        b = np.asarray(d2.points(dim), dtype=float).reshape(-1, 2)
+        total += square_matching_cost(a, b, p)
     return total ** (1.0 / p)
 
 
@@ -134,6 +186,127 @@ def test_capped_diagram_policy():
     assert kept.dim0.tolist() == [[0.0, 2.0], [0.2, 0.7]]
     only0 = capped_diagram(d, cap=2.0, dims=(0,))
     assert len(only0.dim1) == 0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_rejects_death_before_birth(p):
+    bad, empty = diag_only([[1.0, 0.0]]), diag_only([], 1)
+    with pytest.raises(ValueError, match="death precedes its birth"):
+        wasserstein_distance(bad, empty, p)
+    with pytest.raises(ValueError, match="death precedes its birth"):
+        wasserstein_distance(bad, bad, p)
+
+
+def test_cap_below_a_birth_is_rejected():
+    d = PersistenceDiagram(0, np.zeros((0, 2)), np.array([[1.0, np.inf]]))
+    with pytest.raises(ValueError, match="death precedes its birth"):
+        build_similarity_matrix([d, diag_only([], 1)], cap=0.5)
+
+
+# --- prepared solver against the square reference -----------------------------
+
+
+def molecule_like_graph(rng, gid, n, rings):
+    """Random tree of valence <= 4 plus up to `rings` ring-closing edges."""
+    degree = np.zeros(n, dtype=int)
+    edges = set()
+    for v in range(1, n):
+        u = int(rng.choice(np.flatnonzero(degree[:v] < 4)))
+        edges.add((u, v))
+        degree[[u, v]] += 1
+    for _ in range(20 * rings):
+        if len(edges) == n - 1 + rings:
+            break
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        if (u, v) not in edges and degree[u] < 4 and degree[v] < 4:
+            edges.add((u, v))
+            degree[[u, v]] += 1
+    return Graph(id=gid, num_nodes=n, edges=tuple(sorted(edges)), label=gid % 2)
+
+
+def molecule_like_diagrams(kind, n_graphs=24, seed=0):
+    """Capped diagrams of fabricated molecule-like graphs: they carry the
+    zero-persistence and duplicate points that random_diagram never draws."""
+    rng = np.random.default_rng(seed)
+    graphs = [
+        molecule_like_graph(rng, gid, int(rng.integers(4, 30)), int(rng.integers(0, 4)))
+        for gid in range(n_graphs)
+    ]
+    diagrams = [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
+    cap = max_finite_value(diagrams)
+    return [capped_diagram(d, cap) for d in diagrams], cap
+
+
+@pytest.mark.parametrize("kind", [FiltrationKind.DEGREE, FiltrationKind.EIGENVECTOR])
+def test_real_shaped_diagrams_match_square_reference(kind):
+    diagrams, cap = molecule_like_diagrams(kind)
+    points = np.concatenate([d.dim0 for d in diagrams] + [d.dim1 for d in diagrams])
+    assert np.any(points[:, 0] == points[:, 1])  # zero persistence present
+    assert len(np.unique(points, axis=0)) < len(points)  # duplicates present
+    mat = build_similarity_matrix(diagrams, p=1.0, cap=cap)
+    for p in (1.0, 2.0):
+        for i, j in itertools.combinations(range(len(diagrams)), 2):
+            got = wasserstein_distance(diagrams[i], diagrams[j], p)
+            want = reference_wasserstein(diagrams[i], diagrams[j], p)
+            if kind is FiltrationKind.DEGREE:
+                # integer filtration values: every cost is exact, so is the sum
+                assert got == want
+            else:
+                assert got == pytest.approx(want, abs=1e-9)
+            if p == 1.0:
+                assert mat.values[i, j] == got
+
+
+_coord = st.floats(0.0, 10.0, allow_nan=False)
+_point = st.one_of(
+    st.tuples(_coord, _coord).map(lambda bd: (min(bd), max(bd))),
+    _coord.map(lambda t: (t, t)),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).map(lambda bd: (float(min(bd)), float(max(bd)))),
+)
+_points = st.lists(_point, max_size=7)
+_order = st.sampled_from([1.0, 1.5, 2.0])
+
+
+def _diagram(gid, dim0, dim1):
+    return PersistenceDiagram(
+        gid, np.asarray(dim0, dtype=float).reshape(-1, 2), np.asarray(dim1, dtype=float).reshape(-1, 2)
+    )
+
+
+@settings(deadline=None)
+@given(_points, _points, _points, _points, _order)
+def test_property_matches_square_reference(a0, a1, b0, b1, p):
+    a, b = _diagram(0, a0, a1), _diagram(1, b0, b1)
+    assert wasserstein_distance(a, b, p) == pytest.approx(reference_wasserstein(a, b, p), abs=1e-9)
+
+
+@settings(deadline=None)
+@given(_points, _points, _points, _points, _order)
+def test_property_symmetric_bit_exact(a0, a1, b0, b1, p):
+    a, b = _diagram(0, a0, a1), _diagram(1, b0, b1)
+    assert wasserstein_distance(a, b, p) == wasserstein_distance(b, a, p)
+
+
+@settings(deadline=None)
+@given(_points, _points, _order)
+def test_property_self_distance_zero(a0, a1, p):
+    a = _diagram(0, a0, a1)
+    assert wasserstein_distance(a, a, p) == 0.0
+
+
+@settings(deadline=None)
+@given(_points, _points, _points, _points, _order, st.data())
+def test_property_diagonal_points_change_nothing(a0, a1, b0, b1, p, data):
+    a, b = _diagram(0, a0, a1), _diagram(1, b0, b1)
+
+    def with_diagonal_points(pts):
+        pts = list(pts)
+        for t in data.draw(st.lists(_coord, max_size=5)):
+            pts.insert(data.draw(st.integers(0, len(pts))), (t, t))
+        return pts
+
+    padded = _diagram(0, with_diagonal_points(a0), with_diagonal_points(a1))
+    assert wasserstein_distance(padded, b, p) == wasserstein_distance(a, b, p)
 
 
 # --- similarity matrix -------------------------------------------------------
@@ -273,3 +446,38 @@ def test_matrix_csv_export(tmp_path):
     export_matrix_csv(mat, tmp_path / "m.csv")
     rows = (tmp_path / "m.csv").read_text().strip().splitlines()
     assert [float(v) for v in rows[0].split(",")] == [0.0, 1.5]
+
+
+def test_matrix_value_checksum(tmp_path):
+    mat = SimilarityMatrix(values=np.eye(3), p=1.0, kinds=(), cap=1.0, key="a")
+    save_matrix(mat, tmp_path / "m.simmat")
+    blob = bytearray((tmp_path / "m.simmat").read_bytes())
+    blob[-5] ^= 0x01  # one bit of the last value
+    (tmp_path / "m.simmat").write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="checksum"):
+        load_matrix(tmp_path / "m.simmat")
+
+
+def test_matrix_format_v1_rejected(tmp_path):
+    # the version-1 layout: no checksum of the value block
+    values = np.zeros((2, 2))
+    blob = json.dumps({"cap": 1.0, "key": "a", "kinds": []}, sort_keys=True).encode()
+    with open(tmp_path / "old.simmat", "wb") as fh:
+        fh.write(b"CPROCSIM")
+        fh.write(struct.pack("<IQd", 1, 2, 1.0))
+        fh.write(hashlib.sha256(b"a").digest())
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        fh.write(values.astype("<f8").tobytes())
+    with pytest.raises(ParseError, match="format version 1"):
+        load_matrix(tmp_path / "old.simmat", expect_key="a")
+
+
+def test_matrix_metadata_not_utf8(tmp_path):
+    mat = SimilarityMatrix(values=np.eye(2), p=1.0, kinds=(), cap=1.0, key="a")
+    save_matrix(mat, tmp_path / "m.simmat")
+    blob = bytearray((tmp_path / "m.simmat").read_bytes())
+    blob[101] = 0xFF  # inside the JSON metadata, which starts after the 100-byte header
+    (tmp_path / "m.simmat").write_bytes(bytes(blob))
+    with pytest.raises(ParseError):
+        load_matrix(tmp_path / "m.simmat")
