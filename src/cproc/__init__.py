@@ -11,17 +11,7 @@ probability validates band coverage empirically.
 __version__ = "0.1.0"
 
 from .baseline import BootstrapBand, bootstrap_bands
-from .conformal import (
-    NonconformityScore,
-    SoftInterval,
-    calibration_scores,
-    conformal_p_value,
-    label_conditional_interval,
-    local_conditional_interval,
-    marginal_interval,
-    quantile,
-    soft_prob_estimate,
-)
+from .conformal import conformal_intervals, conformal_p_value, quantile, score_table
 from .errors import (
     CprocError,
     DegenerateTestError,
@@ -52,10 +42,9 @@ from .rocbands import (
     oracle_rates,
 )
 from .similarity import (
-    NeighborSet,
     SimilarityMatrix,
     build_similarity_matrix,
-    knn,
+    knn_indices,
     wasserstein_distance,
 )
 from .synthetic import (

@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import CprocError, NumericalError
 from .graphdata import (
     load_scores,
     parse_tu_dataset,
-    read_scores_csv,
     read_split_manifest,
     split_dataset,
     write_split_manifest,
@@ -52,42 +51,62 @@ from .topology import (
 
 VERSION = f"cproc-{__version__}"
 MODES = {"exch": "exchangeable", "cond": "conditional"}
+COMMANDS = ("topo", "simmat", "bands", "simulate", "plot")
+DATASET = ("topo", "simmat", "bands")
+PAIRS = ("simmat", "bands")
+CONFORMAL = ("bands", "simulate")
+
+
+def _flag(default, commands, help=None, choices=None, **command_defaults):
+    """A RunConfig field that is also a `--flag` of each subcommand in
+    `commands`; `command_defaults` gives one subcommand its own default."""
+    return field(
+        default=default,
+        metadata={"commands": commands, "help": help, "choices": choices, "defaults": command_defaults},
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated flag bundle, serialized into every output for provenance."""
+    """Validated flag bundle, serialized into every output for provenance.
+
+    Its fields are the flag table: `build_parser` derives each subcommand's
+    flags, types, choices and defaults from them, and config files may set
+    any of them.
+    """
 
     command: str
-    dataset: str | None = None
-    name: str | None = None
-    filtration: str = "degree"
-    wasserstein_p: float = 1.0
-    knn: int = 20
-    alpha: float = 0.1
-    seed: int = 0
-    repeats: int = 1
-    mode: str = "cond"
-    scores: str | None = None
-    out: str = "."
-    force: bool = False
-    pairs_parallel: int = 1
-    pool_split: float = 0.8
-    calib_split: float = 0.5
-    thin_stratum: str = "error"
-    min_stratum: int = 5
-    simmat: str | None = None
-    split: str | None = None
-    pi_resolution: int = 50
-    n_train: int = 2000
-    n_calib: int = 1000
-    n_test: int = 500
-    dim: int = 3
-    beta: str = "1.0,-0.8,0.6"
-    missing: str = ""
-    shift: str = ""
-    bootstrap: int = 0
-    level: float = 0.95
+    dataset: str | None = _flag(None, DATASET, "TU dataset directory")
+    name: str | None = _flag(None, DATASET, "dataset name (default: dir name)")
+    filtration: str = _flag("degree", DATASET, choices=[k.value for k in FiltrationKind])
+    wasserstein_p: float = _flag(1.0, PAIRS)
+    knn: int = _flag(20, CONFORMAL, "neighbor count K")
+    alpha: float = _flag(0.1, CONFORMAL)
+    seed: int = _flag(0, CONFORMAL)
+    repeats: int = _flag(1, CONFORMAL)
+    mode: str = _flag("cond", CONFORMAL, choices=sorted(MODES))
+    scores: str | None = _flag(None, ("bands",), "scores CSV (graph_id,label,p0,p1,...)")
+    out: str = _flag(".", COMMANDS, "output directory")
+    force: bool = _flag(False, DATASET)
+    pairs_parallel: int = _flag(1, PAIRS)
+    pool_split: float = _flag(0.8, ("bands",))
+    calib_split: float = _flag(0.5, ("bands",))
+    # coverage runs must finish even when a rare low-probability test point has
+    # a thin label stratum, so widening is the simulate default
+    thin_stratum: str = _flag("error", CONFORMAL, choices=["error", "widen"], simulate="widen")
+    min_stratum: int = _flag(5, CONFORMAL)
+    simmat: str | None = _flag(None, ("bands",), "precomputed similarity matrix file")
+    split: str | None = _flag(None, ("bands",), "split manifest CSV overriding --seed split")
+    pi_resolution: int = _flag(50, ("topo",))
+    n_train: int = _flag(2000, ("simulate",))
+    n_calib: int = _flag(1000, ("simulate",))
+    n_test: int = _flag(500, ("simulate",))
+    dim: int = _flag(3, ("simulate",))
+    beta: str = _flag("1.0,-0.8,0.6", ("simulate",), "comma-separated coefficients")
+    missing: str = _flag("", ("simulate",), "comma-separated covariate indices")
+    shift: str = _flag("", ("simulate",), "comma-separated test mean shift")
+    bootstrap: int = _flag(0, ("bands",), "also emit a B-resample bootstrap band (0 = off)")
+    level: float = _flag(0.95, ("bands",), "bootstrap confidence level")
 
     def validate(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -218,14 +237,15 @@ def cmd_bands(args: argparse.Namespace) -> int:
 
     if cfg.simmat:
         matrix = load_matrix(cfg.simmat)
-        if cfg.dataset:
-            graphs = parse_tu_dataset(cfg.dataset, cfg.name or Path(cfg.dataset).name)
-            scored = load_scores(cfg.scores, graphs)
-        else:
-            scored = read_scores_csv(cfg.scores)
+        graphs = parse_tu_dataset(cfg.dataset, cfg.name or Path(cfg.dataset).name) if cfg.dataset else None
     else:
         graphs, _, matrix, _ = _simmat_with_cache(cfg)
-        scored = load_scores(cfg.scores, graphs)
+    scored = load_scores(cfg.scores, graphs)
+    if scored.num_labels > 2:
+        raise ValueError(
+            f"{cfg.scores} has {scored.num_labels} labels, but cproc bands builds binary bands; "
+            "use cproc.rocbands.multilabel_bands for one-vs-rest bands"
+        )
     if scored.n != matrix.n:
         raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
 
@@ -394,6 +414,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+_FLAG_FIELDS = {f.name: f for f in fields(RunConfig) if "commands" in f.metadata}
+_TYPES = {"int": int, "float": float}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
     for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
@@ -403,92 +427,52 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _FLAG_FIELDS:
+            raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
 def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
+    """One subparser per command, its flags read off the RunConfig fields;
+    `defaults` (config-file values) replace the fields' defaults."""
     defaults = defaults or {}
-
-    def dflt(key: str, fallback):
-        return defaults.get(key, fallback)
-
     parser = argparse.ArgumentParser(
         prog="cproc",
         description="Conformal prediction confidence bands for ROC curves.",
     )
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, *groups):
+    commands = {
+        "topo": (cmd_topo, "persistence diagrams and images for a dataset"),
+        "simmat": (cmd_simmat, "pairwise Wasserstein similarity matrix"),
+        "bands": (cmd_bands, "CP-ROC bands from classifier scores"),
+        "simulate": (cmd_simulate, "synthetic coverage experiment"),
+        "plot": (cmd_plot, "render band CSVs as SVG"),
+    }
+    for command, (handler, help_text) in commands.items():
+        sp = sub.add_parser(command, help=help_text)
+        if command == "plot":
+            sp.add_argument("band_files", nargs="+", help="band CSV files to overlay")
         sp.add_argument("--config", help="key=value config file; flags override file values")
-        sp.add_argument("--out", default=dflt("out", "."), help="output directory")
-        if "dataset" in groups:
-            sp.add_argument("--dataset", default=dflt("dataset", None), help="TU dataset directory")
-            sp.add_argument("--name", default=dflt("name", None), help="dataset name (default: dir name)")
-            sp.add_argument(
-                "--filtration",
-                default=dflt("filtration", "degree"),
-                choices=[k.value for k in FiltrationKind],
-            )
-            sp.add_argument("--force", action="store_true", default=False)
-        if "simmat" in groups:
-            sp.add_argument("--wasserstein-p", dest="wasserstein_p", type=float,
-                            default=dflt("wasserstein_p", 1.0))
-            sp.add_argument("--pairs-parallel", dest="pairs_parallel", type=int,
-                            default=dflt("pairs_parallel", 1))
-        if "conformal" in groups:
-            sp.add_argument("--knn", type=int, default=dflt("knn", 20), help="neighbor count K")
-            sp.add_argument("--alpha", type=float, default=dflt("alpha", 0.1))
-            sp.add_argument("--seed", type=int, default=dflt("seed", 0))
-            sp.add_argument("--repeats", type=int, default=dflt("repeats", 1))
-            sp.add_argument("--mode", default=dflt("mode", "cond"), choices=sorted(MODES))
-            sp.add_argument("--thin-stratum", dest="thin_stratum",
-                            default=dflt("thin_stratum", "error"), choices=["error", "widen"])
-            sp.add_argument("--min-stratum", dest="min_stratum", type=int,
-                            default=dflt("min_stratum", 5))
-
-    sp = sub.add_parser("topo", help="persistence diagrams and images for a dataset")
-    add_common(sp, "dataset")
-    sp.add_argument("--pi-resolution", dest="pi_resolution", type=int, default=dflt("pi_resolution", 50))
-    sp.set_defaults(func=cmd_topo)
-
-    sp = sub.add_parser("simmat", help="pairwise Wasserstein similarity matrix")
-    add_common(sp, "dataset", "simmat")
-    sp.set_defaults(func=cmd_simmat)
-
-    sp = sub.add_parser("bands", help="CP-ROC bands from classifier scores")
-    add_common(sp, "dataset", "simmat", "conformal")
-    sp.add_argument("--scores", default=dflt("scores", None), help="scores CSV (graph_id,label,p0,p1,...)")
-    sp.add_argument("--simmat", default=dflt("simmat", None), help="precomputed similarity matrix file")
-    sp.add_argument("--split", default=dflt("split", None), help="split manifest CSV overriding --seed split")
-    sp.add_argument("--pool-split", dest="pool_split", type=float, default=dflt("pool_split", 0.8))
-    sp.add_argument("--calib-split", dest="calib_split", type=float, default=dflt("calib_split", 0.5))
-    sp.add_argument("--bootstrap", type=int, default=dflt("bootstrap", 0),
-                    help="also emit a B-resample bootstrap band (0 = off)")
-    sp.add_argument("--level", type=float, default=dflt("level", 0.95),
-                    help="bootstrap confidence level")
-    sp.set_defaults(func=cmd_bands)
-
-    sp = sub.add_parser("simulate", help="synthetic coverage experiment")
-    add_common(sp, "conformal")
-    # coverage runs must finish even when a rare low-probability test point has
-    # a thin label stratum, so widening is the simulate default
-    sp.set_defaults(thin_stratum=dflt("thin_stratum", "widen"))
-    sp.add_argument("--n-train", dest="n_train", type=int, default=dflt("n_train", 2000))
-    sp.add_argument("--n-calib", dest="n_calib", type=int, default=dflt("n_calib", 1000))
-    sp.add_argument("--n-test", dest="n_test", type=int, default=dflt("n_test", 500))
-    sp.add_argument("--dim", type=int, default=dflt("dim", 3))
-    sp.add_argument("--beta", default=dflt("beta", "1.0,-0.8,0.6"), help="comma-separated coefficients")
-    sp.add_argument("--missing", default=dflt("missing", ""), help="comma-separated covariate indices")
-    sp.add_argument("--shift", default=dflt("shift", ""), help="comma-separated test mean shift")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("plot", help="render band CSVs as SVG")
-    sp.add_argument("band_files", nargs="+", help="band CSV files to overlay")
-    add_common(sp)
-    sp.set_defaults(func=cmd_plot)
-
+        for name, f in _FLAG_FIELDS.items():
+            meta = f.metadata
+            if command not in meta["commands"]:
+                continue
+            flag = "--" + name.replace("_", "-")
+            default = defaults.get(name, meta["defaults"].get(command, f.default))
+            if meta["choices"] and default not in meta["choices"]:
+                raise ValueError(f"config key {name}: {default!r} is not one of {meta['choices']}")
+            if f.type == "bool":
+                if default not in (False, True, "false", "true"):
+                    raise ValueError(f"config key {name}: {default!r} is not true or false")
+                sp.add_argument(flag, action="store_true", default=default in (True, "true"),
+                                help=meta["help"])
+            else:
+                sp.add_argument(flag, dest=name, type=_TYPES.get(f.type), default=default,
+                                choices=meta["choices"], help=meta["help"])
+        sp.set_defaults(func=handler)
     return parser
 
 

@@ -1,47 +1,31 @@
-"""Non-conformity scores, order-statistic quantiles, and soft conformal
-intervals for latent class probabilities (marginal, label-conditional, and
-locally calibrated).
+"""Non-conformity scores, order-statistic quantiles, and the one engine that
+turns them into soft conformal intervals for latent class probabilities.
 
 A score is s_i = pi_tilde(G_i) - f_hat(G_i), where pi_tilde averages the
 model probabilities of the K nearest training graphs under the similarity
 matrix. Scores depend only on the calibration graph, so they are computed
-once and reused by every test point; the conditional variant changes which
+once (`score_table`) and reused by every query; conditioning changes which
 scores are selected, never their values.
+
+`conformal_intervals` covers every calibration scheme with one batched
+order-statistic step: the marginal interval (every calibration score), the
+label-conditional interval (the scores of the query's label), and the local
+interval (the same-label members of the query's K nearest calibration graphs,
+optionally widened to `min_stratum` members). Endpoints stay raw, so they may
+leave [0, 1]; band indicators use them as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StratumError
-from .similarity import SimilarityMatrix, knn, knn_indices
+from .similarity import SimilarityMatrix, knn_indices
 
 
-@dataclass(frozen=True)
-class NonconformityScore:
-    graph_id: int
-    s: float
-    label: int
-
-
-@dataclass(frozen=True)
-class SoftInterval:
-    """Conformal interval for the latent positive-class probability.
-
-    Raw endpoints are kept (they may leave [0,1]); clamping happens only when
-    reporting. Band indicators always use the raw endpoints.
-    """
-
-    graph_id: int
-    lo: float
-    up: float
-    alpha: float
-    conditioning: str
-
-    def clamped(self) -> tuple[float, float]:
-        return (min(max(self.lo, 0.0), 1.0), min(max(self.up, 0.0), 1.0))
+def _rank(gamma: float, n):
+    """1-based rank of the floor(gamma * n)-th order statistic, clamped to [1, n]."""
+    return np.minimum(np.maximum(np.floor(gamma * n).astype(np.int64), 1), n)
 
 
 def quantile(values, gamma: float) -> float:
@@ -51,8 +35,7 @@ def quantile(values, gamma: float) -> float:
         raise ValueError("quantile of an empty multiset")
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    m = min(max(int(np.floor(gamma * arr.size)), 1), arr.size)
-    return float(arr[m - 1])
+    return float(arr[_rank(gamma, arr.size) - 1])
 
 
 def conformal_p_value(pi: float, f_hat: float, calib_scores) -> float:
@@ -61,19 +44,6 @@ def conformal_p_value(pi: float, f_hat: float, calib_scores) -> float:
     if arr.size == 0:
         raise ValueError("p-value needs a nonempty calibration score set")
     return float((np.count_nonzero(arr < (pi - f_hat)) + 1) / arr.size)
-
-
-def soft_prob_estimate(
-    query: int,
-    matrix: SimilarityMatrix,
-    train_pool,
-    train_probs: np.ndarray,
-    K: int,
-) -> float:
-    """Nonparametric probability estimate: mean model probability of the K
-    nearest training graphs."""
-    neigh = knn(matrix, query, train_pool, K, pool_tag="train")
-    return float(np.mean([train_probs[gid] for gid in neigh.ids()]))
 
 
 def score_table(
@@ -93,87 +63,70 @@ def score_table(
     return calib_sorted, pi_tilde - probs[calib_sorted]
 
 
-def calibration_scores(
-    matrix: SimilarityMatrix,
-    calib_pool,
-    train_pool,
-    probs: np.ndarray,
-    labels: np.ndarray,
-    K: int,
-) -> list[NonconformityScore]:
-    ids, scores = score_table(
-        matrix, np.asarray(sorted(calib_pool)), np.asarray(sorted(train_pool)), probs, K
-    )
-    return [
-        NonconformityScore(graph_id=int(g), s=float(s), label=int(labels[g]))
-        for g, s in zip(ids, scores)
-    ]
-
-
-def _interval(gid: int, f_hat: float, scores: np.ndarray, alpha: float, conditioning: str) -> SoftInterval:
-    lo = f_hat + quantile(scores, alpha / 2.0)
-    up = f_hat + quantile(scores, 1.0 - alpha / 2.0)
-    return SoftInterval(graph_id=gid, lo=lo, up=up, alpha=alpha, conditioning=conditioning)
-
-
-def marginal_interval(gid: int, f_hat: float, scores, alpha: float) -> SoftInterval:
-    """[f_hat + q_{a/2}(s), f_hat + q_{1-a/2}(s)] over the full calibration set."""
-    arr = np.asarray([sc.s if isinstance(sc, NonconformityScore) else sc for sc in scores], dtype=float)
-    if arr.size == 0:
-        raise ValueError("marginal interval needs a nonempty calibration set")
-    return _interval(gid, f_hat, arr, alpha, "marginal")
-
-
-def label_conditional_interval(gid: int, f_hat: float, k: int, scores_k, alpha: float) -> SoftInterval:
-    """Same construction with the score multiset restricted to calibration
-    graphs of label k."""
-    arr = np.asarray([sc.s if isinstance(sc, NonconformityScore) else sc for sc in scores_k], dtype=float)
-    if arr.size == 0:
-        raise StratumError(f"no calibration scores with label {k}")
-    return _interval(gid, f_hat, arr, alpha, f"label:{k}")
-
-
-def local_conditional_interval(
-    gid: int,
-    k: int,
-    matrix: SimilarityMatrix,
-    calib_pool,
-    train_pool,
-    probs: np.ndarray,
-    labels: np.ndarray,
-    K: int,
+def conformal_intervals(
+    query_ids,
+    f_hat: np.ndarray,
+    scores: np.ndarray,
+    same_label: np.ndarray,
     alpha: float,
-    min_stratum: int = 5,
+    *,
+    label: int,
+    order: np.ndarray | None = None,
+    K: int | None = None,
+    min_stratum: int = 1,
     widen: bool = False,
-    score_cache: dict[int, float] | None = None,
-) -> SoftInterval:
-    """Interval from the label-k scores inside the query's K-nearest
-    calibration neighborhood.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw endpoints [f_hat + q_{a/2}, f_hat + q_{1-a/2}] for every query.
 
-    When the stratum holds fewer than `min_stratum` graphs this raises
-    StratumError, unless `widen` is set, in which case the neighborhood is
-    extended just far enough to reach `min_stratum` label-k members.
+    `scores[j]` is calibration graph j's score and `same_label[j]` says
+    whether it carries the queries' label `label`; `f_hat` is indexed by
+    `query_ids`. Without `order` every query shares the same-label scores
+    (label-conditional; an all-true mask gives the marginal interval). With
+    `order`, row r lists calibration positions nearest first for query r and
+    the stratum is the same-label part of its first K; a stratum below
+    `min_stratum` raises StratumError, or with `widen` becomes the first
+    `min_stratum` same-label graphs of the whole order.
     """
-    calib_sorted = np.sort(np.asarray(list(calib_pool), dtype=np.int64))
-    order = knn_indices(matrix.values, np.array([gid]), calib_sorted, calib_sorted.size)[0]
-    neighborhood = order[: min(K, order.size)]
-    stratum = neighborhood[labels[neighborhood] == k]
-    if stratum.size < min_stratum:
-        if not widen:
-            raise StratumError(
-                f"graph {gid}: {stratum.size} label-{k} graph(s) among its {neighborhood.size} "
-                f"nearest calibration neighbors (need {min_stratum})"
-            )
-        stratum = order[labels[order] == k][:min_stratum]
-        if stratum.size < min_stratum:
-            raise StratumError(
-                f"graph {gid}: calibration pool holds only {stratum.size} label-{k} graph(s) "
-                f"(need {min_stratum})"
-            )
-    if score_cache is not None:
-        scores = np.array([score_cache[int(i)] for i in stratum])
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    query_ids = np.asarray(query_ids, dtype=np.int64)
+    scores = np.asarray(scores, dtype=float)
+    same_label = np.asarray(same_label, dtype=bool)
+    if order is None:
+        ranked = np.sort(scores[same_label])[None, :]
+        counts = np.array([ranked.size])
+        if ranked.size == 0:
+            raise StratumError(f"no calibration graphs with binarized label {label}")
     else:
-        train_sorted = np.asarray(sorted(train_pool), dtype=np.int64)
-        neigh = knn_indices(matrix.values, stratum, train_sorted, K)
-        scores = probs[neigh].mean(axis=1) - probs[stratum]
-    return _interval(gid, float(probs[gid]), scores, alpha, f"local:{k}:K={K}")
+        if min_stratum < 1:
+            raise ValueError(f"min_stratum must be >= 1, got {min_stratum}")
+        member = same_label[order]
+        width = min(K, order.shape[1])
+        take = member.copy()
+        take[:, width:] = False
+        counts = take.sum(axis=1)
+        thin = np.flatnonzero(counts < min_stratum)
+        if thin.size and not widen:
+            raise StratumError(
+                f"graph {int(query_ids[thin[0]])}: {int(counts[thin[0]])} label-{label} graph(s) "
+                f"among its {width} nearest calibration neighbors (need {min_stratum})"
+            )
+        widened = member[thin]
+        pool = widened.sum(axis=1)
+        short = np.flatnonzero(pool < min_stratum)
+        if short.size:
+            raise StratumError(
+                f"graph {int(query_ids[thin[short[0]]])}: calibration pool holds only "
+                f"{int(pool[short[0]])} label-{label} graph(s) (need {min_stratum})"
+            )
+        take[thin] = widened & (np.cumsum(widened, axis=1) <= min_stratum)
+        counts[thin] = min_stratum
+        used = np.flatnonzero(take.any(axis=0))
+        cols = int(used[-1]) + 1 if used.size else 0
+        ranked = np.where(take[:, :cols], scores[order[:, :cols]], np.inf)
+        ranked.sort(axis=1)
+    rows = np.arange(ranked.shape[0])
+    fq = f_hat[query_ids]
+    lo = fq + ranked[rows, _rank(alpha / 2.0, counts) - 1]
+    up = fq + ranked[rows, _rank(1.0 - alpha / 2.0, counts) - 1]
+    return lo, up

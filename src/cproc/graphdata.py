@@ -298,12 +298,15 @@ class ScoredDataset:
         return self.split.ids(part)
 
 
-def load_scores(path: str | Path, dataset: list[Graph]) -> ScoredDataset:
-    """Read a `graph_id,label,p0,p1[,p2...]` CSV and validate it against the graphs."""
-    n = len(dataset)
-    labels = np.full(n, -1, dtype=np.int64)
-    probs: np.ndarray | None = None
-    seen = np.zeros(n, dtype=bool)
+def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDataset:
+    """Read and validate a `graph_id,label,p0,...,p{L-1}` CSV.
+
+    Ids must cover 0..n-1 exactly once, where n is len(graphs), or the row
+    count when no graphs are given (e.g. an external distance matrix). Ids
+    and labels must be integers, labels must lie in [0, L) and, with graphs,
+    match the parsed labels; each probability vector must lie in [0, 1] and
+    sum to 1 within 1e-6.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -312,61 +315,41 @@ def load_scores(path: str | Path, dataset: list[Graph]) -> ScoredDataset:
         num_labels = len(header) - 2
         if [h.strip() for h in header[2:]] != [f"p{k}" for k in range(num_labels)]:
             raise ScoreIngestError(f"{path}: probability columns must be p0..p{num_labels - 1}")
-        probs = np.zeros((n, num_labels))
-        for rownum, row in enumerate(reader, 2):
-            if len(row) != 2 + num_labels:
-                raise ScoreIngestError(f"row {rownum}: expected {2 + num_labels} fields")
+        rows = list(enumerate(reader, 2))
+    n = len(rows) if graphs is None else len(graphs)
+    if n == 0:
+        raise ScoreIngestError(f"{path}: no score rows")
+    labels = np.full(n, -1, dtype=np.int64)
+    probs = np.zeros((n, num_labels))
+    seen = np.zeros(n, dtype=bool)
+    for rownum, row in rows:
+        if len(row) != 2 + num_labels:
+            raise ScoreIngestError(f"row {rownum}: expected {2 + num_labels} fields")
+        try:
             gid, label = int(row[0]), int(row[1])
-            if not (0 <= gid < n):
-                raise ScoreIngestError(f"row {rownum}: unknown graph_id {gid}")
-            if seen[gid]:
-                raise ScoreIngestError(f"row {rownum}: duplicate graph_id {gid}")
-            if label != dataset[gid].label:
-                raise ScoreIngestError(
-                    f"row {rownum}: label {label} does not match parsed label {dataset[gid].label}"
-                )
             vec = np.array([float(x) for x in row[2:]])
-            if np.any(vec < 0.0) or np.any(vec > 1.0):
-                raise ScoreIngestError(f"row {rownum}: probability outside [0,1]")
-            if abs(float(vec.sum()) - 1.0) > 1e-6:
-                raise ScoreIngestError(f"row {rownum}: probabilities sum to {vec.sum():.8f}")
-            labels[gid] = label
-            probs[gid] = vec
-            seen[gid] = True
+        except ValueError as exc:
+            raise ScoreIngestError(f"row {rownum}: {exc}") from None
+        if not (0 <= gid < n):
+            raise ScoreIngestError(f"row {rownum}: unknown graph_id {gid}")
+        if seen[gid]:
+            raise ScoreIngestError(f"row {rownum}: duplicate graph_id {gid}")
+        if not (0 <= label < num_labels):
+            raise ScoreIngestError(f"row {rownum}: label {label} outside [0, {num_labels})")
+        if graphs is not None and label != graphs[gid].label:
+            raise ScoreIngestError(
+                f"row {rownum}: label {label} does not match parsed label {graphs[gid].label}"
+            )
+        if np.any(vec < 0.0) or np.any(vec > 1.0):
+            raise ScoreIngestError(f"row {rownum}: probability outside [0,1]")
+        if abs(float(vec.sum()) - 1.0) > 1e-6:
+            raise ScoreIngestError(f"row {rownum}: probabilities sum to {vec.sum():.8f}")
+        labels[gid] = label
+        probs[gid] = vec
+        seen[gid] = True
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
         raise ScoreIngestError(f"graph_id {missing} has no score row")
-    return ScoredDataset(labels=labels, probs=probs)
-
-
-def read_scores_csv(path: str | Path) -> ScoredDataset:
-    """Read a scores CSV without a graph dataset to validate against (used
-    when the distance matrix comes from an external source, e.g. synthetic
-    covariates). Row-sum and range checks still apply."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 4 or header[:2] != ["graph_id", "label"]:
-            raise ScoreIngestError(f"{path}: bad header {header}")
-        num_labels = len(header) - 2
-        for rownum, row in enumerate(reader, 2):
-            if len(row) != 2 + num_labels:
-                raise ScoreIngestError(f"row {rownum}: expected {2 + num_labels} fields")
-            vec = np.array([float(x) for x in row[2:]])
-            if np.any(vec < 0.0) or np.any(vec > 1.0) or abs(float(vec.sum()) - 1.0) > 1e-6:
-                raise ScoreIngestError(f"row {rownum}: invalid probability vector")
-            rows.append((int(row[0]), int(row[1]), vec))
-    if not rows:
-        raise ScoreIngestError(f"{path}: no score rows")
-    n = len(rows)
-    labels = np.full(n, -1, dtype=np.int64)
-    probs = np.zeros((n, num_labels))
-    for gid, label, vec in rows:
-        if not (0 <= gid < n) or labels[gid] != -1:
-            raise ScoreIngestError(f"graph_id {gid}: ids must cover 0..{n - 1} exactly once")
-        labels[gid] = label
-        probs[gid] = vec
     return ScoredDataset(labels=labels, probs=probs)
 
 

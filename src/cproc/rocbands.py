@@ -1,10 +1,13 @@
 """Empirical ROC curves and conformal ROC confidence bands.
 
-A band is assembled from per-test-graph conformal intervals: at each
-threshold the bounds are the fractions of interval endpoints strictly above
-it (positives give the sensitivity band, negatives the specificity band,
-both on the FPR/TPR scale). Bands are exact staircases; the default grid
-carries every interval endpoint so nothing is sampled away.
+`cp_roc_bands` scores the calibration graphs once (`conformal.score_table`),
+ranks each test graph's calibration neighbours in conditional mode
+(`similarity.knn_indices`), and hands both to `conformal.conformal_intervals`
+for the positives and the negatives. `band_from_intervals` then turns the four
+endpoint arrays into bands: at each threshold the bounds are the fractions of
+endpoints strictly above it (positives give the sensitivity band, negatives
+the specificity band, both on the FPR/TPR scale). Bands are exact staircases;
+the default grid carries every interval endpoint so nothing is sampled away.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import SoftInterval, quantile, score_table
+from .conformal import conformal_intervals, score_table
 from .errors import DegenerateTestError, StratumError
 from .graphdata import ScoredDataset
 from .similarity import SimilarityMatrix, knn_indices
@@ -122,23 +125,27 @@ def default_lambda_grid(*endpoint_arrays: np.ndarray, base_points: int = 512) ->
 
 
 def band_from_intervals(
-    intervals_pos,
-    intervals_neg,
+    lo_pos: np.ndarray,
+    up_pos: np.ndarray,
+    lo_neg: np.ndarray,
+    up_neg: np.ndarray,
     lambda_grid: np.ndarray | None = None,
     alpha: float = 0.1,
     mode: str = "exchangeable",
 ) -> RocBand:
-    """Combine per-graph intervals into sensitivity/specificity bands.
+    """Combine the raw interval endpoints of the test positives and negatives
+    into sensitivity/specificity bands.
 
     Indicators use strict `>` on the raw endpoints. The AUC interval pairs the
     outermost envelopes: (spe_up, sen_lo) -> auc_lo and (spe_lo, sen_up) -> auc_up.
     """
-    if not len(intervals_pos) or not len(intervals_neg):
-        raise DegenerateTestError("both interval lists must be nonempty")
-    lo_pos = np.array([iv.lo for iv in intervals_pos])
-    up_pos = np.array([iv.up for iv in intervals_pos])
-    lo_neg = np.array([iv.lo for iv in intervals_neg])
-    up_neg = np.array([iv.up for iv in intervals_neg])
+    lo_pos, up_pos, lo_neg, up_neg = (
+        np.asarray(a, dtype=float) for a in (lo_pos, up_pos, lo_neg, up_neg)
+    )
+    if not lo_pos.size or not lo_neg.size:
+        raise DegenerateTestError("both interval sets must be nonempty")
+    if lo_pos.shape != up_pos.shape or lo_neg.shape != up_neg.shape:
+        raise ValueError("lower and upper endpoint arrays must have equal lengths")
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(lo_pos, up_pos, lo_neg, up_neg)
     else:
@@ -196,7 +203,8 @@ def cp_roc_bands(
     binary = scored.labels == positive_label
 
     calib_sorted, scores = score_table(matrix, calib_ids, train_ids, fhat, K)
-    calib_binary = binary[calib_sorted]
+    position = np.empty(scored.n, dtype=np.int64)  # graph id -> index into calib_sorted
+    position[calib_sorted] = np.arange(calib_sorted.size)
 
     test_pos = test_ids[binary[test_ids]]
     test_neg = test_ids[~binary[test_ids]]
@@ -206,52 +214,16 @@ def cp_roc_bands(
             f"({test_pos.size} positive / {test_neg.size} negative)"
         )
 
-    def exchangeable_intervals(ids: np.ndarray, k: int) -> list[SoftInterval]:
-        stratum_scores = scores[calib_binary == bool(k)]
-        if stratum_scores.size == 0:
-            raise StratumError(f"no calibration graphs with binarized label {k}")
-        q_lo = quantile(stratum_scores, alpha / 2.0)
-        q_up = quantile(stratum_scores, 1.0 - alpha / 2.0)
-        return [
-            SoftInterval(int(g), float(fhat[g] + q_lo), float(fhat[g] + q_up), alpha, f"label:{k}")
-            for g in ids
-        ]
-
-    def conditional_intervals(ids: np.ndarray, k: int) -> list[SoftInterval]:
-        order = knn_indices(matrix.values, ids, calib_sorted, calib_sorted.size)
-        pos_of = {int(g): i for i, g in enumerate(calib_sorted)}
-        out = []
-        for row, gid in zip(order, ids):
-            stratum = row[: min(K, row.size)]
-            stratum = stratum[binary[stratum] == bool(k)]
-            if stratum.size < min_stratum:
-                if thin_stratum == "error":
-                    raise StratumError(
-                        f"graph {int(gid)}: {stratum.size} label-{k} graph(s) among its "
-                        f"{min(K, row.size)} nearest calibration neighbors (need {min_stratum})"
-                    )
-                stratum = row[binary[row] == bool(k)][:min_stratum]
-                if stratum.size < min_stratum:
-                    raise StratumError(
-                        f"graph {int(gid)}: calibration pool holds only {stratum.size} "
-                        f"label-{k} graph(s) (need {min_stratum})"
-                    )
-            local = scores[[pos_of[int(c)] for c in stratum]]
-            out.append(
-                SoftInterval(
-                    int(gid),
-                    float(fhat[gid] + quantile(local, alpha / 2.0)),
-                    float(fhat[gid] + quantile(local, 1.0 - alpha / 2.0)),
-                    alpha,
-                    f"local:{k}:K={K}",
-                )
-            )
-        return out
-
-    build = exchangeable_intervals if mode == "exchangeable" else conditional_intervals
-    intervals_pos = build(test_pos, 1)
-    intervals_neg = build(test_neg, 0)
-    return band_from_intervals(intervals_pos, intervals_neg, lambda_grid, alpha, mode)
+    endpoints = []
+    for ids, k in ((test_pos, 1), (test_neg, 0)):
+        order = None
+        if mode == "conditional":
+            order = position[knn_indices(matrix.values, ids, calib_sorted, calib_sorted.size)]
+        endpoints += conformal_intervals(
+            ids, fhat, scores, binary[calib_sorted] == bool(k), alpha, label=k, order=order,
+            K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
+        )
+    return band_from_intervals(*endpoints, lambda_grid, alpha, mode)
 
 
 def multilabel_bands(

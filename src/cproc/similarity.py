@@ -156,16 +156,6 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class NeighborSet:
-    query: int
-    neighbors: tuple[tuple[int, float], ...]  # ascending distance, ties by id
-    pool_tag: str = ""
-
-    def ids(self) -> np.ndarray:
-        return np.array([gid for gid, _ in self.neighbors], dtype=np.int64)
-
-
 _WORKER_PREPARED: list[tuple[_Points, _Points]] = []
 _WORKER_P = 1.0
 
@@ -214,29 +204,20 @@ def build_similarity_matrix(
     return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)
 
 
-def knn(matrix: SimilarityMatrix, query: int, pool, K: int, pool_tag: str = "") -> NeighborSet:
-    """K smallest-distance pool members; ties broken by ascending graph id."""
+def knn_indices(values: np.ndarray, query_ids, pool_ids, K: int) -> np.ndarray:
+    """Row r holds the ids of the min(K, |pool|) pool members nearest to
+    query_ids[r], by ascending (distance, id); the pool's order is irrelevant.
+    Queries must not be pool members."""
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
-    pool_ids = np.asarray(sorted(pool), dtype=np.int64)
-    if pool_ids.size == 0:
-        raise ValueError("empty neighbor pool")
-    if query in set(pool_ids.tolist()):
-        raise ValueError(f"query {query} must not be a member of the pool")
-    dists = matrix.values[query, pool_ids]
-    order = np.argsort(dists, kind="stable")[: min(K, pool_ids.size)]
-    return NeighborSet(
-        query=query,
-        neighbors=tuple((int(pool_ids[i]), float(dists[i])) for i in order),
-        pool_tag=pool_tag,
-    )
-
-
-def knn_indices(values: np.ndarray, query_ids: np.ndarray, pool_ids: np.ndarray, K: int) -> np.ndarray:
-    """Vectorized knn: row r holds the ids of the K nearest pool members of
-    query_ids[r] (same distance/tie rules as `knn`). Queries must not be in the pool."""
+    query_ids = np.asarray(query_ids, dtype=np.int64)
     pool_sorted = np.sort(np.asarray(pool_ids, dtype=np.int64))
-    sub = values[np.ix_(np.asarray(query_ids, dtype=np.int64), pool_sorted)]
+    if pool_sorted.size == 0:
+        raise ValueError("empty neighbor pool")
+    inside = np.isin(query_ids, pool_sorted)
+    if inside.any():
+        raise ValueError(f"query {int(query_ids[inside][0])} must not be a member of the pool")
+    sub = values[np.ix_(query_ids, pool_sorted)]
     order = np.argsort(sub, axis=1, kind="stable")[:, : min(K, pool_sorted.size)]
     return pool_sorted[order]
 

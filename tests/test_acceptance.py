@@ -13,7 +13,7 @@ import pytest
 
 from cproc.baseline import bootstrap_bands
 from cproc.cli import main
-from cproc.conformal import SoftInterval, quantile
+from cproc.conformal import quantile
 from cproc.graphdata import parse_tu_dataset, write_tu_dataset
 from cproc.rocbands import band_from_intervals, cp_roc_bands, default_lambda_grid
 from cproc.similarity import wasserstein_distance
@@ -63,12 +63,10 @@ def test_criterion_02_empirical_curve_sandwich():
     for _ in range(50):
         n_pos, n_neg = int(rng.integers(5, 80)), int(rng.integers(5, 80))
         f_pos, f_neg = rng.uniform(0, 1, n_pos), rng.uniform(0, 1, n_neg)
-        pos = [SoftInterval(i, f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3), 0.1, "")
-               for i, f in enumerate(f_pos)]
-        neg = [SoftInterval(i, f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3), 0.1, "")
-               for i, f in enumerate(f_neg)]
+        pos = np.array([(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_pos])
+        neg = np.array([(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_neg])
         grid = default_lambda_grid(f_pos, f_neg)
-        band = band_from_intervals(pos, neg, lambda_grid=grid)
+        band = band_from_intervals(*pos.T, *neg.T, lambda_grid=grid)
         tpr = np.array([np.mean(f_pos > lam) for lam in grid])
         fpr = np.array([np.mean(f_neg > lam) for lam in grid])
         assert np.all(band.sen_lo <= tpr) and np.all(tpr <= band.sen_up)

@@ -67,6 +67,9 @@ def test_topo_fixture_and_idempotence(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["topo", "--dataset", str(data), "--out", str(out)])
     assert rc == 0 and "skipping" in capsys.readouterr().out
+    (tmp_path / "force.cfg").write_text("force=true\n")
+    rc = main(["topo", "--dataset", str(data), "--out", str(out), "--config", str(tmp_path / "force.cfg")])
+    assert rc == 0 and "skipping" not in capsys.readouterr().out
 
 
 def test_topo_missing_dataset_exit_2(tmp_path):
@@ -244,6 +247,43 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert summary["config"]["knn"] == 1
 
 
+def test_config_file_unknown_key_exit_2(tmp_path, capsys):
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    base = f"dataset={data}\nscores={scores}\nsplit={split}\nknn=1\nmode=exch\nout={tmp_path / 'o'}\n"
+    cfgfile.write_text(base + "alhpa=0.5\n")
+    assert main(["bands", "--config", str(cfgfile)]) == 2
+    assert "unknown config key 'alhpa'" in capsys.readouterr().err
+    # a value outside the flag's choices is refused before any work is done
+    cfgfile.write_text(base + "thin_stratum=widest\n")
+    assert main(["bands", "--config", str(cfgfile)]) == 2
+    assert "'widest' is not one of ['error', 'widen']" in capsys.readouterr().err
+    cfgfile.write_text(base + "force=maybe\n")
+    assert main(["bands", "--config", str(cfgfile)]) == 2
+    assert "config key force: 'maybe' is not true or false" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "summary.json").exists()
+    # a key of another subcommand is accepted, so one file can serve several
+    cfgfile.write_text(base + "n_train=300\npi-resolution=10\nalpha=0.5\n")
+    assert main(["bands", "--config", str(cfgfile)]) == 0
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["alpha"] == 0.5 and summary["config"]["n_train"] == 2000
+
+
+def test_bands_more_than_two_labels_exit_2(tmp_path, capsys):
+    spec = SyntheticSpec(n_train=60, n_calib=40, n_test=30, dim=2, beta=(1.0, -1.0), seed=2)
+    ds = generate(spec)
+    save_matrix(covariate_distance_matrix(ds), tmp_path / "syn.simmat")
+    labels = np.arange(ds.n) % 3
+    probs = np.tile([0.2, 0.3, 0.5], (ds.n, 1))
+    write_scores(ScoredDataset(labels=labels, probs=probs), tmp_path / "three.csv")
+    rc = main(["bands", "--simmat", str(tmp_path / "syn.simmat"), "--scores", str(tmp_path / "three.csv"),
+               "--knn", "5", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "3 labels" in err and "multilabel_bands" in err
+    assert not (tmp_path / "o" / "band.csv").exists()
+
+
 def test_outputs_embed_version_and_config(tmp_path):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
     out = tmp_path / "prov"
@@ -255,3 +295,56 @@ def test_outputs_embed_version_and_config(tmp_path):
     assert head[0].startswith("# cproc-0.") and head[1].startswith("# config:")
     svg = (out / "band.svg").read_text()
     assert "cproc-0." in svg
+
+
+_FLAGS = {
+    "topo": "--dataset --filtration --force --name --out --pi-resolution",
+    "simmat": "--dataset --filtration --force --name --out --pairs-parallel --wasserstein-p",
+    "bands": "--alpha --bootstrap --calib-split --dataset --filtration --force --knn --level "
+             "--min-stratum --mode --name --out --pairs-parallel --pool-split --repeats --scores "
+             "--seed --simmat --split --thin-stratum --wasserstein-p",
+    "simulate": "--alpha --beta --dim --knn --min-stratum --missing --mode --n-calib --n-test "
+                "--n-train --out --repeats --seed --shift --thin-stratum",
+    "plot": "--out",
+}
+_FILTRATIONS = ["degree", "betweenness", "closeness", "communicability", "eigenvector"]
+_CHOICES = {
+    "topo": {"--filtration": _FILTRATIONS},
+    "simmat": {"--filtration": _FILTRATIONS},
+    "bands": {"--filtration": _FILTRATIONS, "--mode": ["cond", "exch"], "--thin-stratum": ["error", "widen"]},
+    "simulate": {"--mode": ["cond", "exch"], "--thin-stratum": ["error", "widen"]},
+    "plot": {},
+}
+_DEFAULT_CONFIG = (
+    '{"alpha": 0.1, "beta": "1.0,-0.8,0.6", "bootstrap": 0, "calib_split": 0.5, "command": "%s", '
+    '"dataset": null, "dim": 3, "filtration": "degree", "force": false, "knn": 20, "level": 0.95, '
+    '"min_stratum": 5, "missing": "", "mode": "cond", "n_calib": 1000, "n_test": 500, '
+    '"n_train": 2000, "name": null, "out": ".", "pairs_parallel": 1, "pi_resolution": 50, '
+    '"pool_split": 0.8, "repeats": 1, "scores": null, "seed": 0, "shift": "", "simmat": null, '
+    '"split": null, "thin_stratum": "%s", "wasserstein_p": 1.0}'
+)
+
+
+def test_parser_flags_and_default_config_pinned():
+    """Every output embeds the config line, so the flag set, choices and
+    default config of each subcommand are provenance and must not drift."""
+    import argparse
+
+    from cproc.cli import _config_from_args, build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_FLAGS)
+    for cmd, sp in sub.choices.items():
+        flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help", "--config"}
+        assert sorted(flags) == _FLAGS[cmd].split(), cmd
+        choices = {a.option_strings[0]: list(a.choices) for a in sp._actions if a.choices}
+        assert choices == _CHOICES[cmd], cmd
+        args = parser.parse_args([cmd] + (["x.csv"] if cmd == "plot" else []))
+        thin = "widen" if cmd == "simulate" else "error"
+        assert _config_from_args(args).to_json() == _DEFAULT_CONFIG % (cmd, thin), cmd
+    # config-file values take each flag's type; a field of another subcommand is not applied
+    file_values = {"knn": "3", "alpha": "0.25", "wasserstein_p": "2", "mode": "exch", "n_train": "7"}
+    cfg = json.loads(_config_from_args(build_parser(file_values).parse_args(["bands"])).to_json())
+    assert [cfg[k] for k in file_values] == [3, 0.25, 2.0, "exch", 2000]
+    assert isinstance(cfg["wasserstein_p"], float)

@@ -1,25 +1,73 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cproc.conformal import (
-    NonconformityScore,
-    calibration_scores,
-    conformal_p_value,
-    label_conditional_interval,
-    local_conditional_interval,
-    marginal_interval,
-    quantile,
-    score_table,
-    soft_prob_estimate,
-)
+from cproc.conformal import conformal_intervals, conformal_p_value, quantile, score_table
 from cproc.errors import StratumError
-from cproc.similarity import SimilarityMatrix
+from cproc.rocbands import band_from_intervals
+from cproc.similarity import SimilarityMatrix, knn_indices
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate
 
 
 def dist_matrix_from_coords(coords: np.ndarray) -> SimilarityMatrix:
     vals = np.abs(coords[:, None] - coords[None, :])
     return SimilarityMatrix(values=vals, p=1.0, kinds=("coord",), cap=1.0)
+
+
+def soft_prob(query: int, mat: SimilarityMatrix, train, probs: np.ndarray, K: int) -> float:
+    """pi_tilde of one graph: the mean probability of its K nearest training graphs."""
+    return float(np.mean(probs[knn_indices(mat.values, [query], train, K)[0]]))
+
+
+def marginal(f_hat: float, scores, alpha: float):
+    lo, up = conformal_intervals([0], np.array([f_hat]), scores, np.ones(len(scores), bool), alpha, label=1)
+    return float(lo[0]), float(up[0])
+
+
+def label_conditional(f_hat: float, k: int, scores, labels, alpha: float):
+    lo, up = conformal_intervals([0], np.array([f_hat]), scores, np.asarray(labels) == k, alpha, label=k)
+    return float(lo[0]), float(up[0])
+
+
+def local(gid, k, mat, calib, scores, labels, probs, K, alpha, min_stratum=5, widen=False):
+    """Engine call for one query's local interval; scores align with sorted calib."""
+    calib = np.sort(np.asarray(calib))
+    order = np.searchsorted(calib, knn_indices(mat.values, [gid], calib, calib.size))
+    lo, up = conformal_intervals([gid], probs, scores, labels[calib] == k, alpha, label=k,
+                                 order=order, K=K, min_stratum=min_stratum, widen=widen)
+    return float(lo[0]), float(up[0])
+
+
+def reference_local_interval(gid, k, values, calib_pool, train_pool, probs, labels, K, alpha,
+                             min_stratum=5, widen=False, score_cache=None):
+    """Slow per-point reference for the local interval: the label-k scores in
+    the query's K-nearest calibration neighborhood, widened to `min_stratum`
+    label-k graphs of the full calibration order when allowed."""
+    calib_sorted = np.sort(np.asarray(list(calib_pool), dtype=np.int64))
+    order = knn_indices(values, np.array([gid]), calib_sorted, calib_sorted.size)[0]
+    neighborhood = order[: min(K, order.size)]
+    stratum = neighborhood[labels[neighborhood] == k]
+    if stratum.size < min_stratum:
+        if not widen:
+            raise StratumError(
+                f"graph {gid}: {stratum.size} label-{k} graph(s) among its {neighborhood.size} "
+                f"nearest calibration neighbors (need {min_stratum})"
+            )
+        stratum = order[labels[order] == k][:min_stratum]
+        if stratum.size < min_stratum:
+            raise StratumError(
+                f"graph {gid}: calibration pool holds only {stratum.size} label-{k} graph(s) "
+                f"(need {min_stratum})"
+            )
+    if score_cache is not None:
+        scores = np.array([score_cache[int(i)] for i in stratum])
+    else:
+        train_sorted = np.asarray(sorted(train_pool), dtype=np.int64)
+        neigh = knn_indices(values, stratum, train_sorted, K)
+        scores = probs[neigh].mean(axis=1) - probs[stratum]
+    return (float(probs[gid] + quantile(scores, alpha / 2.0)),
+            float(probs[gid] + quantile(scores, 1.0 - alpha / 2.0)))
 
 
 # --- quantile ------------------------------------------------------------------
@@ -61,7 +109,7 @@ def test_soft_prob_estimate_mean():
     coords = np.array([0.0, 1.0, 2.0, 3.0, 50.0])
     mat = dist_matrix_from_coords(coords)
     probs = np.array([0.0, 0.2, 0.4, 0.6, 0.9])
-    got = soft_prob_estimate(0, mat, train_pool=[1, 2, 3, 4], train_probs=probs, K=3)
+    got = soft_prob(0, mat, [1, 2, 3, 4], probs, K=3)
     assert got == pytest.approx((0.2 + 0.4 + 0.6) / 3)
 
 
@@ -70,7 +118,7 @@ def test_soft_prob_estimate_constant():
     mat = dist_matrix_from_coords(coords)
     probs = np.full(6, 0.37)
     for k in (1, 3, 5):
-        assert soft_prob_estimate(0, mat, [1, 2, 3, 4, 5], probs, k) == pytest.approx(0.37)
+        assert soft_prob(0, mat, [1, 2, 3, 4, 5], probs, k) == pytest.approx(0.37)
 
 
 def test_soft_prob_estimate_consistency_oracle_probs():
@@ -94,7 +142,7 @@ def test_score_table_matches_single_queries():
     probs = ds.pi
     ids, scores = score_table(mat, calib, train, probs, K=7)
     for gid, s in zip(ids, scores):
-        pi_tilde = soft_prob_estimate(int(gid), mat, train, probs, K=7)
+        pi_tilde = soft_prob(int(gid), mat, train, probs, K=7)
         assert s == pytest.approx(pi_tilde - probs[gid], abs=1e-12)
 
 
@@ -102,23 +150,26 @@ def test_calibration_scores_carry_labels():
     spec = SyntheticSpec(n_train=30, n_calib=8, n_test=4, dim=2, beta=(1.0, 0.5), seed=5)
     ds = generate(spec)
     mat = covariate_distance_matrix(ds)
-    out = calibration_scores(mat, ds.split.ids("calib"), ds.split.ids("train"), ds.pi, ds.labels, K=5)
-    assert all(isinstance(sc, NonconformityScore) for sc in out)
-    assert [sc.label for sc in out] == [int(ds.labels[sc.graph_id]) for sc in out]
+    calib, train = ds.split.ids("calib"), ds.split.ids("train")
+    ids, scores = score_table(mat, calib[::-1], train, ds.pi, K=5)
+    # scores are keyed by the sorted calibration ids, so labels[ids] gives each score's label
+    assert ids.tolist() == sorted(calib.tolist())
+    for gid, s in zip(ids, scores):
+        assert s == score_table(mat, [gid], train, ds.pi, K=5)[1][0]
 
 
 # --- intervals --------------------------------------------------------------------
 
 
 def test_marginal_interval_degenerate():
-    iv = marginal_interval(0, f_hat=0.4, scores=np.zeros(20), alpha=0.1)
-    assert iv.lo == iv.up == pytest.approx(0.4)
+    lo, up = marginal(0.4, np.zeros(20), alpha=0.1)
+    assert lo == up == pytest.approx(0.4)
 
 
 def test_marginal_interval_symmetric_scores():
     scores = np.concatenate([np.full(50, -0.1), np.full(50, 0.1)])
-    iv = marginal_interval(0, f_hat=0.5, scores=scores, alpha=0.1)
-    assert iv.up - iv.lo == pytest.approx(0.2)
+    lo, up = marginal(0.5, scores, alpha=0.1)
+    assert up - lo == pytest.approx(0.2)
 
 
 def test_interval_endpoints_ordered_and_alpha_monotone():
@@ -126,30 +177,43 @@ def test_interval_endpoints_ordered_and_alpha_monotone():
     for _ in range(100):
         scores = rng.normal(size=int(rng.integers(2, 80)))
         f = float(rng.uniform(0, 1))
-        inner = marginal_interval(0, f, scores, alpha=0.2)
-        outer = marginal_interval(0, f, scores, alpha=0.05)
-        assert inner.lo <= inner.up
-        assert outer.lo <= inner.lo and inner.up <= outer.up
+        inner = marginal(f, scores, alpha=0.2)
+        outer = marginal(f, scores, alpha=0.05)
+        assert inner[0] <= inner[1]
+        assert outer[0] <= inner[0] and inner[1] <= outer[1]
 
 
 def test_interval_clamped_reporting():
-    iv = marginal_interval(0, f_hat=0.05, scores=np.array([-0.3, 0.3]), alpha=0.5)
-    assert iv.lo < 0.0  # raw endpoint retained
-    assert iv.clamped()[0] == 0.0
+    lo, up = marginal(0.05, np.array([-0.3, 0.3]), alpha=0.5)
+    assert lo < 0.0  # raw endpoint retained
+    assert min(max(lo, 0.0), 1.0) == 0.0
+    # the band keeps the raw endpoint for its indicators
+    band = band_from_intervals([lo], [up], [0.5], [0.5], lambda_grid=np.array([0.0]))
+    assert band.lo_pos[0] == lo
 
 
 def test_label_conditional_differs_between_labels():
     tight = np.full(30, 0.0)
     wide = np.concatenate([np.full(15, -0.4), np.full(15, 0.4)])
-    iv0 = label_conditional_interval(0, 0.5, 0, tight, alpha=0.1)
-    iv1 = label_conditional_interval(0, 0.5, 1, wide, alpha=0.1)
-    assert (iv1.up - iv1.lo) > (iv0.up - iv0.lo)
-    assert iv0.conditioning == "label:0" and iv1.conditioning == "label:1"
+    scores = np.concatenate([tight, wide])
+    labels = np.repeat([0, 1], 30)
+    iv0 = label_conditional(0.5, 0, scores, labels, alpha=0.1)
+    iv1 = label_conditional(0.5, 1, scores, labels, alpha=0.1)
+    assert (iv1[1] - iv1[0]) > (iv0[1] - iv0[0])
+    assert iv0 == marginal(0.5, tight, alpha=0.1) and iv1 == marginal(0.5, wide, alpha=0.1)
 
 
 def test_label_conditional_empty_stratum():
-    with pytest.raises(StratumError):
-        label_conditional_interval(0, 0.5, 1, [], alpha=0.1)
+    with pytest.raises(StratumError, match="no calibration graphs with binarized label 1"):
+        label_conditional(0.5, 1, np.array([0.1, 0.2]), np.array([0, 0]), alpha=0.1)
+
+
+def test_local_interval_argument_errors():
+    mat, calib, labels, scores, probs = _local_setup()
+    with pytest.raises(ValueError, match="min_stratum"):
+        local(120, 1, mat, calib, scores, labels, probs, K=10, alpha=0.1, min_stratum=0)
+    with pytest.raises(ValueError, match="alpha"):
+        marginal(0.5, scores, alpha=1.0)
 
 
 def _local_setup():
@@ -159,50 +223,35 @@ def _local_setup():
     calib = np.arange(120)
     labels = np.ones(121, dtype=np.int64)
     rng = np.random.default_rng(8)
-    cache = {}
-    for gid in range(60):
-        cache[gid] = float(rng.normal(0, 0.01))
-    for gid in range(60, 120):
-        cache[gid] = float(rng.normal(0, 0.5))
+    scores = np.concatenate([rng.normal(0, 0.01, 60), rng.normal(0, 0.5, 60)])
     probs = np.full(121, 0.5)
-    return mat, calib, labels, cache, probs
+    return mat, calib, labels, scores, probs
 
 
 def test_local_interval_narrower_in_low_noise_cluster():
-    mat, calib, labels, cache, probs = _local_setup()
-    local = local_conditional_interval(
-        120, 1, mat, calib, [], probs, labels, K=40, alpha=0.1, score_cache=cache
-    )
-    marginal = marginal_interval(120, 0.5, np.array([cache[g] for g in calib]), alpha=0.1)
-    assert (local.up - local.lo) < (marginal.up - marginal.lo)
+    mat, calib, labels, scores, probs = _local_setup()
+    lo, up = local(120, 1, mat, calib, scores, labels, probs, K=40, alpha=0.1)
+    m_lo, m_up = marginal(0.5, scores, alpha=0.1)
+    assert (up - lo) < (m_up - m_lo)
 
 
 def test_local_interval_reduces_to_label_conditional():
-    mat, calib, labels, cache, probs = _local_setup()
-    local = local_conditional_interval(
-        120, 1, mat, calib, [], probs, labels, K=len(calib), alpha=0.1, score_cache=cache
-    )
-    ref = label_conditional_interval(120, 0.5, 1, np.array([cache[g] for g in calib]), alpha=0.1)
-    assert local.lo == ref.lo and local.up == ref.up
+    mat, calib, labels, scores, probs = _local_setup()
+    got = local(120, 1, mat, calib, scores, labels, probs, K=len(calib), alpha=0.1)
+    assert got == label_conditional(0.5, 1, scores, labels[calib], alpha=0.1)
 
 
 def test_local_interval_thin_stratum_error_and_widen():
-    mat, calib, labels, cache, probs = _local_setup()
+    mat, calib, labels, scores, probs = _local_setup()
     labels = labels.copy()
     labels[:115] = 0  # only five label-1 calib graphs, all in cluster B
     with pytest.raises(StratumError, match="nearest calibration neighbors"):
-        local_conditional_interval(
-            120, 1, mat, calib, [], probs, labels, K=10, alpha=0.1, score_cache=cache
-        )
-    iv = local_conditional_interval(
-        120, 1, mat, calib, [], probs, labels, K=10, alpha=0.1, score_cache=cache, widen=True
-    )
-    assert iv.lo <= iv.up
+        local(120, 1, mat, calib, scores, labels, probs, K=10, alpha=0.1)
+    lo, up = local(120, 1, mat, calib, scores, labels, probs, K=10, alpha=0.1, widen=True)
+    assert lo <= up
     labels[:] = 0  # no label-1 graphs at all: widening cannot help
     with pytest.raises(StratumError, match="calibration pool"):
-        local_conditional_interval(
-            120, 1, mat, calib, [], probs, labels, K=10, alpha=0.1, score_cache=cache, widen=True
-        )
+        local(120, 1, mat, calib, scores, labels, probs, K=10, alpha=0.1, widen=True)
 
 
 def test_local_coverage_under_covariate_shift():
@@ -228,14 +277,11 @@ def test_local_coverage_under_covariate_shift():
         tests = np.arange(n_train + n_calib, coords.size)
         labels = np.ones(coords.size, dtype=np.int64)
         ids, scores = score_table(mat, calib, train, fhat, K=60)
-        cache = {int(g): float(s) for g, s in zip(ids, scores)}
         for t in tests:
-            local = local_conditional_interval(
-                int(t), 1, mat, calib, train, fhat, labels, K=60, alpha=0.1, score_cache=cache
-            )
-            full = label_conditional_interval(int(t), float(fhat[t]), 1, scores, alpha=0.1)
-            hits_local.append(local.lo <= pi <= local.up)
-            hits_global.append(full.lo <= pi <= full.up)
+            lo, up = local(int(t), 1, mat, calib, scores, labels, fhat, K=60, alpha=0.1)
+            g_lo, g_up = label_conditional(float(fhat[t]), 1, scores, labels[ids], alpha=0.1)
+            hits_local.append(lo <= pi <= up)
+            hits_global.append(g_lo <= pi <= g_up)
     assert np.mean(hits_local) >= 0.87
     assert np.mean(hits_global) < 0.80
 
@@ -260,3 +306,55 @@ def test_exchangeable_marginal_coverage():
         per_rep.append(float(np.mean((lo <= ds.pi[test]) & (ds.pi[test] <= up))))
     assert float(np.mean(per_rep)) >= 0.87
     assert float(np.mean(np.asarray(per_rep) >= 0.87)) >= 0.95
+
+
+def reference_label_interval(f_hat, k, scores, same_label, alpha):
+    if not same_label.any():
+        raise StratumError(f"no calibration graphs with binarized label {k}")
+    return (float(f_hat + quantile(scores[same_label], alpha / 2.0)),
+            float(f_hat + quantile(scores[same_label], 1.0 - alpha / 2.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_property_engine_bit_equal_to_reference(data):
+    """Small random instances with tied distances and tied scores: the batched
+    engine gives bit-equal endpoints, or the same StratumError, as the
+    per-point reference (local) and the quantile definition (label-conditional)."""
+    n_calib, n_train, n_query = (data.draw(st.integers(1, hi)) for hi in (12, 6, 5))
+    n = n_calib + n_train + n_query
+    raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), float)
+    values = np.minimum(raw.reshape(n, n), raw.reshape(n, n).T)
+    np.fill_diagonal(values, 0.0)
+    probs = np.array(data.draw(st.lists(st.one_of(st.floats(0, 1), st.sampled_from([0.2, 0.5, 0.8])),
+                                        min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    calib, train, queries = perm[:n_calib], perm[n_calib:n_calib + n_train], perm[n_calib + n_train:]
+    K = data.draw(st.integers(1, n_calib))
+    min_stratum = data.draw(st.integers(1, 4))
+    widen = data.draw(st.booleans())
+    alpha = data.draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9]))
+    k = data.draw(st.integers(0, 1))
+    mat = SimilarityMatrix(values=values, p=1.0, kinds=("test",), cap=1.0)
+    calib_sorted, scores = score_table(mat, calib, train, probs, K)
+    same = labels[calib_sorted] == k
+
+    def outcome(fn):
+        try:
+            return fn(), None
+        except StratumError as exc:
+            return None, str(exc)
+
+    want = outcome(lambda: [reference_local_interval(int(q), k, values, calib, train, probs, labels, K,
+                                                     alpha, min_stratum, widen) for q in queries])
+    order = np.searchsorted(calib_sorted, knn_indices(values, queries, calib_sorted, calib_sorted.size))
+    got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
+        queries, probs, scores, same, alpha, label=k, order=order, K=K,
+        min_stratum=min_stratum, widen=widen)))))
+    assert got == want
+
+    want = outcome(lambda: [reference_label_interval(probs[q], k, scores, same, alpha) for q in queries])
+    got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
+        queries, probs, scores, same, alpha, label=k)))))
+    assert got == want

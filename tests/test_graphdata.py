@@ -7,7 +7,6 @@ from cproc.graphdata import (
     ScoredDataset,
     load_scores,
     parse_tu_dataset,
-    read_scores_csv,
     read_split_manifest,
     split_dataset,
     write_scores,
@@ -198,6 +197,33 @@ def test_scores_csv_roundtrip(tmp_path):
     probs = np.array([[0.25, 0.75], [0.9, 0.1], [0.5, 0.5]])
     scored = ScoredDataset(labels=np.array([1, 0, 1]), probs=probs)
     write_scores(scored, tmp_path / "s.csv")
-    again = read_scores_csv(tmp_path / "s.csv")
+    again = load_scores(tmp_path / "s.csv")
     assert np.array_equal(again.labels, scored.labels)
     assert np.array_equal(again.probs, scored.probs)
+
+
+def test_load_scores_without_graphs_applies_the_same_checks(tmp_path):
+    path = tmp_path / "scores.csv"
+    for body, match in (
+        ("graph_id,label,p0,p1\n0,7,0.2,0.8\n1,0,0.6,0.4\n", "row 2: label 7 outside"),
+        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n1,-3,0.6,0.4\n", "row 3: label -3 outside"),
+        ("graph_id,label,foo,bar\n0,1,0.2,0.8\n", "p0..p1"),
+        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n0,0,0.6,0.4\n", "row 3: duplicate graph_id 0"),
+        ("graph_id,label,p0,p1\n", "no score rows"),
+    ):
+        path.write_text(body)
+        with pytest.raises(ScoreIngestError, match=match):
+            load_scores(path)
+
+
+def test_load_scores_non_integer_id_or_label_names_the_row(tmp_path):
+    path = tmp_path / "scores.csv"
+    for body in (
+        "graph_id,label,p0,p1\n0,1,0.2,0.8\nx,0,0.6,0.4\n",
+        "graph_id,label,p0,p1\n0,1,0.2,0.8\n1,zero,0.6,0.4\n",
+        "graph_id,label,p0,p1\n0,1,0.2,0.8\n1,0.0,0.6,0.4\n",
+    ):
+        path.write_text(body)
+        for graphs in (None, _two_graphs()):
+            with pytest.raises(ScoreIngestError, match="row 3"):
+                load_scores(path, graphs)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cproc.conformal import SoftInterval
 from cproc.errors import DegenerateTestError, StratumError
 from cproc.graphdata import ScoredDataset, SplitAssignment
 from cproc.rocbands import (
@@ -24,12 +23,14 @@ from cproc.synthetic import (
 )
 
 
-def iv(gid, lo, up, alpha=0.1, cond="label:1"):
-    return SoftInterval(graph_id=gid, lo=lo, up=up, alpha=alpha, conditioning=cond)
+def band_of(pos, neg, **kw):
+    """Band from (lo, up) endpoint pairs of the positives and the negatives."""
+    pos, neg = np.array(pos, dtype=float).reshape(-1, 2), np.array(neg, dtype=float).reshape(-1, 2)
+    return band_from_intervals(pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1], **kw)
 
 
-def degenerate(values, alpha=0.1):
-    return [iv(i, v, v, alpha) for i, v in enumerate(values)]
+def degenerate(values):
+    return [(v, v) for v in values]
 
 
 # --- empirical ROC ------------------------------------------------------------
@@ -78,7 +79,7 @@ def test_band_degenerate_intervals_equal_empirical_rates():
     rng = np.random.default_rng(6)
     pos = rng.uniform(0, 1, 40)
     neg = rng.uniform(0, 1, 60)
-    band = band_from_intervals(degenerate(pos), degenerate(neg), alpha=0.1)
+    band = band_of(degenerate(pos), degenerate(neg), alpha=0.1)
     for lam in np.linspace(0, 1, 97):
         tpr = np.mean(pos > lam)
         fpr = np.mean(neg > lam)
@@ -89,9 +90,7 @@ def test_band_degenerate_intervals_equal_empirical_rates():
 
 
 def test_band_boundary_strict_inequality():
-    band = band_from_intervals(
-        [iv(0, 0.2, 1.0), iv(1, 0.3, 0.9)], [iv(2, 0.1, 0.8)], alpha=0.1
-    )
+    band = band_of([(0.2, 1.0), (0.3, 0.9)], [(0.1, 0.8)], alpha=0.1)
     assert band.lambda_grid[-1] == 1.0
     assert band.sen_up[-1] == 0.0  # no endpoint exceeds 1, strict > makes it 0
 
@@ -105,14 +104,14 @@ def test_band_widened_intervals_contain_original():
         w_neg = rng.uniform(0, 0.2, (30, 2))
         delta = 0.07
         grid = np.linspace(0, 1, 257)
-        base = band_from_intervals(
-            [iv(i, f - a, f + b) for i, (f, (a, b)) in enumerate(zip(f_pos, w_pos))],
-            [iv(i, f - a, f + b) for i, (f, (a, b)) in enumerate(zip(f_neg, w_neg))],
+        base = band_of(
+            [(f - a, f + b) for f, (a, b) in zip(f_pos, w_pos)],
+            [(f - a, f + b) for f, (a, b) in zip(f_neg, w_neg)],
             lambda_grid=grid,
         )
-        wide = band_from_intervals(
-            [iv(i, f - a - delta, f + b + delta) for i, (f, (a, b)) in enumerate(zip(f_pos, w_pos))],
-            [iv(i, f - a - delta, f + b + delta) for i, (f, (a, b)) in enumerate(zip(f_neg, w_neg))],
+        wide = band_of(
+            [(f - a - delta, f + b + delta) for f, (a, b) in zip(f_pos, w_pos)],
+            [(f - a - delta, f + b + delta) for f, (a, b) in zip(f_neg, w_neg)],
             lambda_grid=grid,
         )
         assert np.all(wide.sen_lo <= base.sen_lo) and np.all(base.sen_up <= wide.sen_up)
@@ -121,11 +120,9 @@ def test_band_widened_intervals_contain_original():
 
 def test_band_invariants_ordering_and_monotone():
     rng = np.random.default_rng(62)
-    intervals_pos = [iv(i, f - w, f + w) for i, (f, w) in
-                     enumerate(zip(rng.uniform(0, 1, 50), rng.uniform(0, 0.3, 50)))]
-    intervals_neg = [iv(i, f - w, f + w) for i, (f, w) in
-                     enumerate(zip(rng.uniform(0, 1, 50), rng.uniform(0, 0.3, 50)))]
-    band = band_from_intervals(intervals_pos, intervals_neg)
+    intervals_pos = [(f - w, f + w) for f, w in zip(rng.uniform(0, 1, 50), rng.uniform(0, 0.3, 50))]
+    intervals_neg = [(f - w, f + w) for f, w in zip(rng.uniform(0, 1, 50), rng.uniform(0, 0.3, 50))]
+    band = band_of(intervals_pos, intervals_neg)
     for lo, up in ((band.sen_lo, band.sen_up), (band.spe_lo, band.spe_up)):
         assert np.all(lo <= up)
         assert np.all(np.diff(lo) <= 0) and np.all(np.diff(up) <= 0)
@@ -138,10 +135,10 @@ def test_band_sandwich_and_auc_ordering_under_straddle():
         n_pos, n_neg = int(rng.integers(5, 60)), int(rng.integers(5, 60))
         f_pos, f_neg = rng.uniform(0, 1, n_pos), rng.uniform(0, 1, n_neg)
         grid = default_lambda_grid(f_pos, f_neg)
-        pos = [iv(i, f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for i, f in enumerate(f_pos)]
-        neg = [iv(i, f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for i, f in enumerate(f_neg)]
-        band = band_from_intervals(pos, neg, lambda_grid=grid)
-        point = band_from_intervals(degenerate(f_pos), degenerate(f_neg), lambda_grid=grid)
+        pos = [(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_pos]
+        neg = [(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_neg]
+        band = band_of(pos, neg, lambda_grid=grid)
+        point = band_of(degenerate(f_pos), degenerate(f_neg), lambda_grid=grid)
         # exact indicator arithmetic: lo <= f <= up lifts through the sums
         assert np.all(band.sen_lo <= point.sen_lo) and np.all(point.sen_up <= band.sen_up)
         assert np.all(band.spe_lo <= point.spe_lo) and np.all(point.spe_up <= band.spe_up)
@@ -151,12 +148,17 @@ def test_band_sandwich_and_auc_ordering_under_straddle():
 
 def test_band_empty_class_rejected():
     with pytest.raises(DegenerateTestError):
-        band_from_intervals([], [iv(0, 0.1, 0.2)])
+        band_of([], [(0.1, 0.2)])
+
+
+def test_band_endpoint_lengths_must_match():
+    with pytest.raises(ValueError, match="equal lengths"):
+        band_from_intervals([0.1, 0.2], [0.3], [0.1], [0.2])
 
 
 def test_band_grid_validation():
     with pytest.raises(ValueError, match="grid"):
-        band_from_intervals([iv(0, 0.1, 0.2)], [iv(1, 0.1, 0.2)], lambda_grid=np.array([-0.5, 1.0]))
+        band_of([(0.1, 0.2)], [(0.1, 0.2)], lambda_grid=np.array([-0.5, 1.0]))
 
 
 def test_default_grid_contains_endpoints():

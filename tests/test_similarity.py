@@ -16,7 +16,6 @@ from cproc.similarity import (
     build_similarity_matrix,
     capped_diagram,
     export_matrix_csv,
-    knn,
     knn_indices,
     load_matrix,
     save_matrix,
@@ -341,22 +340,17 @@ def test_parallel_matches_serial():
 # --- knn ----------------------------------------------------------------------
 
 
-def _matrix_from(values: np.ndarray) -> SimilarityMatrix:
-    return SimilarityMatrix(values=values, p=1.0, kinds=("test",), cap=1.0)
-
-
 def test_knn_singleton_pool():
     vals = np.array([[0.0, 2.5], [2.5, 0.0]])
-    got = knn(_matrix_from(vals), 0, [1], K=5)
-    assert got.neighbors == ((1, 2.5),)
+    got = knn_indices(vals, [0], [1], K=5)
+    assert got.tolist() == [[1]] and vals[0, got[0]].tolist() == [2.5]
 
 
 def test_knn_sorts_by_distance():
     vals = np.zeros((4, 4))
     vals[0, 1], vals[0, 2], vals[0, 3] = 3.0, 1.0, 2.0
     vals += vals.T
-    got = knn(_matrix_from(vals), 0, [1, 2, 3], K=2)
-    assert [g for g, _ in got.neighbors] == [2, 3]
+    assert knn_indices(vals, [0], [1, 2, 3], K=2).tolist() == [[2, 3]]
 
 
 def test_knn_brute_force_oracle():
@@ -364,34 +358,33 @@ def test_knn_brute_force_oracle():
     raw = rng.uniform(0, 1, size=(200, 200))
     vals = np.triu(raw, 1)
     vals = vals + vals.T
-    mat = _matrix_from(vals)
     pool = list(range(1, 200))
     for _ in range(300):
         q = 0
         K = int(rng.integers(1, 25))
-        got = knn(mat, q, pool, K)
+        got = knn_indices(vals, [q], pool, K)[0]
         want = sorted(((vals[q, j], j) for j in pool))[:K]
-        assert [g for g, _ in got.neighbors] == [j for _, j in want]
+        assert got.tolist() == [j for _, j in want]
 
 
 def test_knn_tie_break_by_id_and_pool_order_invariance():
     vals = np.zeros((4, 4))
     vals[0, 1] = vals[0, 2] = vals[0, 3] = 1.0
     vals += vals.T
-    mat = _matrix_from(vals)
-    a = knn(mat, 0, [3, 1, 2], K=2)
-    b = knn(mat, 0, [1, 2, 3], K=2)
-    assert a.neighbors == b.neighbors == ((1, 1.0), (2, 1.0))
+    a = knn_indices(vals, [0], [3, 1, 2], K=2)
+    b = knn_indices(vals, [0], [1, 2, 3], K=2)
+    assert a.tolist() == b.tolist() == [[1, 2]]
+    assert vals[0, a[0]].tolist() == [1.0, 1.0]
 
 
 def test_knn_argument_errors():
-    mat = _matrix_from(np.zeros((2, 2)))
+    vals = np.zeros((2, 2))
     with pytest.raises(ValueError, match="K"):
-        knn(mat, 0, [1], K=0)
+        knn_indices(vals, [0], [1], K=0)
     with pytest.raises(ValueError, match="pool"):
-        knn(mat, 0, [0, 1], K=1)
+        knn_indices(vals, [0], [0, 1], K=1)
     with pytest.raises(ValueError, match="empty"):
-        knn(mat, 0, [], K=1)
+        knn_indices(vals, [0], [], K=1)
 
 
 def test_knn_indices_matches_single_queries():
@@ -399,12 +392,38 @@ def test_knn_indices_matches_single_queries():
     raw = rng.uniform(0, 1, (30, 30))
     vals = np.triu(raw, 1)
     vals = vals + vals.T
-    mat = _matrix_from(vals)
     queries = np.array([0, 5, 7])
     pool = np.array(sorted(set(range(30)) - {0, 5, 7}))
     block = knn_indices(vals, queries, pool, 6)
     for row, q in zip(block, queries):
-        assert row.tolist() == [g for g, _ in knn(mat, int(q), pool, 6).neighbors]
+        assert row.tolist() == knn_indices(vals, [int(q)], pool, 6)[0].tolist()
+        assert row.tolist() == [j for _, j in sorted((vals[q, j], j) for j in pool)][:6]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_knn_tie_rule_pool_order_and_errors(data):
+    """Integer distances force ties: rows follow ascending (distance, id),
+    the pool's order does not matter, and bad arguments are refused."""
+    n = data.draw(st.integers(2, 14))
+    raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), float)
+    vals = np.minimum(raw.reshape(n, n), raw.reshape(n, n).T)
+    np.fill_diagonal(vals, 0.0)
+    perm = data.draw(st.permutations(range(n)))
+    n_query = data.draw(st.integers(1, n - 1))
+    queries, pool = perm[:n_query], perm[n_query:]
+    K = data.draw(st.integers(1, len(pool) + 2))
+    got = knn_indices(vals, queries, pool, K)
+    for row, q in zip(got.tolist(), queries):
+        assert row == [j for _, j in sorted((vals[q, j], j) for j in pool)][:K]
+    assert np.array_equal(knn_indices(vals, queries, data.draw(st.permutations(pool)), K), got)
+    with pytest.raises(ValueError, match="K must be positive"):
+        knn_indices(vals, queries, pool, data.draw(st.integers(-3, 0)))
+    with pytest.raises(ValueError, match="empty neighbor pool"):
+        knn_indices(vals, queries, [], K)
+    member = data.draw(st.sampled_from(queries))
+    with pytest.raises(ValueError, match=f"query {member} must not be a member of the pool"):
+        knn_indices(vals, queries, pool + [member], K)
 
 
 # --- disk format ---------------------------------------------------------------
