@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 import warnings
@@ -149,11 +150,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip()) if text else ()
 
 
-def _dataset_diagrams(cfg: RunConfig):
+def _dataset_graphs(cfg: RunConfig):
     if cfg.dataset is None:
         raise ValueError("this command needs --dataset")
+    return parse_tu_dataset(cfg.dataset, cfg.name or Path(cfg.dataset).name)
+
+
+def _dataset_diagrams(cfg: RunConfig, graphs=None):
+    if graphs is None:
+        graphs = _dataset_graphs(cfg)
     name = cfg.name or Path(cfg.dataset).name
-    graphs = parse_tu_dataset(cfg.dataset, name)
     kind = FiltrationKind(cfg.filtration)
     diagrams = [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
     return graphs, name, kind, diagrams
@@ -179,10 +185,21 @@ def cmd_topo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simmat_with_cache(cfg: RunConfig):
-    graphs, name, kind, diagrams = _dataset_diagrams(cfg)
+def _graphs_digest(graphs) -> str:
+    """sha256 of what the distances depend on: node counts, edges, node labels."""
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(repr((g.num_nodes, g.edges, g.node_attributes)).encode())
+    return digest.hexdigest()
+
+
+def _simmat_with_cache(cfg: RunConfig, graphs=None):
+    graphs, name, kind, diagrams = _dataset_diagrams(cfg, graphs)
     cap = max_finite_value(diagrams)
-    key = f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|cap={cap!r}|dims=(0, 1)"
+    key = (
+        f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|cap={cap!r}|dims=(0, 1)"
+        f"|graphs={_graphs_digest(graphs)}"
+    )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}_{kind.value}_p{cfg.wasserstein_p:g}.simmat"
@@ -235,17 +252,15 @@ def cmd_bands(args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if cfg.simmat:
-        matrix = load_matrix(cfg.simmat)
-        graphs = parse_tu_dataset(cfg.dataset, cfg.name or Path(cfg.dataset).name) if cfg.dataset else None
-    else:
-        graphs, _, matrix, _ = _simmat_with_cache(cfg)
+    # scores are checked against the graphs before any distance is computed
+    graphs = _dataset_graphs(cfg) if cfg.dataset or not cfg.simmat else None
     scored = load_scores(cfg.scores, graphs)
     if scored.num_labels > 2:
         raise ValueError(
             f"{cfg.scores} has {scored.num_labels} labels, but cproc bands builds binary bands; "
             "use cproc.rocbands.multilabel_bands for one-vs-rest bands"
         )
+    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[2]
     if scored.n != matrix.n:
         raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
 

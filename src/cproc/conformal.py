@@ -58,7 +58,7 @@ def score_table(
     Returns (sorted calibration ids, scores aligned to them).
     """
     calib_sorted = np.sort(np.asarray(calib_ids, dtype=np.int64))
-    neigh = knn_indices(matrix.values, calib_sorted, train_ids, K)
+    neigh = knn_indices(matrix, calib_sorted, train_ids, K)
     pi_tilde = probs[neigh].mean(axis=1)
     return calib_sorted, pi_tilde - probs[calib_sorted]
 

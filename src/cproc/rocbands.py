@@ -1,13 +1,15 @@
 """Empirical ROC curves and conformal ROC confidence bands.
 
 `cp_roc_bands` scores the calibration graphs once (`conformal.score_table`),
-ranks each test graph's calibration neighbours in conditional mode
-(`similarity.knn_indices`), and hands both to `conformal.conformal_intervals`
-for the positives and the negatives. `band_from_intervals` then turns the four
-endpoint arrays into bands: at each threshold the bounds are the fractions of
-endpoints strictly above it (positives give the sensitivity band, negatives
-the specificity band, both on the FPR/TPR scale). Bands are exact staircases;
-the default grid carries every interval endpoint so nothing is sampled away.
+finds each test graph's K nearest calibration graphs in conditional mode
+(`similarity.knn_indices`; the whole calibration order only for the test
+graphs whose stratum must be widened), and hands both to
+`conformal.conformal_intervals` for the positives and the negatives.
+`band_from_intervals` then turns the four endpoint arrays into bands: at each
+threshold the bounds are the fractions of endpoints strictly above it
+(positives give the sensitivity band, negatives the specificity band, both on
+the FPR/TPR scale). Bands are exact staircases; the default grid carries every
+interval endpoint so nothing is sampled away.
 """
 
 from __future__ import annotations
@@ -214,14 +216,24 @@ def cp_roc_bands(
             f"({test_pos.size} positive / {test_neg.size} negative)"
         )
 
+    widen = thin_stratum == "widen"
     endpoints = []
     for ids, k in ((test_pos, 1), (test_neg, 0)):
+        same = binary[calib_sorted] == bool(k)
         order = None
         if mode == "conditional":
-            order = position[knn_indices(matrix.values, ids, calib_sorted, calib_sorted.size)]
+            order = position[knn_indices(matrix, ids, calib_sorted, K)]
+            thin = np.flatnonzero(same[order].sum(axis=1) < min_stratum)
+            if widen and thin.size and order.shape[1] < calib_sorted.size:
+                # only thin rows are widened, so only they need the whole
+                # calibration order; the engine never reads the other rows' tails
+                full = np.zeros((ids.size, calib_sorted.size), dtype=np.int64)
+                full[:, : order.shape[1]] = order
+                full[thin] = position[knn_indices(matrix, ids[thin], calib_sorted, calib_sorted.size)]
+                order = full
         endpoints += conformal_intervals(
-            ids, fhat, scores, binary[calib_sorted] == bool(k), alpha, label=k, order=order,
-            K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
+            ids, fhat, scores, same, alpha, label=k, order=order,
+            K=K, min_stratum=min_stratum, widen=widen,
         )
     return band_from_intervals(*endpoints, lambda_grid, alpha, mode)
 

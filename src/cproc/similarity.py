@@ -1,5 +1,6 @@
 """Wasserstein distances between persistence diagrams, pairwise distance
-matrices, and K-nearest-neighbor queries restricted to split parts.
+tables read by blocks, and K-nearest-neighbor queries restricted to split
+parts.
 
 A point of one diagram may match a point of the other diagram or its own
 diagonal projection ((b+d)/2, (b+d)/2); ground cost is the L-infinity norm
@@ -15,6 +16,18 @@ the diagonal is never worse. Each pair is then solved as a rectangular
 assignment whose rows are the smaller diagram's points and whose columns are
 the other diagram's points plus one own-diagonal slot per row; the other
 diagram's diagonal costs enter as an offset.
+
+A `SimilarityMatrix` hands out `block(rows, cols)`, the only way the conformal
+pipeline reads distances. It has two backends: a dense array (every `.simmat`
+file and Wasserstein build), whose blocks are slices, and Euclidean points
+(synthetic runs), whose blocks are `cdist` of the rows' and columns' points,
+so no n x n table is built unless `values` is asked for.
+
+`knn_indices` orders neighbours by ascending (distance, id). It selects the K
+nearest with `argpartition` and sorts only those; a row whose K-th distance
+is tied with a distance outside the K selected (or is NaN) is ranked by a
+full stable sort instead, so the result always equals the full sort's first
+K columns.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ParseError
 from .topology import PersistenceDiagram, max_finite_value
@@ -141,19 +155,41 @@ def capped_diagram(
     return PersistenceDiagram(graph_id=d.graph_id, dim0=d0, dim1=d1)
 
 
-@dataclass(frozen=True)
 class SimilarityMatrix:
-    """Symmetric pairwise-distance table over all graphs."""
+    """Symmetric pairwise-distance table over all graphs, read by blocks.
 
-    values: np.ndarray
-    p: float
-    kinds: tuple[str, ...]
-    cap: float
-    key: str = ""
+    Backed by a dense `values` array, or by Euclidean `points` (one row per
+    graph); for points, `values` is squareform(pdist(points)), built on first
+    access, and blocks never touch it.
+    """
+
+    def __init__(self, values=None, p: float = 1.0, kinds: tuple[str, ...] = (), cap: float = 0.0,
+                 key: str = "", *, points=None) -> None:
+        if (values is None) == (points is None):
+            raise ValueError("a similarity matrix needs exactly one of values and points")
+        self._values = None if values is None else np.asarray(values)
+        self.points = None if points is None else np.asarray(points, dtype=float)
+        self.p, self.kinds, self.cap, self.key = p, tuple(kinds), cap, key
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = squareform(pdist(self.points))
+        return self._values
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return len(self.points) if self.points is not None else self._values.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Distances from each graph in `rows` to each graph in `cols`."""
+        if self.points is not None:
+            return cdist(self.points[rows], self.points[cols])
+        return self._values[np.ix_(rows, cols)]
 
 
 _WORKER_PREPARED: list[tuple[_Points, _Points]] = []
@@ -204,10 +240,11 @@ def build_similarity_matrix(
     return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)
 
 
-def knn_indices(values: np.ndarray, query_ids, pool_ids, K: int) -> np.ndarray:
+def knn_indices(values, query_ids, pool_ids, K: int) -> np.ndarray:
     """Row r holds the ids of the min(K, |pool|) pool members nearest to
     query_ids[r], by ascending (distance, id); the pool's order is irrelevant.
-    Queries must not be pool members."""
+    Queries must not be pool members. `values` is a SimilarityMatrix or a
+    dense distance array."""
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     query_ids = np.asarray(query_ids, dtype=np.int64)
@@ -217,9 +254,20 @@ def knn_indices(values: np.ndarray, query_ids, pool_ids, K: int) -> np.ndarray:
     inside = np.isin(query_ids, pool_sorted)
     if inside.any():
         raise ValueError(f"query {int(query_ids[inside][0])} must not be a member of the pool")
-    sub = values[np.ix_(query_ids, pool_sorted)]
-    order = np.argsort(sub, axis=1, kind="stable")[:, : min(K, pool_sorted.size)]
-    return pool_sorted[order]
+    if isinstance(values, SimilarityMatrix):
+        sub = values.block(query_ids, pool_sorted)
+    else:
+        sub = np.asarray(values)[np.ix_(query_ids, pool_sorted)]
+    width = min(K, pool_sorted.size)
+    # columns are in id order, so a stable sort of a row ranks by (distance, id)
+    pick = np.argpartition(sub, width - 1, axis=1)[:, :width]
+    kth = np.take_along_axis(sub, pick[:, -1:], axis=1)
+    tied = np.flatnonzero(np.count_nonzero(sub <= kth, axis=1) != width)
+    if tied.size:
+        pick[tied] = np.argsort(sub[tied], axis=1, kind="stable")[:, :width]
+    pick.sort(axis=1)
+    rank = np.argsort(np.take_along_axis(sub, pick, axis=1), axis=1, kind="stable")
+    return pool_sorted[np.take_along_axis(pick, rank, axis=1)]
 
 
 def save_matrix(matrix: SimilarityMatrix, path: str | Path, extra_meta: dict | None = None) -> None:

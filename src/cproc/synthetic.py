@@ -1,10 +1,11 @@
 """Synthetic data with a known oracle probability, a logistic trainer, and
 Monte Carlo experiments for band coverage and bandwidth comparisons.
 
-The conformal machinery is distance-agnostic, so synthetic runs plug a
-Euclidean covariate distance matrix into the same pipeline that real graph
-runs feed with Wasserstein distances. Misspecified models drop covariates at
-fit time only; the distance matrix always sees the full covariate vector.
+The conformal machinery is distance-agnostic, so synthetic runs plug
+Euclidean covariate distances into the same pipeline that real graph runs
+feed with Wasserstein distances; the pipeline reads them block by block from
+the covariate points. Misspecified models drop covariates at fit time only;
+the distances always see the full covariate vector.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import NumericalError, SeparationWarning
 from .graphdata import ScoredDataset, SplitAssignment
@@ -87,10 +87,10 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
 
 
 def covariate_distance_matrix(ds: SyntheticDataset) -> SimilarityMatrix:
-    """Euclidean pairwise distances on the full covariates (pluggable stand-in
-    for the Wasserstein matrix)."""
+    """Euclidean distances on the full covariates (pluggable stand-in for the
+    Wasserstein matrix), computed per block from the points."""
     return SimilarityMatrix(
-        values=squareform(pdist(ds.x)),
+        points=ds.x,
         p=2.0,
         kinds=("euclidean",),
         cap=0.0,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,12 +8,13 @@ from cproc.cli import main
 from cproc.graphdata import (
     Graph,
     ScoredDataset,
+    parse_tu_dataset,
     write_scores,
     write_split_manifest,
     write_tu_dataset,
 )
 from cproc.rocbands import read_band_csv
-from cproc.similarity import save_matrix
+from cproc.similarity import load_matrix, save_matrix
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 
 from conftest import write_tiny_fixture
@@ -282,6 +284,46 @@ def test_bands_more_than_two_labels_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "3 labels" in err and "multilabel_bands" in err
     assert not (tmp_path / "o" / "band.csv").exists()
+
+
+def test_bands_bad_scores_exit_2_before_any_distance(tmp_path, capsys):
+    data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    lines = scores.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line and line[0].isdigit())
+    lines[first] = lines[first].rsplit(",", 1)[0] + ",x"
+    scores.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "det"
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+               "--knn", "3", "--mode", "cond", "--thin-stratum", "widen", "--min-stratum", "2",
+               "--repeats", "3", "--seed", "42", "--out", str(out)])
+    assert rc == 2
+    assert "row 2: could not convert string to float: 'x'" in capsys.readouterr().err
+    assert not list(out.glob("*.simmat"))
+
+
+def test_bands_edited_edge_is_a_cache_key_mismatch(tmp_path, capsys):
+    """An edit that keeps the dataset's name and cap still changes the key."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    out = tmp_path / "out"
+    args = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+            "--knn", "3", "--mode", "exch", "--out", str(out)]
+    assert main(args) == 0
+    cache = out / "STARS_degree_p1.simmat"
+    before = load_matrix(cache)
+    graphs = parse_tu_dataset(data, "STARS")
+    # graph 2 is a star with three leaves; re-hang leaf 3 from leaf 2
+    assert graphs[2].edges == ((0, 1), (0, 2), (0, 3))
+    graphs[2] = replace(graphs[2], edges=((0, 1), (0, 2), (2, 3)))
+    write_tu_dataset(graphs, data, "STARS")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="cache key mismatch"):
+        assert main(args) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    after = load_matrix(cache)
+    assert after.cap == before.cap and after.key != before.key
+    assert not np.array_equal(after.values, before.values)
+    assert main(args) == 0
+    assert "cache hit" in capsys.readouterr().out
 
 
 def test_outputs_embed_version_and_config(tmp_path):

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from cproc.conformal import conformal_intervals, conformal_p_value, quantile, score_table
 from cproc.errors import StratumError
-from cproc.rocbands import band_from_intervals
+from cproc.rocbands import band_from_intervals, cp_roc_bands
 from cproc.similarity import SimilarityMatrix, knn_indices
-from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate
+from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 
 
 def dist_matrix_from_coords(coords: np.ndarray) -> SimilarityMatrix:
@@ -358,3 +359,27 @@ def test_property_engine_bit_equal_to_reference(data):
     got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
         queries, probs, scores, same, alpha, label=k)))))
     assert got == want
+
+
+def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
+    """Only thin test points get their whole calibration order; the bands
+    still equal the engine handed every point's whole order, on both backends."""
+    ds = generate(SyntheticSpec(n_train=300, n_calib=150, n_test=80, dim=3, beta=(2.0, -1.5, 1.0), seed=17))
+    fhat, labels = ds.pi, ds.labels
+    euclidean = covariate_distance_matrix(ds)
+    dense = SimilarityMatrix(values=squareform(pdist(ds.x)), p=2.0)
+    train, calib, test = (np.sort(ds.split.ids(p)) for p in ("train", "calib", "test"))
+    K, min_stratum = 4, 3
+    same = labels[knn_indices(dense, test, calib, K)] == labels[test][:, None]
+    assert 0 < np.count_nonzero(same.sum(axis=1) < min_stratum) < test.size
+    bands = [cp_roc_bands(scored_dataset(ds, fhat), mat, K, 0.1, min_stratum=min_stratum,
+                          thin_stratum="widen") for mat in (euclidean, dense)]
+    calib_sorted, scores = score_table(dense, calib, train, fhat, K)
+    for k, ends in ((1, ("lo_pos", "up_pos")), (0, ("lo_neg", "up_neg"))):
+        ids = test[labels[test] == k]
+        order = np.searchsorted(calib_sorted, knn_indices(dense.values, ids, calib_sorted, calib_sorted.size))
+        want = conformal_intervals(ids, fhat, scores, labels[calib_sorted] == k, 0.1, label=k, order=order,
+                                   K=K, min_stratum=min_stratum, widen=True)
+        for band in bands:
+            for got, expected in zip((getattr(band, e) for e in ends), want):
+                assert np.array_equal(got, expected)

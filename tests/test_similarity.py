@@ -426,6 +426,77 @@ def test_property_knn_tie_rule_pool_order_and_errors(data):
         knn_indices(vals, queries, pool + [member], K)
 
 
+def reference_knn_indices(values, query_ids, pool_ids, K):
+    """Slow reference: a full stable argsort of every row over the id-sorted pool."""
+    pool_sorted = np.sort(np.asarray(pool_ids, dtype=np.int64))
+    sub = np.asarray(values)[np.ix_(np.asarray(query_ids, dtype=np.int64), pool_sorted)]
+    return pool_sorted[np.argsort(sub, axis=1, kind="stable")[:, : min(K, pool_sorted.size)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_partition_knn_equals_full_sort(data):
+    """Integer distances in a small range tie across the K boundary often;
+    every K from 1 to |pool| must match the full stable sort, for a dense
+    array and for a SimilarityMatrix alike."""
+    n = data.draw(st.integers(2, 24))
+    top = data.draw(st.integers(0, 4))
+    raw = np.array(data.draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n)), float)
+    vals = np.minimum(raw.reshape(n, n), raw.reshape(n, n).T)
+    np.fill_diagonal(vals, 0.0)
+    perm = data.draw(st.permutations(range(n)))
+    n_query = data.draw(st.integers(1, n - 1))
+    queries, pool = perm[:n_query], perm[n_query:]
+    mat = SimilarityMatrix(values=vals)
+    for K in range(1, len(pool) + 1):
+        want = reference_knn_indices(vals, queries, pool, K)
+        assert np.array_equal(knn_indices(vals, queries, pool, K), want)
+        assert np.array_equal(knn_indices(mat, queries, pool, K), want)
+
+
+def test_partition_knn_ties_straddling_the_boundary():
+    # distances 1, 0, 1, 1, 2, 1 to ids 1..6: K=3 keeps 0 and the two
+    # smallest ids at distance 1, though the partition may pick any of four
+    vals = np.zeros((7, 7))
+    vals[0, 1:] = [1.0, 0.0, 1.0, 1.0, 2.0, 1.0]
+    vals += vals.T
+    pool = [6, 5, 4, 3, 2, 1]
+    assert knn_indices(vals, [0], pool, 3).tolist() == [[2, 1, 3]]
+    assert knn_indices(vals, [0], pool, 5).tolist() == [[2, 1, 3, 4, 6]]
+    for K in range(1, 7):
+        assert np.array_equal(knn_indices(vals, [0], pool, K), reference_knn_indices(vals, [0], pool, K))
+
+
+def test_partition_knn_ranks_nan_last_like_the_full_sort():
+    vals = np.zeros((6, 6))
+    vals[0, 1:] = [np.nan, 3.0, np.nan, 1.0, 2.0]
+    for K in range(1, 6):
+        assert np.array_equal(knn_indices(vals, [0], range(1, 6), K),
+                              reference_knn_indices(vals, [0], range(1, 6), K))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_property_euclidean_block_bit_equal_to_dense_values(data):
+    n = data.draw(st.integers(2, 20))
+    dim = data.draw(st.integers(1, 6))
+    coords = data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n * dim, max_size=n * dim))
+    mat = SimilarityMatrix(points=np.array(coords).reshape(n, dim), p=2.0)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    block = mat.block(rows, cols)
+    assert mat.shape == (n, n) and mat.n == n
+    assert np.array_equal(block, mat.values[np.ix_(rows, cols)])
+    assert np.array_equal(mat.values, mat.values.T) and not np.diag(mat.values).any()
+
+
+def test_similarity_matrix_needs_one_backend():
+    with pytest.raises(ValueError, match="exactly one"):
+        SimilarityMatrix()
+    with pytest.raises(ValueError, match="exactly one"):
+        SimilarityMatrix(values=np.zeros((2, 2)), points=np.zeros((2, 1)))
+
+
 # --- disk format ---------------------------------------------------------------
 
 
