@@ -1,0 +1,128 @@
+"""Print the sha256 of every file that a fixed set of `cproc bands`,
+`cproc simulate` and `multilabel_bands` runs writes.
+
+Run it from the repository root with the cproc to be checked on the path:
+
+    PYTHONPATH=src python3 scripts/output_digests.py
+
+Each run works in a fresh temporary directory and passes relative paths, so
+the configuration line that every output embeds names no machine path; BLAS
+is held to one thread. Two runs of the script print the same lines, and a
+change that keeps every output byte-identical prints the same lines as its
+parent. The inputs are fabricated here (the twin-star fixture of acceptance
+criterion 10, the criterion-1 synthetic design) or by `perfbench/gen.py`
+(the BZR-shaped set of the tu-cold workload), and the script uses only
+cproc names that older versions also have, so it can be run against them.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402
+from cproc.cli import main  # noqa: E402
+from cproc.graphdata import Graph, ScoredDataset, write_scores, write_tu_dataset  # noqa: E402
+from cproc.rocbands import multilabel_bands, write_band_csv  # noqa: E402
+from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate  # noqa: E402
+
+
+def twin_stars(root: Path, n_pairs: int = 16) -> None:
+    """Acceptance criterion 10's fixture: pairs of identical star graphs with
+    identical scores, one twin in train and the other in calib or test."""
+    graphs, labels, p1s, parts = [], [], [], []
+    levels = np.linspace(0.9, 0.25, n_pairs)
+    for i in range(n_pairs):
+        label = 1 if i % 2 == 0 else 0
+        p1 = float(levels[i]) if label == 1 else float(1.0 - levels[i])
+        for twin in range(2):
+            gid = 2 * i + twin
+            graphs.append(Graph(id=gid, num_nodes=i + 3, edges=tuple((0, j) for j in range(1, i + 3)),
+                                label=label))
+            labels.append(label)
+            p1s.append(p1)
+            parts.append("train" if twin == 0 else ("calib" if i % 4 < 2 else "test"))
+    write_tu_dataset(graphs, root / "STARS", "STARS")
+    probs = np.column_stack([1.0 - np.array(p1s), p1s])
+    write_scores(ScoredDataset(labels=np.array(labels), probs=probs), root / "stars_scores.csv")
+    lines = ["graph_id,part"] + [f"{gid},{part}" for gid, part in enumerate(parts)]
+    (root / "stars_split.csv").write_text("\n".join(lines) + "\n")
+
+
+def cli(*argv: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(list(argv))
+    if rc != 0:
+        raise SystemExit(f"cproc {' '.join(argv)} exited {rc}")
+
+
+def multilabel(out: Path) -> None:
+    """Three one-vs-rest conditional bands on synthetic covariates."""
+    ds = generate(SyntheticSpec(n_train=300, n_calib=200, n_test=150, dim=3, beta=(1.0, -0.8, 0.6), seed=5))
+    labels = np.digitize(ds.x[:, 0], [-0.4, 0.4])
+    rng = np.random.default_rng(5)
+    logits = np.eye(3)[labels] * 1.5 + rng.normal(0.0, 1.0, (ds.n, 3))
+    probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    scored = ScoredDataset(labels=labels, probs=probs, split=ds.split)
+    bands = multilabel_bands(scored, covariate_distance_matrix(ds), K=20, alpha=0.1,
+                             min_stratum=3, thin_stratum="widen")
+    out.mkdir()
+    for k, band in bands.items():
+        write_band_csv(out / f"band_label{k}.csv", band.lambda_grid, band.sen_lo, band.sen_up,
+                       band.spe_lo, band.spe_up, comments=(f"auc: [{band.auc_lo!r}, {band.auc_up!r}]",))
+
+
+def run_all() -> list[str]:
+    twin_stars(Path("."))
+    stars = ("bands", "--dataset", "STARS", "--scores", "stars_scores.csv", "--split", "stars_split.csv",
+             "--knn", "3", "--min-stratum", "2", "--repeats", "3", "--seed", "42")
+    cli(*stars, "--mode", "cond", "--thin-stratum", "widen", "--out", "stars-cond")
+    cli(*stars, "--mode", "exch", "--bootstrap", "40", "--out", "stars-exch")
+
+    design = ("simulate", "--dim", "12", "--beta", ",".join(repr(float(b)) for b in gen.criterion1_beta()),
+              "--seed", "20240", "--repeats", "3")
+    cli(*design, "--knn", "50", "--mode", "cond", "--out", "sim-cond")
+    cli(*design, "--knn", "50", "--mode", "exch", "--out", "sim-exch")
+    cli(*design, "--knn", "6", "--min-stratum", "4", "--mode", "cond", "--out", "sim-thin")
+
+    scores = gen.write_tu(gen.tu_set(gen.BZR_LIKE, 1), Path("BZRX") / "BZRX")
+    cli("bands", "--dataset", "BZRX/BZRX", "--scores", scores.as_posix(), "--filtration", "degree",
+        "--knn", "20", "--mode", "cond", "--thin-stratum", "widen", "--min-stratum", "5",
+        "--alpha", "0.1", "--repeats", "10", "--seed", "7", "--pool-split", "0.7",
+        "--calib-split", "0.6", "--pairs-parallel", "1", "--out", "tu-cold")
+
+    multilabel(Path("multilabel"))
+
+    lines = []
+    for out in ("stars-cond", "stars-exch", "sim-cond", "sim-exch", "sim-thin", "tu-cold", "multilabel"):
+        for path in sorted(Path(out).iterdir()):
+            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+    return lines
+
+
+def main_() -> int:
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            lines = run_all()
+        finally:
+            os.chdir(here)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_())

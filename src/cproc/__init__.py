@@ -11,7 +11,7 @@ probability validates band coverage empirically.
 __version__ = "0.1.0"
 
 from .baseline import BootstrapBand, bootstrap_bands
-from .conformal import conformal_intervals, conformal_p_value, quantile, score_table
+from .conformal import conformal_intervals, quantile, score_table
 from .errors import (
     CprocError,
     DegenerateTestError,

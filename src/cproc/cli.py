@@ -240,9 +240,7 @@ def _resplit(base_split, pool: np.ndarray, calib_split: float, seed: int):
         parts[pool[idx]] = "calib"
     for idx in perm[n_calib:]:
         parts[pool[idx]] = "test"
-    return type(base_split)(
-        tuple(parts), seed, base_split.pool_split, calib_split, base_split.valid_split
-    )
+    return type(base_split)(tuple(parts))
 
 
 def cmd_bands(args: argparse.Namespace) -> int:
@@ -265,7 +263,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
         raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
 
     if cfg.split:
-        base_split = read_split_manifest(cfg.split, seed=cfg.seed)
+        base_split = read_split_manifest(cfg.split)
         if len(base_split.parts) != scored.n:
             raise ValueError("split manifest size does not match dataset")
     else:

@@ -10,9 +10,13 @@ scores are selected, never their values.
 `conformal_intervals` covers every calibration scheme with one batched
 order-statistic step: the marginal interval (every calibration score), the
 label-conditional interval (the scores of the query's label), and the local
-interval (the same-label members of the query's K nearest calibration graphs,
-optionally widened to `min_stratum` members). Endpoints stay raw, so they may
-leave [0, 1]; band indicators use them as they are.
+interval. For the local interval it is handed the similarity matrix and picks
+each query's local calibration set itself: the same-label members of its K
+nearest calibration graphs (`knn_indices`), and, for the queries where those
+are fewer than `min_stratum`, an error or, with `widen`, the first
+`min_stratum` same-label graphs of the query's whole calibration order.
+Endpoints stay raw, so they may leave [0, 1]; band indicators use them as
+they are.
 """
 
 from __future__ import annotations
@@ -38,14 +42,6 @@ def quantile(values, gamma: float) -> float:
     return float(arr[_rank(gamma, arr.size) - 1])
 
 
-def conformal_p_value(pi: float, f_hat: float, calib_scores) -> float:
-    """Diagnostic p-value: (#{s_j < pi - f_hat} + 1) / n over calibration scores."""
-    arr = np.asarray(calib_scores, dtype=float)
-    if arr.size == 0:
-        raise ValueError("p-value needs a nonempty calibration score set")
-    return float((np.count_nonzero(arr < (pi - f_hat)) + 1) / arr.size)
-
-
 def score_table(
     matrix: SimilarityMatrix,
     calib_ids: np.ndarray,
@@ -66,33 +62,36 @@ def score_table(
 def conformal_intervals(
     query_ids,
     f_hat: np.ndarray,
+    calib_ids: np.ndarray,
     scores: np.ndarray,
     same_label: np.ndarray,
     alpha: float,
     *,
     label: int,
-    order: np.ndarray | None = None,
+    matrix: SimilarityMatrix | None = None,
     K: int | None = None,
     min_stratum: int = 1,
     widen: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw endpoints [f_hat + q_{a/2}, f_hat + q_{1-a/2}] for every query.
 
-    `scores[j]` is calibration graph j's score and `same_label[j]` says
-    whether it carries the queries' label `label`; `f_hat` is indexed by
-    `query_ids`. Without `order` every query shares the same-label scores
-    (label-conditional; an all-true mask gives the marginal interval). With
-    `order`, row r lists calibration positions nearest first for query r and
-    the stratum is the same-label part of its first K; a stratum below
-    `min_stratum` raises StratumError, or with `widen` becomes the first
-    `min_stratum` same-label graphs of the whole order.
+    `calib_ids` are the ascending calibration ids of `score_table`, `scores`
+    and `same_label` are aligned to them (the mask says which graphs carry
+    the queries' label `label`), and `f_hat` is indexed by graph id. Without
+    `matrix` every query shares the same-label scores (label-conditional; an
+    all-true mask gives the marginal interval). With `matrix` the stratum is
+    the same-label part of each query's K nearest calibration graphs; a
+    stratum below `min_stratum` raises StratumError, or with `widen` becomes
+    the first `min_stratum` same-label graphs of the query's whole
+    calibration order, which is fetched for those queries only.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     query_ids = np.asarray(query_ids, dtype=np.int64)
+    calib_ids = np.asarray(calib_ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
     same_label = np.asarray(same_label, dtype=bool)
-    if order is None:
+    if matrix is None:
         ranked = np.sort(scores[same_label])[None, :]
         counts = np.array([ranked.size])
         if ranked.size == 0:
@@ -100,30 +99,35 @@ def conformal_intervals(
     else:
         if min_stratum < 1:
             raise ValueError(f"min_stratum must be >= 1, got {min_stratum}")
-        member = same_label[order]
-        width = min(K, order.shape[1])
-        take = member.copy()
-        take[:, width:] = False
-        counts = take.sum(axis=1)
+        position = np.empty(matrix.n, dtype=np.int64)  # graph id -> index into calib_ids
+        position[calib_ids] = np.arange(calib_ids.size)
+        near = position[knn_indices(matrix, query_ids, calib_ids, K)]
+        member = same_label[near]
+        counts = member.sum(axis=1)
         thin = np.flatnonzero(counts < min_stratum)
         if thin.size and not widen:
             raise StratumError(
                 f"graph {int(query_ids[thin[0]])}: {int(counts[thin[0]])} label-{label} graph(s) "
-                f"among its {width} nearest calibration neighbors (need {min_stratum})"
+                f"among its {near.shape[1]} nearest calibration neighbors (need {min_stratum})"
             )
-        widened = member[thin]
-        pool = widened.sum(axis=1)
-        short = np.flatnonzero(pool < min_stratum)
-        if short.size:
-            raise StratumError(
-                f"graph {int(query_ids[thin[short[0]]])}: calibration pool holds only "
-                f"{int(pool[short[0]])} label-{label} graph(s) (need {min_stratum})"
-            )
-        take[thin] = widened & (np.cumsum(widened, axis=1) <= min_stratum)
-        counts[thin] = min_stratum
-        used = np.flatnonzero(take.any(axis=0))
-        cols = int(used[-1]) + 1 if used.size else 0
-        ranked = np.where(take[:, :cols], scores[order[:, :cols]], np.inf)
+        ranked = np.where(member, scores[near], np.inf)
+        if thin.size:
+            order = position[knn_indices(matrix, query_ids[thin], calib_ids, calib_ids.size)]
+            widened = same_label[order]
+            pool = widened.sum(axis=1)
+            short = np.flatnonzero(pool < min_stratum)
+            if short.size:
+                raise StratumError(
+                    f"graph {int(query_ids[thin[short[0]]])}: calibration pool holds only "
+                    f"{int(pool[short[0]])} label-{label} graph(s) (need {min_stratum})"
+                )
+            # each thin row keeps exactly its first min_stratum same-label graphs
+            first = order[widened & (np.cumsum(widened, axis=1) <= min_stratum)]
+            ranked = np.pad(ranked, ((0, 0), (0, max(0, min_stratum - ranked.shape[1]))),
+                            constant_values=np.inf)
+            ranked[thin] = np.inf
+            ranked[thin, :min_stratum] = scores[first].reshape(thin.size, min_stratum)
+            counts[thin] = min_stratum
         ranked.sort(axis=1)
     rows = np.arange(ranked.shape[0])
     fq = f_hat[query_ids]

@@ -177,13 +177,9 @@ def write_tu_dataset(graphs: list[Graph], dir_path: str | Path, name: str) -> No
 
 @dataclass(frozen=True)
 class SplitAssignment:
-    """Four-way train/valid/calib/test partition, pure function of (n, seed, ratios)."""
+    """Four-way train/valid/calib/test partition: `parts[i]` is graph i's part."""
 
     parts: tuple[str, ...]
-    seed: int
-    pool_split: float
-    calib_split: float
-    valid_split: float = 0.0
 
     def ids(self, part: str) -> np.ndarray:
         if part not in PARTS:
@@ -230,7 +226,7 @@ def split_dataset(
     for i in rest[n_calib:]:
         parts[i] = "test"
 
-    assignment = SplitAssignment(tuple(parts), seed, pool_split, calib_split, valid_split)
+    assignment = SplitAssignment(tuple(parts))
     sizes = assignment.sizes()
     required = ["train", "calib", "test"] + (["valid"] if valid_split > 0 else [])
     for part in required:
@@ -249,20 +245,33 @@ def write_split_manifest(split: SplitAssignment, path: str | Path, comments: tup
             writer.writerow([gid, part])
 
 
-def read_split_manifest(path: str | Path, seed: int = -1) -> SplitAssignment:
-    parts: list[str] = []
+def read_split_manifest(path: str | Path) -> SplitAssignment:
+    """Read a `graph_id,part` CSV written by `write_split_manifest`.
+
+    Rows may come in any order; their ids must cover 0..n-1 exactly once,
+    where n is the row count.
+    """
     with open(path, newline="") as fh:
         lines = (line for line in fh if not line.startswith("#"))
         reader = csv.reader(lines)
         header = next(reader, None)
         if header != ["graph_id", "part"]:
             raise ParseError(f"{path}: bad split manifest header {header}")
-        for row in reader:
-            if len(row) != 2 or row[1] not in PARTS:
-                raise ParseError(f"{path}: bad manifest row {row}")
-            parts.append(row[1])
-    # ratios are unknown when reading back; stored as NaN-ish sentinels
-    return SplitAssignment(tuple(parts), seed, 0.5, 0.5)
+        rows = list(reader)
+    parts = [""] * len(rows)
+    for row in rows:
+        if len(row) != 2 or row[1] not in PARTS:
+            raise ParseError(f"{path}: bad manifest row {row}")
+        try:
+            gid = int(row[0])
+        except ValueError:
+            raise ParseError(f"{path}: manifest row {row}: graph_id is not an integer") from None
+        if not 0 <= gid < len(rows):
+            raise ParseError(f"{path}: manifest row {row}: graph_id outside [0, {len(rows)})")
+        if parts[gid]:
+            raise ParseError(f"{path}: manifest row {row}: duplicate graph_id {gid}")
+        parts[gid] = row[1]
+    return SplitAssignment(tuple(parts))
 
 
 @dataclass(frozen=True)
@@ -280,12 +289,6 @@ class ScoredDataset:
     @property
     def num_labels(self) -> int:
         return self.probs.shape[1]
-
-    def binary_scores(self) -> np.ndarray:
-        """f-hat for the positive class of a binary problem."""
-        if self.num_labels != 2:
-            raise ValueError(f"binary_scores on a {self.num_labels}-label dataset")
-        return self.probs[:, 1]
 
     def with_split(self, split: SplitAssignment) -> "ScoredDataset":
         if len(split.parts) != self.n:

@@ -1,10 +1,9 @@
 """Empirical ROC curves and conformal ROC confidence bands.
 
-`cp_roc_bands` scores the calibration graphs once (`conformal.score_table`),
-finds each test graph's K nearest calibration graphs in conditional mode
-(`similarity.knn_indices`; the whole calibration order only for the test
-graphs whose stratum must be widened), and hands both to
-`conformal.conformal_intervals` for the positives and the negatives.
+`cp_roc_bands` scores the calibration graphs once (`conformal.score_table`)
+and hands the scores to `conformal.conformal_intervals` for the positives and
+the negatives; in conditional mode it also hands over the similarity matrix,
+and the engine picks each test graph's local calibration set itself.
 `band_from_intervals` then turns the four endpoint arrays into bands: at each
 threshold the bounds are the fractions of endpoints strictly above it
 (positives give the sensitivity band, negatives the specificity band, both on
@@ -23,7 +22,8 @@ import numpy as np
 from .conformal import conformal_intervals, score_table
 from .errors import DegenerateTestError, StratumError
 from .graphdata import ScoredDataset
-from .similarity import SimilarityMatrix, knn_indices
+from .similarity import SimilarityMatrix
+from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.py hooks it by name
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class RocBand:
 
     def spe_at(self, lam) -> tuple[np.ndarray, np.ndarray]:
         return _frac_above(self.lo_neg, lam), _frac_above(self.up_neg, lam)
-
-    def mean_bandwidth_sen(self) -> float:
-        return float(np.mean(self.sen_up - self.sen_lo))
-
-    def mean_bandwidth_spe(self) -> float:
-        return float(np.mean(self.spe_up - self.spe_lo))
 
 
 def _frac_above(values: np.ndarray, thresholds) -> np.ndarray | float:
@@ -205,9 +199,6 @@ def cp_roc_bands(
     binary = scored.labels == positive_label
 
     calib_sorted, scores = score_table(matrix, calib_ids, train_ids, fhat, K)
-    position = np.empty(scored.n, dtype=np.int64)  # graph id -> index into calib_sorted
-    position[calib_sorted] = np.arange(calib_sorted.size)
-
     test_pos = test_ids[binary[test_ids]]
     test_neg = test_ids[~binary[test_ids]]
     if test_pos.size == 0 or test_neg.size == 0:
@@ -216,24 +207,12 @@ def cp_roc_bands(
             f"({test_pos.size} positive / {test_neg.size} negative)"
         )
 
-    widen = thin_stratum == "widen"
+    local = matrix if mode == "conditional" else None
     endpoints = []
     for ids, k in ((test_pos, 1), (test_neg, 0)):
-        same = binary[calib_sorted] == bool(k)
-        order = None
-        if mode == "conditional":
-            order = position[knn_indices(matrix, ids, calib_sorted, K)]
-            thin = np.flatnonzero(same[order].sum(axis=1) < min_stratum)
-            if widen and thin.size and order.shape[1] < calib_sorted.size:
-                # only thin rows are widened, so only they need the whole
-                # calibration order; the engine never reads the other rows' tails
-                full = np.zeros((ids.size, calib_sorted.size), dtype=np.int64)
-                full[:, : order.shape[1]] = order
-                full[thin] = position[knn_indices(matrix, ids[thin], calib_sorted, calib_sorted.size)]
-                order = full
         endpoints += conformal_intervals(
-            ids, fhat, scores, same, alpha, label=k, order=order,
-            K=K, min_stratum=min_stratum, widen=widen,
+            ids, fhat, calib_sorted, scores, binary[calib_sorted] == bool(k), alpha, label=k,
+            matrix=local, K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
         )
     return band_from_intervals(*endpoints, lambda_grid, alpha, mode)
 

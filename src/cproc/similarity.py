@@ -127,31 +127,13 @@ def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: floa
     return _distance(_prepare(d1, p), _prepare(d2, p), p)
 
 
-def capped_diagram(
-    d: PersistenceDiagram,
-    cap: float,
-    dims: tuple[int, ...] = (0, 1),
-    keep_dim0_essential: bool = False,
-) -> PersistenceDiagram:
-    """Finite version of a diagram for distance computation.
-
-    dim0 keeps only finite pairs unless `keep_dim0_essential` (then deaths are
-    capped); dim1 deaths are capped. Dimensions missing from `dims` come back
-    empty.
-    """
-    empty = np.zeros((0, 2))
-    if 0 in dims:
-        d0 = d.dim0
-        if keep_dim0_essential:
-            d0 = np.column_stack([d0[:, 0], np.minimum(d0[:, 1], cap)])
-        else:
-            d0 = d0[np.isfinite(d0[:, 1])]
-    else:
-        d0 = empty
-    if 1 in dims:
-        d1 = np.column_stack([d.dim1[:, 0], np.minimum(d.dim1[:, 1], cap)]) if len(d.dim1) else empty
-    else:
-        d1 = empty
+def capped_diagram(d: PersistenceDiagram, cap: float) -> PersistenceDiagram:
+    """Finite version of a diagram for distance computation: dim0 keeps only
+    its finite pairs, dim1 deaths are capped at `cap`."""
+    d0 = d.dim0[np.isfinite(d.dim0[:, 1])]
+    d1 = np.zeros((0, 2))
+    if len(d.dim1):
+        d1 = np.column_stack([d.dim1[:, 0], np.minimum(d.dim1[:, 1], cap)])
     return PersistenceDiagram(graph_id=d.graph_id, dim0=d0, dim1=d1)
 
 
@@ -210,7 +192,6 @@ def build_similarity_matrix(
     diagrams: list[PersistenceDiagram],
     p: float = 1.0,
     cap: float | None = None,
-    dims: tuple[int, ...] = (0, 1),
     kinds: tuple[str, ...] = (),
     key: str = "",
     workers: int | None = None,
@@ -222,7 +203,7 @@ def build_similarity_matrix(
     """
     if cap is None:
         cap = max_finite_value(diagrams)
-    prepared = [_prepare(capped_diagram(d, cap, dims=dims), p) for d in diagrams]
+    prepared = [_prepare(capped_diagram(d, cap), p) for d in diagrams]
     n = len(prepared)
     values = np.zeros((n, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -10,12 +10,9 @@ the distances always see the full covariate vector.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -81,9 +78,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     pi = _sigmoid(spec.intercept + x @ np.asarray(spec.beta))
     labels = (rng.random(n) < pi).astype(np.int64)
     parts = ("train",) * spec.n_train + ("calib",) * spec.n_calib + ("test",) * spec.n_test
-    pool = spec.n_train / n
-    split = SplitAssignment(parts, spec.seed, pool, spec.n_calib / (spec.n_calib + spec.n_test))
-    return SyntheticDataset(spec=spec, x=x, pi=pi, labels=labels, split=split)
+    return SyntheticDataset(spec=spec, x=x, pi=pi, labels=labels, split=SplitAssignment(parts))
 
 
 def covariate_distance_matrix(ds: SyntheticDataset) -> SimilarityMatrix:
@@ -216,7 +211,6 @@ def coverage_experiment(
     min_stratum: int = 5,
     thin_stratum: str = "widen",
     use_oracle_probs: bool = False,
-    grid_points: int = 512,
 ) -> CoverageReport:
     """Monte Carlo check that the bands cover the oracle rates at a random
     jump point.
@@ -228,7 +222,7 @@ def coverage_experiment(
     """
     if reps < 1:
         raise ValueError("need at least one replicate")
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, 512)
     rows = []
     for r in range(reps):
         spec_r = replace(spec, seed=spec.seed + r)
@@ -292,13 +286,3 @@ def coverage_experiment(
         rows=tuple(rows),
     )
 
-
-def write_report(report: CoverageReport, json_path: str | Path, csv_path: str | Path | None = None) -> None:
-    with open(json_path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if csv_path is not None and report.rows:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(report.rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(report.rows)

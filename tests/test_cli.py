@@ -51,7 +51,7 @@ def twin_star_dataset(tmp_path, n_pairs=12):
     from cproc.graphdata import SplitAssignment
 
     split_path = tmp_path / "split.csv"
-    write_split_manifest(SplitAssignment(tuple(parts), 0, 0.5, 0.5), split_path)
+    write_split_manifest(SplitAssignment(tuple(parts)), split_path)
     return data_dir, scores_path, split_path, labels, probs, parts
 
 
@@ -136,6 +136,17 @@ def test_bands_missing_scores_exit_2(tmp_path):
     rc = main(["bands", "--dataset", str(data), "--scores", str(tmp_path / "none.csv"),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    lines = split.read_text().splitlines()
+    lines[1] = "x," + lines[1].split(",")[1]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(bad),
+               "--knn", "1", "--mode", "exch", "--out", str(tmp_path / "o")])
+    assert rc == 2 and "graph_id is not an integer" in capsys.readouterr().err
 
 
 def test_bands_byte_identical_reruns(tmp_path):

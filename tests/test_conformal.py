@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
-from cproc.conformal import conformal_intervals, conformal_p_value, quantile, score_table
+from cproc.conformal import conformal_intervals, quantile, score_table
 from cproc.errors import StratumError
 from cproc.rocbands import band_from_intervals, cp_roc_bands
 from cproc.similarity import SimilarityMatrix, knn_indices
@@ -22,21 +22,22 @@ def soft_prob(query: int, mat: SimilarityMatrix, train, probs: np.ndarray, K: in
 
 
 def marginal(f_hat: float, scores, alpha: float):
-    lo, up = conformal_intervals([0], np.array([f_hat]), scores, np.ones(len(scores), bool), alpha, label=1)
+    lo, up = conformal_intervals([0], np.array([f_hat]), np.arange(len(scores)), scores,
+                                 np.ones(len(scores), bool), alpha, label=1)
     return float(lo[0]), float(up[0])
 
 
 def label_conditional(f_hat: float, k: int, scores, labels, alpha: float):
-    lo, up = conformal_intervals([0], np.array([f_hat]), scores, np.asarray(labels) == k, alpha, label=k)
+    lo, up = conformal_intervals([0], np.array([f_hat]), np.arange(len(scores)), scores,
+                                 np.asarray(labels) == k, alpha, label=k)
     return float(lo[0]), float(up[0])
 
 
 def local(gid, k, mat, calib, scores, labels, probs, K, alpha, min_stratum=5, widen=False):
     """Engine call for one query's local interval; scores align with sorted calib."""
     calib = np.sort(np.asarray(calib))
-    order = np.searchsorted(calib, knn_indices(mat.values, [gid], calib, calib.size))
-    lo, up = conformal_intervals([gid], probs, scores, labels[calib] == k, alpha, label=k,
-                                 order=order, K=K, min_stratum=min_stratum, widen=widen)
+    lo, up = conformal_intervals([gid], probs, calib, scores, labels[calib] == k, alpha, label=k,
+                                 matrix=mat, K=K, min_stratum=min_stratum, widen=widen)
     return float(lo[0]), float(up[0])
 
 
@@ -95,12 +96,6 @@ def test_quantile_errors():
         quantile([], 0.5)
     with pytest.raises(ValueError, match="gamma"):
         quantile([1.0], 1.5)
-
-
-def test_conformal_p_value_formula():
-    scores = [-0.2, -0.1, 0.0, 0.1, 0.2]
-    # s_G(pi) = 0.05 -> 3 scores strictly below, (3 + 1) / 5
-    assert conformal_p_value(pi=0.55, f_hat=0.5, calib_scores=scores) == pytest.approx(0.8)
 
 
 # --- soft probability estimate ---------------------------------------------------
@@ -349,21 +344,20 @@ def test_property_engine_bit_equal_to_reference(data):
 
     want = outcome(lambda: [reference_local_interval(int(q), k, values, calib, train, probs, labels, K,
                                                      alpha, min_stratum, widen) for q in queries])
-    order = np.searchsorted(calib_sorted, knn_indices(values, queries, calib_sorted, calib_sorted.size))
     got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
-        queries, probs, scores, same, alpha, label=k, order=order, K=K,
+        queries, probs, calib_sorted, scores, same, alpha, label=k, matrix=mat, K=K,
         min_stratum=min_stratum, widen=widen)))))
     assert got == want
 
     want = outcome(lambda: [reference_label_interval(probs[q], k, scores, same, alpha) for q in queries])
     got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
-        queries, probs, scores, same, alpha, label=k)))))
+        queries, probs, calib_sorted, scores, same, alpha, label=k)))))
     assert got == want
 
 
 def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
-    """Only thin test points get their whole calibration order; the bands
-    still equal the engine handed every point's whole order, on both backends."""
+    """Only thin test points get their whole calibration order; the bands of
+    both backends still equal the per-point reference with widening."""
     ds = generate(SyntheticSpec(n_train=300, n_calib=150, n_test=80, dim=3, beta=(2.0, -1.5, 1.0), seed=17))
     fhat, labels = ds.pi, ds.labels
     euclidean = covariate_distance_matrix(ds)
@@ -375,11 +369,10 @@ def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
     bands = [cp_roc_bands(scored_dataset(ds, fhat), mat, K, 0.1, min_stratum=min_stratum,
                           thin_stratum="widen") for mat in (euclidean, dense)]
     calib_sorted, scores = score_table(dense, calib, train, fhat, K)
+    cache = dict(zip(calib_sorted.tolist(), scores))
     for k, ends in ((1, ("lo_pos", "up_pos")), (0, ("lo_neg", "up_neg"))):
-        ids = test[labels[test] == k]
-        order = np.searchsorted(calib_sorted, knn_indices(dense.values, ids, calib_sorted, calib_sorted.size))
-        want = conformal_intervals(ids, fhat, scores, labels[calib_sorted] == k, 0.1, label=k, order=order,
-                                   K=K, min_stratum=min_stratum, widen=True)
+        want = [reference_local_interval(int(q), k, dense.values, calib, train, fhat, labels, K, 0.1,
+                                         min_stratum, widen=True, score_cache=cache)
+                for q in test[labels[test] == k]]
         for band in bands:
-            for got, expected in zip((getattr(band, e) for e in ends), want):
-                assert np.array_equal(got, expected)
+            assert list(zip(*(getattr(band, e).tolist() for e in ends))) == want

@@ -135,8 +135,33 @@ def test_split_valid_carved_from_train():
 def test_split_manifest_roundtrip(tmp_path):
     split = split_dataset(20, seed=3)
     write_split_manifest(split, tmp_path / "split.csv")
-    again = read_split_manifest(tmp_path / "split.csv", seed=3)
+    again = read_split_manifest(tmp_path / "split.csv")
     assert again.parts == split.parts
+
+
+def test_split_manifest_rows_in_any_order(tmp_path):
+    split = split_dataset(20, seed=3)
+    write_split_manifest(split, tmp_path / "split.csv", comments=("provenance",))
+    head, *rows = (tmp_path / "split.csv").read_text().splitlines()[1:]
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    (tmp_path / "shuffled.csv").write_text("\n".join([head, *shuffled]) + "\n")
+    assert read_split_manifest(tmp_path / "shuffled.csv") == read_split_manifest(tmp_path / "split.csv")
+    (tmp_path / "m.csv").write_text("graph_id,part\n3,train\n0,test\n1,calib\n2,train\n")
+    assert read_split_manifest(tmp_path / "m.csv").parts == ("test", "calib", "train", "train")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("3,train\n0,test\n0,calib\n9,train\n", "duplicate graph_id 0"),
+    ("0,train\n1,test\n4,calib\n2,train\n", r"graph_id outside \[0, 4\)"),
+    ("0,train\n-1,test\n", r"graph_id outside \[0, 2\)"),
+    ("0,train\n1.5,test\n", "graph_id is not an integer"),
+    ("0,train\nx,test\n", "graph_id is not an integer"),
+    ("0,train\n1,holdout\n", "bad manifest row"),
+])
+def test_split_manifest_bad_ids_raise(tmp_path, rows, message):
+    (tmp_path / "m.csv").write_text("graph_id,part\n" + rows)
+    with pytest.raises(ParseError, match=message):
+        read_split_manifest(tmp_path / "m.csv")
 
 
 # --- scores -----------------------------------------------------------------
@@ -153,8 +178,8 @@ def test_load_scores_column_convention(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("graph_id,label,p0,p1\n0,1,0.2,0.8\n1,0,0.6,0.4\n")
     scored = load_scores(path, _two_graphs())
-    assert scored.binary_scores()[0] == pytest.approx(0.8)
-    assert scored.binary_scores()[1] == pytest.approx(0.4)
+    assert scored.probs[0, 1] == pytest.approx(0.8)
+    assert scored.probs[1, 1] == pytest.approx(0.4)
 
 
 def test_load_scores_rejects_bad_sum(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cproc.errors import DegenerateTestError, StratumError
 from cproc.graphdata import ScoredDataset, SplitAssignment
@@ -146,6 +148,44 @@ def test_band_sandwich_and_auc_ordering_under_straddle():
         assert point.auc_up <= band.auc_up + 1e-12
 
 
+_prob = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+_width = st.one_of(st.just(0.0), st.floats(0.0, 0.5))
+# (f_hat, width below, width above) for one test point; ties are likely
+_point = st.tuples(_prob, _width, _width)
+_points = st.lists(_point, min_size=1, max_size=25)
+
+
+def _endpoints(points):
+    f, below, above = (np.array(col, dtype=float) for col in zip(*points))
+    return f, f - below, f + above
+
+
+@settings(deadline=None)
+@given(_points, _points, st.one_of(st.none(), st.lists(_prob, min_size=1, max_size=40)))
+def test_property_bands_monotone_in_lambda_and_ordered(pos, neg, grid):
+    """On any grid the four bounds fall as lambda rises, and lo <= up."""
+    grid = None if grid is None else np.unique(grid)
+    _, lo_pos, up_pos = _endpoints(pos)
+    _, lo_neg, up_neg = _endpoints(neg)
+    band = band_from_intervals(lo_pos, up_pos, lo_neg, up_neg, lambda_grid=grid)
+    for lo, up in ((band.sen_lo, band.sen_up), (band.spe_lo, band.spe_up)):
+        assert np.all(lo <= up)
+        assert np.all(np.diff(lo) <= 0) and np.all(np.diff(up) <= 0)
+
+
+@settings(deadline=None)
+@given(_points, _points)
+def test_property_covering_intervals_sandwich_empirical_auc(pos, neg):
+    """If every interval contains its test point's f_hat, the AUC interval
+    contains the empirical AUC (up to rounding in the trapezoid sums)."""
+    f_pos, lo_pos, up_pos = _endpoints(pos)
+    f_neg, lo_neg, up_neg = _endpoints(neg)
+    band = band_from_intervals(lo_pos, up_pos, lo_neg, up_neg)
+    mask = np.r_[np.ones(f_pos.size, bool), np.zeros(f_neg.size, bool)]
+    auc = roc_from_arrays(mask, np.r_[f_pos, f_neg]).auc
+    assert band.auc_lo <= auc + 1e-12 and auc <= band.auc_up + 1e-12
+
+
 def test_band_empty_class_rejected():
     with pytest.raises(DegenerateTestError):
         band_of([], [(0.1, 0.2)])
@@ -252,7 +292,7 @@ def test_multilabel_three_classes():
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     labels = np.array([rng.choice(3, p=p) for p in probs])
     parts = ("train",) * 200 + ("calib",) * 100 + ("test",) * 60
-    split = SplitAssignment(parts, seed=0, pool_split=0.55, calib_split=0.6)
+    split = SplitAssignment(parts)
     scored = ScoredDataset(labels=labels, probs=probs, split=split)
     from cproc.similarity import SimilarityMatrix
     from scipy.spatial.distance import pdist, squareform

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cproc.cli import main
 from cproc.errors import SeparationWarning
 from cproc.synthetic import (
     SyntheticSpec,
@@ -11,7 +12,6 @@ from cproc.synthetic import (
     covariate_distance_matrix,
     fit_logistic,
     generate,
-    write_report,
 )
 
 
@@ -176,11 +176,17 @@ def test_cluster_shift_conditional_bands_narrower():
 
 
 def test_report_serialization(tmp_path):
+    """`cproc simulate` writes the report's summary and one CSV row per replicate."""
     report = coverage_experiment(_small_spec(), alpha=0.1, K=20, reps=2, mode="exchangeable")
-    write_report(report, tmp_path / "r.json", tmp_path / "r.csv")
-    payload = json.loads((tmp_path / "r.json").read_text())
+    rc = main(["simulate", "--n-train", "400", "--n-calib", "300", "--n-test", "150", "--dim", "3",
+               "--beta", "1.0,-0.8,0.6", "--seed", "100", "--alpha", "0.1", "--knn", "20",
+               "--repeats", "2", "--mode", "exch", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "coverage.json").read_text())
     assert payload["reps"] == 2 and payload["mode"] == "exchangeable"
-    rows = (tmp_path / "r.csv").read_text().strip().splitlines()
+    assert {key: payload[key] for key in report.to_json()} == report.to_json()
+    rows = [l for l in (tmp_path / "coverage_replicates.csv").read_text().strip().splitlines()
+            if not l.startswith("#")]
     assert len(rows) == 3  # header + one row per replicate
     assert rows[0].startswith("replicate,seed,lambda_sen")
 
