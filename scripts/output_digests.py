@@ -1,5 +1,5 @@
 """Print the sha256 of every file that a fixed set of `cproc bands`,
-`cproc simulate` and `multilabel_bands` runs writes.
+`cproc simmat`, `cproc simulate` and `multilabel_bands` runs writes.
 
 Run it from the repository root with the cproc to be checked on the path:
 
@@ -11,8 +11,14 @@ is held to one thread. Two runs of the script print the same lines, and a
 change that keeps every output byte-identical prints the same lines as its
 parent. The inputs are fabricated here (the twin-star fixture of acceptance
 criterion 10, the criterion-1 synthetic design) or by `perfbench/gen.py`
-(the BZR-shaped set of the tu-cold workload), and the script uses only
-cproc names that older versions also have, so it can be run against them.
+(the BZR-shaped set of the tu-cold workload and the MUTAG-shaped set of the
+tu-warm workload), and the script uses only cproc names that older versions
+also have, so it can be run against them.
+
+The warm case runs `cproc simmat` and then two `cproc bands` calls with a
+1000-resample bootstrap in the same directory; both must hit the similarity
+cache, and the outputs are hashed after each call, so the cache-hit path
+and the bootstrap are covered.
 """
 
 import os
@@ -61,11 +67,17 @@ def twin_stars(root: Path, n_pairs: int = 16) -> None:
     (root / "stars_split.csv").write_text("\n".join(lines) + "\n")
 
 
-def cli(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def cli(*argv: str) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         rc = main(list(argv))
     if rc != 0:
         raise SystemExit(f"cproc {' '.join(argv)} exited {rc}")
+    return stdout.getvalue()
+
+
+def digests(out: str, note: str = "") -> list[str]:
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}{note}"
+            for path in sorted(Path(out).iterdir())]
 
 
 def multilabel(out: Path) -> None:
@@ -107,8 +119,20 @@ def run_all() -> list[str]:
 
     lines = []
     for out in ("stars-cond", "stars-exch", "sim-cond", "sim-exch", "sim-thin", "tu-cold", "multilabel"):
-        for path in sorted(Path(out).iterdir()):
-            lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}")
+        lines += digests(out)
+
+    scores = gen.write_tu(gen.tu_set(gen.MUTAG_LIKE, 1), Path("MUTAGX") / "MUTAGX")
+    cli("simmat", "--dataset", "MUTAGX/MUTAGX", "--filtration", "eigenvector", "--pairs-parallel", "1",
+        "--out", "tu-warm")
+    for seed in ("7", "8"):
+        stdout = cli("bands", "--dataset", "MUTAGX/MUTAGX", "--scores", scores.as_posix(),
+                     "--filtration", "eigenvector", "--knn", "20", "--mode", "cond", "--thin-stratum", "widen",
+                     "--min-stratum", "5", "--alpha", "0.1", "--repeats", "10", "--seed", seed,
+                     "--pool-split", "0.5", "--calib-split", "0.6", "--bootstrap", "1000",
+                     "--pairs-parallel", "1", "--out", "tu-warm")
+        if "simmat cache hit" not in stdout:
+            raise SystemExit(f"tu-warm bands --seed {seed} missed the similarity cache")
+        lines += digests("tu-warm", f" (after bands --seed {seed})")
     return lines
 
 

@@ -3,6 +3,13 @@
 Resampling is stratified by class so every resample keeps both classes (an
 unstratified resample of an imbalanced test set can lose the minority class
 entirely and leave TPR/FPR undefined). Bounds are plain percentiles.
+
+Resamples are counted, not sorted. Resample b draws its indices from
+`default_rng(seed + b)`; a bincount turns them into a row of multiplicities,
+so the B x n count matrix times the n x grid indicator "score > lambda"
+gives every resample's number of points above every threshold at once.
+These are the integer counts a sort and binary search of each resample
+would give, divided by the same class size, so the rates are bit-equal.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTestError
-from .rocbands import _frac_above
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,14 @@ class BootstrapBand:
 
     def mean_bandwidth_fpr(self) -> float:
         return float(np.mean(self.fpr_up - self.fpr_lo))
+
+
+def _rates_above(values: np.ndarray, draws: np.ndarray, lambda_grid: np.ndarray) -> np.ndarray:
+    """Row b: the fraction of resample `values[draws[b]]` strictly above each
+    threshold. Counts stay small integers, so the float product is exact."""
+    B, n = draws.shape
+    counts = np.bincount((draws + n * np.arange(B)[:, None]).ravel(), minlength=B * n).reshape(B, n)
+    return (counts.astype(float) @ (values[:, None] > lambda_grid)) / n
 
 
 def bootstrap_bands(
@@ -53,22 +67,23 @@ def bootstrap_bands(
         raise DegenerateTestError("bootstrap needs both classes in the test set")
     lambda_grid = np.asarray(lambda_grid, dtype=float)
 
-    tprs = np.empty((B, lambda_grid.size))
-    fprs = np.empty((B, lambda_grid.size))
+    pos_draws = np.empty((B, pos.size), dtype=np.int64)
+    neg_draws = np.empty((B, neg.size), dtype=np.int64)
     for b in range(B):
         rng = np.random.default_rng(seed + b)
-        pos_b = pos[rng.integers(0, pos.size, pos.size)]
-        neg_b = neg[rng.integers(0, neg.size, neg.size)]
-        tprs[b] = _frac_above(pos_b, lambda_grid)
-        fprs[b] = _frac_above(neg_b, lambda_grid)
-
+        pos_draws[b] = rng.integers(0, pos.size, pos.size)
+        neg_draws[b] = rng.integers(0, neg.size, neg.size)
+    tprs = _rates_above(pos, pos_draws, lambda_grid)
+    fprs = _rates_above(neg, neg_draws, lambda_grid)
     lo_q, up_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
+    tpr_lo, tpr_up = np.quantile(tprs, [lo_q, up_q], axis=0)
+    fpr_lo, fpr_up = np.quantile(fprs, [lo_q, up_q], axis=0)
     return BootstrapBand(
         lambda_grid=lambda_grid,
-        tpr_lo=np.quantile(tprs, lo_q, axis=0),
-        tpr_up=np.quantile(tprs, up_q, axis=0),
-        fpr_lo=np.quantile(fprs, lo_q, axis=0),
-        fpr_up=np.quantile(fprs, up_q, axis=0),
+        tpr_lo=tpr_lo,
+        tpr_up=tpr_up,
+        fpr_lo=fpr_lo,
+        fpr_up=fpr_up,
         B=B,
         level=level,
     )

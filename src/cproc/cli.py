@@ -156,13 +156,8 @@ def _dataset_graphs(cfg: RunConfig):
     return parse_tu_dataset(cfg.dataset, cfg.name or Path(cfg.dataset).name)
 
 
-def _dataset_diagrams(cfg: RunConfig, graphs=None):
-    if graphs is None:
-        graphs = _dataset_graphs(cfg)
-    name = cfg.name or Path(cfg.dataset).name
-    kind = FiltrationKind(cfg.filtration)
-    diagrams = [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
-    return graphs, name, kind, diagrams
+def _dataset_diagrams(graphs, kind: FiltrationKind):
+    return [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
 
 
 def cmd_topo(args: argparse.Namespace) -> int:
@@ -176,7 +171,8 @@ def cmd_topo(args: argparse.Namespace) -> int:
     if dpath.exists() and ipath.exists() and not cfg.force:
         print(f"topo outputs exist, skipping: {dpath.name}, {ipath.name} (--force to redo)")
         return 0
-    graphs, name, kind, diagrams = _dataset_diagrams(cfg)
+    graphs = _dataset_graphs(cfg)
+    diagrams = _dataset_diagrams(graphs, kind)
     cap = max_finite_value(diagrams)
     diagrams_to_csv(diagrams, dpath, comments=_comments(cfg))
     images = [(d.graph_id, persistence_image(d, cfg.pi_resolution, cap=cap)) for d in diagrams]
@@ -194,10 +190,20 @@ def _graphs_digest(graphs) -> str:
 
 
 def _simmat_with_cache(cfg: RunConfig, graphs=None):
-    graphs, name, kind, diagrams = _dataset_diagrams(cfg, graphs)
-    cap = max_finite_value(diagrams)
+    """Load the dataset's `.simmat` cache, or build and save it on a miss.
+
+    The key names everything the distances depend on: the graphs (digest),
+    the filtration, p, the homology dimensions and the cproc version, which
+    covers the filtration code. The cap is a function of the graphs and the
+    filtration, so it is left out of the key; a hit therefore runs no
+    filtration, and the cap is only recorded in the file's metadata.
+    """
+    if graphs is None:
+        graphs = _dataset_graphs(cfg)
+    name = cfg.name or Path(cfg.dataset).name
+    kind = FiltrationKind(cfg.filtration)
     key = (
-        f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|cap={cap!r}|dims=(0, 1)"
+        f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|dims=(0, 1)|{VERSION}"
         f"|graphs={_graphs_digest(graphs)}"
     )
     out = Path(cfg.out)
@@ -210,10 +216,11 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
             return graphs, name, matrix, path
         except CprocError as exc:
             warnings.warn(f"similarity cache unusable ({exc}); recomputing", stacklevel=2)
+    diagrams = _dataset_diagrams(graphs, kind)
     matrix = build_similarity_matrix(
         diagrams,
         p=cfg.wasserstein_p,
-        cap=cap,
+        cap=max_finite_value(diagrams),
         kinds=(kind.value,),
         key=key,
         workers=cfg.pairs_parallel,

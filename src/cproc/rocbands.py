@@ -269,8 +269,8 @@ def write_band_csv(
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(BAND_COLUMNS)
-        for row in zip(lambda_grid, sen_lo, sen_up, spe_lo, spe_up):
-            writer.writerow([repr(float(v)) for v in row])
+        columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
+        writer.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns)))
 
 
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:

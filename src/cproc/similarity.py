@@ -310,5 +310,4 @@ def export_matrix_csv(matrix: SimilarityMatrix, path: str | Path, comments: tupl
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        for row in matrix.values:
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows(map(repr, row) for row in np.asarray(matrix.values, dtype=float).tolist())

@@ -239,28 +239,6 @@ def diagrams_to_csv(
                     )
 
 
-def diagrams_from_csv(path: str | Path) -> list[PersistenceDiagram]:
-    rows: dict[int, dict[int, list[tuple[float, float]]]] = {}
-    with open(path, newline="") as fh:
-        lines = (line for line in fh if not line.startswith("#"))
-        reader = csv.reader(lines)
-        next(reader)
-        for gid_s, dim_s, birth_s, death_s in reader:
-            gid, dim = int(gid_s), int(dim_s)
-            death = np.inf if death_s == "inf" else float(death_s)
-            rows.setdefault(gid, {0: [], 1: []})[dim].append((float(birth_s), death))
-    out = []
-    for gid in sorted(rows):
-        out.append(
-            PersistenceDiagram(
-                graph_id=gid,
-                dim0=np.array(sorted(rows[gid][0]), dtype=float).reshape(-1, 2),
-                dim1=np.array(sorted(rows[gid][1]), dtype=float).reshape(-1, 2),
-            )
-        )
-    return out
-
-
 def images_to_csv(
     images: list[tuple[int, PersistenceImage]], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:

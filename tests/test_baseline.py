@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cproc.baseline import bootstrap_bands
 from cproc.errors import DegenerateTestError
@@ -69,3 +71,46 @@ def test_argument_validation():
         bootstrap_bands(mask, scores, grid, B=1, level=1.0)
     with pytest.raises(DegenerateTestError):
         bootstrap_bands(np.array([True, True]), scores, grid, B=1)
+
+
+def reference_bootstrap_bands(positive_mask, scores, lambda_grid, B, level, seed):
+    """Slow reference: sort each resample, then four percentile calls."""
+    pos, neg = scores[positive_mask], scores[~positive_mask]
+    tprs = np.empty((B, lambda_grid.size))
+    fprs = np.empty((B, lambda_grid.size))
+    for b in range(B):
+        rng = np.random.default_rng(seed + b)
+        pos_b = pos[rng.integers(0, pos.size, pos.size)]
+        neg_b = neg[rng.integers(0, neg.size, neg.size)]
+        tprs[b] = _frac_above(pos_b, lambda_grid)
+        fprs[b] = _frac_above(neg_b, lambda_grid)
+    lo_q, up_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
+    return (np.quantile(tprs, lo_q, axis=0), np.quantile(tprs, up_q, axis=0),
+            np.quantile(fprs, lo_q, axis=0), np.quantile(fprs, up_q, axis=0))
+
+
+@st.composite
+def _bootstrap_inputs(draw):
+    """Scores on a coarse lattice, so ties and scores lying exactly on grid
+    points are common; each class has at least one point."""
+    n_pos, n_neg = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lattice = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1)
+    scores = np.array(draw(st.lists(lattice, min_size=n_pos + n_neg, max_size=n_pos + n_neg)))
+    mask = np.array(draw(st.permutations([True] * n_pos + [False] * n_neg)))
+    grid = np.linspace(0.0, 1.0, draw(st.sampled_from([2, 5, 9, 33])))
+    B = draw(st.integers(1, 60))
+    level = draw(st.sampled_from([0.5, 0.9, 0.95, 0.999]))
+    return mask, scores, grid, B, level, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bootstrap_inputs())
+@example((np.array([True, False]), np.array([0.5, 0.5]), np.linspace(0, 1, 5), 1, 0.95, 0))
+@example((np.array([True, False, False, False]), np.array([0.25, 0.25, 0.75, 0.75]),
+          np.linspace(0, 1, 9), 200, 0.9, 3))
+def test_property_counting_bit_equal_to_sorting_reference(inputs):
+    mask, scores, grid, B, level, seed = inputs
+    band = bootstrap_bands(mask, scores, grid, B=B, level=level, seed=seed)
+    want = reference_bootstrap_bands(mask, scores, grid, B, level, seed)
+    for got, ref in zip((band.tpr_lo, band.tpr_up, band.fpr_lo, band.fpr_up), want):
+        assert got.tobytes() == ref.tobytes()

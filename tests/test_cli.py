@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cproc.cli import main
+from cproc.cli import VERSION, _graphs_digest, main
 from cproc.graphdata import (
     Graph,
     ScoredDataset,
@@ -14,8 +14,9 @@ from cproc.graphdata import (
     write_tu_dataset,
 )
 from cproc.rocbands import read_band_csv
-from cproc.similarity import load_matrix, save_matrix
+from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
+from cproc.topology import FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
 
 from conftest import write_tiny_fixture
 
@@ -335,6 +336,50 @@ def test_bands_edited_edge_is_a_cache_key_mismatch(tmp_path, capsys):
     assert not np.array_equal(after.values, before.values)
     assert main(args) == 0
     assert "cache hit" in capsys.readouterr().out
+
+
+def test_cache_hits_run_no_filtration(tmp_path, capsys, monkeypatch):
+    data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    out = tmp_path / "out"
+    simmat = ["simmat", "--dataset", str(data), "--out", str(out)]
+    bands = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+             "--knn", "3", "--mode", "exch", "--bootstrap", "20", "--out", str(out)]
+    assert main(simmat) == 0
+
+    def refuse(g, kind):
+        raise RuntimeError("a filtration ran on a cache hit")
+
+    monkeypatch.setattr("cproc.cli.compute_filtration", refuse)
+    capsys.readouterr()
+    for argv in (bands, simmat):
+        assert main(argv) == 0
+        assert "simmat cache hit" in capsys.readouterr().out
+
+
+def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, capsys):
+    data, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    out = tmp_path / "out"
+    simmat = ["simmat", "--dataset", str(data), "--out", str(out)]
+    assert main(simmat) == 0
+    cache = out / "STARS_degree_p1.simmat"
+    matrix = load_matrix(cache)
+    graphs = parse_tu_dataset(data, "STARS")
+    diagrams = [sublevel_persistence(g, compute_filtration(g, FiltrationKind.DEGREE)) for g in graphs]
+    assert VERSION in matrix.key.split("|") and "cap=" not in matrix.key
+    assert matrix.cap == max_finite_value(diagrams)
+    # a cache written under the earlier key, which named the cap and no version
+    old_key = f"STARS|degree|p=1.0|cap={matrix.cap!r}|dims=(0, 1)|graphs={_graphs_digest(graphs)}"
+    save_matrix(SimilarityMatrix(values=matrix.values, p=1.0, kinds=matrix.kinds, cap=matrix.cap,
+                                 key=old_key), cache)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="cache key mismatch"):
+        assert main(simmat) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    rebuilt = load_matrix(cache)
+    assert rebuilt.key == matrix.key and rebuilt.cap == matrix.cap
+    assert np.array_equal(rebuilt.values, matrix.values)
+    assert main(simmat) == 0
+    assert "simmat cache hit" in capsys.readouterr().out
 
 
 def test_outputs_embed_version_and_config(tmp_path):

@@ -316,8 +316,21 @@ def reference_label_interval(f_hat, k, scores, same_label, alpha):
 def test_property_engine_bit_equal_to_reference(data):
     """Small random instances with tied distances and tied scores: the batched
     engine gives bit-equal endpoints, or the same StratumError, as the
-    per-point reference (local) and the quantile definition (label-conditional)."""
-    n_calib, n_train, n_query = (data.draw(st.integers(1, hi)) for hi in (12, 6, 5))
+    per-point reference (local) and the quantile definition (label-conditional).
+
+    Half the instances force a thin row that widening must rebuild: the first
+    query's K nearest calibration graphs hold 1..min_stratum-1 label-k graphs,
+    all past column min_stratum, so none of its K-neighbour scores may stay."""
+    forced = data.draw(st.booleans())
+    if forced:
+        min_stratum = data.draw(st.integers(3, 5))
+        K = data.draw(st.integers(min_stratum + 1, 8))
+        n_calib = data.draw(st.integers(K + min_stratum - 1, 12))
+    else:
+        n_calib = data.draw(st.integers(1, 12))
+        K = data.draw(st.integers(1, n_calib))
+        min_stratum = data.draw(st.integers(1, 4))
+    n_train, n_query = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
     n = n_calib + n_train + n_query
     raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), float)
     values = np.minimum(raw.reshape(n, n), raw.reshape(n, n).T)
@@ -327,11 +340,16 @@ def test_property_engine_bit_equal_to_reference(data):
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     perm = np.array(data.draw(st.permutations(range(n))))
     calib, train, queries = perm[:n_calib], perm[n_calib:n_calib + n_train], perm[n_calib + n_train:]
-    K = data.draw(st.integers(1, n_calib))
-    min_stratum = data.draw(st.integers(1, 4))
-    widen = data.draw(st.booleans())
+    widen = forced or data.draw(st.booleans())
     alpha = data.draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9]))
     k = data.draw(st.integers(0, 1))
+    if forced:
+        # distinct distances put the first query's calibration order in perm order
+        values[queries[0], calib] = values[calib, queries[0]] = np.arange(1.0, n_calib + 1)
+        labels[calib[:K]] = 1 - k
+        c = data.draw(st.integers(1, min(min_stratum - 1, K - min_stratum)))
+        cols = data.draw(st.lists(st.integers(min_stratum, K - 1), min_size=c, max_size=c, unique=True))
+        labels[calib[cols]] = k
     mat = SimilarityMatrix(values=values, p=1.0, kinds=("test",), cap=1.0)
     calib_sorted, scores = score_table(mat, calib, train, probs, K)
     same = labels[calib_sorted] == k

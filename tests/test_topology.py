@@ -1,3 +1,4 @@
+import csv
 import itertools
 
 import networkx as nx
@@ -11,7 +12,6 @@ from cproc.topology import (
     FiltrationKind,
     PersistenceDiagram,
     compute_filtration,
-    diagrams_from_csv,
     diagrams_to_csv,
     max_finite_value,
     persistence_image,
@@ -237,6 +237,29 @@ def test_image_infinite_deaths_capped():
 
 
 # --- serialization --------------------------------------------------------------
+
+
+def diagrams_from_csv(path) -> list[PersistenceDiagram]:
+    """Reads a `diagrams_to_csv` file back, one diagram per graph id."""
+    rows: dict[int, dict[int, list[tuple[float, float]]]] = {}
+    with open(path, newline="") as fh:
+        lines = (line for line in fh if not line.startswith("#"))
+        reader = csv.reader(lines)
+        next(reader)
+        for gid_s, dim_s, birth_s, death_s in reader:
+            gid, dim = int(gid_s), int(dim_s)
+            death = np.inf if death_s == "inf" else float(death_s)
+            rows.setdefault(gid, {0: [], 1: []})[dim].append((float(birth_s), death))
+    out = []
+    for gid in sorted(rows):
+        out.append(
+            PersistenceDiagram(
+                graph_id=gid,
+                dim0=np.array(sorted(rows[gid][0]), dtype=float).reshape(-1, 2),
+                dim1=np.array(sorted(rows[gid][1]), dtype=float).reshape(-1, 2),
+            )
+        )
+    return out
 
 
 def test_diagram_csv_roundtrip(tmp_path, triangle):
