@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, similarity, topology
 from .baseline import bootstrap_bands
 from .errors import CprocError, NumericalError
 from .graphdata import (
@@ -30,13 +30,8 @@ from .graphdata import (
     split_dataset,
     write_split_manifest,
 )
-from .rocbands import (
-    cp_roc_bands,
-    default_lambda_grid,
-    empirical_roc,
-    read_band_csv,
-    write_band_csv,
-)
+from .rocbands import UNIFORM_GRID, cp_roc_bands, empirical_roc, read_band_csv, write_band_csv
+from .rocbands import default_lambda_grid  # noqa: F401  unused here; perfbench/spans.py hooks it by name
 from .similarity import build_similarity_matrix, export_matrix_csv, load_matrix, save_matrix
 from .svgplot import band_svg
 from .synthetic import SyntheticSpec, coverage_experiment
@@ -189,14 +184,23 @@ def _graphs_digest(graphs) -> str:
     return digest.hexdigest()
 
 
+def _code_digest() -> str:
+    """sha256 of the modules whose code decides the distances."""
+    digest = hashlib.sha256()
+    for module in (topology, similarity):
+        digest.update(Path(module.__file__).read_bytes())
+    return digest.hexdigest()
+
+
 def _simmat_with_cache(cfg: RunConfig, graphs=None):
     """Load the dataset's `.simmat` cache, or build and save it on a miss.
 
     The key names everything the distances depend on: the graphs (digest),
-    the filtration, p, the homology dimensions and the cproc version, which
-    covers the filtration code. The cap is a function of the graphs and the
-    filtration, so it is left out of the key; a hit therefore runs no
-    filtration, and the cap is only recorded in the file's metadata.
+    the filtration, p, the homology dimensions, the cproc version and a
+    digest of the filtration and distance code, so an edit of either misses.
+    The cap is a function of the graphs and the filtration, so it is left
+    out of the key; a hit therefore runs no filtration, and the cap is only
+    recorded in the file's metadata.
     """
     if graphs is None:
         graphs = _dataset_graphs(cfg)
@@ -204,7 +208,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
     kind = FiltrationKind(cfg.filtration)
     key = (
         f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|dims=(0, 1)|{VERSION}"
-        f"|graphs={_graphs_digest(graphs)}"
+        f"|code={_code_digest()}|graphs={_graphs_digest(graphs)}"
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -285,7 +289,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
         return _resplit(base_split, pool, cfg.calib_split, cfg.seed + i)
 
     mode = MODES[cfg.mode]
-    grid = np.linspace(0.0, 1.0, 512)
+    grid = UNIFORM_GRID
     acc = {name: np.zeros(grid.size) for name in ("sen_lo", "sen_up", "spe_lo", "spe_up")}
     aucs, auc_los, auc_ups, bw_sens, bw_spes = [], [], [], [], []
     for i in range(cfg.repeats):
@@ -295,12 +299,9 @@ def cmd_bands(args: argparse.Namespace) -> int:
             scored_i, matrix, cfg.knn, cfg.alpha, mode=mode,
             min_stratum=cfg.min_stratum, thin_stratum=cfg.thin_stratum,
         )
-        rep_grid = default_lambda_grid(band.lo_pos, band.up_pos, band.lo_neg, band.up_neg)
         write_band_csv(
             out / f"band_rep{i}.csv",
-            rep_grid,
-            *band.sen_at(rep_grid),
-            *band.spe_at(rep_grid),
+            band.lambda_grid, band.sen_lo, band.sen_up, band.spe_lo, band.spe_up,
             comments=_comments(cfg) + (f"repeat: {i}",),
         )
         write_split_manifest(split_i, out / f"split_rep{i}.csv", comments=_comments(cfg))

@@ -13,8 +13,9 @@ label-conditional interval (the scores of the query's label), and the local
 interval. For the local interval it is handed the similarity matrix and picks
 each query's local calibration set itself: the same-label members of its K
 nearest calibration graphs (`knn_indices`), and, for the queries where those
-are fewer than `min_stratum`, an error or, with `widen`, the first
-`min_stratum` same-label graphs of the query's whole calibration order.
+are fewer than `min_stratum`, an error or, with `widen`, its `min_stratum`
+nearest same-label calibration graphs (a same-label kNN, which equals the
+first `min_stratum` same-label graphs of its whole calibration order).
 Endpoints stay raw, so they may leave [0, 1]; band indicators use them as
 they are.
 """
@@ -82,8 +83,8 @@ def conformal_intervals(
     all-true mask gives the marginal interval). With `matrix` the stratum is
     the same-label part of each query's K nearest calibration graphs; a
     stratum below `min_stratum` raises StratumError, or with `widen` becomes
-    the first `min_stratum` same-label graphs of the query's whole
-    calibration order, which is fetched for those queries only.
+    the query's `min_stratum` nearest same-label calibration graphs, so no
+    kNN call asks for more than max(K, min_stratum) neighbours.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -105,28 +106,24 @@ def conformal_intervals(
         member = same_label[near]
         counts = member.sum(axis=1)
         thin = np.flatnonzero(counts < min_stratum)
-        if thin.size and not widen:
-            raise StratumError(
-                f"graph {int(query_ids[thin[0]])}: {int(counts[thin[0]])} label-{label} graph(s) "
-                f"among its {near.shape[1]} nearest calibration neighbors (need {min_stratum})"
-            )
         ranked = np.where(member, scores[near], np.inf)
         if thin.size:
-            order = position[knn_indices(matrix, query_ids[thin], calib_ids, calib_ids.size)]
-            widened = same_label[order]
-            pool = widened.sum(axis=1)
-            short = np.flatnonzero(pool < min_stratum)
-            if short.size:
+            if not widen:
                 raise StratumError(
-                    f"graph {int(query_ids[thin[short[0]]])}: calibration pool holds only "
-                    f"{int(pool[short[0]])} label-{label} graph(s) (need {min_stratum})"
+                    f"graph {int(query_ids[thin[0]])}: {int(counts[thin[0]])} label-{label} graph(s) "
+                    f"among its {near.shape[1]} nearest calibration neighbors (need {min_stratum})"
                 )
-            # each thin row keeps exactly its first min_stratum same-label graphs
-            first = order[widened & (np.cumsum(widened, axis=1) <= min_stratum)]
+            if same_label.sum() < min_stratum:
+                raise StratumError(
+                    f"graph {int(query_ids[thin[0]])}: calibration pool holds only "
+                    f"{int(same_label.sum())} label-{label} graph(s) (need {min_stratum})"
+                )
+            # each thin row keeps exactly its min_stratum nearest same-label graphs
+            first = position[knn_indices(matrix, query_ids[thin], calib_ids[same_label], min_stratum)]
             ranked = np.pad(ranked, ((0, 0), (0, max(0, min_stratum - ranked.shape[1]))),
                             constant_values=np.inf)
             ranked[thin] = np.inf
-            ranked[thin, :min_stratum] = scores[first].reshape(thin.size, min_stratum)
+            ranked[thin, :min_stratum] = scores[first]
             counts[thin] = min_stratum
         ranked.sort(axis=1)
     rows = np.arange(ranked.shape[0])

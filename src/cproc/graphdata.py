@@ -53,7 +53,9 @@ class Graph:
         return d
 
 
-def _read_int_rows(path: Path) -> list[list[int]]:
+def _read_rows(path: Path, kind=int, expect: int | None = None) -> list[list]:
+    """Non-blank lines of `path` as rows of `kind` values; with `expect`, a
+    row count other than `expect` raises ParseError."""
     rows = []
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -61,9 +63,11 @@ def _read_int_rows(path: Path) -> list[list[int]]:
             if not line:
                 continue
             try:
-                rows.append([int(tok) for tok in line.replace(",", " ").split()])
+                rows.append([kind(tok) for tok in line.replace(",", " ").split()])
             except ValueError as exc:
                 raise ParseError(f"{path.name}:{ln}: {exc}") from None
+    if expect is not None and len(rows) != expect:
+        raise ParseError(f"{path.name}: {len(rows)} rows for {expect} nodes in the graph indicator")
     return rows
 
 
@@ -82,8 +86,8 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
         if not (root / fname).exists():
             raise ParseError(f"missing mandatory file {fname} in {root}")
 
-    indicator = [row[0] for row in _read_int_rows(root / f"{name}_graph_indicator.txt")]
-    raw_labels = [row[0] for row in _read_int_rows(root / f"{name}_graph_labels.txt")]
+    indicator = [row[0] for row in _read_rows(root / f"{name}_graph_indicator.txt")]
+    raw_labels = [row[0] for row in _read_rows(root / f"{name}_graph_labels.txt")]
     if not raw_labels:
         raise ParseError(f"{name}: empty dataset (no graph labels)")
     label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
@@ -102,7 +106,7 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
 
     edges: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
     dropped_loops = 0
-    for ln, row in enumerate(_read_int_rows(root / f"{name}_A.txt"), 1):
+    for ln, row in enumerate(_read_rows(root / f"{name}_A.txt"), 1):
         if len(row) != 2:
             raise ParseError(f"{name}_A.txt:{ln}: expected two node ids, got {row}")
         u, v = row
@@ -118,25 +122,18 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     if dropped_loops:
         warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
 
-    attrs: list[list[tuple[float, ...]]] | None = None
     attr_path = root / f"{name}_node_attributes.txt"
     nl_path = root / f"{name}_node_labels.txt"
+    node_rows = None
     if attr_path.exists():
-        attrs = [[] for _ in range(n_graphs)]
-        with open(attr_path) as fh:
-            for node_1idx, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    vec = tuple(float(tok) for tok in line.replace(",", " ").split())
-                except ValueError as exc:
-                    raise ParseError(f"{name}_node_attributes.txt:{node_1idx}: {exc}") from None
-                attrs[node_graph[node_1idx]].append(vec)
+        node_rows = [tuple(row) for row in _read_rows(attr_path, float, len(indicator))]
     elif nl_path.exists():
+        node_rows = [(float(row[0]),) for row in _read_rows(nl_path, int, len(indicator))]
+    attrs: list[list[tuple[float, ...]]] | None = None
+    if node_rows is not None:
         attrs = [[] for _ in range(n_graphs)]
-        for node_1idx, row in enumerate(_read_int_rows(nl_path), 1):
-            attrs[node_graph[node_1idx]].append((float(row[0]),))
+        for g_1idx, row in zip(indicator, node_rows):
+            attrs[g_1idx - 1].append(row)
 
     graphs = []
     for gid in range(n_graphs):

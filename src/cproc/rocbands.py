@@ -50,15 +50,13 @@ class RocBand:
     sen_up: np.ndarray
     spe_lo: np.ndarray
     spe_up: np.ndarray
-    mode: str
-    alpha: float
     auc_lo: float
     auc_up: float
     # raw interval endpoints, kept for exact staircase evaluation at any threshold
-    lo_pos: np.ndarray = field(repr=False, default=None)
-    up_pos: np.ndarray = field(repr=False, default=None)
-    lo_neg: np.ndarray = field(repr=False, default=None)
-    up_neg: np.ndarray = field(repr=False, default=None)
+    lo_pos: np.ndarray = field(repr=False)
+    up_pos: np.ndarray = field(repr=False)
+    lo_neg: np.ndarray = field(repr=False)
+    up_neg: np.ndarray = field(repr=False)
 
     def sen_at(self, lam) -> tuple[np.ndarray, np.ndarray]:
         return _frac_above(self.lo_pos, lam), _frac_above(self.up_pos, lam)
@@ -67,16 +65,11 @@ class RocBand:
         return _frac_above(self.lo_neg, lam), _frac_above(self.up_neg, lam)
 
 
-def _frac_above(values: np.ndarray, thresholds) -> np.ndarray | float:
-    """Fraction of `values` strictly greater than each threshold."""
+def _frac_above(values: np.ndarray, thresholds, side: str = "right") -> np.ndarray | float:
+    """Fraction of `values` strictly greater than each threshold, or at least
+    as great with side="left"."""
     sorted_vals = np.sort(np.asarray(values, dtype=float))
-    counts = sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="right")
-    return counts / sorted_vals.size
-
-
-def _frac_at_least(values: np.ndarray, thresholds) -> np.ndarray | float:
-    sorted_vals = np.sort(np.asarray(values, dtype=float))
-    counts = sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side="left")
+    counts = sorted_vals.size - np.searchsorted(sorted_vals, thresholds, side=side)
     return counts / sorted_vals.size
 
 
@@ -111,9 +104,14 @@ def roc_from_arrays(positive_mask: np.ndarray, scores: np.ndarray) -> RocCurve:
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=staircase_auc(fpr[::-1], tpr[::-1]))
 
 
-def default_lambda_grid(*endpoint_arrays: np.ndarray, base_points: int = 512) -> np.ndarray:
-    """512 evenly spaced thresholds plus every distinct interval endpoint in [0,1]."""
-    pieces = [np.linspace(0.0, 1.0, base_points)]
+UNIFORM_GRID = np.linspace(0.0, 1.0, 512)
+UNIFORM_GRID.flags.writeable = False
+
+
+def default_lambda_grid(*endpoint_arrays: np.ndarray) -> np.ndarray:
+    """UNIFORM_GRID's 512 evenly spaced thresholds plus every distinct
+    interval endpoint in [0,1]."""
+    pieces = [UNIFORM_GRID]
     for arr in endpoint_arrays:
         arr = np.asarray(arr, dtype=float)
         pieces.append(arr[(arr >= 0.0) & (arr <= 1.0)])
@@ -126,8 +124,6 @@ def band_from_intervals(
     lo_neg: np.ndarray,
     up_neg: np.ndarray,
     lambda_grid: np.ndarray | None = None,
-    alpha: float = 0.1,
-    mode: str = "exchangeable",
 ) -> RocBand:
     """Combine the raw interval endpoints of the test positives and negatives
     into sensitivity/specificity bands.
@@ -159,8 +155,6 @@ def band_from_intervals(
         sen_up=sen_up,
         spe_lo=spe_lo,
         spe_up=spe_up,
-        mode=mode,
-        alpha=alpha,
         auc_lo=staircase_auc(spe_up, sen_lo),
         auc_up=staircase_auc(spe_lo, sen_up),
         lo_pos=lo_pos,
@@ -179,7 +173,6 @@ def cp_roc_bands(
     positive_label: int = 1,
     min_stratum: int = 5,
     thin_stratum: str = "error",
-    lambda_grid: np.ndarray | None = None,
 ) -> RocBand:
     """Full band pipeline for one (binarized) label.
 
@@ -214,7 +207,7 @@ def cp_roc_bands(
             ids, fhat, calib_sorted, scores, binary[calib_sorted] == bool(k), alpha, label=k,
             matrix=local, K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
         )
-    return band_from_intervals(*endpoints, lambda_grid, alpha, mode)
+    return band_from_intervals(*endpoints)
 
 
 def multilabel_bands(
@@ -225,7 +218,6 @@ def multilabel_bands(
     mode: str = "conditional",
     min_stratum: int = 5,
     thin_stratum: str = "error",
-    lambda_grid: np.ndarray | None = None,
 ) -> dict[int, RocBand]:
     """One-vs-rest band per label: binarize y, score with f_hat_k, run the
     binary pipeline."""
@@ -237,15 +229,8 @@ def multilabel_bands(
         if k not in test_labels:
             raise StratumError(f"label {k} absent from the test part")
         bands[k] = cp_roc_bands(
-            scored,
-            matrix,
-            K,
-            alpha,
-            mode=mode,
-            positive_label=k,
-            min_stratum=min_stratum,
-            thin_stratum=thin_stratum,
-            lambda_grid=lambda_grid,
+            scored, matrix, K, alpha, mode=mode, positive_label=k,
+            min_stratum=min_stratum, thin_stratum=thin_stratum,
         )
     return bands
 
@@ -295,6 +280,6 @@ def oracle_rates(true_pis: np.ndarray, positive_mask: np.ndarray, lambdas) -> Or
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     return OracleRates(
         lambdas=lambdas,
-        tpr=_frac_at_least(true_pis[positive_mask], lambdas),
-        fpr=_frac_at_least(true_pis[~positive_mask], lambdas),
+        tpr=_frac_above(true_pis[positive_mask], lambdas, side="left"),
+        fpr=_frac_above(true_pis[~positive_mask], lambdas, side="left"),
     )

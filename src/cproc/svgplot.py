@@ -31,13 +31,12 @@ def _path(xs, ys) -> str:
 def band_svg(
     bands: list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     path: str | Path,
-    curve: tuple[np.ndarray, np.ndarray] | None = None,
     title: str = "ROC bands",
     comment: str = "",
 ) -> None:
     """Render one or more bands, each given as
     (name, sen_lo, sen_up, spe_lo, spe_up) with rows ordered by ascending
-    threshold, plus an optional (fpr, tpr) point curve."""
+    threshold."""
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -86,8 +85,5 @@ def band_svg(
             f'fill-opacity="0.45"/><text x="{_px(0.62) + 16:.2f}" y="{ly + 1}" '
             f'font-size="11">{name}</text>'
         )
-    if curve is not None:
-        fpr, tpr = curve
-        parts.append(f'<path d="{_path(fpr, tpr)}" stroke="black" fill="none" stroke-width="1.4"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

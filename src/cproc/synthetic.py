@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import NumericalError, SeparationWarning
 from .graphdata import ScoredDataset, SplitAssignment
-from .rocbands import cp_roc_bands, oracle_rates
+from .rocbands import UNIFORM_GRID, cp_roc_bands, oracle_rates
 from .similarity import SimilarityMatrix
 
 
@@ -188,18 +188,7 @@ class CoverageReport:
     rows: tuple[dict, ...] = field(repr=False, default=())
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "K": self.K,
-            "reps": self.reps,
-            "coverage_sen": self.coverage_sen,
-            "coverage_spe": self.coverage_spe,
-            "se_sen": self.se_sen,
-            "se_spe": self.se_spe,
-            "mean_bw_sen": self.mean_bw_sen,
-            "mean_bw_spe": self.mean_bw_spe,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def coverage_experiment(
@@ -222,7 +211,6 @@ def coverage_experiment(
     """
     if reps < 1:
         raise ValueError("need at least one replicate")
-    grid = np.linspace(0.0, 1.0, 512)
     rows = []
     for r in range(reps):
         spec_r = replace(spec, seed=spec.seed + r)
@@ -251,9 +239,9 @@ def coverage_experiment(
         spe_lo, spe_up = band.spe_at(lam_spe)
         hit_sen = bool(sen_lo <= oracle.tpr[0] <= sen_up)
         hit_spe = bool(spe_lo <= oracle.fpr[1] <= spe_up)
-        g_lo, g_up = band.sen_at(grid)
+        g_lo, g_up = band.sen_at(UNIFORM_GRID)
         bw_sen = float(np.mean(g_up - g_lo))
-        g_lo, g_up = band.spe_at(grid)
+        g_lo, g_up = band.spe_at(UNIFORM_GRID)
         bw_spe = float(np.mean(g_up - g_lo))
         rows.append(
             {

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cproc.cli import VERSION, _graphs_digest, main
+from cproc.cli import VERSION, _code_digest, _graphs_digest, main
 from cproc.graphdata import (
     Graph,
     ScoredDataset,
@@ -148,6 +148,16 @@ def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
     rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(bad),
                "--knn", "1", "--mode", "exch", "--out", str(tmp_path / "o")])
     assert rc == 2 and "graph_id is not an integer" in capsys.readouterr().err
+
+
+def test_bands_node_attribute_rows_off_by_one_exit_2(tmp_path, capsys):
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    nodes = len((data / "STARS_graph_indicator.txt").read_text().split())
+    (data / "STARS_node_attributes.txt").write_text("0.5\n" * (nodes + 1))
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+               "--knn", "1", "--mode", "exch", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"STARS_node_attributes.txt: {nodes + 1} rows for {nodes} nodes" in capsys.readouterr().err
 
 
 def test_bands_byte_identical_reruns(tmp_path):
@@ -380,6 +390,28 @@ def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, cap
     assert np.array_equal(rebuilt.values, matrix.values)
     assert main(simmat) == 0
     assert "simmat cache hit" in capsys.readouterr().out
+
+
+def test_cache_key_names_the_distance_code_digest(tmp_path, capsys):
+    # an edit of topology.py or similarity.py without a version bump must not
+    # hit a cache built by the old code
+    data, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "out"
+    simmat = ["simmat", "--dataset", str(data), "--out", str(out)]
+    assert main(simmat) == 0
+    cache = out / "STARS_degree_p1.simmat"
+    matrix = load_matrix(cache)
+    code = f"code={_code_digest()}"
+    assert code in matrix.key.split("|")
+    stale_key = matrix.key.replace(code, "code=" + "0" * 64)
+    save_matrix(SimilarityMatrix(values=matrix.values, p=1.0, kinds=matrix.kinds, cap=matrix.cap,
+                                 key=stale_key), cache)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="cache key mismatch"):
+        assert main(simmat) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    rebuilt = load_matrix(cache)
+    assert rebuilt.key == matrix.key and np.array_equal(rebuilt.values, matrix.values)
 
 
 def test_outputs_embed_version_and_config(tmp_path):

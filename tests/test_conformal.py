@@ -373,10 +373,15 @@ def test_property_engine_bit_equal_to_reference(data):
     assert got == want
 
 
+def thin_rows_fixture():
+    return generate(SyntheticSpec(n_train=300, n_calib=150, n_test=80, dim=3, beta=(2.0, -1.5, 1.0), seed=17))
+
+
 def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
-    """Only thin test points get their whole calibration order; the bands of
-    both backends still equal the per-point reference with widening."""
-    ds = generate(SyntheticSpec(n_train=300, n_calib=150, n_test=80, dim=3, beta=(2.0, -1.5, 1.0), seed=17))
+    """Thin test points are widened by a same-label kNN; the bands of both
+    backends still equal the per-point reference, which filters the whole
+    calibration order."""
+    ds = thin_rows_fixture()
     fhat, labels = ds.pi, ds.labels
     euclidean = covariate_distance_matrix(ds)
     dense = SimilarityMatrix(values=squareform(pdist(ds.x)), p=2.0)
@@ -394,3 +399,22 @@ def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
                 for q in test[labels[test] == k]]
         for band in bands:
             assert list(zip(*(getattr(band, e).tolist() for e in ends))) == want
+
+
+def test_widening_asks_no_knn_wider_than_k_or_min_stratum(monkeypatch):
+    """The engine never fetches a whole calibration order: every kNN call of
+    `conformal` asks for at most max(K, min_stratum) neighbours, and the
+    thin rows are widened by a call of exactly min_stratum."""
+    ds = thin_rows_fixture()
+    K, min_stratum = 4, 3
+    asked = []
+
+    def spy(values, query_ids, pool_ids, k):
+        asked.append(k)
+        return knn_indices(values, query_ids, pool_ids, k)
+
+    monkeypatch.setattr("cproc.conformal.knn_indices", spy)
+    for mat in (covariate_distance_matrix(ds), SimilarityMatrix(values=squareform(pdist(ds.x)), p=2.0)):
+        cp_roc_bands(scored_dataset(ds, ds.pi), mat, K, 0.1, min_stratum=min_stratum, thin_stratum="widen")
+    assert max(asked) <= max(K, min_stratum)
+    assert min_stratum in asked

@@ -76,6 +76,27 @@ def test_node_attributes_parsed(tmp_path):
     assert graphs[1].node_attributes == ((0.0, 4.0), (2.5, 5.0))
 
 
+@pytest.mark.parametrize("fname", ["TINY_node_attributes.txt", "TINY_node_labels.txt"])
+@pytest.mark.parametrize("rows, count", [(["1", "2", "3", "4", "5", "6"], 6), (["1", "2", "3", "4"], 4)])
+def test_node_rows_must_match_the_indicator(tmp_path, fname, rows, count):
+    # one row per node: an extra row used to escape as a KeyError and a
+    # missing one was silently accepted
+    root = write_tiny_fixture(tmp_path / "TINY")
+    (root / fname).write_text("\n".join(rows) + "\n")
+    with pytest.raises(ParseError, match=rf"{fname}: {count} rows for 5 nodes"):
+        parse_tu_dataset(root, "TINY")
+
+
+@pytest.mark.parametrize("fname", ["TINY_node_attributes.txt", "TINY_node_labels.txt"])
+def test_node_rows_skip_a_blank_line_mid_file(tmp_path, fname):
+    # a blank line used to shift every later row onto the next node
+    root = write_tiny_fixture(tmp_path / "TINY")
+    (root / fname).write_text("1\n2\n\n3\n4\n5\n")
+    graphs = parse_tu_dataset(root, "TINY")
+    assert graphs[0].node_attributes == ((1.0,), (2.0,), (3.0,))
+    assert graphs[1].node_attributes == ((4.0,), (5.0,))
+
+
 def test_round_trip_identical(tmp_path):
     root = write_tiny_fixture(tmp_path / "TINY")
     (root / "TINY_node_attributes.txt").write_text("0.5\n0.25\n1.5\n0.0\n2.5\n")

@@ -81,7 +81,7 @@ def test_band_degenerate_intervals_equal_empirical_rates():
     rng = np.random.default_rng(6)
     pos = rng.uniform(0, 1, 40)
     neg = rng.uniform(0, 1, 60)
-    band = band_of(degenerate(pos), degenerate(neg), alpha=0.1)
+    band = band_of(degenerate(pos), degenerate(neg))
     for lam in np.linspace(0, 1, 97):
         tpr = np.mean(pos > lam)
         fpr = np.mean(neg > lam)
@@ -92,7 +92,7 @@ def test_band_degenerate_intervals_equal_empirical_rates():
 
 
 def test_band_boundary_strict_inequality():
-    band = band_of([(0.2, 1.0), (0.3, 0.9)], [(0.1, 0.8)], alpha=0.1)
+    band = band_of([(0.2, 1.0), (0.3, 0.9)], [(0.1, 0.8)])
     assert band.lambda_grid[-1] == 1.0
     assert band.sen_up[-1] == 0.0  # no endpoint exceeds 1, strict > makes it 0
 

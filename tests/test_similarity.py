@@ -442,7 +442,12 @@ def reference_knn_indices(values, query_ids, pool_ids, K):
 def test_property_partition_knn_equals_full_sort(data):
     """Integer distances in a small range tie across the K boundary often;
     every K from 1 to |pool| must match the full stable sort, for a dense
-    array and for a SimilarityMatrix alike."""
+    array and for a SimilarityMatrix alike, with some query rows all NaN.
+
+    The same holds on any subset of the pool, which the conformal engine
+    relies on when it widens a thin row with a same-label kNN:
+    `knn_indices(M, q, pool[mask], m)` is the mask-filtered full order cut
+    at m."""
     n = data.draw(st.integers(2, 24))
     top = data.draw(st.integers(0, 4))
     raw = np.array(data.draw(st.lists(st.integers(0, top), min_size=n * n, max_size=n * n)), float)
@@ -450,12 +455,19 @@ def test_property_partition_knn_equals_full_sort(data):
     np.fill_diagonal(vals, 0.0)
     perm = data.draw(st.permutations(range(n)))
     n_query = data.draw(st.integers(1, n - 1))
-    queries, pool = perm[:n_query], perm[n_query:]
+    queries, pool = np.array(perm[:n_query]), np.array(perm[n_query:])
+    vals[data.draw(st.lists(st.sampled_from(queries.tolist()), max_size=n_query)), :] = np.nan
     mat = SimilarityMatrix(values=vals)
     for K in range(1, len(pool) + 1):
         want = reference_knn_indices(vals, queries, pool, K)
         assert np.array_equal(knn_indices(vals, queries, pool, K), want)
         assert np.array_equal(knn_indices(mat, queries, pool, K), want)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size)))
+    order = reference_knn_indices(vals, queries, pool, pool.size)
+    filtered = order[np.isin(order, pool[mask])].reshape(queries.size, int(mask.sum()))
+    for m in range(1, int(mask.sum()) + 1):
+        assert np.array_equal(knn_indices(vals, queries, pool[mask], m), filtered[:, :m])
+        assert np.array_equal(knn_indices(mat, queries, pool[mask], m), filtered[:, :m])
 
 
 def test_partition_knn_ties_straddling_the_boundary():
