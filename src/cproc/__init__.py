@@ -32,7 +32,6 @@ from .graphdata import (
     write_tu_dataset,
 )
 from .rocbands import (
-    OracleRates,
     RocBand,
     RocCurve,
     band_from_intervals,
@@ -58,7 +57,6 @@ from .synthetic import (
 from .topology import (
     FiltrationKind,
     PersistenceDiagram,
-    PersistenceImage,
     compute_filtration,
     persistence_image,
     sublevel_persistence,

@@ -23,19 +23,11 @@ from .errors import DegenerateTestError
 
 @dataclass(frozen=True)
 class BootstrapBand:
-    lambda_grid: np.ndarray
     tpr_lo: np.ndarray
     tpr_up: np.ndarray
     fpr_lo: np.ndarray
     fpr_up: np.ndarray
     B: int
-    level: float
-
-    def mean_bandwidth_tpr(self) -> float:
-        return float(np.mean(self.tpr_up - self.tpr_lo))
-
-    def mean_bandwidth_fpr(self) -> float:
-        return float(np.mean(self.fpr_up - self.fpr_lo))
 
 
 def _rates_above(values: np.ndarray, draws: np.ndarray, lambda_grid: np.ndarray) -> np.ndarray:
@@ -79,11 +71,9 @@ def bootstrap_bands(
     tpr_lo, tpr_up = np.quantile(tprs, [lo_q, up_q], axis=0)
     fpr_lo, fpr_up = np.quantile(fprs, [lo_q, up_q], axis=0)
     return BootstrapBand(
-        lambda_grid=lambda_grid,
         tpr_lo=tpr_lo,
         tpr_up=tpr_up,
         fpr_lo=fpr_lo,
         fpr_up=fpr_up,
         B=B,
-        level=level,
     )

@@ -3,14 +3,14 @@ matrices, band construction, bootstrap baseline, synthetic coverage
 experiments, and SVG plots.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical error. Every output
-file embeds the run configuration and version string; reruns with an
-identical configuration are byte-identical.
+file embeds the run configuration and version string (`_comments` atop each
+CSV, `config` and `version` in each JSON report, an SVG comment); reruns
+with an identical configuration are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -25,10 +25,12 @@ from .baseline import bootstrap_bands
 from .errors import CprocError, NumericalError
 from .graphdata import (
     load_scores,
+    opens_with_comments,
     parse_tu_dataset,
     read_split_manifest,
     split_dataset,
     write_split_manifest,
+    write_table,
 )
 from .rocbands import UNIFORM_GRID, cp_roc_bands, empirical_roc, read_band_csv, write_band_csv
 from .rocbands import default_lambda_grid  # noqa: F401  unused here; perfbench/spans.py hooks it by name
@@ -137,6 +139,13 @@ def _comments(cfg: RunConfig) -> tuple[str, str]:
     return (VERSION, f"config: {cfg.to_json()}")
 
 
+def _write_report(path: Path, payload: dict, cfg: RunConfig) -> None:
+    """A JSON report: `payload` plus the run's config and version."""
+    with open(path, "w") as fh:
+        json.dump({**payload, "config": asdict(cfg), "version": VERSION}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip()) if text else ()
 
@@ -163,7 +172,7 @@ def cmd_topo(args: argparse.Namespace) -> int:
     kind = FiltrationKind(cfg.filtration)
     dpath = out / f"{name}_{kind.value}_diagrams.csv"
     ipath = out / f"{name}_{kind.value}_images.csv"
-    if dpath.exists() and ipath.exists() and not cfg.force:
+    if not cfg.force and all(p.exists() and opens_with_comments(p, _comments(cfg)) for p in (dpath, ipath)):
         print(f"topo outputs exist, skipping: {dpath.name}, {ipath.name} (--force to redo)")
         return 0
     graphs = _dataset_graphs(cfg)
@@ -229,7 +238,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
         key=key,
         workers=cfg.pairs_parallel,
     )
-    save_matrix(matrix, path, extra_meta={"config": json.loads(cfg.to_json()), "version": VERSION})
+    save_matrix(matrix, path, extra_meta={"config": asdict(cfg), "version": VERSION})
     return graphs, name, matrix, path
 
 
@@ -290,7 +299,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
 
     mode = MODES[cfg.mode]
     grid = UNIFORM_GRID
-    acc = {name: np.zeros(grid.size) for name in ("sen_lo", "sen_up", "spe_lo", "spe_up")}
+    acc = np.zeros((4, grid.size))  # sen_lo, sen_up, spe_lo, spe_up
     aucs, auc_los, auc_ups, bw_sens, bw_spes = [], [], [], [], []
     for i in range(cfg.repeats):
         split_i = split_for_repeat(i)
@@ -307,8 +316,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
         write_split_manifest(split_i, out / f"split_rep{i}.csv", comments=_comments(cfg))
         sl, su = band.sen_at(grid)
         pl, pu = band.spe_at(grid)
-        for name, vals in zip(("sen_lo", "sen_up", "spe_lo", "spe_up"), (sl, su, pl, pu)):
-            acc[name] += vals
+        acc += (sl, su, pl, pu)
         curve = empirical_roc(scored_i)
         aucs.append(curve.auc)
         auc_los.append(band.auc_lo)
@@ -337,15 +345,11 @@ def cmd_bands(args: argparse.Namespace) -> int:
             comments=_comments(cfg) + (f"bootstrap B={cfg.bootstrap} level={cfg.level:g}",),
         )
 
-    for name in acc:
-        acc[name] /= cfg.repeats
+    acc /= cfg.repeats
     write_band_csv(
         out / "band.csv",
         grid,
-        acc["sen_lo"],
-        acc["sen_up"],
-        acc["spe_lo"],
-        acc["spe_up"],
+        *acc,
         comments=_comments(cfg) + (f"mean of {cfg.repeats} repeat(s)",),
     )
     summary = {
@@ -358,17 +362,13 @@ def cmd_bands(args: argparse.Namespace) -> int:
         "mode": mode,
         "K": cfg.knn,
         "repeats": cfg.repeats,
-        "config": json.loads(cfg.to_json()),
-        "version": VERSION,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_report(out / "summary.json", summary, cfg)
     band_svg(
-        [(f"CP-ROC {mode}", acc["sen_lo"], acc["sen_up"], acc["spe_lo"], acc["spe_up"])],
+        [(f"CP-ROC {mode}", *acc)],
         out / "band.svg",
         title=f"CP-ROC band ({mode}, alpha={cfg.alpha:g})",
-        comment=f"{VERSION} config: {cfg.to_json()}",
+        comment=" ".join(_comments(cfg)),
     )
     print(
         f"bands: auc={summary['auc']:.4f} [{summary['auc_lo']:.4f}, {summary['auc_up']:.4f}] "
@@ -401,18 +401,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         min_stratum=cfg.min_stratum,
         thin_stratum=cfg.thin_stratum,
     )
-    payload = report.to_json()
-    payload["config"] = json.loads(cfg.to_json())
-    payload["version"] = VERSION
-    with open(out / "coverage.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "coverage_replicates.csv", "w", newline="") as fh:
-        for line in _comments(cfg):
-            fh.write(f"# {line}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(report.rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(report.rows)
+    _write_report(out / "coverage.json", report.to_json(), cfg)
+    write_table(
+        out / "coverage_replicates.csv",
+        (row.values() for row in report.rows),
+        list(report.rows[0]),
+        _comments(cfg),
+    )
     print(
         f"simulate[{report.mode}]: coverage_sen={report.coverage_sen:.3f} (se {report.se_sen:.3f}) "
         f"coverage_spe={report.coverage_spe:.3f} (se {report.se_spe:.3f}) "
@@ -430,7 +425,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     out = Path(cfg.out)
     if out.is_dir():
         out = out / "bands.svg"
-    band_svg(bands, out, title="ROC bands", comment=f"{VERSION} config: {cfg.to_json()}")
+    band_svg(bands, out, title="ROC bands", comment=" ".join(_comments(cfg)))
     print(f"plot: {len(bands)} band(s) -> {out}")
     return 0
 

@@ -3,13 +3,14 @@
 TU benchmark files are 1-indexed; everything here is rebased to 0-indexed
 graphs and per-graph 0-indexed nodes. Duplicate and reversed edges collapse
 to a single undirected edge, and self-loops are dropped (counted in a
-warning).
+warning). `write_table` is the one writer of every CSV that cproc emits.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,22 +54,40 @@ class Graph:
         return d
 
 
-def _read_rows(path: Path, kind=int, expect: int | None = None) -> list[list]:
-    """Non-blank lines of `path` as rows of `kind` values; with `expect`, a
-    row count other than `expect` raises ParseError."""
-    rows = []
+def write_table(path: str | Path, rows, header=None, comments: tuple[str, ...] = ()) -> None:
+    """Write `comments` as `# ` lines, then `header` (if any) and `rows` as CSV."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def opens_with_comments(path: str | Path, comments: tuple[str, ...]) -> bool:
+    """Whether the file at `path` opens with `comments` as `write_table` writes them."""
+    prologue = "".join(f"# {line}\n" for line in comments).encode()
+    with open(path, "rb") as fh:
+        return fh.read(len(prologue)) == prologue
+
+
+def _read_rows(path: Path, kind=int, expect: int | None = None) -> Iterator[tuple[int, list]]:
+    """Yield (line number, row of `kind` values) for each non-blank line of
+    `path`; with `expect`, a row count other than `expect` raises ParseError."""
+    count = 0
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append([kind(tok) for tok in line.replace(",", " ").split()])
+                row = [kind(tok) for tok in line.replace(",", " ").split()]
             except ValueError as exc:
                 raise ParseError(f"{path.name}:{ln}: {exc}") from None
-    if expect is not None and len(rows) != expect:
-        raise ParseError(f"{path.name}: {len(rows)} rows for {expect} nodes in the graph indicator")
-    return rows
+            count += 1
+            yield ln, row
+    if expect is not None and count != expect:
+        raise ParseError(f"{path.name}: {count} rows for {expect} nodes in the graph indicator")
 
 
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
@@ -86,8 +105,8 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
         if not (root / fname).exists():
             raise ParseError(f"missing mandatory file {fname} in {root}")
 
-    indicator = [row[0] for row in _read_rows(root / f"{name}_graph_indicator.txt")]
-    raw_labels = [row[0] for row in _read_rows(root / f"{name}_graph_labels.txt")]
+    indicator = [row[0] for _, row in _read_rows(root / f"{name}_graph_indicator.txt")]
+    raw_labels = [row[0] for _, row in _read_rows(root / f"{name}_graph_labels.txt")]
     if not raw_labels:
         raise ParseError(f"{name}: empty dataset (no graph labels)")
     label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
@@ -106,7 +125,7 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
 
     edges: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
     dropped_loops = 0
-    for ln, row in enumerate(_read_rows(root / f"{name}_A.txt"), 1):
+    for ln, row in _read_rows(root / f"{name}_A.txt"):
         if len(row) != 2:
             raise ParseError(f"{name}_A.txt:{ln}: expected two node ids, got {row}")
         u, v = row
@@ -126,9 +145,9 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     nl_path = root / f"{name}_node_labels.txt"
     node_rows = None
     if attr_path.exists():
-        node_rows = [tuple(row) for row in _read_rows(attr_path, float, len(indicator))]
+        node_rows = [tuple(row) for _, row in _read_rows(attr_path, float, len(indicator))]
     elif nl_path.exists():
-        node_rows = [(float(row[0]),) for row in _read_rows(nl_path, int, len(indicator))]
+        node_rows = [(float(row[0]),) for _, row in _read_rows(nl_path, int, len(indicator))]
     attrs: list[list[tuple[float, ...]]] | None = None
     if node_rows is not None:
         attrs = [[] for _ in range(n_graphs)]
@@ -233,13 +252,7 @@ def split_dataset(
 
 
 def write_split_manifest(split: SplitAssignment, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["graph_id", "part"])
-        for gid, part in enumerate(split.parts):
-            writer.writerow([gid, part])
+    write_table(path, enumerate(split.parts), ["graph_id", "part"], comments)
 
 
 def read_split_manifest(path: str | Path) -> SplitAssignment:
@@ -304,8 +317,8 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
     Ids must cover 0..n-1 exactly once, where n is len(graphs), or the row
     count when no graphs are given (e.g. an external distance matrix). Ids
     and labels must be integers, labels must lie in [0, L) and, with graphs,
-    match the parsed labels; each probability vector must lie in [0, 1] and
-    sum to 1 within 1e-6.
+    match the parsed labels; each probability vector must be finite, lie in
+    [0, 1] and sum to 1 within 1e-6.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -340,8 +353,8 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
             raise ScoreIngestError(
                 f"row {rownum}: label {label} does not match parsed label {graphs[gid].label}"
             )
-        if np.any(vec < 0.0) or np.any(vec > 1.0):
-            raise ScoreIngestError(f"row {rownum}: probability outside [0,1]")
+        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
+            raise ScoreIngestError(f"row {rownum}: probability outside [0,1] or not a number")
         if abs(float(vec.sum()) - 1.0) > 1e-6:
             raise ScoreIngestError(f"row {rownum}: probabilities sum to {vec.sum():.8f}")
         labels[gid] = label
@@ -354,8 +367,6 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
 
 
 def write_scores(scored: ScoredDataset, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)])
-        for gid in range(scored.n):
-            writer.writerow([gid, int(scored.labels[gid])] + [repr(float(p)) for p in scored.probs[gid]])
+    header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
+    rows = enumerate(zip(scored.labels, scored.probs.tolist()))
+    write_table(path, ([gid, int(label), *map(repr, probs)] for gid, (label, probs) in rows), header)

@@ -8,12 +8,12 @@ and the engine picks each test graph's local calibration set itself.
 threshold the bounds are the fractions of endpoints strictly above it
 (positives give the sensitivity band, negatives the specificity band, both on
 the FPR/TPR scale). Bands are exact staircases; the default grid carries every
-interval endpoint so nothing is sampled away.
+interval endpoint so nothing is sampled away. Band CSVs, conformal and
+bootstrap alike, are written through `graphdata.write_table`.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .conformal import conformal_intervals, score_table
 from .errors import DegenerateTestError, StratumError
-from .graphdata import ScoredDataset
+from .graphdata import ScoredDataset, write_table
 from .similarity import SimilarityMatrix
 from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.py hooks it by name
 
@@ -30,17 +30,9 @@ from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.
 class RocCurve:
     """Staircase of (FPR, TPR) points, ordered from (0,0) to (1,1)."""
 
-    thresholds: np.ndarray  # descending
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
-
-
-@dataclass(frozen=True)
-class OracleRates:
-    lambdas: np.ndarray
-    tpr: np.ndarray
-    fpr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -84,12 +76,10 @@ def staircase_auc(x: np.ndarray, y: np.ndarray) -> float:
     return area
 
 
-def empirical_roc(scored: ScoredDataset, positive_label: int = 1, part: str = "test") -> RocCurve:
-    """ROC staircase of the test part, thresholding at every distinct score."""
-    ids = scored.part_ids(part)
-    labels = scored.labels[ids]
-    scores = scored.probs[ids, positive_label]
-    return roc_from_arrays(labels == positive_label, scores)
+def empirical_roc(scored: ScoredDataset) -> RocCurve:
+    """ROC staircase of label 1 on the test part, thresholding at every distinct score."""
+    ids = scored.part_ids("test")
+    return roc_from_arrays(scored.labels[ids] == 1, scored.probs[ids, 1])
 
 
 def roc_from_arrays(positive_mask: np.ndarray, scores: np.ndarray) -> RocCurve:
@@ -101,7 +91,7 @@ def roc_from_arrays(positive_mask: np.ndarray, scores: np.ndarray) -> RocCurve:
     thresholds = np.unique(np.concatenate([scores, [0.0, 1.0]]))[::-1]
     tpr = _frac_above(pos, thresholds)
     fpr = _frac_above(neg, thresholds)
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=staircase_auc(fpr[::-1], tpr[::-1]))
+    return RocCurve(fpr=fpr, tpr=tpr, auc=staircase_auc(fpr[::-1], tpr[::-1]))
 
 
 UNIFORM_GRID = np.linspace(0.0, 1.0, 512)
@@ -249,13 +239,9 @@ def write_band_csv(
 ) -> None:
     """Band CSV shared by conformal and bootstrap bands; leading '#' lines
     carry provenance."""
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(BAND_COLUMNS)
-        columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
-        writer.writerows(zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns)))
+    columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
+    rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
+    write_table(path, rows, BAND_COLUMNS, comments)
 
 
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -273,13 +259,12 @@ def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(BAND_COLUMNS)}
 
 
-def oracle_rates(true_pis: np.ndarray, positive_mask: np.ndarray, lambdas) -> OracleRates:
-    """Oracle TPR/FPR computed from true probabilities (>= comparison)."""
+def oracle_rates(true_pis: np.ndarray, positive_mask: np.ndarray, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle (TPR, FPR) at each of `lambdas` from true probabilities (>= comparison)."""
     true_pis = np.asarray(true_pis, dtype=float)
     positive_mask = np.asarray(positive_mask, dtype=bool)
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    return OracleRates(
-        lambdas=lambdas,
-        tpr=_frac_above(true_pis[positive_mask], lambdas, side="left"),
-        fpr=_frac_above(true_pis[~positive_mask], lambdas, side="left"),
+    return (
+        _frac_above(true_pis[positive_mask], lambdas, side="left"),
+        _frac_above(true_pis[~positive_mask], lambdas, side="left"),
     )

@@ -21,7 +21,8 @@ A `SimilarityMatrix` hands out `block(rows, cols)`, the only way the conformal
 pipeline reads distances. It has two backends: a dense array (every `.simmat`
 file and Wasserstein build), whose blocks are slices, and Euclidean points
 (synthetic runs), whose blocks are `cdist` of the rows' and columns' points,
-so no n x n table is built unless `values` is asked for.
+so no n x n table is built unless `values` is asked for. `load_matrix` checks
+a `.simmat` header's sizes against the file's length before it reads on.
 
 `knn_indices` orders neighbours by ascending (distance, id). It selects the K
 nearest with `argpartition` and sorts only those; a row whose K-th distance
@@ -32,9 +33,9 @@ K columns.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ParseError
+from .graphdata import write_table
 from .topology import PersistenceDiagram, max_finite_value
 
 _MAGIC = b"CPROCSIM"
@@ -286,10 +288,10 @@ def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMa
             digest = fh.read(32)
             values_digest = fh.read(32)
             (meta_len,) = struct.unpack("<Q", fh.read(8))
+            if meta_len + n * n * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
+                raise ParseError(f"{path}: truncated (header needs {meta_len} + 8*{n}^2 more bytes)")
             meta = json.loads(fh.read(meta_len).decode())
             raw = fh.read(n * n * 8)
-            if len(raw) != n * n * 8:
-                raise ParseError(f"{path}: truncated value block")
             if hashlib.sha256(raw).digest() != values_digest:
                 raise ParseError(f"{path}: value block checksum mismatch")
             values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
@@ -306,8 +308,5 @@ def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMa
 
 
 def export_matrix_csv(matrix: SimilarityMatrix, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerows(map(repr, row) for row in np.asarray(matrix.values, dtype=float).tolist())
+    rows = np.asarray(matrix.values, dtype=float).tolist()
+    write_table(path, (map(repr, row) for row in rows), comments=comments)

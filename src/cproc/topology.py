@@ -3,12 +3,12 @@
 Graphs carry no 2-cells, so every independent cycle is an essential H1 class
 (death = +inf); deaths are capped only when vectorizing or comparing
 diagrams. Zero-persistence H0 pairs are kept so that the diagram always has
-exactly one dim-0 entry per vertex.
+exactly one dim-0 entry per vertex. A persistence image is a plain (P, P)
+array; diagrams and images are written through `graphdata.write_table`.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ import networkx as nx
 import numpy as np
 
 from .errors import NumericalError
-from .graphdata import Graph
+from .graphdata import Graph, write_table
 
 
 class FiltrationKind(enum.Enum):
@@ -41,18 +41,6 @@ class PersistenceDiagram:
         return self.dim0 if dim == 0 else self.dim1
 
 
-@dataclass(frozen=True)
-class PersistenceImage:
-    resolution: int
-    pixels: np.ndarray  # (P, P); axis 0 = persistence, axis 1 = birth
-    sigma: float
-    cap: float
-    weight: str = "persistence/cap"
-
-    def flatten(self) -> np.ndarray:
-        return self.pixels.reshape(-1)
-
-
 def _to_networkx(g: Graph) -> nx.Graph:
     gx = nx.Graph()
     gx.add_nodes_from(range(g.num_nodes))
@@ -60,12 +48,13 @@ def _to_networkx(g: Graph) -> nx.Graph:
     return gx
 
 
-def _eigenvector_values(g: Graph, tol: float = 1e-10, max_iter: int = 10_000) -> np.ndarray:
+def _eigenvector_values(g: Graph) -> np.ndarray:
     """Principal adjacency eigenvector per connected component, L2-normalized.
 
     Power iteration runs on A + I; the shift leaves eigenvectors unchanged but
-    guarantees a dominant eigenvalue on bipartite components. Isolated
-    vertices get 0.
+    guarantees a dominant eigenvalue on bipartite components. It stops when a
+    step moves the vector by at most 1e-10 and fails after 10,000 steps.
+    Isolated vertices get 0.
     """
     values = np.zeros(g.num_nodes)
     a = g.adjacency()
@@ -75,10 +64,10 @@ def _eigenvector_values(g: Graph, tol: float = 1e-10, max_iter: int = 10_000) ->
             continue
         sub = a[np.ix_(nodes, nodes)] + np.eye(len(nodes))
         x = np.full(len(nodes), 1.0 / math.sqrt(len(nodes)))
-        for _ in range(max_iter):
+        for _ in range(10_000):
             y = sub @ x
             y /= np.linalg.norm(y)
-            if np.linalg.norm(y - x) <= tol:
+            if np.linalg.norm(y - x) <= 1e-10:
                 x = y
                 break
             x = y
@@ -177,8 +166,9 @@ def persistence_image(
     resolution: int = 50,
     sigma: float | None = None,
     cap: float = 1.0,
-) -> PersistenceImage:
-    """Gaussian-splat vectorization on a [0,cap]^2 (birth, persistence) grid.
+) -> np.ndarray:
+    """Gaussian-splat vectorization on a [0,cap]^2 (birth, persistence) grid,
+    as a (P, P) array with axis 0 = persistence and axis 1 = birth.
 
     Each point contributes an isotropic Gaussian of width sigma (default
     cap/20) weighted by persistence/cap; a pixel holds the center-evaluated
@@ -191,10 +181,9 @@ def persistence_image(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    pixels = np.zeros((resolution, resolution))
     pts = [p for dim in (d.dim0, d.dim1) for p in dim]
     if not pts or cap <= 0:
-        return PersistenceImage(resolution, pixels, sigma, cap)
+        return np.zeros((resolution, resolution))
 
     births = np.array([p[0] for p in pts])
     deaths = np.minimum(np.array([p[1] for p in pts]), cap)
@@ -208,8 +197,7 @@ def persistence_image(
     gauss = np.exp(
         -((bx - births[:, None, None]) ** 2 + (py - pers[:, None, None]) ** 2) / (2.0 * sigma**2)
     ) / (2.0 * math.pi * sigma**2)
-    pixels = np.einsum("k,kij->ij", weights, gauss) * step**2
-    return PersistenceImage(resolution, pixels, sigma, cap)
+    return np.einsum("k,kij->ij", weights, gauss) * step**2
 
 
 def max_finite_value(diagrams: list[PersistenceDiagram]) -> float:
@@ -226,25 +214,17 @@ def max_finite_value(diagrams: list[PersistenceDiagram]) -> float:
 def diagrams_to_csv(
     diagrams: list[PersistenceDiagram], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["graph_id", "dim", "birth", "death"])
-        for d in diagrams:
-            for dim in (0, 1):
-                for birth, death in d.points(dim):
-                    writer.writerow(
-                        [d.graph_id, dim, repr(float(birth)), "inf" if math.isinf(death) else repr(float(death))]
-                    )
+    rows = (
+        [d.graph_id, dim, repr(float(birth)), "inf" if math.isinf(death) else repr(float(death))]
+        for d in diagrams
+        for dim in (0, 1)
+        for birth, death in d.points(dim)
+    )
+    write_table(path, rows, ["graph_id", "dim", "birth", "death"], comments)
 
 
 def images_to_csv(
-    images: list[tuple[int, PersistenceImage]], path: str | Path, comments: tuple[str, ...] = ()
+    images: list[tuple[int, np.ndarray]], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        for gid, img in images:
-            writer.writerow([gid] + [repr(float(x)) for x in img.flatten()])
+    rows = ([gid, *map(repr, img.reshape(-1).tolist())] for gid, img in images)
+    write_table(path, rows, comments=comments)

@@ -161,7 +161,7 @@ def test_criterion_07_bootstrap_bands_narrower():
         boot = bootstrap_bands(
             ds.labels[test] == 1, fhat[test], grid, B=1000, level=0.95, seed=spec.seed + r
         )
-        boot_bw = (boot.mean_bandwidth_tpr() + boot.mean_bandwidth_fpr()) / 2.0
+        boot_bw = (np.mean(boot.tpr_up - boot.tpr_lo) + np.mean(boot.fpr_up - boot.fpr_lo)) / 2.0
         wins += boot_bw < cp_bw
     assert wins >= 16, f"bootstrap narrower in only {wins}/20 replicates"
     print(

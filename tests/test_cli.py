@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,23 @@ def test_topo_fixture_and_idempotence(tmp_path, capsys):
     (tmp_path / "force.cfg").write_text("force=true\n")
     rc = main(["topo", "--dataset", str(data), "--out", str(out), "--config", str(tmp_path / "force.cfg")])
     assert rc == 0 and "skipping" not in capsys.readouterr().out
+
+
+def test_topo_reruns_when_its_configuration_changes(tmp_path, capsys):
+    data = write_tiny_fixture(tmp_path / "TINY")
+    out = tmp_path / "out"
+    topo = ["topo", "--dataset", str(data), "--out", str(out), "--pi-resolution"]
+
+    def values_per_row():
+        rows = (out / "TINY_degree_images.csv").read_text().splitlines()
+        return {len(row.split(",")) - 1 for row in rows if not row.startswith("#")}
+
+    assert main(topo + ["5"]) == 0 and values_per_row() == {25}
+    capsys.readouterr()
+    assert main(topo + ["50"]) == 0
+    assert "skipping" not in capsys.readouterr().out and values_per_row() == {2500}
+    assert main(topo + ["50"]) == 0
+    assert "skipping" in capsys.readouterr().out
 
 
 def test_topo_missing_dataset_exit_2(tmp_path):
@@ -323,6 +341,24 @@ def test_bands_bad_scores_exit_2_before_any_distance(tmp_path, capsys):
     assert not list(out.glob("*.simmat"))
 
 
+@pytest.mark.parametrize("offset", [12, 92])
+def test_bands_rebuild_a_cache_whose_header_sizes_exceed_the_file(tmp_path, offset):
+    # offset 12 holds the matrix size n, offset 92 the metadata length
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "out"
+    bands = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+             "--knn", "1", "--mode", "exch", "--out", str(out)]
+    assert main(bands) == 0
+    cache = out / "STARS_degree_p1.simmat"
+    good = cache.read_bytes()
+    blob = bytearray(good)
+    blob[offset : offset + 8] = struct.pack("<Q", 2**40)
+    cache.write_bytes(bytes(blob))
+    with pytest.warns(UserWarning, match="similarity cache unusable"):
+        assert main(bands) == 0
+    assert cache.read_bytes() == good
+
+
 def test_bands_edited_edge_is_a_cache_key_mismatch(tmp_path, capsys):
     """An edit that keeps the dataset's name and cap still changes the key."""
     data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
@@ -417,12 +453,26 @@ def test_cache_key_names_the_distance_code_digest(tmp_path, capsys):
 def test_outputs_embed_version_and_config(tmp_path):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
     out = tmp_path / "prov"
-    main([
-        "bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
-        "--knn", "1", "--mode", "exch", "--repeats", "1", "--out", str(out),
-    ])
-    head = (out / "band.csv").read_text().splitlines()[:2]
-    assert head[0].startswith("# cproc-0.") and head[1].startswith("# config:")
+    dataset = ["--dataset", str(data), "--out", str(out)]
+    assert main([
+        "bands", *dataset, "--scores", str(scores), "--split", str(split),
+        "--knn", "1", "--mode", "exch", "--repeats", "1", "--bootstrap", "20",
+    ]) == 0
+    assert main(["simmat", *dataset]) == 0
+    assert main(["topo", *dataset]) == 0
+    assert main([
+        "simulate", "--n-train", "200", "--n-calib", "100", "--n-test", "60", "--knn", "10",
+        "--out", str(out),
+    ]) == 0
+    for name in (
+        "band.csv", "band_rep0.csv", "split_rep0.csv", "bootstrap_band.csv", "STARS_degree_p1.csv",
+        "STARS_degree_diagrams.csv", "STARS_degree_images.csv", "coverage_replicates.csv",
+    ):
+        head = (out / name).read_text().splitlines()[:2]
+        assert head[0] == f"# {VERSION}" and head[1].startswith('# config: {"alpha": '), name
+    for name, command in (("summary.json", "bands"), ("coverage.json", "simulate")):
+        report = json.loads((out / name).read_text())
+        assert report["version"] == VERSION and report["config"]["command"] == command, name
     svg = (out / "band.svg").read_text()
     assert "cproc-0." in svg
 

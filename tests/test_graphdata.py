@@ -59,6 +59,16 @@ def test_parse_unknown_node(tmp_path):
         parse_tu_dataset(root, "TINY")
 
 
+def test_parse_errors_name_the_file_line(tmp_path):
+    root = tmp_path / "D"
+    root.mkdir()
+    (root / "D_A.txt").write_text("1, 2\n\n\n2, 3, 1\n")
+    (root / "D_graph_indicator.txt").write_text("1\n1\n1\n")
+    (root / "D_graph_labels.txt").write_text("0\n")
+    with pytest.raises(ParseError, match=r"D_A\.txt:4: expected two node ids"):
+        parse_tu_dataset(root, "D")
+
+
 def test_parse_empty_dataset(tmp_path):
     root = tmp_path / "E"
     root.mkdir()
@@ -208,6 +218,15 @@ def test_load_scores_rejects_bad_sum(tmp_path):
     path.write_text("graph_id,label,p0,p1\n0,1,0.2,0.7\n1,0,0.6,0.4\n")
     with pytest.raises(ScoreIngestError, match="sum"):
         load_scores(path, _two_graphs())
+
+
+def test_load_scores_rejects_non_finite_probabilities(tmp_path):
+    path = tmp_path / "scores.csv"
+    for probs in ("nan,nan", "0.5,nan", "inf,-inf"):
+        path.write_text(f"graph_id,label,p0,p1\n0,1,0.2,0.8\n1,0,{probs}\n")
+        for graphs in (None, _two_graphs()):
+            with pytest.raises(ScoreIngestError, match="row 3: probability outside"):
+                load_scores(path, graphs)
 
 
 def test_load_scores_rejects_label_mismatch(tmp_path):

@@ -213,10 +213,10 @@ def test_default_grid_contains_endpoints():
 def test_oracle_rates_boundaries():
     pis = np.array([1.0, 1.0, 0.4, 0.2])
     mask = np.array([True, True, False, False])
-    rates = oracle_rates(pis, mask, [0.5])
-    assert rates.tpr[0] == 1.0
-    rates = oracle_rates(pis, mask, [0.0])
-    assert rates.tpr[0] == 1.0 and rates.fpr[0] == 1.0  # pi >= 0 always
+    tpr, fpr = oracle_rates(pis, mask, [0.5])
+    assert tpr[0] == 1.0
+    tpr, fpr = oracle_rates(pis, mask, [0.0])
+    assert tpr[0] == 1.0 and fpr[0] == 1.0  # pi >= 0 always
 
 
 def test_oracle_rates_brute_force():
@@ -224,10 +224,10 @@ def test_oracle_rates_brute_force():
     pis = rng.uniform(0, 1, 200)
     mask = rng.random(200) < 0.5
     lams = rng.uniform(0, 1, 50)
-    rates = oracle_rates(pis, mask, lams)
+    tpr, fpr = oracle_rates(pis, mask, lams)
     for i, lam in enumerate(lams):
-        assert rates.tpr[i] == np.mean(pis[mask] >= lam)
-        assert rates.fpr[i] == np.mean(pis[~mask] >= lam)
+        assert tpr[i] == np.mean(pis[mask] >= lam)
+        assert fpr[i] == np.mean(pis[~mask] >= lam)
 
 
 # --- pipeline --------------------------------------------------------------------

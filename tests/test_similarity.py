@@ -547,6 +547,18 @@ def test_matrix_corruption_detected(tmp_path):
         load_matrix(tmp_path / "m.simmat")
 
 
+@pytest.mark.parametrize("offset", [12, 92])
+def test_matrix_header_sizes_beyond_the_file(tmp_path, offset):
+    # offset 12 holds n, offset 92 the metadata length; both patched to 2**40
+    mat = SimilarityMatrix(values=np.eye(3), p=1.0, kinds=(), cap=1.0, key="a")
+    save_matrix(mat, tmp_path / "m.simmat")
+    blob = bytearray((tmp_path / "m.simmat").read_bytes())
+    blob[offset : offset + 8] = struct.pack("<Q", 2**40)
+    (tmp_path / "m.simmat").write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match="truncated"):
+        load_matrix(tmp_path / "m.simmat")
+
+
 def test_matrix_csv_export(tmp_path):
     mat = SimilarityMatrix(values=np.array([[0.0, 1.5], [1.5, 0.0]]), p=1.0, kinds=(), cap=1.0)
     export_matrix_csv(mat, tmp_path / "m.csv")

@@ -194,8 +194,8 @@ def test_persistence_permutation_invariance():
 def test_image_empty_diagram():
     d = PersistenceDiagram(0, np.zeros((0, 2)), np.zeros((0, 2)))
     img = persistence_image(d, resolution=10, sigma=0.1, cap=1.0)
-    assert img.pixels.shape == (10, 10)
-    assert np.all(img.pixels == 0.0)
+    assert img.shape == (10, 10)
+    assert np.all(img == 0.0)
 
 
 def test_image_single_point_mass_and_location():
@@ -203,8 +203,8 @@ def test_image_single_point_mass_and_location():
     d = PersistenceDiagram(0, np.array([[0.31, 0.94]]), np.zeros((0, 2)))
     img = persistence_image(d, resolution=50, sigma=0.04, cap=1.0)
     # total mass approximates the weight w = persistence / cap
-    assert img.pixels.sum() == pytest.approx(0.63, rel=0.05)
-    iy, ix = np.unravel_index(np.argmax(img.pixels), img.pixels.shape)
+    assert img.sum() == pytest.approx(0.63, rel=0.05)
+    iy, ix = np.unravel_index(np.argmax(img), img.shape)
     assert (iy, ix) == (31, 15)
 
 
@@ -222,18 +222,18 @@ def test_image_pixel_matches_quadrature():
         return w * np.exp(-((x - birth) ** 2 + (y - pers) ** 2) / (2 * 0.2**2)) / (2 * np.pi * 0.2**2)
 
     exact, _ = dblquad(density, lo_x, hi_x, lo_y, hi_y)
-    assert img.pixels[iy, ix] == pytest.approx(exact, rel=0.02)
+    assert img[iy, ix] == pytest.approx(exact, rel=0.02)
 
 
 def test_image_resolution_50_flattens_to_2500():
     d = PersistenceDiagram(0, np.array([[0.1, 0.5]]), np.zeros((0, 2)))
-    assert persistence_image(d, resolution=50, cap=1.0).flatten().shape == (2500,)
+    assert persistence_image(d, resolution=50, cap=1.0).reshape(-1).shape == (2500,)
 
 
 def test_image_infinite_deaths_capped():
     d = PersistenceDiagram(0, np.array([[0.0, np.inf]]), np.array([[0.5, np.inf]]))
     img = persistence_image(d, resolution=20, sigma=0.05, cap=2.0)
-    assert np.all(np.isfinite(img.pixels)) and img.pixels.sum() > 0
+    assert np.all(np.isfinite(img)) and img.sum() > 0
 
 
 # --- serialization --------------------------------------------------------------
