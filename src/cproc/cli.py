@@ -28,6 +28,7 @@ from .graphdata import (
     opens_with_comments,
     parse_tu_dataset,
     read_split_manifest,
+    resplit,
     split_dataset,
     write_split_manifest,
     write_table,
@@ -109,6 +110,12 @@ class RunConfig:
     def validate(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not (0.0 < self.level < 1.0):
+            raise ValueError(f"--level must lie in (0, 1), got {self.level}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
+        if self.bootstrap < 0:
+            raise ValueError(f"--bootstrap must be >= 0, got {self.bootstrap}")
         if self.knn < 1:
             raise ValueError(f"--knn must be >= 1, got {self.knn}")
         if self.repeats < 1:
@@ -154,10 +161,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip()) if text else ()
 
 
-def _dataset_graphs(cfg: RunConfig):
+def _dataset_name(cfg: RunConfig) -> str:
     if cfg.dataset is None:
         raise ValueError("this command needs --dataset")
-    return parse_tu_dataset(cfg.dataset, cfg.name or Path(cfg.dataset).name)
+    return cfg.name or Path(cfg.dataset).name
+
+
+def _dataset_graphs(cfg: RunConfig):
+    return parse_tu_dataset(cfg.dataset, _dataset_name(cfg))
 
 
 def _dataset_diagrams(graphs, kind: FiltrationKind):
@@ -168,28 +179,29 @@ def cmd_topo(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    name = cfg.name or Path(cfg.dataset or "").name
+    name = _dataset_name(cfg)
+    comments = _comments(cfg)
     kind = FiltrationKind(cfg.filtration)
     dpath = out / f"{name}_{kind.value}_diagrams.csv"
     ipath = out / f"{name}_{kind.value}_images.csv"
-    if not cfg.force and all(p.exists() and opens_with_comments(p, _comments(cfg)) for p in (dpath, ipath)):
+    if not cfg.force and all(p.exists() and opens_with_comments(p, comments) for p in (dpath, ipath)):
         print(f"topo outputs exist, skipping: {dpath.name}, {ipath.name} (--force to redo)")
         return 0
     graphs = _dataset_graphs(cfg)
     diagrams = _dataset_diagrams(graphs, kind)
     cap = max_finite_value(diagrams)
-    diagrams_to_csv(diagrams, dpath, comments=_comments(cfg))
+    diagrams_to_csv(diagrams, dpath, comments=comments)
     images = [(d.graph_id, persistence_image(d, cfg.pi_resolution, cap=cap)) for d in diagrams]
-    images_to_csv(images, ipath, comments=_comments(cfg))
+    images_to_csv(images, ipath, comments=comments)
     print(f"{name}: {len(graphs)} graphs -> {dpath.name}, {ipath.name} (cap={cap:g})")
     return 0
 
 
 def _graphs_digest(graphs) -> str:
-    """sha256 of what the distances depend on: node counts, edges, node labels."""
+    """sha256 of what the distances depend on: node counts and edges."""
     digest = hashlib.sha256()
     for g in graphs:
-        digest.update(repr((g.num_nodes, g.edges, g.node_attributes)).encode())
+        digest.update(repr((g.num_nodes, g.edges)).encode())
     return digest.hexdigest()
 
 
@@ -213,7 +225,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
     """
     if graphs is None:
         graphs = _dataset_graphs(cfg)
-    name = cfg.name or Path(cfg.dataset).name
+    name = _dataset_name(cfg)
     kind = FiltrationKind(cfg.filtration)
     key = (
         f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|dims=(0, 1)|{VERSION}"
@@ -251,26 +263,15 @@ def cmd_simmat(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resplit(base_split, pool: np.ndarray, calib_split: float, seed: int):
-    """One Algorithm-style re-split of the calib+test pool; train/valid stay."""
-    perm = np.random.default_rng(seed).permutation(pool.size)
-    n_calib = int(np.floor(pool.size * calib_split))
-    parts = list(base_split.parts)
-    for idx in perm[:n_calib]:
-        parts[pool[idx]] = "calib"
-    for idx in perm[n_calib:]:
-        parts[pool[idx]] = "test"
-    return type(base_split)(tuple(parts))
-
-
 def cmd_bands(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     if cfg.scores is None:
         raise ValueError("cmd bands needs --scores FILE")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    comments = _comments(cfg)
 
-    # scores are checked against the graphs before any distance is computed
+    # scores and splits are checked against the graphs before any distance is computed
     graphs = _dataset_graphs(cfg) if cfg.dataset or not cfg.simmat else None
     scored = load_scores(cfg.scores, graphs)
     if scored.num_labels > 2:
@@ -278,31 +279,28 @@ def cmd_bands(args: argparse.Namespace) -> int:
             f"{cfg.scores} has {scored.num_labels} labels, but cproc bands builds binary bands; "
             "use cproc.rocbands.multilabel_bands for one-vs-rest bands"
         )
-    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[2]
-    if scored.n != matrix.n:
-        raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
-
     if cfg.split:
         base_split = read_split_manifest(cfg.split)
         if len(base_split.parts) != scored.n:
             raise ValueError("split manifest size does not match dataset")
     else:
         base_split = split_dataset(scored.n, cfg.seed, cfg.pool_split, cfg.calib_split)
-    pool = np.sort(np.concatenate([base_split.ids("calib"), base_split.ids("test")]))
-
-    def split_for_repeat(i: int):
-        # an explicit manifest with a single repeat is honored verbatim;
-        # otherwise every repeat re-splits the calib+test pool (derived seed)
-        if cfg.split and cfg.repeats == 1:
-            return base_split
-        return _resplit(base_split, pool, cfg.calib_split, cfg.seed + i)
+    # an explicit manifest with a single repeat is honored verbatim;
+    # otherwise every repeat re-splits the calib+test pool (derived seed)
+    if cfg.split and cfg.repeats == 1:
+        splits = [base_split]
+    else:
+        splits = [resplit(base_split, cfg.calib_split, cfg.seed + i) for i in range(cfg.repeats)]
+    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[2]
+    if scored.n != matrix.n:
+        raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
 
     mode = MODES[cfg.mode]
     grid = UNIFORM_GRID
     acc = np.zeros((4, grid.size))  # sen_lo, sen_up, spe_lo, spe_up
-    aucs, auc_los, auc_ups, bw_sens, bw_spes = [], [], [], [], []
-    for i in range(cfg.repeats):
-        split_i = split_for_repeat(i)
+    stat_names = ("auc", "auc_lo", "auc_up", "mean_bw_sen", "mean_bw_spe")
+    stats = np.zeros((len(stat_names), cfg.repeats))  # one column per repeat
+    for i, split_i in enumerate(splits):
         scored_i = scored.with_split(split_i)
         band = cp_roc_bands(
             scored_i, matrix, cfg.knn, cfg.alpha, mode=mode,
@@ -311,22 +309,18 @@ def cmd_bands(args: argparse.Namespace) -> int:
         write_band_csv(
             out / f"band_rep{i}.csv",
             band.lambda_grid, band.sen_lo, band.sen_up, band.spe_lo, band.spe_up,
-            comments=_comments(cfg) + (f"repeat: {i}",),
+            comments=comments + (f"repeat: {i}",),
         )
-        write_split_manifest(split_i, out / f"split_rep{i}.csv", comments=_comments(cfg))
+        write_split_manifest(split_i, out / f"split_rep{i}.csv", comments=comments)
         sl, su = band.sen_at(grid)
         pl, pu = band.spe_at(grid)
         acc += (sl, su, pl, pu)
         curve = empirical_roc(scored_i)
-        aucs.append(curve.auc)
-        auc_los.append(band.auc_lo)
-        auc_ups.append(band.auc_up)
-        bw_sens.append(float(np.mean(su - sl)))
-        bw_spes.append(float(np.mean(pu - pl)))
+        stats[:, i] = curve.auc, band.auc_lo, band.auc_up, np.mean(su - sl), np.mean(pu - pl)
 
     if cfg.bootstrap > 0:
         # bootstrap overlay uses the first repeat's test split
-        test0 = split_for_repeat(0).ids("test")
+        test0 = splits[0].ids("test")
         boot = bootstrap_bands(
             scored.labels[test0] == 1,
             scored.probs[test0, 1],
@@ -342,7 +336,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
             boot.tpr_up,
             boot.fpr_lo,
             boot.fpr_up,
-            comments=_comments(cfg) + (f"bootstrap B={cfg.bootstrap} level={cfg.level:g}",),
+            comments=comments + (f"bootstrap B={cfg.bootstrap} level={cfg.level:g}",),
         )
 
     acc /= cfg.repeats
@@ -350,25 +344,16 @@ def cmd_bands(args: argparse.Namespace) -> int:
         out / "band.csv",
         grid,
         *acc,
-        comments=_comments(cfg) + (f"mean of {cfg.repeats} repeat(s)",),
+        comments=comments + (f"mean of {cfg.repeats} repeat(s)",),
     )
-    summary = {
-        "auc": float(np.mean(aucs)),
-        "auc_lo": float(np.mean(auc_los)),
-        "auc_up": float(np.mean(auc_ups)),
-        "mean_bw_sen": float(np.mean(bw_sens)),
-        "mean_bw_spe": float(np.mean(bw_spes)),
-        "alpha": cfg.alpha,
-        "mode": mode,
-        "K": cfg.knn,
-        "repeats": cfg.repeats,
-    }
+    summary = {name: float(np.mean(row)) for name, row in zip(stat_names, stats)}
+    summary.update(alpha=cfg.alpha, mode=mode, K=cfg.knn, repeats=cfg.repeats)
     _write_report(out / "summary.json", summary, cfg)
     band_svg(
         [(f"CP-ROC {mode}", *acc)],
         out / "band.svg",
         title=f"CP-ROC band ({mode}, alpha={cfg.alpha:g})",
-        comment=" ".join(_comments(cfg)),
+        comment=" ".join(comments),
     )
     print(
         f"bands: auc={summary['auc']:.4f} [{summary['auc_lo']:.4f}, {summary['auc_up']:.4f}] "

@@ -3,7 +3,10 @@
 TU benchmark files are 1-indexed; everything here is rebased to 0-indexed
 graphs and per-graph 0-indexed nodes. Duplicate and reversed edges collapse
 to a single undirected edge, and self-loops are dropped (counted in a
-warning). `write_table` is the one writer of every CSV that cproc emits.
+warning). Only the files the distances use are read: node label and
+attribute files are ignored. `split_dataset` and `resplit` cut the
+calib/test pool by one rule, and `write_table` is the one writer of every
+CSV that cproc emits.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ class Graph:
     num_nodes: int
     edges: tuple[tuple[int, int], ...]
     label: int
-    node_attributes: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         for u, v in self.edges:
@@ -71,23 +73,18 @@ def opens_with_comments(path: str | Path, comments: tuple[str, ...]) -> bool:
         return fh.read(len(prologue)) == prologue
 
 
-def _read_rows(path: Path, kind=int, expect: int | None = None) -> Iterator[tuple[int, list]]:
-    """Yield (line number, row of `kind` values) for each non-blank line of
-    `path`; with `expect`, a row count other than `expect` raises ParseError."""
-    count = 0
+def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:
+    """Yield (line number, row of ints) for each non-blank line of `path`."""
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                row = [kind(tok) for tok in line.replace(",", " ").split()]
+                row = [int(tok) for tok in line.replace(",", " ").split()]
             except ValueError as exc:
                 raise ParseError(f"{path.name}:{ln}: {exc}") from None
-            count += 1
             yield ln, row
-    if expect is not None and count != expect:
-        raise ParseError(f"{path.name}: {count} rows for {expect} nodes in the graph indicator")
 
 
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
@@ -95,7 +92,8 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
 
     Mandatory files: ``NAME_A.txt`` (edge list, 1-indexed global node ids),
     ``NAME_graph_indicator.txt`` (node -> graph id), ``NAME_graph_labels.txt``.
-    Optional: ``NAME_node_labels.txt``, ``NAME_node_attributes.txt``.
+    No filtration or distance uses node labels or attributes, so
+    ``NAME_node_labels.txt`` and ``NAME_node_attributes.txt`` are not read.
 
     Graph labels are remapped onto {0, 1, ...} preserving the sorted order of
     the original values.
@@ -112,14 +110,13 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
 
     n_graphs = len(raw_labels)
-    # nodes per graph, in file order; TU node ids are global and 1-indexed
-    node_graph = {}
+    # nodes per graph, in file order; TU node ids are global and 1-indexed,
+    # so node u belongs to graph indicator[u - 1]
     local_index: list[int] = []
     counts = [0] * n_graphs
     for node_1idx, g_1idx in enumerate(indicator, 1):
         if not (1 <= g_1idx <= n_graphs):
             raise ParseError(f"{name}_graph_indicator.txt: node {node_1idx} points at graph {g_1idx}")
-        node_graph[node_1idx] = g_1idx - 1
         local_index.append(counts[g_1idx - 1])
         counts[g_1idx - 1] += 1
 
@@ -129,30 +126,17 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
         if len(row) != 2:
             raise ParseError(f"{name}_A.txt:{ln}: expected two node ids, got {row}")
         u, v = row
-        if u not in node_graph or v not in node_graph:
+        if not (1 <= u <= len(indicator) and 1 <= v <= len(indicator)):
             raise ParseError(f"{name}_A.txt:{ln}: edge ({u},{v}) references unknown node")
-        if node_graph[u] != node_graph[v]:
+        if indicator[u - 1] != indicator[v - 1]:
             raise ParseError(f"{name}_A.txt:{ln}: edge ({u},{v}) crosses graphs")
         if u == v:
             dropped_loops += 1
             continue
         a, b = local_index[u - 1], local_index[v - 1]
-        edges[node_graph[u]].add((min(a, b), max(a, b)))
+        edges[indicator[u - 1] - 1].add((min(a, b), max(a, b)))
     if dropped_loops:
         warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
-
-    attr_path = root / f"{name}_node_attributes.txt"
-    nl_path = root / f"{name}_node_labels.txt"
-    node_rows = None
-    if attr_path.exists():
-        node_rows = [tuple(row) for _, row in _read_rows(attr_path, float, len(indicator))]
-    elif nl_path.exists():
-        node_rows = [(float(row[0]),) for _, row in _read_rows(nl_path, int, len(indicator))]
-    attrs: list[list[tuple[float, ...]]] | None = None
-    if node_rows is not None:
-        attrs = [[] for _ in range(n_graphs)]
-        for g_1idx, row in zip(indicator, node_rows):
-            attrs[g_1idx - 1].append(row)
 
     graphs = []
     for gid in range(n_graphs):
@@ -164,7 +148,6 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
                 num_nodes=counts[gid],
                 edges=tuple(sorted(edges[gid])),
                 label=label_map[raw_labels[gid]],
-                node_attributes=tuple(attrs[gid]) if attrs is not None else None,
             )
         )
     return graphs
@@ -175,20 +158,16 @@ def write_tu_dataset(graphs: list[Graph], dir_path: str | Path, name: str) -> No
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     offset = 0
-    a_lines, ind_lines, attr_lines = [], [], []
+    a_lines, ind_lines = [], []
     for g in graphs:
         for u, v in g.edges:
             a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
             a_lines.append(f"{offset + v + 1}, {offset + u + 1}")
         ind_lines.extend([str(g.id + 1)] * g.num_nodes)
-        if g.node_attributes is not None:
-            attr_lines.extend(", ".join(repr(x) for x in vec) for vec in g.node_attributes)
         offset += g.num_nodes
     (root / f"{name}_A.txt").write_text("\n".join(a_lines) + "\n")
     (root / f"{name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")
     (root / f"{name}_graph_labels.txt").write_text("\n".join(str(g.label) for g in graphs) + "\n")
-    if any(g.node_attributes is not None for g in graphs):
-        (root / f"{name}_node_attributes.txt").write_text("\n".join(attr_lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -206,49 +185,46 @@ class SplitAssignment:
         return {part: int(sum(p == part for p in self.parts)) for part in PARTS}
 
 
+def _deal(parts: list[str], pool: np.ndarray, calib_split: float) -> SplitAssignment:
+    """Give the first floor(|pool| * calib_split) ids of the shuffled `pool`
+    to calib and the rest to test; an empty calib or test raises SplitError."""
+    n_calib = int(np.floor(pool.size * calib_split))
+    for part, ids in (("calib", pool[:n_calib]), ("test", pool[n_calib:])):
+        if ids.size == 0:
+            raise SplitError(f"split leaves {part} empty: {pool.size} pooled, calib_split={calib_split}")
+        for i in ids:
+            parts[i] = part
+    return SplitAssignment(tuple(parts))
+
+
 def split_dataset(
     n: int,
     seed: int,
     pool_split: float = 0.8,
     calib_split: float = 0.5,
-    valid_split: float = 0.0,
 ) -> SplitAssignment:
-    """Shuffle 0..n-1 with `seed` and cut into train/valid/calib/test.
+    """Shuffle 0..n-1 with `seed` and cut into train/calib/test.
 
-    Rounding rule (fixed for determinism): |train pool| = floor(n * pool_split),
-    |calib| = floor(remainder * calib_split), test takes the rest. A nonzero
-    valid fraction is carved from the tail of the train pool.
+    Rounding rule (fixed for determinism): |train| = floor(n * pool_split),
+    and the remaining pool is dealt by `_deal`, the rule `resplit` shares.
     """
     if not (0.0 < pool_split < 1.0 and 0.0 < calib_split < 1.0):
         raise ValueError("pool_split and calib_split must lie strictly inside (0, 1)")
-    if not (0.0 <= valid_split < 1.0):
-        raise ValueError("valid_split must lie in [0, 1)")
     if n < 4:
         raise SplitError(f"need at least 4 graphs, got {n}")
 
     perm = np.random.default_rng(seed).permutation(n)
-    n_train_pool = int(np.floor(n * pool_split))
-    rest = perm[n_train_pool:]
-    n_calib = int(np.floor(len(rest) * calib_split))
-    n_valid = int(np.floor(n_train_pool * valid_split))
+    n_train = int(np.floor(n * pool_split))
+    if n_train == 0:
+        raise SplitError(f"split leaves train empty: {n} graphs, pool_split={pool_split}")
+    return _deal(["train"] * n, perm[n_train:], calib_split)
 
-    parts = [""] * n
-    for i in perm[: n_train_pool - n_valid]:
-        parts[i] = "train"
-    for i in perm[n_train_pool - n_valid : n_train_pool]:
-        parts[i] = "valid"
-    for i in rest[:n_calib]:
-        parts[i] = "calib"
-    for i in rest[n_calib:]:
-        parts[i] = "test"
 
-    assignment = SplitAssignment(tuple(parts))
-    sizes = assignment.sizes()
-    required = ["train", "calib", "test"] + (["valid"] if valid_split > 0 else [])
-    for part in required:
-        if sizes[part] == 0:
-            raise SplitError(f"split leaves {part} empty: {sizes}")
-    return assignment
+def resplit(split: SplitAssignment, calib_split: float, seed: int) -> SplitAssignment:
+    """Re-deal the calib+test pool of `split` with `seed`; train and valid
+    rows stay where they are."""
+    pool = np.flatnonzero(np.isin(split.parts, ("calib", "test")))
+    return _deal(list(split.parts), pool[np.random.default_rng(seed).permutation(pool.size)], calib_split)
 
 
 def write_split_manifest(split: SplitAssignment, path: str | Path, comments: tuple[str, ...] = ()) -> None:

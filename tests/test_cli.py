@@ -168,14 +168,42 @@ def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
     assert rc == 2 and "graph_id is not an integer" in capsys.readouterr().err
 
 
-def test_bands_node_attribute_rows_off_by_one_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--bootstrap", "40", "--level", "1.5"], "--level must lie in (0, 1), got 1.5"),
+    (["--bootstrap", "-5"], "--bootstrap must be >= 0, got -5"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+])
+def test_bands_bad_flag_exit_2_before_any_file(tmp_path, capsys, flags, message):
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "o"
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+               "--knn", "1", "--mode", "exch", *flags, "--out", str(out)])
+    assert rc == 2 and message in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_bands_resplit_with_empty_calib_exit_2_before_any_distance(tmp_path, capsys):
+    # 12 pooled graphs at calib_split 0.05 deal floor(0.6) = 0 to calib
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "o"
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+               "--knn", "1", "--mode", "exch", "--repeats", "2", "--calib-split", "0.05",
+               "--out", str(out)])
+    assert rc == 2 and "split leaves calib empty" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_bands_node_label_edit_is_a_cache_hit(tmp_path, capsys):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
     nodes = len((data / "STARS_graph_indicator.txt").read_text().split())
-    (data / "STARS_node_attributes.txt").write_text("0.5\n" * (nodes + 1))
-    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
-               "--knn", "1", "--mode", "exch", "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert f"STARS_node_attributes.txt: {nodes + 1} rows for {nodes} nodes" in capsys.readouterr().err
+    args = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+            "--knn", "1", "--mode", "exch", "--out", str(tmp_path / "o")]
+    (data / "STARS_node_labels.txt").write_text("1\n" * nodes)
+    assert main(args) == 0
+    (data / "STARS_node_labels.txt").write_text("2\n" * nodes)
+    capsys.readouterr()
+    assert main(args) == 0
+    assert "simmat cache hit" in capsys.readouterr().out
 
 
 def test_bands_byte_identical_reruns(tmp_path):

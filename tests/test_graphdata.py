@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cproc.errors import ParseError, ScoreIngestError, SplitError
 from cproc.graphdata import (
     Graph,
     ScoredDataset,
+    SplitAssignment,
     load_scores,
     parse_tu_dataset,
     read_split_manifest,
+    resplit,
     split_dataset,
     write_scores,
     write_split_manifest,
@@ -78,38 +82,18 @@ def test_parse_empty_dataset(tmp_path):
         parse_tu_dataset(root, "E")
 
 
-def test_node_attributes_parsed(tmp_path):
+def test_node_files_are_ignored(tmp_path):
+    # no filtration or distance reads node labels or attributes, so a file
+    # with a wrong row count and non-numbers changes nothing
+    clean = parse_tu_dataset(write_tiny_fixture(tmp_path / "CLEAN", "TINY"), "TINY")
     root = write_tiny_fixture(tmp_path / "TINY")
-    (root / "TINY_node_attributes.txt").write_text("0.5, 1.0\n0.25, 2.0\n1.5, 3.0\n0.0, 4.0\n2.5, 5.0\n")
-    graphs = parse_tu_dataset(root, "TINY")
-    assert graphs[0].node_attributes == ((0.5, 1.0), (0.25, 2.0), (1.5, 3.0))
-    assert graphs[1].node_attributes == ((0.0, 4.0), (2.5, 5.0))
-
-
-@pytest.mark.parametrize("fname", ["TINY_node_attributes.txt", "TINY_node_labels.txt"])
-@pytest.mark.parametrize("rows, count", [(["1", "2", "3", "4", "5", "6"], 6), (["1", "2", "3", "4"], 4)])
-def test_node_rows_must_match_the_indicator(tmp_path, fname, rows, count):
-    # one row per node: an extra row used to escape as a KeyError and a
-    # missing one was silently accepted
-    root = write_tiny_fixture(tmp_path / "TINY")
-    (root / fname).write_text("\n".join(rows) + "\n")
-    with pytest.raises(ParseError, match=rf"{fname}: {count} rows for 5 nodes"):
-        parse_tu_dataset(root, "TINY")
-
-
-@pytest.mark.parametrize("fname", ["TINY_node_attributes.txt", "TINY_node_labels.txt"])
-def test_node_rows_skip_a_blank_line_mid_file(tmp_path, fname):
-    # a blank line used to shift every later row onto the next node
-    root = write_tiny_fixture(tmp_path / "TINY")
-    (root / fname).write_text("1\n2\n\n3\n4\n5\n")
-    graphs = parse_tu_dataset(root, "TINY")
-    assert graphs[0].node_attributes == ((1.0,), (2.0,), (3.0,))
-    assert graphs[1].node_attributes == ((4.0,), (5.0,))
+    (root / "TINY_node_labels.txt").write_text("C\nN\n\nx, y\n")
+    (root / "TINY_node_attributes.txt").write_text("0.5, nan?\n1\n2\n3\n4\n5\n6\n")
+    assert parse_tu_dataset(root, "TINY") == clean
 
 
 def test_round_trip_identical(tmp_path):
     root = write_tiny_fixture(tmp_path / "TINY")
-    (root / "TINY_node_attributes.txt").write_text("0.5\n0.25\n1.5\n0.0\n2.5\n")
     graphs = parse_tu_dataset(root, "TINY")
     write_tu_dataset(graphs, tmp_path / "COPY", "COPY")
     again = parse_tu_dataset(tmp_path / "COPY", "COPY")
@@ -158,9 +142,38 @@ def test_split_error_on_empty_part():
         split_dataset(3, seed=0)
 
 
-def test_split_valid_carved_from_train():
-    split = split_dataset(100, seed=1, pool_split=0.8, calib_split=0.5, valid_split=0.25)
-    assert split.sizes() == {"train": 60, "valid": 20, "calib": 10, "test": 10}
+def reference_resplit(base_split, pool, calib_split, seed):
+    """The re-split `cproc bands` used before `resplit`, kept as its oracle."""
+    perm = np.random.default_rng(seed).permutation(pool.size)
+    n_calib = int(np.floor(pool.size * calib_split))
+    parts = list(base_split.parts)
+    for idx in perm[:n_calib]:
+        parts[pool[idx]] = "calib"
+    for idx in perm[n_calib:]:
+        parts[pool[idx]] = "test"
+    return type(base_split)(tuple(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(st.sampled_from(("train", "valid", "calib", "test")), min_size=1, max_size=40),
+    calib_split=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_resplit_equals_reference(parts, calib_split, seed):
+    base = SplitAssignment(tuple(parts))
+    pool = np.sort(np.concatenate([base.ids("calib"), base.ids("test")]))
+    expected = reference_resplit(base, pool, calib_split, seed)
+    n_calib = int(np.floor(pool.size * calib_split))
+    if n_calib == 0 or n_calib == pool.size:
+        with pytest.raises(SplitError, match="calib empty" if n_calib == 0 else "test empty"):
+            resplit(base, calib_split, seed)
+        return
+    got = resplit(base, calib_split, seed)
+    assert got == expected
+    for i, part in enumerate(parts):
+        if part in ("train", "valid"):
+            assert got.parts[i] == part
 
 
 def test_split_manifest_roundtrip(tmp_path):
