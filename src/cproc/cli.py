@@ -116,20 +116,16 @@ class RunConfig:
             raise ValueError(f"--seed must be >= 0, got {self.seed}")
         if self.bootstrap < 0:
             raise ValueError(f"--bootstrap must be >= 0, got {self.bootstrap}")
-        if self.knn < 1:
-            raise ValueError(f"--knn must be >= 1, got {self.knn}")
-        if self.repeats < 1:
-            raise ValueError(f"--repeats must be >= 1, got {self.repeats}")
+        for name in ("knn", "repeats", "pairs_parallel", "min_stratum", "pi_resolution",
+                     "dim", "n_train", "n_calib", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
         if self.wasserstein_p < 1.0:
             raise ValueError(f"--wasserstein-p must be >= 1, got {self.wasserstein_p}")
         if not (0.0 < self.pool_split < 1.0 and 0.0 < self.calib_split < 1.0):
             raise ValueError("split ratios must lie strictly inside (0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"--mode must be one of {sorted(MODES)}")
-        if self.pi_resolution < 1:
-            raise ValueError("--pi-resolution must be >= 1")
-        if self.min_stratum < 1:
-            raise ValueError("--min-stratum must be >= 1")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -48,13 +48,6 @@ class Graph:
             a[v, u] = 1.0
         return a
 
-    def degrees(self) -> np.ndarray:
-        d = np.zeros(self.num_nodes)
-        for u, v in self.edges:
-            d[u] += 1.0
-            d[v] += 1.0
-        return d
-
 
 def write_table(path: str | Path, rows, header=None, comments: tuple[str, ...] = ()) -> None:
     """Write `comments` as `# ` lines, then `header` (if any) and `rows` as CSV."""

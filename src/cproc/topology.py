@@ -1,5 +1,10 @@
 """Vertex filtrations, sublevel-set persistent homology, persistence images.
 
+Filtrations are numpy on the dense adjacency: betweenness is Brandes'
+dependency accumulation and harmonic closeness a sum of 1/d, both over one
+level-by-level count of shortest paths from every source; the eigenvector
+filtration is the absolute top `eigh` eigenvector of each component.
+
 Graphs carry no 2-cells, so every independent cycle is an essential H1 class
 (death = +inf); deaths are capped only when vectorizing or comparing
 diagrams. Zero-persistence H0 pairs are kept so that the diagram always has
@@ -14,10 +19,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import networkx as nx
 import numpy as np
 
-from .errors import NumericalError
 from .graphdata import Graph, write_table
 
 
@@ -41,42 +44,41 @@ class PersistenceDiagram:
         return self.dim0 if dim == 0 else self.dim1
 
 
-def _to_networkx(g: Graph) -> nx.Graph:
-    gx = nx.Graph()
-    gx.add_nodes_from(range(g.num_nodes))
-    gx.add_edges_from(g.edges)
-    return gx
+def _hop_paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Hop distances (inf when unreachable), shortest-path counts and the
+    largest finite distance, from every source of adjacency `a` at once.
+    Each level is the last level's counts times `a`, kept only where no
+    shorter path exists; raw powers of `a` would overflow on long paths."""
+    sigma = frontier = np.eye(len(a))
+    dist = np.where(sigma > 0, 0.0, np.inf)
+    depth = 0
+    while (frontier := np.where(np.isfinite(dist), 0.0, frontier @ a)).any():
+        depth += 1
+        dist[frontier > 0] = depth
+        sigma = sigma + frontier
+    return dist, sigma, depth
 
 
-def _eigenvector_values(g: Graph) -> np.ndarray:
-    """Principal adjacency eigenvector per connected component, L2-normalized.
+def _betweenness(a: np.ndarray) -> np.ndarray:
+    """Unnormalized betweenness: Brandes' dependencies of all sources at once,
+    deepest level first; each unordered pair counts once."""
+    dist, sigma, depth = _hop_paths(a)
+    delta = np.zeros_like(sigma)
+    for k in range(depth, 1, -1):
+        coef = np.divide(1.0 + delta, sigma, out=np.zeros_like(delta), where=dist == k)
+        delta += np.where(dist == k - 1, sigma * (coef @ a), 0.0)
+    return delta.sum(axis=0) / 2
 
-    Power iteration runs on A + I; the shift leaves eigenvectors unchanged but
-    guarantees a dominant eigenvalue on bipartite components. It stops when a
-    step moves the vector by at most 1e-10 and fails after 10,000 steps.
-    Isolated vertices get 0.
-    """
-    values = np.zeros(g.num_nodes)
-    a = g.adjacency()
-    for comp in nx.connected_components(_to_networkx(g)):
-        nodes = sorted(comp)
-        if len(nodes) == 1:
-            continue
-        sub = a[np.ix_(nodes, nodes)] + np.eye(len(nodes))
-        x = np.full(len(nodes), 1.0 / math.sqrt(len(nodes)))
-        for _ in range(10_000):
-            y = sub @ x
-            y /= np.linalg.norm(y)
-            if np.linalg.norm(y - x) <= 1e-10:
-                x = y
-                break
-            x = y
-        else:
-            raise NumericalError(
-                f"eigenvector power iteration did not converge on graph {g.id} "
-                f"(component of size {len(nodes)})"
-            )
-        values[nodes] = x
+
+def _eigenvector(a: np.ndarray) -> np.ndarray:
+    """Unit principal eigenvector of each component, made non-negative;
+    isolated vertices get 0."""
+    values = np.zeros(len(a))
+    reach = np.isfinite(_hop_paths(a)[0])
+    for root in np.unique(reach.argmax(axis=1)):
+        nodes = np.flatnonzero(reach[root])
+        if len(nodes) > 1:
+            values[nodes] = np.abs(np.linalg.eigh(a[np.ix_(nodes, nodes)])[1][:, -1])
     return values
 
 
@@ -84,19 +86,20 @@ def compute_filtration(g: Graph, kind: FiltrationKind) -> np.ndarray:
     """One finite real per vertex, according to `kind`."""
     if g.num_nodes == 0:
         raise ValueError("cannot compute a filtration on an empty graph")
+    a = g.adjacency()
     if kind is FiltrationKind.DEGREE:
-        return g.degrees()
+        return a.sum(axis=1)
     if kind is FiltrationKind.BETWEENNESS:
-        cent = nx.betweenness_centrality(_to_networkx(g), normalized=False)
-        return np.array([cent[v] for v in range(g.num_nodes)])
+        return _betweenness(a)
     if kind is FiltrationKind.CLOSENESS:
-        cent = nx.harmonic_centrality(_to_networkx(g))
-        return np.array([cent[v] for v in range(g.num_nodes)])
+        # 1/d(s, v) summed over the sources s != v in id order, as networkx does
+        dist = _hop_paths(a)[0]
+        return np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0).sum(axis=0)
     if kind is FiltrationKind.COMMUNICABILITY:
-        lam, vec = np.linalg.eigh(g.adjacency())
+        lam, vec = np.linalg.eigh(a)
         return (vec**2) @ np.exp(lam)
     if kind is FiltrationKind.EIGENVECTOR:
-        return _eigenvector_values(g)
+        return _eigenvector(a)
     raise ValueError(f"unknown filtration kind {kind!r}")
 
 

@@ -172,6 +172,8 @@ def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
     (["--bootstrap", "40", "--level", "1.5"], "--level must lie in (0, 1), got 1.5"),
     (["--bootstrap", "-5"], "--bootstrap must be >= 0, got -5"),
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--pairs-parallel", "-3"], "--pairs-parallel must be >= 1, got -3"),
+    (["--pairs-parallel", "0"], "--pairs-parallel must be >= 1, got 0"),
 ])
 def test_bands_bad_flag_exit_2_before_any_file(tmp_path, capsys, flags, message):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
@@ -299,6 +301,14 @@ def test_simulate_single_replicate_audit(tmp_path):
 def test_simulate_invalid_alpha_exit_2(tmp_path):
     rc = main(["simulate", "--alpha", "1.5", "--repeats", "1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--dim", "--n-train", "--n-calib", "--n-test"])
+def test_simulate_size_below_one_exit_2_before_any_file(tmp_path, capsys, flag):
+    out = tmp_path / "sim"
+    rc = main(["simulate", flag, "0", "--beta", "", "--repeats", "1", "--out", str(out)])
+    assert rc == 2 and f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

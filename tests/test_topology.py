@@ -4,9 +4,10 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cproc.errors import NumericalError
 from cproc.graphdata import Graph
 from cproc.topology import (
     FiltrationKind,
@@ -21,12 +22,17 @@ from cproc.topology import (
 from conftest import random_er_graph
 
 
-def brute_force_betweenness(g: Graph) -> np.ndarray:
-    """Enumerate every simple path between every pair; split evenly among
-    shortest paths. Independent of the production implementation."""
+def to_nx(g: Graph) -> nx.Graph:
     gx = nx.Graph()
     gx.add_nodes_from(range(g.num_nodes))
     gx.add_edges_from(g.edges)
+    return gx
+
+
+def brute_force_betweenness(g: Graph) -> np.ndarray:
+    """Enumerate every simple path between every pair; split evenly among
+    shortest paths. Independent of the production implementation."""
+    gx = to_nx(g)
     values = np.zeros(g.num_nodes)
     for s, t in itertools.combinations(range(g.num_nodes), 2):
         paths = list(nx.all_simple_paths(gx, s, t)) if nx.has_path(gx, s, t) else []
@@ -90,26 +96,79 @@ def test_eigenvector_matches_eigh_per_component():
     for _ in range(20):
         g = random_er_graph(rng, max_nodes=12)
         got = compute_filtration(g, FiltrationKind.EIGENVECTOR)
-        gx = nx.Graph()
-        gx.add_nodes_from(range(g.num_nodes))
-        gx.add_edges_from(g.edges)
         a = g.adjacency()
-        for comp in nx.connected_components(gx):
+        for comp in nx.connected_components(to_nx(g)):
             nodes = sorted(comp)
             if len(nodes) == 1:
                 assert got[nodes[0]] == 0.0
                 continue
             lam, vec = np.linalg.eigh(a[np.ix_(nodes, nodes)])
             principal = np.abs(vec[:, -1])  # Perron vector is sign-free
-            assert np.allclose(got[nodes], principal, atol=1e-7)
+            assert np.allclose(got[nodes], principal, atol=1e-12)
 
 
-def test_eigenvector_bipartite_converges(path3):
-    # bipartite components oscillate under plain power iteration; the A+I
-    # shift must converge here
+def test_eigenvector_bipartite_takes_the_positive_eigenvalue(path3):
+    # a bipartite component has both +lambda_max and -lambda_max; the
+    # filtration is the Perron vector of +lambda_max
     got = compute_filtration(path3, FiltrationKind.EIGENVECTOR)
     want = np.array([0.5, np.sqrt(0.5), 0.5])
     assert np.allclose(got, want, atol=1e-8)
+
+
+def clique_with_tail(clique: int = 20, tail: int = 300) -> Graph:
+    """A clique with a long path hanging off vertex 0: raw powers of A
+    overflow here (19^300 > 1e308), shortest-path counts do not."""
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    edges += [(0 if v == clique else v - 1, v) for v in range(clique, clique + tail)]
+    return Graph(id=0, num_nodes=clique + tail, edges=tuple(edges), label=0)
+
+
+def assert_centralities_match_networkx(g: Graph) -> None:
+    """Betweenness within relative 1e-12 of networkx, harmonic closeness
+    bit-equal to it."""
+    gx = to_nx(g)
+    bc = nx.betweenness_centrality(gx, normalized=False)
+    got = compute_filtration(g, FiltrationKind.BETWEENNESS)
+    np.testing.assert_allclose(got, [bc[v] for v in range(g.num_nodes)], rtol=1e-12, atol=0)
+    hc = nx.harmonic_centrality(gx)
+    assert compute_filtration(g, FiltrationKind.CLOSENESS).tolist() == [hc[v] for v in range(g.num_nodes)]
+
+
+def test_clique_with_tail_matches_networkx():
+    assert_centralities_match_networkx(clique_with_tail())
+
+
+@st.composite
+def _forests_of_blocks(draw) -> Graph:
+    """A disjoint union of 1-4 random blocks (isolated vertices included)
+    with the vertex ids shuffled across blocks."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    edges, start = [], 0
+    for size in sizes:
+        pairs = list(itertools.combinations(range(start, start + size), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        edges += [tuple(sorted((perm[u], perm[v]))) for (u, v), k in zip(pairs, keep) if k]
+        start += size
+    return Graph(id=0, num_nodes=n, edges=tuple(sorted(edges)), label=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forests_of_blocks())
+def test_property_filtrations_match_networkx_and_eigh(g):
+    assert_centralities_match_networkx(g)
+    x = compute_filtration(g, FiltrationKind.EIGENVECTOR)
+    a = g.adjacency()
+    for comp in nx.connected_components(to_nx(g)):
+        nodes = sorted(comp)
+        if len(nodes) == 1:
+            assert x[nodes[0]] == 0.0
+            continue
+        sub, xc = a[np.ix_(nodes, nodes)], x[nodes]
+        assert np.all(xc >= 0.0)
+        assert abs(np.linalg.norm(xc) - 1.0) <= 1e-12
+        assert np.linalg.norm(sub @ xc - np.linalg.eigvalsh(sub)[-1] * xc) <= 1e-10
 
 
 def test_filtration_empty_graph_rejected():
@@ -146,10 +205,7 @@ def test_persistence_structure_random_graphs():
         g = random_er_graph(rng)
         values = rng.normal(size=g.num_nodes)
         d = sublevel_persistence(g, values)
-        gx = nx.Graph()
-        gx.add_nodes_from(range(g.num_nodes))
-        gx.add_edges_from(g.edges)
-        n_comp = nx.number_connected_components(gx)
+        n_comp = nx.number_connected_components(to_nx(g))
         assert len(d.dim0) == g.num_nodes
         assert np.isinf(d.dim0[:, 1]).sum() == n_comp
         assert len(d.dim1) == len(g.edges) - g.num_nodes + n_comp
