@@ -1,5 +1,6 @@
 """Print the sha256 of every file that a fixed set of `cproc bands`,
-`cproc simmat`, `cproc simulate` and `multilabel_bands` runs writes.
+`cproc simmat`, `cproc simulate`, `cproc topo`, `cproc plot` and
+`multilabel_bands` runs writes.
 
 Run it from the repository root with the cproc to be checked on the path:
 
@@ -18,7 +19,10 @@ also have, so it can be run against them.
 The warm case runs `cproc simmat` and then two `cproc bands` calls with a
 1000-resample bootstrap in the same directory; both must hit the similarity
 cache, and the outputs are hashed after each call, so the cache-hit path
-and the bootstrap are covered.
+and the bootstrap are covered. Last come `cproc topo` with the eigenvector
+filtration on the MUTAG-shaped set and a `cproc plot` that overlays the
+cond and exch twin-star bands, so every subcommand writes files that are
+hashed.
 """
 
 import os
@@ -133,7 +137,11 @@ def run_all() -> list[str]:
         if "simmat cache hit" not in stdout:
             raise SystemExit(f"tu-warm bands --seed {seed} missed the similarity cache")
         lines += digests("tu-warm", f" (after bands --seed {seed})")
-    return lines
+
+    cli("topo", "--dataset", "MUTAGX/MUTAGX", "--filtration", "eigenvector", "--out", "topo")
+    Path("plot").mkdir()
+    cli("plot", "stars-cond/band.csv", "stars-exch/band.csv", "--out", "plot")
+    return lines + digests("topo") + digests("plot")
 
 
 def main_() -> int:

@@ -108,6 +108,9 @@ class RunConfig:
     level: float = _flag(0.95, ("bands",), "bootstrap confidence level")
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"--{f.name.replace('_', '-')} must be finite, got {getattr(self, f.name)}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (0.0 < self.level < 1.0):
@@ -149,8 +152,11 @@ def _write_report(path: Path, payload: dict, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip()) if text else ()
+def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip()) if text else ()
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{flag} must hold finite numbers, got {text}")
+    return values
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -323,7 +329,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
             grid,
             B=cfg.bootstrap,
             level=cfg.level,
-            seed=cfg.seed,
+            # a spawned child stream never equals the default_rng(int) streams of the splits
+            seed=np.random.SeedSequence(cfg.seed).spawn(1)[0],
         )
         write_band_csv(
             out / "bootstrap_band.csv",
@@ -360,9 +367,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    beta = _parse_float_list(cfg.beta)
+    beta = _parse_float_list(cfg.beta, "--beta")
     spec = SyntheticSpec(
         n_train=cfg.n_train,
         n_calib=cfg.n_calib,
@@ -370,9 +375,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         dim=cfg.dim,
         beta=beta if beta else (1.0,) * cfg.dim,
         missing=_parse_int_list(cfg.missing),
-        shift=_parse_float_list(cfg.shift) or None,
+        shift=_parse_float_list(cfg.shift, "--shift") or None,
         seed=cfg.seed,
     )
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     report = coverage_experiment(
         spec,
         alpha=cfg.alpha,

@@ -113,7 +113,6 @@ def band_from_intervals(
     up_pos: np.ndarray,
     lo_neg: np.ndarray,
     up_neg: np.ndarray,
-    lambda_grid: np.ndarray | None = None,
 ) -> RocBand:
     """Combine the raw interval endpoints of the test positives and negatives
     into sensitivity/specificity bands.
@@ -128,13 +127,7 @@ def band_from_intervals(
         raise DegenerateTestError("both interval sets must be nonempty")
     if lo_pos.shape != up_pos.shape or lo_neg.shape != up_neg.shape:
         raise ValueError("lower and upper endpoint arrays must have equal lengths")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(lo_pos, up_pos, lo_neg, up_neg)
-    else:
-        lambda_grid = np.asarray(lambda_grid, dtype=float)
-        if lambda_grid.size == 0 or lambda_grid.min() < 0.0 or lambda_grid.max() > 1.0:
-            raise ValueError("lambda grid must be nonempty and lie in [0, 1]")
-
+    lambda_grid = default_lambda_grid(lo_pos, up_pos, lo_neg, up_neg)
     sen_lo = _frac_above(lo_pos, lambda_grid)
     sen_up = _frac_above(up_pos, lambda_grid)
     spe_lo = _frac_above(lo_neg, lambda_grid)

@@ -85,8 +85,8 @@ def _prepare_points(arr: np.ndarray, p: float, label: str) -> _Points:
 
 def _prepare(d: PersistenceDiagram, p: float) -> tuple[_Points, _Points]:
     """Validate a finite diagram once and precompute what every pair reuses."""
-    if p < 1.0:
-        raise ValueError(f"Wasserstein order must be >= 1, got {p}")
+    if not (1.0 <= p < np.inf):
+        raise ValueError(f"Wasserstein order must be finite and >= 1, got {p}")
     return tuple(_prepare_points(d.points(dim), p, f"diagram {d.graph_id} dim{dim}") for dim in (0, 1))
 
 

@@ -66,11 +66,12 @@ def test_criterion_02_empirical_curve_sandwich():
         pos = np.array([(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_pos])
         neg = np.array([(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_neg])
         grid = default_lambda_grid(f_pos, f_neg)
-        band = band_from_intervals(*pos.T, *neg.T, lambda_grid=grid)
+        band = band_from_intervals(*pos.T, *neg.T)
+        (sen_lo, sen_up), (spe_lo, spe_up) = band.sen_at(grid), band.spe_at(grid)
         tpr = np.array([np.mean(f_pos > lam) for lam in grid])
         fpr = np.array([np.mean(f_neg > lam) for lam in grid])
-        assert np.all(band.sen_lo <= tpr) and np.all(tpr <= band.sen_up)
-        assert np.all(band.spe_lo <= fpr) and np.all(fpr <= band.spe_up)
+        assert np.all(sen_lo <= tpr) and np.all(tpr <= sen_up)
+        assert np.all(spe_lo <= fpr) and np.all(fpr <= spe_up)
         checked += grid.size
     print(f"\nACCEPTANCE 2 PASS: sandwich exact on 50 instances ({checked} grid evaluations)")
 

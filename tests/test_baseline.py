@@ -74,16 +74,18 @@ def test_argument_validation():
 
 
 def reference_bootstrap_bands(positive_mask, scores, lambda_grid, B, level, seed):
-    """Slow reference: sort each resample, then four percentile calls."""
+    """Slow reference: one generator draws every positive resample, then
+    every negative one; sort each resample, then four percentile calls over
+    resample-major rates."""
     pos, neg = scores[positive_mask], scores[~positive_mask]
+    rng = np.random.default_rng(seed)
+    pos_draws = rng.integers(0, pos.size, (B, pos.size))
+    neg_draws = rng.integers(0, neg.size, (B, neg.size))
     tprs = np.empty((B, lambda_grid.size))
     fprs = np.empty((B, lambda_grid.size))
     for b in range(B):
-        rng = np.random.default_rng(seed + b)
-        pos_b = pos[rng.integers(0, pos.size, pos.size)]
-        neg_b = neg[rng.integers(0, neg.size, neg.size)]
-        tprs[b] = _frac_above(pos_b, lambda_grid)
-        fprs[b] = _frac_above(neg_b, lambda_grid)
+        tprs[b] = _frac_above(pos[pos_draws[b]], lambda_grid)
+        fprs[b] = _frac_above(neg[neg_draws[b]], lambda_grid)
     lo_q, up_q = (1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0
     return (np.quantile(tprs, lo_q, axis=0), np.quantile(tprs, up_q, axis=0),
             np.quantile(fprs, lo_q, axis=0), np.quantile(fprs, up_q, axis=0))

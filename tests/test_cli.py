@@ -14,7 +14,7 @@ from cproc.graphdata import (
     write_split_manifest,
     write_tu_dataset,
 )
-from cproc.rocbands import read_band_csv
+from cproc.rocbands import _frac_above, read_band_csv
 from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 from cproc.topology import FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
@@ -174,6 +174,9 @@ def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
     (["--seed", "-1"], "--seed must be >= 0, got -1"),
     (["--pairs-parallel", "-3"], "--pairs-parallel must be >= 1, got -3"),
     (["--pairs-parallel", "0"], "--pairs-parallel must be >= 1, got 0"),
+    (["--wasserstein-p", "nan"], "--wasserstein-p must be finite, got nan"),
+    (["--wasserstein-p", "inf"], "--wasserstein-p must be finite, got inf"),
+    (["--alpha", "nan"], "--alpha must be finite, got nan"),
 ])
 def test_bands_bad_flag_exit_2_before_any_file(tmp_path, capsys, flags, message):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
@@ -275,6 +278,24 @@ def test_bands_bootstrap_overlay_and_plot(tmp_path):
     assert "False positive rate" in svg
 
 
+def test_bands_bootstrap_draws_from_a_spawned_child_stream(tmp_path):
+    data, scores, split, labels, probs, parts = twin_star_dataset(tmp_path)
+    out = tmp_path / "b1"
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+               "--knn", "1", "--mode", "exch", "--repeats", "1", "--bootstrap", "1", "--seed", "5",
+               "--out", str(out)])
+    assert rc == 0
+    test = np.array(parts) == "test"
+    pos, neg = probs[test & (labels == 1), 1], probs[test & (labels == 0), 1]
+    rng = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
+    pos_b = pos[rng.integers(0, pos.size, (1, pos.size))[0]]
+    neg_b = neg[rng.integers(0, neg.size, (1, neg.size))[0]]
+    boot = read_band_csv(out / "bootstrap_band.csv")
+    for lo, up, resample in (("sen_lo", "sen_up", pos_b), ("spe_lo", "spe_up", neg_b)):
+        want = _frac_above(resample, boot["lambda"])
+        assert np.array_equal(boot[lo], want) and np.array_equal(boot[up], want)
+
+
 def test_plot_empty_file_exit_2(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -309,6 +330,16 @@ def test_simulate_size_below_one_exit_2_before_any_file(tmp_path, capsys, flag):
     rc = main(["simulate", flag, "0", "--beta", "", "--repeats", "1", "--out", str(out)])
     assert rc == 2 and f"{flag} must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "inf,0,0"), ("--beta", "nan,1,1"), ("--shift", "nan,0,0"), ("--shift", "inf,0,0"),
+])
+def test_simulate_non_finite_list_exit_2_before_any_file(tmp_path, capsys, flag, value):
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--dim", "3", flag, value, "--repeats", "1", "--out", str(out)])
+    assert rc == 2 and f"{flag} must hold finite numbers, got {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):

@@ -184,7 +184,7 @@ def test_interval_clamped_reporting():
     assert lo < 0.0  # raw endpoint retained
     assert min(max(lo, 0.0), 1.0) == 0.0
     # the band keeps the raw endpoint for its indicators
-    band = band_from_intervals([lo], [up], [0.5], [0.5], lambda_grid=np.array([0.0]))
+    band = band_from_intervals([lo], [up], [0.5], [0.5])
     assert band.lo_pos[0] == lo
 
 

@@ -25,10 +25,10 @@ from cproc.synthetic import (
 )
 
 
-def band_of(pos, neg, **kw):
+def band_of(pos, neg):
     """Band from (lo, up) endpoint pairs of the positives and the negatives."""
     pos, neg = np.array(pos, dtype=float).reshape(-1, 2), np.array(neg, dtype=float).reshape(-1, 2)
-    return band_from_intervals(pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1], **kw)
+    return band_from_intervals(pos[:, 0], pos[:, 1], neg[:, 0], neg[:, 1])
 
 
 def degenerate(values):
@@ -109,15 +109,14 @@ def test_band_widened_intervals_contain_original():
         base = band_of(
             [(f - a, f + b) for f, (a, b) in zip(f_pos, w_pos)],
             [(f - a, f + b) for f, (a, b) in zip(f_neg, w_neg)],
-            lambda_grid=grid,
         )
         wide = band_of(
             [(f - a - delta, f + b + delta) for f, (a, b) in zip(f_pos, w_pos)],
             [(f - a - delta, f + b + delta) for f, (a, b) in zip(f_neg, w_neg)],
-            lambda_grid=grid,
         )
-        assert np.all(wide.sen_lo <= base.sen_lo) and np.all(base.sen_up <= wide.sen_up)
-        assert np.all(wide.spe_lo <= base.spe_lo) and np.all(base.spe_up <= wide.spe_up)
+        for at in ("sen_at", "spe_at"):
+            (base_lo, base_up), (wide_lo, wide_up) = getattr(base, at)(grid), getattr(wide, at)(grid)
+            assert np.all(wide_lo <= base_lo) and np.all(base_up <= wide_up)
 
 
 def test_band_invariants_ordering_and_monotone():
@@ -139,11 +138,12 @@ def test_band_sandwich_and_auc_ordering_under_straddle():
         grid = default_lambda_grid(f_pos, f_neg)
         pos = [(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_pos]
         neg = [(f - rng.uniform(0, 0.3), f + rng.uniform(0, 0.3)) for f in f_neg]
-        band = band_of(pos, neg, lambda_grid=grid)
-        point = band_of(degenerate(f_pos), degenerate(f_neg), lambda_grid=grid)
+        band = band_of(pos, neg)
+        point = band_of(degenerate(f_pos), degenerate(f_neg))
         # exact indicator arithmetic: lo <= f <= up lifts through the sums
-        assert np.all(band.sen_lo <= point.sen_lo) and np.all(point.sen_up <= band.sen_up)
-        assert np.all(band.spe_lo <= point.spe_lo) and np.all(point.spe_up <= band.spe_up)
+        for at in ("sen_at", "spe_at"):
+            (band_lo, band_up), (point_lo, point_up) = getattr(band, at)(grid), getattr(point, at)(grid)
+            assert np.all(band_lo <= point_lo) and np.all(point_up <= band_up)
         assert band.auc_lo <= point.auc_lo + 1e-12
         assert point.auc_up <= band.auc_up + 1e-12
 
@@ -164,11 +164,11 @@ def _endpoints(points):
 @given(_points, _points, st.one_of(st.none(), st.lists(_prob, min_size=1, max_size=40)))
 def test_property_bands_monotone_in_lambda_and_ordered(pos, neg, grid):
     """On any grid the four bounds fall as lambda rises, and lo <= up."""
-    grid = None if grid is None else np.unique(grid)
     _, lo_pos, up_pos = _endpoints(pos)
     _, lo_neg, up_neg = _endpoints(neg)
-    band = band_from_intervals(lo_pos, up_pos, lo_neg, up_neg, lambda_grid=grid)
-    for lo, up in ((band.sen_lo, band.sen_up), (band.spe_lo, band.spe_up)):
+    band = band_from_intervals(lo_pos, up_pos, lo_neg, up_neg)
+    grid = band.lambda_grid if grid is None else np.unique(grid)
+    for lo, up in (band.sen_at(grid), band.spe_at(grid)):
         assert np.all(lo <= up)
         assert np.all(np.diff(lo) <= 0) and np.all(np.diff(up) <= 0)
 
@@ -194,11 +194,6 @@ def test_band_empty_class_rejected():
 def test_band_endpoint_lengths_must_match():
     with pytest.raises(ValueError, match="equal lengths"):
         band_from_intervals([0.1, 0.2], [0.3], [0.1], [0.2])
-
-
-def test_band_grid_validation():
-    with pytest.raises(ValueError, match="grid"):
-        band_of([(0.1, 0.2)], [(0.1, 0.2)], lambda_grid=np.array([-0.5, 1.0]))
 
 
 def test_default_grid_contains_endpoints():

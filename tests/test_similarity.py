@@ -170,8 +170,9 @@ def test_rejects_infinite_points():
 
 
 def test_rejects_bad_order():
-    with pytest.raises(ValueError, match="order"):
-        wasserstein_distance(diag_only([]), diag_only([], 1), 0.5)
+    for p in (0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="order"):
+            wasserstein_distance(diag_only([]), diag_only([], 1), p)
 
 
 def test_capped_diagram_policy():
