@@ -80,6 +80,16 @@ def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:
             yield ln, row
 
 
+def _read_column(path: Path) -> list[int]:
+    """The one integer on each non-blank line of `path`."""
+    values = []
+    for ln, row in _read_rows(path):
+        if len(row) != 1:
+            raise ParseError(f"{path.name}:{ln}: expected one integer, got {row}")
+        values.append(row[0])
+    return values
+
+
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     """Parse a dataset directory in the TU benchmark layout.
 
@@ -96,8 +106,8 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
         if not (root / fname).exists():
             raise ParseError(f"missing mandatory file {fname} in {root}")
 
-    indicator = [row[0] for _, row in _read_rows(root / f"{name}_graph_indicator.txt")]
-    raw_labels = [row[0] for _, row in _read_rows(root / f"{name}_graph_labels.txt")]
+    indicator = _read_column(root / f"{name}_graph_indicator.txt")
+    raw_labels = _read_column(root / f"{name}_graph_labels.txt")
     if not raw_labels:
         raise ParseError(f"{name}: empty dataset (no graph labels)")
     label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}

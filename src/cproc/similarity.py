@@ -17,6 +17,19 @@ assignment whose rows are the smaller diagram's points and whose columns are
 the other diagram's points plus one own-diagonal slot per row; the other
 diagram's diagonal costs enter as an offset.
 
+For p = 1, `build_similarity_matrix` solves a homology dimension whose points
+are all integer without assignments. With the diagonal as one root node, W1 is
+a transport over the dataset's T distinct points, so by Kantorovich-Rubinstein
+duality 2 W1(a, b) is the largest (c_a - c_b) . g over the vertices g of
+{|g_x - g_y| <= 2 Linf(x, y), |g_x| <= death(x) - birth(x)}, where c counts a
+diagram's copies of each point. Its constraint matrix is a graph incidence
+matrix, so every vertex is an integer point: the integer points are walked
+coordinate by coordinate, and a point is a vertex when its tight constraints
+connect every point to the root (rank T). The matrix is then one integer
+product and a row max per diagram, equal to the assignment bit for bit (both
+sum exact half-integers). A dimension with a non-integer point, p != 1, or
+more than `_MAX_LATTICE_POINTS` integer points takes the assignment path.
+
 A `SimilarityMatrix` hands out `block(rows, cols)`, the only way the conformal
 pipeline reads distances. It has two backends: a dense array (every `.simmat`
 file and Wasserstein build), whose blocks are slices, and Euclidean points
@@ -51,6 +64,10 @@ from .topology import PersistenceDiagram, max_finite_value
 
 _MAGIC = b"CPROCSIM"
 _FORMAT_VERSION = 2
+# integer points of one dimension's dual polytope that the exact p = 1 path
+# may enumerate; a larger polytope takes the assignment path. The polytope
+# holds every 0/1 point, so this also keeps the path to at most 16 types.
+_MAX_LATTICE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -62,6 +79,9 @@ class _Points:
     diag: np.ndarray  # ((death - birth) / 2) ** p, the cost of the diagonal
     diag_sum: float
     key: tuple[int, bytes]  # canonical orientation of a pair, see _matching_cost
+
+
+_NO_POINTS = _Points(births=np.zeros(0), deaths=np.zeros(0), diag=np.zeros(0), diag_sum=0.0, key=(0, b""))
 
 
 def _prepare_points(arr: np.ndarray, p: float, label: str) -> _Points:
@@ -121,6 +141,49 @@ def _matching_cost(a: _Points, b: _Points, p: float) -> float:
 def _distance(a: tuple[_Points, _Points], b: tuple[_Points, _Points], p: float) -> float:
     """Wasserstein distance between two prepared diagrams."""
     return (_matching_cost(a[0], b[0], p) + _matching_cost(a[1], b[1], p)) ** (1.0 / p)
+
+
+def _dual_doubled_costs(points: list[_Points]) -> np.ndarray | None:
+    """Twice the p = 1 matching cost between every two diagrams' points of one
+    dimension, by duality over the dataset's distinct points (see the module
+    docstring); None unless every point is integer and the dual polytope holds
+    at most _MAX_LATTICE_POINTS integer points."""
+    pts = np.column_stack([np.concatenate([q.births for q in points]),
+                           np.concatenate([q.deaths for q in points])])
+    if not np.array_equal(pts, np.round(pts)):
+        return None
+    types, kind = np.unique(pts, axis=0, return_inverse=True)
+    n, T = len(points), len(types)
+    owner = np.repeat(np.arange(n), [len(q.births) for q in points])
+    counts = np.bincount(owner * T + kind.reshape(-1), minlength=n * T).reshape(n, T)
+    reach = types[:, 1] - types[:, 0]  # twice the cost of the diagonal
+    gap = 2.0 * np.abs(types[:, None, :] - types[None, :, :]).max(2)  # twice the L-infinity cost
+    # every integer g with |g_x - g_y| <= gap[x, y] and |g_x| <= reach[x],
+    # placed one coordinate at a time (floats: exact for these integers, and
+    # a huge reach or gap cannot overflow before the size check)
+    lattice = np.zeros((1, 0))
+    for x in range(T):
+        lo = np.maximum(-reach[x], (lattice - gap[x, :x]).max(1, initial=-np.inf))
+        hi = np.minimum(reach[x], (lattice + gap[x, :x]).min(1, initial=np.inf))
+        width = hi - lo + 1
+        if width.sum() > _MAX_LATTICE_POINTS:
+            return None
+        width = width.astype(np.int64)
+        rows = np.repeat(np.arange(len(lattice)), width)
+        step = np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)
+        lattice = np.column_stack([lattice[rows], lo[rows] + step])
+    # a vertex's tight constraints have rank T: as graph edges (a tight
+    # |g_x| row joins x to the diagonal), they connect every type to it
+    tight = [np.abs(lattice - lattice[:, [y]]) == gap[y] for y in range(T)]
+    linked = np.abs(lattice) == reach
+    for _ in range(T - 1):
+        for y in range(T):
+            linked |= tight[y] & linked[:, [y]]
+    flow = counts @ lattice[linked.all(1)].astype(np.int64).T
+    doubled = np.zeros((n, n), dtype=np.int64)
+    for i in range(n - 1):
+        doubled[i, i + 1 :] = (flow[i] - flow[i + 1 :]).max(1)
+    return doubled + doubled.T
 
 
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
@@ -201,14 +264,27 @@ def build_similarity_matrix(
     """All-pairs Wasserstein distances (symmetric, zero diagonal).
 
     `cap` defaults to the largest finite birth/death in the dataset and is
-    applied to every diagram before matching.
+    applied to every diagram before matching. For p = 1, a dimension whose
+    points are all integer is solved by duality for all pairs at once; the
+    other dimensions are matched pair by pair, on `workers` processes.
     """
     if cap is None:
         cap = max_finite_value(diagrams)
     prepared = [_prepare(capped_diagram(d, cap), p) for d in diagrams]
     n = len(prepared)
     values = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    matched = 2  # dimensions left to match pair by pair
+    if p == 1.0 and n > 1:
+        for dim in (0, 1):
+            doubled = _dual_doubled_costs([q[dim] for q in prepared])
+            if doubled is not None:
+                values += doubled / 2.0
+                matched -= 1
+                # the pairs below match this dimension as empty, at cost 0.0;
+                # with p = 1 the root is the identity, so adding the other
+                # dimension's cost is the float sum `_distance` takes
+                prepared = [q[:dim] + (_NO_POINTS,) + q[dim + 1 :] for q in prepared]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if matched else []
     if workers and workers > 1 and len(pairs) > 1:
         chunks = [pairs[k::workers] for k in range(workers) if pairs[k::workers]]
         with ProcessPoolExecutor(
@@ -216,10 +292,10 @@ def build_similarity_matrix(
         ) as pool:
             for result in pool.map(_pool_pairs, chunks):
                 for i, j, dist in result:
-                    values[i, j] = values[j, i] = dist
+                    values[i, j] = values[j, i] = values[i, j] + dist
     else:
         for i, j in pairs:
-            values[i, j] = values[j, i] = _distance(prepared[i], prepared[j], p)
+            values[i, j] = values[j, i] = values[i, j] + _distance(prepared[i], prepared[j], p)
     return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)
 
 

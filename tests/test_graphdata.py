@@ -73,6 +73,14 @@ def test_parse_errors_name_the_file_line(tmp_path):
         parse_tu_dataset(root, "D")
 
 
+@pytest.mark.parametrize("suffix, text", [("graph_indicator", "1\n1 7\n1\n2\n2\n"), ("graph_labels", "1\n-1 0\n")])
+def test_parse_one_integer_per_line(tmp_path, suffix, text):
+    root = write_tiny_fixture(tmp_path / "TINY")
+    (root / f"TINY_{suffix}.txt").write_text(text)
+    with pytest.raises(ParseError, match=rf"TINY_{suffix}\.txt:2: expected one integer, got \[-?\d+, \d+\]"):
+        parse_tu_dataset(root, "TINY")
+
+
 def test_parse_empty_dataset(tmp_path):
     root = tmp_path / "E"
     root.mkdir()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import cproc.similarity as similarity
 from cproc.errors import ParseError
 from cproc.graphdata import Graph
 from cproc.similarity import (
@@ -320,6 +321,7 @@ def test_identical_diagrams_zero_matrix():
     d = diag_only([[0.0, 1.0]])
     mat = build_similarity_matrix([d, d, d], p=1.0, cap=1.0)
     assert np.array_equal(mat.values, np.zeros((3, 3)))
+    assert build_similarity_matrix([], p=1.0).values.shape == (0, 0)
 
 
 def test_matrix_entries_match_pairwise_calls():
@@ -340,6 +342,103 @@ def test_parallel_matches_serial():
     serial = build_similarity_matrix(diagrams, p=1.0)
     parallel = build_similarity_matrix(diagrams, p=1.0, workers=2)
     assert np.array_equal(serial.values, parallel.values)
+
+
+# --- the p = 1 dual path and its fallback -----------------------------------
+
+# integer points with birth 0..5 and persistence 0..4: zero persistence included
+_lattice_point = st.tuples(st.integers(0, 5), st.integers(0, 4)).map(lambda bl: (float(bl[0]), float(sum(bl))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_dual_build_bit_equal_to_pairwise_distances(data):
+    """Diagrams over random integer lattices of 1-8 types per dimension, with
+    duplicates and empty dimensions: every entry is the pairwise distance."""
+    lattices = [data.draw(st.lists(_lattice_point, min_size=1, max_size=8, unique=True)) for _ in (0, 1)]
+    n = data.draw(st.integers(2, 12))
+    diagrams = [
+        _diagram(gid, *(data.draw(st.lists(st.sampled_from(types), max_size=6)) for types in lattices))
+        for gid in range(n)
+    ]
+    mat = build_similarity_matrix(diagrams, p=1.0)
+    capped = [capped_diagram(d, mat.cap) for d in diagrams]
+    for i, j in itertools.permutations(range(n), 2):
+        assert mat.values[i, j] == wasserstein_distance(capped[i], capped[j], 1.0)
+
+
+def test_integer_diagrams_solve_no_assignment(monkeypatch):
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE, 60)
+    want = [[wasserstein_distance(a, b, 1.0) for b in diagrams] for a in diagrams]
+
+    def refuse(cost):
+        raise AssertionError("the dual path solves no assignment")
+
+    monkeypatch.setattr(similarity, "linear_sum_assignment", refuse)
+    assert np.array_equal(build_similarity_matrix(diagrams, p=1.0, cap=cap).values, want)
+
+
+def assignment_calls(monkeypatch, fn):
+    """fn's result and the number of assignments it solved in this process."""
+    calls = []
+
+    def counted(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    with monkeypatch.context() as m:
+        m.setattr(similarity, "linear_sum_assignment", counted)
+        return fn(), len(calls)
+
+
+def assert_matched_pair_by_pair(monkeypatch, diagrams, p, matched_dims, **kw):
+    """The build equals pairwise `wasserstein_distance` bit for bit and solves
+    the assignments that pairwise calls solve in the dimensions `matched_dims`."""
+    mat, calls = assignment_calls(monkeypatch, lambda: build_similarity_matrix(diagrams, p=p, **kw))
+    capped = [capped_diagram(d, mat.cap) for d in diagrams]
+    pairs = list(itertools.combinations(range(len(diagrams)), 2))
+
+    def only(d):
+        kept = (d.points(k) if k in matched_dims else np.zeros((0, 2)) for k in (0, 1))
+        return PersistenceDiagram(d.graph_id, *kept)
+
+    _, want_calls = assignment_calls(
+        monkeypatch, lambda: [wasserstein_distance(only(capped[i]), only(capped[j]), p) for i, j in pairs]
+    )
+    assert calls == want_calls
+    for i, j in pairs:
+        assert mat.values[i, j] == mat.values[j, i] == wasserstein_distance(capped[i], capped[j], p)
+
+
+def test_non_integer_points_are_matched_pair_by_pair(monkeypatch):
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
+
+
+def test_order_two_is_matched_pair_by_pair(monkeypatch):
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, 2.0, (0, 1), cap=cap)
+
+
+def test_lattice_over_the_limit_is_matched_pair_by_pair(monkeypatch):
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
+    monkeypatch.setattr(similarity, "_MAX_LATTICE_POINTS", 0)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_only_the_non_integer_dimension_is_matched(monkeypatch, workers):
+    # dim-1 deaths moved off the integers; dim 0 keeps them. Worker processes
+    # solve the assignments, so with workers this process solves none.
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
+    assert any(len(d.dim1) for d in diagrams)
+    shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in diagrams]
+    assert_matched_pair_by_pair(monkeypatch, shifted, 1.0, () if workers else (1,), cap=cap + 0.5, workers=workers)
+
+
+def test_workers_leave_the_dual_path_alone(monkeypatch):
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (), cap=cap, workers=2)
 
 
 # --- knn ----------------------------------------------------------------------
