@@ -4,9 +4,13 @@ TU benchmark files are 1-indexed; everything here is rebased to 0-indexed
 graphs and per-graph 0-indexed nodes. Duplicate and reversed edges collapse
 to a single undirected edge, and self-loops are dropped (counted in a
 warning). Only the files the distances use are read: node label and
-attribute files are ignored. `split_dataset` and `resplit` cut the
-calib/test pool by one rule, and `write_table` is the one writer of every
-CSV that cproc emits.
+attribute files are ignored. Each file is read in blocks of BLOCK_BYTES
+that numpy cuts into tokens and lines; digit tokens become int64 in one
+vectorised pass and only other tokens go through int(). The graphs are then
+assembled with array operations: one stable argsort numbers the nodes of
+each graph and one np.unique over int64 keys dedupes and orders the edges.
+`split_dataset` and `resplit` cut the calib/test pool by one rule, and
+`write_table` is the one writer of every CSV that cproc emits.
 """
 
 from __future__ import annotations
@@ -34,11 +38,16 @@ class Graph:
     label: int
 
     def __post_init__(self) -> None:
+        seen = set()
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"graph {self.id}: self-loop ({u},{v})")
             if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
                 raise ValueError(f"graph {self.id}: edge ({u},{v}) out of range")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ValueError(f"graph {self.id}: duplicate edge ({u},{v})")
+            seen.add(key)
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix."""
@@ -66,28 +75,106 @@ def opens_with_comments(path: str | Path, comments: tuple[str, ...]) -> bool:
         return fh.read(len(prologue)) == prologue
 
 
-def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:
-    """Yield (line number, row of ints) for each non-blank line of `path`."""
-    with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [int(tok) for tok in line.replace(",", " ").split()]
-            except ValueError as exc:
-                raise ParseError(f"{path.name}:{ln}: {exc}") from None
-            yield ln, row
+# 16 KiB keeps each block's temporaries small; 64 KiB blocks left about 1 MB
+# more resident memory behind a parse of a 405-graph set
+BLOCK_BYTES = 1 << 14
+# bytes that end a token: the ASCII whitespace str.split() splits on, and ","
+_SEP = np.zeros(256, dtype=bool)
+_SEP[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, ord(",")]] = True
+# token bytes other than ASCII digits; a token holding one goes through int()
+_ODD = ~_SEP
+_ODD[ord("0") : ord("9") + 1] = False
+# longest digit run whose value fits int64
+_MAX_DIGITS = 18
 
 
-def _read_column(path: Path) -> list[int]:
+def _int_rows(path: Path, width: int, what: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (line numbers, (k, width) int rows) for the non-blank lines of
+    `path`, one block of about BLOCK_BYTES at a time, in file order; an
+    empty file yields one empty block.
+
+    Lines end at LF, CR LF or a lone CR, as in text-mode reading; a line of
+    only whitespace is blank, but one holding a "," is a row. Tokens split
+    at whitespace and ","; a run of at most _MAX_DIGITS ASCII digits is read
+    by a vectorised Horner pass and any other token by int(), after decoding
+    it as UTF-8 and splitting it at non-ASCII whitespace, so the token
+    grammar and the error texts are int()'s. Rows are int64, or Python ints in an object array for
+    a block holding a value beyond int64. At the first line that int()
+    rejects or that does not hold `width` integers ("expected {what}"), the
+    rows above it are yielded and a ParseError naming the file and line is
+    raised.
+    """
+    line0 = 0  # lines in the blocks already read
+    carry = b""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(BLOCK_BYTES)
+            data = carry + chunk
+            if chunk:
+                # cut after the last line end; a final "\r" may be half of a "\r\n"
+                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+                data, carry = data[:cut], data[cut:]
+            b = np.frombuffer(data, dtype=np.uint8)
+            cr = b == 13
+            lf = b == 10
+            lf[1:] &= ~cr[:-1]
+            ends_line = np.flatnonzero(cr | lf)
+            bounds = np.flatnonzero(np.diff(_SEP[b], prepend=True, append=True))
+            starts, stops = bounds[::2], bounds[1::2]
+            lines = line0 + 1 + np.searchsorted(ends_line, starts)
+
+            lens = stops - starts
+            plain = lens <= _MAX_DIGITS
+            plain[np.searchsorted(starts, np.flatnonzero(_ODD[b]), "right") - 1] = False
+            values = np.zeros(starts.size, dtype=np.int64)
+            for k in range(int(lens[plain].max(initial=0))):
+                digit = b[np.minimum(starts + k, stops - 1)] - ord("0")
+                values = np.where(lens > k, values * 10 + digit, values)
+
+            fault = None
+            odd = np.flatnonzero(~plain)
+            if odd.size:
+                spans = zip(starts[odd].tolist(), stops[odd].tolist())
+                # a byte that is not UTF-8 becomes U+FFFD, which int() rejects with the line
+                pieces = [data[s:e].decode(errors="replace").split() for s, e in spans]
+                counts = np.ones(starts.size, dtype=np.int64)
+                counts[odd] = [len(p) for p in pieces]
+                slots = (np.cumsum(counts) - counts)[odd].tolist()
+                odd_lines = lines[odd].tolist()
+                lines, values = np.repeat(lines, counts), np.repeat(values, counts).astype(object)
+                for slot, ln, toks in zip(slots, odd_lines, pieces):
+                    try:
+                        values[slot : slot + len(toks)] = [int(tok) for tok in toks]
+                    except ValueError as exc:
+                        fault = (ln, str(exc))
+                        break
+                try:
+                    values = values.astype(np.int64)
+                except OverflowError:
+                    pass  # keep the Python ints; range checks reject them with their value
+
+            first = np.flatnonzero(np.diff(lines, prepend=0))
+            row_lines = lines[first]
+            row_lens = np.diff(first, append=lines.size)
+            comma_lines = line0 + 1 + np.searchsorted(ends_line, np.flatnonzero(b == ord(",")))
+            # a line with commas and no token is a row of length 0; line 0 pads the lookup
+            found = np.append(row_lines, 0)[np.searchsorted(row_lines, comma_lines)]
+            wrong, empty = row_lines[row_lens != width], comma_lines[found != comma_lines]
+            bad = min(wrong[:1].tolist() + empty[:1].tolist(), default=0)
+            if bad and (fault is None or bad < fault[0]):
+                fault = (bad, f"expected {what}, got {values[lines == bad].tolist()}")
+            n_rows = row_lines.size if fault is None else int(np.searchsorted(row_lines, fault[0]))
+            yield row_lines[:n_rows], values[: n_rows * width].reshape(n_rows, width)
+            if fault is not None:
+                raise ParseError(f"{path.name}:{fault[0]}: {fault[1]}")
+            if not chunk:
+                return
+            line0 += ends_line.size
+
+
+def _column(path: Path) -> np.ndarray:
     """The one integer on each non-blank line of `path`."""
-    values = []
-    for ln, row in _read_rows(path):
-        if len(row) != 1:
-            raise ParseError(f"{path.name}:{ln}: expected one integer, got {row}")
-        values.append(row[0])
-    return values
+    return np.concatenate([rows[:, 0] for _, rows in _int_rows(path, 1, "one integer")])
 
 
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
@@ -100,73 +187,80 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
 
     Graph labels are remapped onto {0, 1, ...} preserving the sorted order of
     the original values.
+
+    Faults are reported in a fixed order: the indicator file, the labels
+    file, an empty dataset, an indicator value out of range, then the lines
+    of ``NAME_A.txt`` in file order, and last a graph without nodes.
     """
     root = Path(dir_path)
     for fname in (f"{name}_A.txt", f"{name}_graph_indicator.txt", f"{name}_graph_labels.txt"):
         if not (root / fname).exists():
             raise ParseError(f"missing mandatory file {fname} in {root}")
 
-    indicator = _read_column(root / f"{name}_graph_indicator.txt")
-    raw_labels = _read_column(root / f"{name}_graph_labels.txt")
-    if not raw_labels:
+    indicator = _column(root / f"{name}_graph_indicator.txt")
+    raw_labels = _column(root / f"{name}_graph_labels.txt")
+    if not raw_labels.size:
         raise ParseError(f"{name}: empty dataset (no graph labels)")
-    label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
+    labels = np.searchsorted(np.unique(raw_labels), raw_labels).tolist()
 
-    n_graphs = len(raw_labels)
-    # nodes per graph, in file order; TU node ids are global and 1-indexed,
-    # so node u belongs to graph indicator[u - 1]
-    local_index: list[int] = []
-    counts = [0] * n_graphs
-    for node_1idx, g_1idx in enumerate(indicator, 1):
-        if not (1 <= g_1idx <= n_graphs):
-            raise ParseError(f"{name}_graph_indicator.txt: node {node_1idx} points at graph {g_1idx}")
-        local_index.append(counts[g_1idx - 1])
-        counts[g_1idx - 1] += 1
+    n_graphs, n_nodes = len(labels), indicator.size
+    out_of_range = np.flatnonzero((indicator < 1) | (indicator > n_graphs))
+    if out_of_range.size:
+        node = int(out_of_range[0])
+        raise ParseError(f"{name}_graph_indicator.txt: node {node + 1} points at graph {indicator[node]}")
+    # TU node ids are global and 1-indexed, so node u belongs to graph
+    # graph_of[u - 1]; rank orders the nodes by graph, then by file order
+    graph_of = indicator.astype(np.int64) - 1
+    counts = np.bincount(graph_of, minlength=n_graphs)
+    rank = np.empty(n_nodes, dtype=np.int64)
+    rank[np.argsort(graph_of, kind="stable")] = np.arange(n_nodes)
 
-    edges: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
+    keys = []
     dropped_loops = 0
-    for ln, row in _read_rows(root / f"{name}_A.txt"):
-        if len(row) != 2:
-            raise ParseError(f"{name}_A.txt:{ln}: expected two node ids, got {row}")
-        u, v = row
-        if not (1 <= u <= len(indicator) and 1 <= v <= len(indicator)):
-            raise ParseError(f"{name}_A.txt:{ln}: edge ({u},{v}) references unknown node")
-        if indicator[u - 1] != indicator[v - 1]:
-            raise ParseError(f"{name}_A.txt:{ln}: edge ({u},{v}) crosses graphs")
-        if u == v:
-            dropped_loops += 1
-            continue
-        a, b = local_index[u - 1], local_index[v - 1]
-        edges[indicator[u - 1] - 1].add((min(a, b), max(a, b)))
+    for lines, rows in _int_rows(root / f"{name}_A.txt", 2, "two node ids"):
+        unknown = ((rows < 1) | (rows > n_nodes)).any(axis=1)
+        u, v = (np.where(unknown[:, None], 1, rows).astype(np.int64) - 1).T
+        bad = np.flatnonzero(unknown | (graph_of[u] != graph_of[v]))
+        if bad.size:
+            i = int(bad[0])
+            fault = "references unknown node" if unknown[i] else "crosses graphs"
+            raise ParseError(f"{name}_A.txt:{lines[i]}: edge ({rows[i, 0]},{rows[i, 1]}) {fault}")
+        loop = u == v
+        dropped_loops += int(loop.sum())
+        ru, rv = rank[u[~loop]], rank[v[~loop]]
+        keys.append(np.minimum(ru, rv) * n_nodes + np.maximum(ru, rv))
     if dropped_loops:
         warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
 
-    graphs = []
-    for gid in range(n_graphs):
-        if counts[gid] == 0:
-            raise ParseError(f"{name}: graph {gid} has no nodes")
-        graphs.append(
-            Graph(
-                id=gid,
-                num_nodes=counts[gid],
-                edges=tuple(sorted(edges[gid])),
-                label=label_map[raw_labels[gid]],
-            )
-        )
-    return graphs
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ParseError(f"{name}: graph {empty[0]} has no nodes")
+    # one sort orders the edges by (graph, smaller, larger local index)
+    first_rank = np.cumsum(counts) - counts
+    local = np.arange(n_nodes) - np.repeat(first_rank, counts)
+    lo, hi = np.divmod(np.unique(np.concatenate(keys)), n_nodes)
+    pairs = list(zip(local[lo].tolist(), local[hi].tolist()))
+    cuts = np.searchsorted(lo, np.append(first_rank, n_nodes)).tolist()
+    return [
+        Graph(id=gid, num_nodes=k, edges=tuple(pairs[cuts[gid] : cuts[gid + 1]]), label=labels[gid])
+        for gid, k in enumerate(counts.tolist())
+    ]
 
 
 def write_tu_dataset(graphs: list[Graph], dir_path: str | Path, name: str) -> None:
-    """Serialize graphs back into the TU layout (fixture format, 1-indexed)."""
+    """Serialize graphs back into the TU layout (fixture format, 1-indexed).
+
+    The indicator numbers graphs by their position in `graphs`, not by
+    `Graph.id`, so any subset of a parsed dataset reads back."""
     root = Path(dir_path)
     root.mkdir(parents=True, exist_ok=True)
     offset = 0
     a_lines, ind_lines = [], []
-    for g in graphs:
+    for pos, g in enumerate(graphs, 1):
         for u, v in g.edges:
             a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
             a_lines.append(f"{offset + v + 1}, {offset + u + 1}")
-        ind_lines.extend([str(g.id + 1)] * g.num_nodes)
+        ind_lines.extend([str(pos)] * g.num_nodes)
         offset += g.num_nodes
     (root / f"{name}_A.txt").write_text("\n".join(a_lines) + "\n")
     (root / f"{name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")

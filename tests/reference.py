@@ -1,0 +1,150 @@
+"""Loop versions of the TU parser and of sublevel persistence, kept as the
+references that the numpy parser and the list union-find are compared
+against. They are the implementations these replaced, moved here as they
+were, so a property test can require equal results on random input."""
+
+from __future__ import annotations
+
+import warnings
+from collections.abc import Iterator
+from pathlib import Path
+
+import numpy as np
+
+from cproc.errors import ParseError
+from cproc.graphdata import Graph
+from cproc.topology import PersistenceDiagram
+
+
+def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:
+    """Yield (line number, row of ints) for each non-blank line of `path`."""
+    with open(path) as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [int(tok) for tok in line.replace(",", " ").split()]
+            except ValueError as exc:
+                raise ParseError(f"{path.name}:{ln}: {exc}") from None
+            yield ln, row
+
+
+def _read_column(path: Path) -> list[int]:
+    """The one integer on each non-blank line of `path`."""
+    values = []
+    for ln, row in _read_rows(path):
+        if len(row) != 1:
+            raise ParseError(f"{path.name}:{ln}: expected one integer, got {row}")
+        values.append(row[0])
+    return values
+
+
+def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
+    """`cproc.graphdata.parse_tu_dataset` as a per-line loop."""
+    root = Path(dir_path)
+    for fname in (f"{name}_A.txt", f"{name}_graph_indicator.txt", f"{name}_graph_labels.txt"):
+        if not (root / fname).exists():
+            raise ParseError(f"missing mandatory file {fname} in {root}")
+
+    indicator = _read_column(root / f"{name}_graph_indicator.txt")
+    raw_labels = _read_column(root / f"{name}_graph_labels.txt")
+    if not raw_labels:
+        raise ParseError(f"{name}: empty dataset (no graph labels)")
+    label_map = {lab: i for i, lab in enumerate(sorted(set(raw_labels)))}
+
+    n_graphs = len(raw_labels)
+    local_index: list[int] = []
+    counts = [0] * n_graphs
+    for node_1idx, g_1idx in enumerate(indicator, 1):
+        if not (1 <= g_1idx <= n_graphs):
+            raise ParseError(f"{name}_graph_indicator.txt: node {node_1idx} points at graph {g_1idx}")
+        local_index.append(counts[g_1idx - 1])
+        counts[g_1idx - 1] += 1
+
+    edges: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
+    dropped_loops = 0
+    for ln, row in _read_rows(root / f"{name}_A.txt"):
+        if len(row) != 2:
+            raise ParseError(f"{name}_A.txt:{ln}: expected two node ids, got {row}")
+        u, v = row
+        if not (1 <= u <= len(indicator) and 1 <= v <= len(indicator)):
+            raise ParseError(f"{name}_A.txt:{ln}: edge ({u},{v}) references unknown node")
+        if indicator[u - 1] != indicator[v - 1]:
+            raise ParseError(f"{name}_A.txt:{ln}: edge ({u},{v}) crosses graphs")
+        if u == v:
+            dropped_loops += 1
+            continue
+        a, b = local_index[u - 1], local_index[v - 1]
+        edges[indicator[u - 1] - 1].add((min(a, b), max(a, b)))
+    if dropped_loops:
+        warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
+
+    graphs = []
+    for gid in range(n_graphs):
+        if counts[gid] == 0:
+            raise ParseError(f"{name}: graph {gid} has no nodes")
+        graphs.append(
+            Graph(
+                id=gid,
+                num_nodes=counts[gid],
+                edges=tuple(sorted(edges[gid])),
+                label=label_map[raw_labels[gid]],
+            )
+        )
+    return graphs
+
+
+class _UnionFind:
+    """Disjoint sets with the elder rule: on a merge the component with the
+    smaller (birth value, birth vertex) pair survives."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.parent = list(range(len(values)))
+        self.birth = [(float(values[v]), v) for v in range(len(values))]
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def merge(self, u: int, v: int) -> float | None:
+        """Union the sets of u and v; return the birth value of the dying
+        (younger) component, or None when u and v are already connected."""
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return None
+        if self.birth[rv] < self.birth[ru]:
+            ru, rv = rv, ru
+        dying_birth = self.birth[rv][0]
+        self.parent[rv] = ru
+        return dying_birth
+
+
+def sublevel_persistence(g: Graph, values: np.ndarray) -> PersistenceDiagram:
+    """`cproc.topology.sublevel_persistence` on a `_UnionFind` object."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (g.num_nodes,) or not np.all(np.isfinite(values)):
+        raise ValueError("need one finite filtration value per vertex")
+
+    order = sorted(g.edges, key=lambda e: (max(values[e[0]], values[e[1]]), e))
+    uf = _UnionFind(values)
+    dim0: list[tuple[float, float]] = []
+    dim1: list[tuple[float, float]] = []
+    for u, v in order:
+        t = float(max(values[u], values[v]))
+        dying_birth = uf.merge(u, v)
+        if dying_birth is None:
+            dim1.append((t, np.inf))
+        else:
+            dim0.append((dying_birth, t))
+
+    roots = {uf.find(v) for v in range(g.num_nodes)}
+    dim0.extend((float(values[r]), np.inf) for r in sorted(roots))
+
+    d0 = np.array(sorted(dim0), dtype=float).reshape(-1, 2)
+    d1 = np.array(sorted(dim1), dtype=float).reshape(-1, 2)
+    return PersistenceDiagram(graph_id=g.id, dim0=d0, dim1=d1)

@@ -1,8 +1,13 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
+from cproc import graphdata
 from cproc.errors import ParseError, ScoreIngestError, SplitError
 from cproc.graphdata import (
     Graph,
@@ -73,6 +78,32 @@ def test_parse_errors_name_the_file_line(tmp_path):
         parse_tu_dataset(root, "D")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1, 4\n1, 99\n", r":1: edge \(1,4\) crosses graphs"),
+        ("1, 2\n1, 99\n1, 4\n", r":2: edge \(1,99\) references unknown node"),
+        ("1, 2, 3\n1, x\n", r":1: expected two node ids, got \[1, 2, 3\]"),
+        ("1, x, 3\n", r":1: invalid literal for int\(\) with base 10: 'x'"),
+    ],
+)
+def test_parse_reports_the_first_faulty_line(tmp_path, text, message):
+    # whatever the kind of fault, the earliest line wins; on one line a bad
+    # token comes before a wrong count, as int() reads the whole line first
+    root = write_tiny_fixture(tmp_path / "TINY")
+    (root / "TINY_A.txt").write_text(text)
+    with pytest.raises(ParseError, match="TINY_A\\.txt" + message):
+        parse_tu_dataset(root, "TINY")
+
+
+def test_parse_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    root = write_tiny_fixture(tmp_path / "TINY")
+    (root / "TINY_A.txt").write_bytes(b"1, 2\n1, \xff3\n")
+    message = r"TINY_A\.txt:2: invalid literal for int\(\) with base 10: '\ufffd3'"
+    with pytest.raises(ParseError, match=message):
+        parse_tu_dataset(root, "TINY")
+
+
 @pytest.mark.parametrize("suffix, text", [("graph_indicator", "1\n1 7\n1\n2\n2\n"), ("graph_labels", "1\n-1 0\n")])
 def test_parse_one_integer_per_line(tmp_path, suffix, text):
     root = write_tiny_fixture(tmp_path / "TINY")
@@ -108,11 +139,179 @@ def test_round_trip_identical(tmp_path):
     assert again == graphs
 
 
+def test_round_trip_of_a_subset(tmp_path):
+    # the indicator numbers graphs by their position in the list, not by id
+    graphs = parse_tu_dataset(write_tiny_fixture(tmp_path / "TINY"), "TINY")
+    subset = [
+        Graph(id=3, num_nodes=2, edges=((0, 1),), label=1),
+        Graph(id=7, num_nodes=3, edges=((1, 2),), label=0),
+    ]
+    write_tu_dataset(subset, tmp_path / "SUB", "SUB")
+    assert (tmp_path / "SUB" / "SUB_graph_indicator.txt").read_text() == "1\n1\n2\n2\n2\n"
+    again = parse_tu_dataset(tmp_path / "SUB", "SUB")
+    assert [(g.id, g.num_nodes, g.edges, g.label) for g in again] == [
+        (0, 2, ((0, 1),), 1),
+        (1, 3, ((1, 2),), 0),
+    ]
+    write_tu_dataset(graphs[1:], tmp_path / "TAIL", "TAIL")
+    assert parse_tu_dataset(tmp_path / "TAIL", "TAIL")[0].edges == graphs[1].edges
+
+
+# --- the block parser against the line parser it replaced ----------------------
+
+SEPARATORS = (", ", ",", " ", "\t", " ,\t", "\u00a0")
+LINE_ENDS = ("\n", "\r\n", "\r")
+BLANK_LINES = ("", " ", "\t ", "\u00a0")
+FILES = ("A", "graph_indicator", "graph_labels")
+
+
+@st.composite
+def tu_rows(draw):
+    """Rows of integer tokens for the three TU files of a valid random set:
+    nodes not contiguous by graph, duplicate, reversed and self-loop edges,
+    possibly no edges at all, and labels beyond int64."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    graph_of = draw(st.permutations([g for g, k in enumerate(sizes) for _ in range(k)]))
+    members = [[i + 1 for i, h in enumerate(graph_of) if h == g] for g in range(len(sizes))]
+    edges = []
+    for g in draw(st.lists(st.integers(0, len(sizes) - 1), max_size=12)):
+        u, v = draw(st.sampled_from(members[g])), draw(st.sampled_from(members[g]))
+        edges += [(u, v), (v, u)][: draw(st.integers(1, 2))]
+    labels = draw(st.lists(st.sampled_from((-1, 0, 1, 2, 10**20)), min_size=len(sizes), max_size=len(sizes)))
+    return {
+        "A": [list(e) for e in edges],
+        "graph_indicator": [[g + 1] for g in graph_of],
+        "graph_labels": [[lab] for lab in labels],
+    }
+
+
+@st.composite
+def token(draw, value):
+    """`value` as a token that int() reads back: plain, "+"-signed,
+    zero-padded or with a digit-separating underscore."""
+    text = str(value)
+    style = draw(st.sampled_from(("plain", "plus", "zero", "underscore")))
+    if value >= 0 and style == "plus":
+        return "+" + text
+    if value >= 0 and style == "zero":
+        return "0" + text
+    if len(text.lstrip("-")) > 1 and style == "underscore":
+        return text[:-1] + "_" + text[-1]
+    return text
+
+
+@st.composite
+def render(draw, rows):
+    """The text of one file: each row is a list of values, or a raw line."""
+    lines = []
+    for row in rows:
+        for _ in range(draw(st.integers(0, 1))):
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        sep = draw(st.sampled_from(SEPARATORS))
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(pad + sep.join([draw(token(v)) for v in row]) + draw(st.sampled_from(("", " "))))
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def parse_outcome(parse, root):
+    """What `parse` makes of the set at `root`: the graphs or the ParseError
+    text, and the texts of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(root, "R")
+        except ParseError as exc:
+            result = f"ParseError: {exc}"
+    return result, [str(w.message) for w in caught]
+
+
+def write_texts(root, texts):
+    root.mkdir(parents=True, exist_ok=True)
+    for suffix, text in texts.items():
+        (root / f"R_{suffix}.txt").write_bytes(text.encode())
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.integers(1, 40) | st.just(graphdata.BLOCK_BYTES))
+def test_block_parser_equals_line_parser(tmp_path_factory, data, block):
+    rows = data.draw(tu_rows())
+    root = write_texts(tmp_path_factory.mktemp("tu"), {f: data.draw(render(rows[f])) for f in FILES})
+    expected = parse_outcome(reference.parse_tu_dataset, root)
+    assert not isinstance(expected[0], str)
+    with mock.patch.object(graphdata, "BLOCK_BYTES", block):
+        assert parse_outcome(parse_tu_dataset, root) == expected
+
+
+FAULTS = ("token", "arity", "unknown", "cross", "range", "no nodes")
+
+
+@st.composite
+def fault(draw, rows, kind):
+    """Put one fault of `kind` into `rows`: a token int() rejects, a row of
+    the wrong length, an edge to an unknown node or across graphs, an
+    indicator value out of range, or a graph without nodes."""
+    n_nodes, n_graphs = len(rows["graph_indicator"]), len(rows["graph_labels"])
+    node = st.integers(1, n_nodes)
+    if kind == "token":
+        target = draw(st.sampled_from([f for f in FILES if rows[f]]))
+        i = draw(st.integers(0, len(rows[target]) - 1))
+        tokens = [str(v) for v in rows[target][i]]
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+            st.sampled_from(("x", "1.5", "0x1", "--1", "1e3", "_1", "1__0", "\u0663x"))
+        )
+        # int() runs before the length check, so a line with both faults reports the token
+        rows[target][i] = " ".join(tokens + ["1"] * draw(st.integers(0, 1)))
+        return rows
+    if kind == "arity":
+        target = draw(st.sampled_from(FILES))
+        row = draw(st.sampled_from([" , ", ",", "1 2 3", "7" if target == "A" else "1, 2"]))
+    elif kind == "unknown":
+        pair = [draw(node), draw(st.sampled_from((0, -1, n_nodes + 1, 10**20)))]
+        target, row = "A", draw(st.permutations(pair))
+    elif kind == "cross":
+        graph_of = [r[0] for r in rows["graph_indicator"]]
+        u = draw(node)
+        v = draw(st.sampled_from([w + 1 for w, g in enumerate(graph_of) if g != graph_of[u - 1]]))
+        target, row = "A", [u, v]
+    elif kind == "range":
+        target, row = "graph_indicator", [draw(st.sampled_from((0, -2, n_graphs + 1, 10**20)))]
+    else:
+        target, row = "graph_labels", [0]
+    rows[target].insert(draw(st.integers(0, len(rows[target]))), row)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), block=st.integers(1, 40) | st.just(graphdata.BLOCK_BYTES))
+def test_block_parser_reports_the_fault_the_line_parser_reports(tmp_path_factory, data, block):
+    rows = data.draw(tu_rows())
+    kinds = [k for k in FAULTS if k != "cross" or len(rows["graph_labels"]) > 1]
+    # an extra graph can own a node whose indicator was out of range
+    drawn = st.lists(st.sampled_from(kinds), min_size=1, max_size=2)
+    for kind in data.draw(drawn.filter(lambda k: not {"range", "no nodes"} <= set(k))):
+        rows = data.draw(fault(rows, kind))
+    root = write_texts(tmp_path_factory.mktemp("tu"), {f: data.draw(render(rows[f])) for f in FILES})
+    expected = parse_outcome(reference.parse_tu_dataset, root)
+    assert isinstance(expected[0], str) and expected[0].startswith("ParseError: ")
+    with mock.patch.object(graphdata, "BLOCK_BYTES", block):
+        assert parse_outcome(parse_tu_dataset, root) == expected
+
+
 def test_graph_validates_edges():
     with pytest.raises(ValueError, match="self-loop"):
         Graph(id=0, num_nodes=2, edges=((1, 1),), label=0)
     with pytest.raises(ValueError, match="out of range"):
         Graph(id=0, num_nodes=2, edges=((0, 2),), label=0)
+    for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1)), ((1, 2), (0, 1), (2, 1))):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(id=0, num_nodes=3, edges=edges, label=0)
 
 
 def test_adjacency_symmetric(triangle):

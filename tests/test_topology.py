@@ -1,5 +1,7 @@
 import csv
 import itertools
+import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -19,7 +21,11 @@ from cproc.topology import (
     sublevel_persistence,
 )
 
+import reference
 from conftest import random_er_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -210,6 +216,44 @@ def test_persistence_structure_random_graphs():
         assert np.isinf(d.dim0[:, 1]).sum() == n_comp
         assert len(d.dim1) == len(g.edges) - g.num_nodes + n_comp
         assert np.all(d.dim0[:, 1] >= d.dim0[:, 0])
+
+
+def assert_bit_equal(a: PersistenceDiagram, b: PersistenceDiagram) -> None:
+    assert a.graph_id == b.graph_id
+    for dim in (0, 1):
+        x, y = a.points(dim), b.points(dim)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@st.composite
+def graphs_with_values(draw):
+    """Graphs with isolated vertices, several components or no edges, and
+    values with ties, equal values of both signs of zero, or one value."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = {(min(u, v), max(u, v)): (u, v) for u, v in pairs if u != v}
+    g = Graph(id=draw(st.integers(0, 9)), num_nodes=n, edges=tuple(edges.values()), label=0)
+    pool = draw(st.sampled_from(((0.0,), (0.0, -0.0), (0.0, 1.0, 2.0), (-1.5, 0.25, 0.25, 3.0))))
+    values = draw(st.lists(st.sampled_from(pool) | st.floats(-5, 5), min_size=n, max_size=n))
+    return g, np.array(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=graphs_with_values())
+def test_persistence_equals_union_find_reference(case):
+    g, values = case
+    assert_bit_equal(sublevel_persistence(g, values), reference.sublevel_persistence(g, values))
+
+
+def test_persistence_equals_reference_on_a_bzr_shaped_set():
+    tu = gen.tu_set(gen.BZR_LIKE, seed=0)
+    graphs = [
+        Graph(id=i, num_nodes=int(k), edges=tuple(e), label=0) for i, (k, e) in enumerate(zip(tu.sizes, tu.edges))
+    ]
+    for kind in FiltrationKind:
+        for g in graphs:
+            values = compute_filtration(g, kind)
+            assert_bit_equal(sublevel_persistence(g, values), reference.sublevel_persistence(g, values))
 
 
 def test_persistence_shift_invariance():
