@@ -247,7 +247,6 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
     matrix = build_similarity_matrix(
         diagrams,
         p=cfg.wasserstein_p,
-        cap=max_finite_value(diagrams),
         kinds=(kind.value,),
         key=key,
         workers=cfg.pairs_parallel,

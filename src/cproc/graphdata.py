@@ -4,20 +4,19 @@ TU benchmark files are 1-indexed; everything here is rebased to 0-indexed
 graphs and per-graph 0-indexed nodes. Duplicate and reversed edges collapse
 to a single undirected edge, and self-loops are dropped (counted in a
 warning). Only the files the distances use are read: node label and
-attribute files are ignored. Each file is read in blocks of BLOCK_BYTES
-that numpy cuts into tokens and lines; digit tokens become int64 in one
-vectorised pass and only other tokens go through int(). The graphs are then
-assembled with array operations: one stable argsort numbers the nodes of
-each graph and one np.unique over int64 keys dedupes and orders the edges.
-`split_dataset` and `resplit` cut the calib/test pool by one rule, and
-`write_table` is the one writer of every CSV that cproc emits.
+attribute files are ignored. numpy's `loadtxt` reads a file whose lines all
+split at "," or all at whitespace; a per-line reader, about 6x slower on a
+BZR-sized edge file, reads any other and names the line of every fault.
+One stable argsort numbers the nodes of each graph and one np.unique over
+int64 keys dedupes and orders the edges. `split_dataset` and `resplit` cut
+the calib/test pool by one rule, and `write_table` is the one writer of
+every CSV that cproc emits.
 """
 
 from __future__ import annotations
 
 import csv
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -75,106 +74,79 @@ def opens_with_comments(path: str | Path, comments: tuple[str, ...]) -> bool:
         return fh.read(len(prologue)) == prologue
 
 
-# 16 KiB keeps each block's temporaries small; 64 KiB blocks left about 1 MB
-# more resident memory behind a parse of a 405-graph set
-BLOCK_BYTES = 1 << 14
-# bytes that end a token: the ASCII whitespace str.split() splits on, and ","
-_SEP = np.zeros(256, dtype=bool)
-_SEP[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32, ord(",")]] = True
-# token bytes other than ASCII digits; a token holding one goes through int()
-_ODD = ~_SEP
-_ODD[ord("0") : ord("9") + 1] = False
-# longest digit run whose value fits int64
-_MAX_DIGITS = 18
+def _line_rows(path: Path, width: int, what: str) -> tuple[list[list[int]], list[int], ParseError | None]:
+    """The int() rows of the non-blank lines of `path`, their line numbers,
+    and the ParseError of the first line that int() rejects or that does not
+    hold `width` integers ("expected {what}"), or None; the rows stop there.
+    A byte that is not UTF-8 becomes U+FFFD, which int() rejects."""
+    rows, lines = [], []
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [int(tok) for tok in line.replace(",", " ").split()]
+            except ValueError as exc:
+                return rows, lines, ParseError(f"{path.name}:{ln}: {exc}")
+            if len(row) != width:
+                return rows, lines, ParseError(f"{path.name}:{ln}: expected {what}, got {row}")
+            rows.append(row)
+            lines.append(ln)
+    return rows, lines, None
 
 
-def _int_rows(path: Path, width: int, what: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (line numbers, (k, width) int rows) for the non-blank lines of
-    `path`, one block of about BLOCK_BYTES at a time, in file order; an
-    empty file yields one empty block.
-
-    Lines end at LF, CR LF or a lone CR, as in text-mode reading; a line of
-    only whitespace is blank, but one holding a "," is a row. Tokens split
-    at whitespace and ","; a run of at most _MAX_DIGITS ASCII digits is read
-    by a vectorised Horner pass and any other token by int(), after decoding
-    it as UTF-8 and splitting it at non-ASCII whitespace, so the token
-    grammar and the error texts are int()'s. Rows are int64, or Python ints in an object array for
-    a block holding a value beyond int64. At the first line that int()
-    rejects or that does not hold `width` integers ("expected {what}"), the
-    rows above it are yielded and a ParseError naming the file and line is
-    raised.
-    """
-    line0 = 0  # lines in the blocks already read
-    carry = b""
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(BLOCK_BYTES)
-            data = carry + chunk
-            if chunk:
-                # cut after the last line end; a final "\r" may be half of a "\r\n"
-                cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-                data, carry = data[:cut], data[cut:]
-            b = np.frombuffer(data, dtype=np.uint8)
-            cr = b == 13
-            lf = b == 10
-            lf[1:] &= ~cr[:-1]
-            ends_line = np.flatnonzero(cr | lf)
-            bounds = np.flatnonzero(np.diff(_SEP[b], prepend=True, append=True))
-            starts, stops = bounds[::2], bounds[1::2]
-            lines = line0 + 1 + np.searchsorted(ends_line, starts)
-
-            lens = stops - starts
-            plain = lens <= _MAX_DIGITS
-            plain[np.searchsorted(starts, np.flatnonzero(_ODD[b]), "right") - 1] = False
-            values = np.zeros(starts.size, dtype=np.int64)
-            for k in range(int(lens[plain].max(initial=0))):
-                digit = b[np.minimum(starts + k, stops - 1)] - ord("0")
-                values = np.where(lens > k, values * 10 + digit, values)
-
-            fault = None
-            odd = np.flatnonzero(~plain)
-            if odd.size:
-                spans = zip(starts[odd].tolist(), stops[odd].tolist())
-                # a byte that is not UTF-8 becomes U+FFFD, which int() rejects with the line
-                pieces = [data[s:e].decode(errors="replace").split() for s, e in spans]
-                counts = np.ones(starts.size, dtype=np.int64)
-                counts[odd] = [len(p) for p in pieces]
-                slots = (np.cumsum(counts) - counts)[odd].tolist()
-                odd_lines = lines[odd].tolist()
-                lines, values = np.repeat(lines, counts), np.repeat(values, counts).astype(object)
-                for slot, ln, toks in zip(slots, odd_lines, pieces):
-                    try:
-                        values[slot : slot + len(toks)] = [int(tok) for tok in toks]
-                    except ValueError as exc:
-                        fault = (ln, str(exc))
-                        break
-                try:
-                    values = values.astype(np.int64)
-                except OverflowError:
-                    pass  # keep the Python ints; range checks reject them with their value
-
-            first = np.flatnonzero(np.diff(lines, prepend=0))
-            row_lines = lines[first]
-            row_lens = np.diff(first, append=lines.size)
-            comma_lines = line0 + 1 + np.searchsorted(ends_line, np.flatnonzero(b == ord(",")))
-            # a line with commas and no token is a row of length 0; line 0 pads the lookup
-            found = np.append(row_lines, 0)[np.searchsorted(row_lines, comma_lines)]
-            wrong, empty = row_lines[row_lens != width], comma_lines[found != comma_lines]
-            bad = min(wrong[:1].tolist() + empty[:1].tolist(), default=0)
-            if bad and (fault is None or bad < fault[0]):
-                fault = (bad, f"expected {what}, got {values[lines == bad].tolist()}")
-            n_rows = row_lines.size if fault is None else int(np.searchsorted(row_lines, fault[0]))
-            yield row_lines[:n_rows], values[: n_rows * width].reshape(n_rows, width)
-            if fault is not None:
-                raise ParseError(f"{path.name}:{fault[0]}: {fault[1]}")
-            if not chunk:
-                return
-            line0 += ends_line.size
+def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, list | None, ParseError | None]:
+    """`_line_rows(path, width, what)` with the rows as a (k, width) array of
+    int64, or of Python ints when a value is beyond int64. Where numpy's
+    reader reads the whole file into `width` columns, with "," or else
+    whitespace as the separator, its rows are the same and the line numbers
+    are None: it skips empty lines without counting them."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        for sep in (",", None):
+            try:
+                rows = np.loadtxt(path, np.int64, comments=None, delimiter=sep, ndmin=2, encoding="utf-8")
+            except ValueError:
+                continue
+            if rows.shape[1] == width:
+                return rows, None, None
+    rows, lines, fault = _line_rows(path, width, what)
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, width), lines, fault
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(-1, width), lines, fault
 
 
 def _column(path: Path) -> np.ndarray:
     """The one integer on each non-blank line of `path`."""
-    return np.concatenate([rows[:, 0] for _, rows in _int_rows(path, 1, "one integer")])
+    rows, _, fault = _int_rows(path, 1, "one integer")
+    if fault is not None:
+        raise fault
+    return rows[:, 0]
+
+
+def _edge_keys(path: Path, name: str, graph_of: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, int]:
+    """The sorted distinct keys rank(smaller) * n_nodes + rank(larger) of the
+    edges in `path` that are not self-loops, and the number of self-loops.
+    The first faulty line raises, whether the fault is in reading or in the
+    node ids."""
+    rows, lines, fault = _int_rows(path, 2, "two node ids")
+    n_nodes = graph_of.size
+    unknown = ((rows < 1) | (rows > n_nodes)).any(axis=1)
+    u, v = (np.where(unknown[:, None], 1, rows).astype(np.int64) - 1).T
+    bad = np.flatnonzero(unknown | (graph_of[u] != graph_of[v]))
+    if bad.size:
+        i = int(bad[0])
+        if lines is None:
+            lines = _line_rows(path, 2, "two node ids")[1]
+        kind = "references unknown node" if unknown[i] else "crosses graphs"
+        raise ParseError(f"{name}_A.txt:{lines[i]}: edge ({rows[i, 0]},{rows[i, 1]}) {kind}")
+    if fault is not None:
+        raise fault
+    loop = u == v
+    ru, rv = rank[u[~loop]], rank[v[~loop]]
+    return np.unique(np.minimum(ru, rv) * n_nodes + np.maximum(ru, rv)), int(loop.sum())
 
 
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
@@ -215,30 +187,17 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     rank = np.empty(n_nodes, dtype=np.int64)
     rank[np.argsort(graph_of, kind="stable")] = np.arange(n_nodes)
 
-    keys = []
-    dropped_loops = 0
-    for lines, rows in _int_rows(root / f"{name}_A.txt", 2, "two node ids"):
-        unknown = ((rows < 1) | (rows > n_nodes)).any(axis=1)
-        u, v = (np.where(unknown[:, None], 1, rows).astype(np.int64) - 1).T
-        bad = np.flatnonzero(unknown | (graph_of[u] != graph_of[v]))
-        if bad.size:
-            i = int(bad[0])
-            fault = "references unknown node" if unknown[i] else "crosses graphs"
-            raise ParseError(f"{name}_A.txt:{lines[i]}: edge ({rows[i, 0]},{rows[i, 1]}) {fault}")
-        loop = u == v
-        dropped_loops += int(loop.sum())
-        ru, rv = rank[u[~loop]], rank[v[~loop]]
-        keys.append(np.minimum(ru, rv) * n_nodes + np.maximum(ru, rv))
+    keys, dropped_loops = _edge_keys(root / f"{name}_A.txt", name, graph_of, rank)
     if dropped_loops:
         warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
 
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise ParseError(f"{name}: graph {empty[0]} has no nodes")
-    # one sort orders the edges by (graph, smaller, larger local index)
+    # the keys order the edges by (graph, smaller, larger local index)
     first_rank = np.cumsum(counts) - counts
     local = np.arange(n_nodes) - np.repeat(first_rank, counts)
-    lo, hi = np.divmod(np.unique(np.concatenate(keys)), n_nodes)
+    lo, hi = np.divmod(keys, n_nodes)
     pairs = list(zip(local[lo].tolist(), local[hi].tolist()))
     cuts = np.searchsorted(lo, np.append(first_rank, n_nodes)).tolist()
     return [

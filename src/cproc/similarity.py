@@ -215,6 +215,8 @@ class SimilarityMatrix:
         if (values is None) == (points is None):
             raise ValueError("a similarity matrix needs exactly one of values and points")
         self._values = None if values is None else np.asarray(values)
+        if values is not None and (self._values.ndim != 2 or self._values.shape[0] != self._values.shape[1]):
+            raise ValueError(f"similarity values must be a square 2-D array, got shape {self._values.shape}")
         self.points = None if points is None else np.asarray(points, dtype=float)
         self.p, self.kinds, self.cap, self.key = p, tuple(kinds), cap, key
 

@@ -212,6 +212,19 @@ def test_local_interval_argument_errors():
         marginal(0.5, scores, alpha=1.0)
 
 
+@pytest.mark.parametrize("K", [None, 0])
+def test_local_interval_needs_k_before_reading_a_distance(K):
+    mat, calib, labels, scores, probs = _local_setup()
+
+    class Unread(SimilarityMatrix):
+        def block(self, rows, cols):
+            raise AssertionError("a distance was read")
+
+    unread = Unread(values=mat.values)
+    with pytest.raises(ValueError, match=rf"K must be >= 1 with a matrix, got {K}"):
+        conformal_intervals([120], probs, calib, scores, labels[calib] == 1, 0.1, label=1, matrix=unread, K=K)
+
+
 def _local_setup():
     """Cluster A at 0 (tight scores), cluster B at 10 (wide scores); labels all 1."""
     coords = np.concatenate([np.linspace(0, 1, 60), np.linspace(10, 11, 60), [0.5]])

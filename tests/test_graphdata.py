@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -85,11 +85,14 @@ def test_parse_errors_name_the_file_line(tmp_path):
         ("1, 2\n1, 99\n1, 4\n", r":2: edge \(1,99\) references unknown node"),
         ("1, 2, 3\n1, x\n", r":1: expected two node ids, got \[1, 2, 3\]"),
         ("1, x, 3\n", r":1: invalid literal for int\(\) with base 10: 'x'"),
+        ("1, 2\n\n\n1, 99\n", r":4: edge \(1,99\) references unknown node"),
     ],
 )
 def test_parse_reports_the_first_faulty_line(tmp_path, text, message):
     # whatever the kind of fault, the earliest line wins; on one line a bad
-    # token comes before a wrong count, as int() reads the whole line first
+    # token comes before a wrong count, as int() reads the whole line first;
+    # numpy's reader skips empty lines, so the line number of an edge fault
+    # in a file it read comes from the line reader
     root = write_tiny_fixture(tmp_path / "TINY")
     (root / "TINY_A.txt").write_text(text)
     with pytest.raises(ParseError, match="TINY_A\\.txt" + message):
@@ -102,6 +105,31 @@ def test_parse_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     message = r"TINY_A\.txt:2: invalid literal for int\(\) with base 10: '\ufffd3'"
     with pytest.raises(ParseError, match=message):
         parse_tu_dataset(root, "TINY")
+
+
+def test_empty_edge_file_parses_without_a_warning(tmp_path):
+    # numpy's reader warns on an empty file; that warning stays inside the parser
+    root = write_tiny_fixture(tmp_path / "TINY")
+    (root / "TINY_A.txt").write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graphs = parse_tu_dataset(root, "TINY")
+    assert [(g.num_nodes, g.edges) for g in graphs] == [(3, ()), (2, ())]
+
+
+@pytest.mark.parametrize(
+    "edit, line_reader",
+    [(lambda t: t.replace(", ", "\t"), False), (lambda t: t.replace("\n", "\n \t\n", 1), True)],
+    ids=["tab-separated", "whitespace-only-line"],
+)
+def test_both_readers_parse_as_the_reference(tmp_path, edit, line_reader):
+    root = write_tiny_fixture(tmp_path / "TINY")
+    for path in root.iterdir():
+        path.write_text(edit(path.read_text()))
+    with mock.patch.object(graphdata, "_line_rows", wraps=graphdata._line_rows) as spy:
+        graphs = parse_tu_dataset(root, "TINY")
+    assert spy.called == line_reader
+    assert graphs == reference.parse_tu_dataset(root, "TINY")
 
 
 @pytest.mark.parametrize("suffix, text", [("graph_indicator", "1\n1 7\n1\n2\n2\n"), ("graph_labels", "1\n-1 0\n")])
@@ -157,7 +185,7 @@ def test_round_trip_of_a_subset(tmp_path):
     assert parse_tu_dataset(tmp_path / "TAIL", "TAIL")[0].edges == graphs[1].edges
 
 
-# --- the block parser against the line parser it replaced ----------------------
+# --- the numpy and line readers against the line parser they replaced -----------
 
 SEPARATORS = (", ", ",", " ", "\t", " ,\t", "\u00a0")
 LINE_ENDS = ("\n", "\r\n", "\r")
@@ -185,12 +213,15 @@ def tu_rows(draw):
     }
 
 
+TOKEN_STYLES = ("plain", "plus", "zero", "underscore")
+
+
 @st.composite
-def token(draw, value):
+def token(draw, value, styles=st.sampled_from(TOKEN_STYLES)):
     """`value` as a token that int() reads back: plain, "+"-signed,
     zero-padded or with a digit-separating underscore."""
     text = str(value)
-    style = draw(st.sampled_from(("plain", "plus", "zero", "underscore")))
+    style = draw(styles)
     if value >= 0 and style == "plus":
         return "+" + text
     if value >= 0 and style == "zero":
@@ -201,18 +232,22 @@ def token(draw, value):
 
 
 @st.composite
-def render(draw, rows):
-    """The text of one file: each row is a list of values, or a raw line."""
+def render(draw, rows, uniform=False):
+    """The text of one file: each row is a list of values, or a raw line.
+    A uniform file draws its separator, blank line, padding and token style
+    once, so numpy's reader often reads all of it."""
+    pick = (lambda s: st.just(draw(s))) if uniform else (lambda s: s)
+    seps, blanks = pick(st.sampled_from(SEPARATORS)), pick(st.sampled_from(BLANK_LINES))
+    pads, styles = pick(st.sampled_from(("", " ", "\t"))), pick(st.sampled_from(TOKEN_STYLES))
     lines = []
     for row in rows:
         for _ in range(draw(st.integers(0, 1))):
-            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            lines.append(draw(blanks))
         if isinstance(row, str):
             lines.append(row)
             continue
-        sep = draw(st.sampled_from(SEPARATORS))
-        pad = draw(st.sampled_from(("", " ", "\t")))
-        lines.append(pad + sep.join([draw(token(v)) for v in row]) + draw(st.sampled_from(("", " "))))
+        sep, pad = draw(seps), draw(pads)
+        lines.append(pad + sep.join([draw(token(v, styles)) for v in row]) + draw(st.sampled_from(("", " "))))
     ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
     if lines and draw(st.booleans()):
         ends[-1] = ""
@@ -238,15 +273,31 @@ def write_texts(root, texts):
     return root
 
 
+def write_rows(root, data, rows):
+    """Render `rows` into the three files at `root`, all uniform in half the examples."""
+    uniform = data.draw(st.booleans())
+    return write_texts(root, {f: data.draw(render(rows[f], uniform)) for f in FILES})
+
+
+def reader_outcome(root):
+    """`parse_outcome` of `parse_tu_dataset`, with a hypothesis event naming
+    the files that the line reader opened, so the statistics show the share
+    of examples each reader took."""
+    with mock.patch.object(graphdata, "_line_rows", wraps=graphdata._line_rows) as spy:
+        outcome = parse_outcome(parse_tu_dataset, root)
+    opened = sorted({call.args[0].stem.removeprefix("R_") for call in spy.call_args_list})
+    event(f"line reader opened: {', '.join(opened) or 'no file'}")
+    return outcome
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), block=st.integers(1, 40) | st.just(graphdata.BLOCK_BYTES))
-def test_block_parser_equals_line_parser(tmp_path_factory, data, block):
+@given(data=st.data())
+def test_tu_parser_equals_line_parser(tmp_path_factory, data):
     rows = data.draw(tu_rows())
-    root = write_texts(tmp_path_factory.mktemp("tu"), {f: data.draw(render(rows[f])) for f in FILES})
+    root = write_rows(tmp_path_factory.mktemp("tu"), data, rows)
     expected = parse_outcome(reference.parse_tu_dataset, root)
     assert not isinstance(expected[0], str)
-    with mock.patch.object(graphdata, "BLOCK_BYTES", block):
-        assert parse_outcome(parse_tu_dataset, root) == expected
+    assert reader_outcome(root) == expected
 
 
 FAULTS = ("token", "arity", "unknown", "cross", "range", "no nodes")
@@ -289,19 +340,18 @@ def fault(draw, rows, kind):
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), block=st.integers(1, 40) | st.just(graphdata.BLOCK_BYTES))
-def test_block_parser_reports_the_fault_the_line_parser_reports(tmp_path_factory, data, block):
+@given(data=st.data())
+def test_tu_parser_reports_the_fault_the_line_parser_reports(tmp_path_factory, data):
     rows = data.draw(tu_rows())
     kinds = [k for k in FAULTS if k != "cross" or len(rows["graph_labels"]) > 1]
     # an extra graph can own a node whose indicator was out of range
     drawn = st.lists(st.sampled_from(kinds), min_size=1, max_size=2)
     for kind in data.draw(drawn.filter(lambda k: not {"range", "no nodes"} <= set(k))):
         rows = data.draw(fault(rows, kind))
-    root = write_texts(tmp_path_factory.mktemp("tu"), {f: data.draw(render(rows[f])) for f in FILES})
+    root = write_rows(tmp_path_factory.mktemp("tu"), data, rows)
     expected = parse_outcome(reference.parse_tu_dataset, root)
     assert isinstance(expected[0], str) and expected[0].startswith("ParseError: ")
-    with mock.patch.object(graphdata, "BLOCK_BYTES", block):
-        assert parse_outcome(parse_tu_dataset, root) == expected
+    assert reader_outcome(root) == expected
 
 
 def test_graph_validates_edges():

@@ -613,6 +613,12 @@ def test_similarity_matrix_needs_one_backend():
         SimilarityMatrix(values=np.zeros((2, 2)), points=np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (3,), (2, 2, 2)])
+def test_similarity_matrix_values_must_be_square(shape):
+    with pytest.raises(ValueError, match=rf"square 2-D array, got shape \({', '.join(map(str, shape))},?\)"):
+        SimilarityMatrix(values=np.zeros(shape))
+
+
 # --- disk format ---------------------------------------------------------------
 
 
