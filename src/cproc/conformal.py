@@ -98,8 +98,8 @@ def conformal_intervals(
         if ranked.size == 0:
             raise StratumError(f"no calibration graphs with binarized label {label}")
     else:
-        if K is None or K < 1:
-            raise ValueError(f"K must be >= 1 with a matrix, got {K}")
+        if K is None:
+            raise ValueError("K is required with a matrix")
         if min_stratum < 1:
             raise ValueError(f"min_stratum must be >= 1, got {min_stratum}")
         position = np.empty(matrix.n, dtype=np.int64)  # graph id -> index into calib_ids

@@ -99,15 +99,16 @@ def _line_rows(path: Path, width: int, what: str) -> tuple[list[list[int]], list
 def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, list | None, ParseError | None]:
     """`_line_rows(path, width, what)` with the rows as a (k, width) array of
     int64, or of Python ints when a value is beyond int64. Where numpy's
-    reader reads the whole file into `width` columns, with "," or else
-    whitespace as the separator, its rows are the same and the line numbers
-    are None: it skips empty lines without counting them."""
+    reader reads the whole file into `width` columns without a warning, with
+    "," or else whitespace as the separator, its rows are the same and the
+    line numbers are None: it skips empty lines without counting them."""
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # an empty file warns, and so does a float token on numpy releases that cast it to int64
+        warnings.simplefilter("error")
         for sep in (",", None):
             try:
                 rows = np.loadtxt(path, np.int64, comments=None, delimiter=sep, ndmin=2, encoding="utf-8")
-            except ValueError:
+            except (ValueError, Warning):
                 continue
             if rows.shape[1] == width:
                 return rows, None, None

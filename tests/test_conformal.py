@@ -212,8 +212,7 @@ def test_local_interval_argument_errors():
         marginal(0.5, scores, alpha=1.0)
 
 
-@pytest.mark.parametrize("K", [None, 0])
-def test_local_interval_needs_k_before_reading_a_distance(K):
+def test_local_interval_needs_k_before_reading_a_distance():
     mat, calib, labels, scores, probs = _local_setup()
 
     class Unread(SimilarityMatrix):
@@ -221,8 +220,8 @@ def test_local_interval_needs_k_before_reading_a_distance(K):
             raise AssertionError("a distance was read")
 
     unread = Unread(values=mat.values)
-    with pytest.raises(ValueError, match=rf"K must be >= 1 with a matrix, got {K}"):
-        conformal_intervals([120], probs, calib, scores, labels[calib] == 1, 0.1, label=1, matrix=unread, K=K)
+    with pytest.raises(ValueError, match="K is required with a matrix"):
+        conformal_intervals([120], probs, calib, scores, labels[calib] == 1, 0.1, label=1, matrix=unread)
 
 
 def _local_setup():

@@ -132,6 +132,44 @@ def test_both_readers_parse_as_the_reference(tmp_path, edit, line_reader):
     assert graphs == reference.parse_tu_dataset(root, "TINY")
 
 
+_loadtxt = np.loadtxt
+
+
+def _loadtxt_reading_floats_as_integers(fname, dtype, **kwargs):
+    """np.loadtxt as numpy releases from 1.23 until the float fallback was
+    removed ran it: a token that does not read as an integer but reads as a
+    float, such as 1.5, 1e3 or a value beyond int64, is read as a float and
+    cast after a DeprecationWarning. Where that warning is raised, numpy
+    raises a ValueError from it."""
+    try:
+        return _loadtxt(fname, dtype, **kwargs)
+    except ValueError:
+        rows = _loadtxt(fname, float, **kwargs)
+    try:
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+    except DeprecationWarning as exc:
+        raise ValueError(f"could not convert a float to {np.dtype(dtype)}") from exc
+    return rows.astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        {"A": "1, 2\n1.5, 2\n"},
+        {"A": "1, 2\n2.7, 3\n1, 99\n"},
+        {"A": "1, 2\n1e3, 2\n"},
+        {"graph_labels": "1\n100000000000000000000\n"},
+    ],
+    ids=["float", "float-before-unknown-node", "exponent", "label-beyond-int64"],
+)
+def test_a_numpy_that_reads_floats_as_integers_parses_as_the_reference(tmp_path, texts):
+    root = tmp_path / "R"
+    write_texts(root, {"A": "1, 2\n", "graph_indicator": "1\n1\n2\n", "graph_labels": "1\n-1\n"} | texts)
+    with mock.patch.object(graphdata.np, "loadtxt", _loadtxt_reading_floats_as_integers):
+        outcome = parse_outcome(parse_tu_dataset, root)
+    assert outcome == parse_outcome(reference.parse_tu_dataset, root)
+
+
 @pytest.mark.parametrize("suffix, text", [("graph_indicator", "1\n1 7\n1\n2\n2\n"), ("graph_labels", "1\n-1 0\n")])
 def test_parse_one_integer_per_line(tmp_path, suffix, text):
     root = write_tiny_fixture(tmp_path / "TINY")
