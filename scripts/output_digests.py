@@ -1,6 +1,6 @@
 """Print the sha256 of every file that a fixed set of `cproc bands`,
-`cproc simmat`, `cproc simulate`, `cproc topo`, `cproc plot` and
-`multilabel_bands` runs writes.
+`cproc simmat`, `cproc simulate`, `cproc topo` and `cproc plot` runs and
+three one-vs-rest `cp_roc_bands` calls write.
 
 Run it from the repository root with the cproc to be checked on the path:
 
@@ -14,7 +14,9 @@ parent. The inputs are fabricated here (the twin-star fixture of acceptance
 criterion 10, the criterion-1 synthetic design) or by `perfbench/gen.py`
 (the BZR-shaped set of the tu-cold workload and the MUTAG-shaped set of the
 tu-warm workload), and the script uses only cproc names that older versions
-also have, so it can be run against them.
+also have, so it can be run against them. The one-vs-rest case binarizes a
+3-label synthetic set label by label, as the README's recipe does, and
+passes each binary set to `cp_roc_bands`.
 
 The warm case runs `cproc simmat` and then two `cproc bands` calls with a
 1000-resample bootstrap in the same directory; both must hit the similarity
@@ -44,8 +46,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
 from cproc.cli import main  # noqa: E402
-from cproc.graphdata import Graph, ScoredDataset, write_scores, write_tu_dataset  # noqa: E402
-from cproc.rocbands import multilabel_bands, write_band_csv  # noqa: E402
+from cproc.graphdata import Graph, ScoredDataset, write_tu_dataset  # noqa: E402
+from cproc.rocbands import cp_roc_bands, write_band_csv  # noqa: E402
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate  # noqa: E402
 
 
@@ -65,8 +67,9 @@ def twin_stars(root: Path, n_pairs: int = 16) -> None:
             p1s.append(p1)
             parts.append("train" if twin == 0 else ("calib" if i % 4 < 2 else "test"))
     write_tu_dataset(graphs, root / "STARS", "STARS")
-    probs = np.column_stack([1.0 - np.array(p1s), p1s])
-    write_scores(ScoredDataset(labels=np.array(labels), probs=probs), root / "stars_scores.csv")
+    lines = ["graph_id,label,p0,p1"] + [f"{gid},{label},{1.0 - p1!r},{p1!r}"
+                                         for gid, (label, p1) in enumerate(zip(labels, p1s))]
+    (root / "stars_scores.csv").write_text("\n".join(lines) + "\n", newline="\r\n")  # as csv.writer ends rows
     lines = ["graph_id,part"] + [f"{gid},{part}" for gid, part in enumerate(parts)]
     (root / "stars_split.csv").write_text("\n".join(lines) + "\n")
 
@@ -85,17 +88,19 @@ def digests(out: str, note: str = "") -> list[str]:
 
 
 def multilabel(out: Path) -> None:
-    """Three one-vs-rest conditional bands on synthetic covariates."""
+    """Three one-vs-rest conditional bands on synthetic covariates: label k
+    against the rest, scored by p_k."""
     ds = generate(SyntheticSpec(n_train=300, n_calib=200, n_test=150, dim=3, beta=(1.0, -0.8, 0.6), seed=5))
     labels = np.digitize(ds.x[:, 0], [-0.4, 0.4])
     rng = np.random.default_rng(5)
     logits = np.eye(3)[labels] * 1.5 + rng.normal(0.0, 1.0, (ds.n, 3))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    scored = ScoredDataset(labels=labels, probs=probs, split=ds.split)
-    bands = multilabel_bands(scored, covariate_distance_matrix(ds), K=20, alpha=0.1,
-                             min_stratum=3, thin_stratum="widen")
+    matrix = covariate_distance_matrix(ds)
     out.mkdir()
-    for k, band in bands.items():
+    for k in range(3):
+        scored = ScoredDataset(labels=(labels == k).astype(np.int64), split=ds.split,
+                               probs=np.column_stack([1.0 - probs[:, k], probs[:, k]]))
+        band = cp_roc_bands(scored, matrix, K=20, alpha=0.1, min_stratum=3, thin_stratum="widen")
         write_band_csv(out / f"band_label{k}.csv", band.lambda_grid, band.sen_lo, band.sen_up,
                        band.spe_lo, band.spe_up, comments=(f"auc: [{band.auc_lo!r}, {band.auc_up!r}]",))
 

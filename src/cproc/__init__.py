@@ -11,7 +11,7 @@ probability validates band coverage empirically.
 __version__ = "0.1.0"
 
 from .baseline import BootstrapBand, bootstrap_bands
-from .conformal import conformal_intervals, quantile, score_table
+from .conformal import conformal_intervals, score_table
 from .errors import (
     CprocError,
     DegenerateTestError,
@@ -37,7 +37,6 @@ from .rocbands import (
     band_from_intervals,
     cp_roc_bands,
     empirical_roc,
-    multilabel_bands,
     oracle_rates,
 )
 from .similarity import (

@@ -278,7 +278,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     if scored.num_labels > 2:
         raise ValueError(
             f"{cfg.scores} has {scored.num_labels} labels, but cproc bands builds binary bands; "
-            "use cproc.rocbands.multilabel_bands for one-vs-rest bands"
+            "see 'One-vs-rest bands' in the README for a recipe that builds one band per label"
         )
     if cfg.split:
         base_split = read_split_manifest(cfg.split)

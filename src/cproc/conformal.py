@@ -33,16 +33,6 @@ def _rank(gamma: float, n):
     return np.minimum(np.maximum(np.floor(gamma * n).astype(np.int64), 1), n)
 
 
-def quantile(values, gamma: float) -> float:
-    """The floor(gamma * n)-th order statistic, clamped to [1, n]."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("quantile of an empty multiset")
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    return float(arr[_rank(gamma, arr.size) - 1])
-
-
 def score_table(
     matrix: SimilarityMatrix,
     calib_ids: np.ndarray,

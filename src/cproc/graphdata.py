@@ -238,9 +238,6 @@ class SplitAssignment:
             raise ValueError(f"unknown part {part!r}")
         return np.array([i for i, p in enumerate(self.parts) if p == part], dtype=np.int64)
 
-    def sizes(self) -> dict[str, int]:
-        return {part: int(sum(p == part for p in self.parts)) for part in PARTS}
-
 
 def _deal(parts: list[str], pool: np.ndarray, calib_split: float) -> SplitAssignment:
     """Give the first floor(|pool| * calib_split) ids of the shuffled `pool`
@@ -397,9 +394,3 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
         missing = int(np.flatnonzero(~seen)[0])
         raise ScoreIngestError(f"graph_id {missing} has no score row")
     return ScoredDataset(labels=labels, probs=probs)
-
-
-def write_scores(scored: ScoredDataset, path: str | Path) -> None:
-    header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
-    rows = enumerate(zip(scored.labels, scored.probs.tolist()))
-    write_table(path, ([gid, int(label), *map(repr, probs)] for gid, (label, probs) in rows), header)

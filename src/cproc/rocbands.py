@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import conformal_intervals, score_table
-from .errors import DegenerateTestError, StratumError
+from .errors import DegenerateTestError
 from .graphdata import ScoredDataset, write_table
 from .similarity import SimilarityMatrix
 from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.py hooks it by name
@@ -153,11 +153,10 @@ def cp_roc_bands(
     K: int,
     alpha: float,
     mode: str = "conditional",
-    positive_label: int = 1,
     min_stratum: int = 5,
     thin_stratum: str = "error",
 ) -> RocBand:
-    """Full band pipeline for one (binarized) label.
+    """Full band pipeline for a two-label scored set, with label 1 positive.
 
     `thin_stratum` controls test points whose K-neighborhood holds fewer than
     `min_stratum` same-label calibration graphs: "error" raises, "widen"
@@ -167,20 +166,21 @@ def cp_roc_bands(
         raise ValueError(f"unknown mode {mode!r}")
     if thin_stratum not in ("error", "widen"):
         raise ValueError(f"unknown thin_stratum policy {thin_stratum!r}")
+    if scored.num_labels != 2:
+        raise ValueError(f"binary bands need 2 labels, got {scored.num_labels}")
 
     train_ids = np.sort(scored.part_ids("train"))
     calib_ids = np.sort(scored.part_ids("calib"))
     test_ids = np.sort(scored.part_ids("test"))
-    fhat = scored.probs[:, positive_label]
-    binary = scored.labels == positive_label
+    fhat = scored.probs[:, 1]
+    binary = scored.labels == 1
 
     calib_sorted, scores = score_table(matrix, calib_ids, train_ids, fhat, K)
     test_pos = test_ids[binary[test_ids]]
     test_neg = test_ids[~binary[test_ids]]
     if test_pos.size == 0 or test_neg.size == 0:
         raise DegenerateTestError(
-            f"test part lacks a class for label {positive_label} "
-            f"({test_pos.size} positive / {test_neg.size} negative)"
+            f"test part lacks a class for label 1 ({test_pos.size} positive / {test_neg.size} negative)"
         )
 
     local = matrix if mode == "conditional" else None
@@ -191,31 +191,6 @@ def cp_roc_bands(
             matrix=local, K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
         )
     return band_from_intervals(*endpoints)
-
-
-def multilabel_bands(
-    scored: ScoredDataset,
-    matrix: SimilarityMatrix,
-    K: int,
-    alpha: float,
-    mode: str = "conditional",
-    min_stratum: int = 5,
-    thin_stratum: str = "error",
-) -> dict[int, RocBand]:
-    """One-vs-rest band per label: binarize y, score with f_hat_k, run the
-    binary pipeline."""
-    if scored.num_labels < 2:
-        raise ValueError("multilabel bands need at least two labels")
-    test_labels = set(scored.labels[scored.part_ids("test")].tolist())
-    bands = {}
-    for k in range(scored.num_labels):
-        if k not in test_labels:
-            raise StratumError(f"label {k} absent from the test part")
-        bands[k] = cp_roc_bands(
-            scored, matrix, K, alpha, mode=mode, positive_label=k,
-            min_stratum=min_stratum, thin_stratum=thin_stratum,
-        )
-    return bands
 
 
 BAND_COLUMNS = ("lambda", "sen_lo", "sen_up", "spe_lo", "spe_up")
@@ -238,17 +213,24 @@ def write_band_csv(
 
 
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:
-    rows = []
+    """The five band columns; a data row that is not five finite numbers
+    raises ValueError naming `path:line`."""
     with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#") or not line.strip():
-                continue
-            rows.append(line.strip().split(","))
-    if not rows or tuple(rows[0]) != BAND_COLUMNS:
+        lines = [(ln, line.strip()) for ln, line in enumerate(fh, 1) if line.strip() and not line.startswith("#")]
+    if not lines or tuple(lines[0][1].split(",")) != BAND_COLUMNS:
         raise ValueError(f"{path}: not a band CSV")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    if data.size == 0:
+    rows = []
+    for ln, line in lines[1:]:
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(BAND_COLUMNS) or not np.isfinite(row).all():
+            raise ValueError(f"{path}:{ln}: expected {len(BAND_COLUMNS)} finite numbers, got {line!r}")
+        rows.append(row)
+    if not rows:
         raise ValueError(f"{path}: band CSV has no rows")
+    data = np.array(rows)
     return {name: data[:, i] for i, name in enumerate(BAND_COLUMNS)}
 
 

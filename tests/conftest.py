@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cproc.graphdata import Graph
+from cproc.graphdata import Graph, ScoredDataset, write_table
 
 
 @pytest.fixture
@@ -32,3 +32,10 @@ def write_tiny_fixture(root, name="TINY"):
     (root / f"{name}_graph_indicator.txt").write_text("1\n1\n1\n2\n2\n")
     (root / f"{name}_graph_labels.txt").write_text("1\n-1\n")
     return root
+
+
+def write_scores(scored: ScoredDataset, path) -> None:
+    """Scores CSV in the schema `load_scores` reads: graph_id,label,p0..p{L-1}."""
+    header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
+    rows = enumerate(zip(scored.labels, scored.probs.tolist()))
+    write_table(path, ([gid, int(label), *map(repr, probs)] for gid, (label, probs) in rows), header)

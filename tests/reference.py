@@ -1,7 +1,9 @@
 """Loop versions of the TU parser and of sublevel persistence, kept as the
 references that the numpy parser and the list union-find are compared
 against. They are the implementations these replaced, moved here as they
-were, so a property test can require equal results on random input."""
+were, so a property test can require equal results on random input.
+`quantile` is the one-multiset order statistic that the batched engine's
+endpoints are checked against."""
 
 from __future__ import annotations
 
@@ -11,9 +13,20 @@ from pathlib import Path
 
 import numpy as np
 
+from cproc.conformal import _rank
 from cproc.errors import ParseError
 from cproc.graphdata import Graph
 from cproc.topology import PersistenceDiagram
+
+
+def quantile(values, gamma: float) -> float:
+    """The floor(gamma * n)-th order statistic, clamped to [1, n]."""
+    arr = np.sort(np.asarray(values, dtype=float))
+    if arr.size == 0:
+        raise ValueError("quantile of an empty multiset")
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    return float(arr[_rank(gamma, arr.size) - 1])
 
 
 def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:

@@ -13,7 +13,6 @@ import pytest
 
 from cproc.baseline import bootstrap_bands
 from cproc.cli import main
-from cproc.conformal import quantile
 from cproc.graphdata import parse_tu_dataset, write_tu_dataset
 from cproc.rocbands import band_from_intervals, cp_roc_bands, default_lambda_grid
 from cproc.similarity import wasserstein_distance
@@ -28,6 +27,7 @@ from cproc.synthetic import (
 from cproc.topology import sublevel_persistence
 
 from conftest import random_er_graph, write_tiny_fixture
+from reference import quantile
 from test_cli import twin_star_dataset
 from test_similarity import exhaustive_wasserstein, random_diagram
 

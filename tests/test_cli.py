@@ -10,7 +10,6 @@ from cproc.graphdata import (
     Graph,
     ScoredDataset,
     parse_tu_dataset,
-    write_scores,
     write_split_manifest,
     write_tu_dataset,
 )
@@ -19,7 +18,7 @@ from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 from cproc.topology import FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
 
-from conftest import write_tiny_fixture
+from conftest import write_scores, write_tiny_fixture
 
 
 def star(gid: int, leaves: int, label: int) -> Graph:
@@ -302,6 +301,15 @@ def test_plot_empty_file_exit_2(tmp_path):
     assert main(["plot", str(empty), "--out", str(tmp_path / "x.svg")]) == 2
 
 
+@pytest.mark.parametrize("row", ["0.5,nan,1,1,1", "0.5,1,1"])
+def test_plot_bad_band_row_exit_2(tmp_path, capsys, row):
+    band = tmp_path / "band.csv"
+    band.write_text("# config\nlambda,sen_lo,sen_up,spe_lo,spe_up\n0.0,1,1,1,1\n" + row + "\n")
+    assert main(["plot", str(band), "--out", str(tmp_path / "x.svg")]) == 2
+    assert f"{band}:4:" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
 def test_simulate_single_replicate_audit(tmp_path):
     out = tmp_path / "sim"
     rc = main([
@@ -391,7 +399,7 @@ def test_bands_more_than_two_labels_exit_2(tmp_path, capsys):
                "--knn", "5", "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "3 labels" in err and "multilabel_bands" in err
+    assert "3 labels" in err and "One-vs-rest bands" in err
     assert not (tmp_path / "o" / "band.csv").exists()
 
 

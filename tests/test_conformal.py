@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
-from cproc.conformal import conformal_intervals, quantile, score_table
+from cproc.conformal import conformal_intervals, score_table
 from cproc.errors import StratumError
 from cproc.rocbands import band_from_intervals, cp_roc_bands
 from cproc.similarity import SimilarityMatrix, knn_indices
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
+
+from reference import quantile
 
 
 def dist_matrix_from_coords(coords: np.ndarray) -> SimilarityMatrix:

@@ -10,6 +10,7 @@ import reference
 from cproc import graphdata
 from cproc.errors import ParseError, ScoreIngestError, SplitError
 from cproc.graphdata import (
+    PARTS,
     Graph,
     ScoredDataset,
     SplitAssignment,
@@ -18,12 +19,11 @@ from cproc.graphdata import (
     read_split_manifest,
     resplit,
     split_dataset,
-    write_scores,
     write_split_manifest,
     write_tu_dataset,
 )
 
-from conftest import write_tiny_fixture
+from conftest import write_scores, write_tiny_fixture
 
 
 def test_parse_tiny_fixture_remaps_labels(tmp_path):
@@ -413,13 +413,13 @@ def test_adjacency_symmetric(triangle):
 
 def test_split_sizes_small():
     split = split_dataset(10, seed=5, pool_split=0.8, calib_split=0.5)
-    assert split.sizes() == {"train": 8, "valid": 0, "calib": 1, "test": 1}
+    assert {part: len(split.ids(part)) for part in PARTS} == {"train": 8, "valid": 0, "calib": 1, "test": 1}
 
 
 def test_split_sizes_proteins_scale():
     split = split_dataset(1113, seed=0)
     # floor(1113 * 0.8) = 890 train; floor(223 * 0.5) = 111 calib, 112 test
-    assert split.sizes() == {"train": 890, "valid": 0, "calib": 111, "test": 112}
+    assert {part: len(split.ids(part)) for part in PARTS} == {"train": 890, "valid": 0, "calib": 111, "test": 112}
 
 
 def test_split_determinism_and_partition():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from cproc.errors import DegenerateTestError, StratumError
 from cproc.graphdata import ScoredDataset, SplitAssignment
@@ -10,13 +11,13 @@ from cproc.rocbands import (
     cp_roc_bands,
     default_lambda_grid,
     empirical_roc,
-    multilabel_bands,
     oracle_rates,
     read_band_csv,
     roc_from_arrays,
     staircase_auc,
     write_band_csv,
 )
+from cproc.similarity import SimilarityMatrix
 from cproc.synthetic import (
     SyntheticSpec,
     covariate_distance_matrix,
@@ -269,17 +270,13 @@ def test_pipeline_degenerate_test_part():
         cp_roc_bands(scored, mat, K=10, alpha=0.1)
 
 
-def test_multilabel_binary_reduces_to_binary_pipeline():
-    scored, mat = _pipeline_inputs(seed=19)
-    bands = multilabel_bands(scored, mat, K=25, alpha=0.1, mode="conditional", thin_stratum="widen")
-    direct = cp_roc_bands(
-        scored, mat, K=25, alpha=0.1, mode="conditional", positive_label=1, thin_stratum="widen"
-    )
-    assert np.array_equal(bands[1].sen_lo, direct.sen_lo)
-    assert np.array_equal(bands[1].spe_up, direct.spe_up)
+def _one_vs_rest(scored: ScoredDataset, k: int) -> ScoredDataset:
+    """The README's one-vs-rest recipe: label k against the rest, scored by p_k."""
+    return ScoredDataset(labels=(scored.labels == k).astype(np.int64), split=scored.split,
+                         probs=np.column_stack([1.0 - scored.probs[:, k], scored.probs[:, k]]))
 
 
-def test_multilabel_three_classes():
+def _three_class_inputs():
     rng = np.random.default_rng(23)
     n = 360
     x = rng.normal(size=(n, 2))
@@ -287,27 +284,31 @@ def test_multilabel_three_classes():
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     labels = np.array([rng.choice(3, p=p) for p in probs])
     parts = ("train",) * 200 + ("calib",) * 100 + ("test",) * 60
-    split = SplitAssignment(parts)
-    scored = ScoredDataset(labels=labels, probs=probs, split=split)
-    from cproc.similarity import SimilarityMatrix
-    from scipy.spatial.distance import pdist, squareform
-
+    scored = ScoredDataset(labels=labels, probs=probs, split=SplitAssignment(parts))
     mat = SimilarityMatrix(values=squareform(pdist(x)), p=2.0, kinds=("euclidean",), cap=0.0)
-    bands = multilabel_bands(scored, mat, K=30, alpha=0.1, mode="conditional", thin_stratum="widen")
-    assert sorted(bands) == [0, 1, 2]
-    for band in bands.values():
+    return scored, mat
+
+
+def test_pipeline_rejects_three_labels():
+    scored, mat = _three_class_inputs()
+    with pytest.raises(ValueError, match="need 2 labels, got 3"):
+        cp_roc_bands(scored, mat, K=30, alpha=0.1, mode="conditional", thin_stratum="widen")
+
+
+def test_one_vs_rest_binary_reduces_to_binary_pipeline():
+    scored, mat = _pipeline_inputs(seed=19)
+    ovr = cp_roc_bands(_one_vs_rest(scored, 1), mat, K=25, alpha=0.1, mode="conditional", thin_stratum="widen")
+    direct = cp_roc_bands(scored, mat, K=25, alpha=0.1, mode="conditional", thin_stratum="widen")
+    assert np.array_equal(ovr.sen_lo, direct.sen_lo)
+    assert np.array_equal(ovr.spe_up, direct.spe_up)
+
+
+def test_one_vs_rest_three_classes():
+    scored, mat = _three_class_inputs()
+    for k in range(3):
+        band = cp_roc_bands(_one_vs_rest(scored, k), mat, K=30, alpha=0.1, mode="conditional", thin_stratum="widen")
         assert np.all(band.sen_lo <= band.sen_up)
         assert np.all(np.diff(band.sen_up) <= 0)
-
-
-def test_multilabel_missing_test_label():
-    # three probability columns but label 2 never appears in the test part
-    scored, mat = _pipeline_inputs(seed=29)
-    probs3 = np.column_stack([scored.probs, np.full(scored.n, 1e-9)])
-    probs3 = probs3 / probs3.sum(axis=1, keepdims=True)
-    bad = ScoredDataset(labels=scored.labels, probs=probs3, split=scored.split)
-    with pytest.raises(StratumError, match="absent"):
-        multilabel_bands(bad, mat, K=10, alpha=0.1, mode="exchangeable")
 
 
 def test_empirical_roc_from_scored_dataset():
