@@ -25,7 +25,6 @@ from .baseline import bootstrap_bands
 from .errors import CprocError, NumericalError
 from .graphdata import (
     load_scores,
-    opens_with_comments,
     parse_tu_dataset,
     read_split_manifest,
     resplit,
@@ -86,7 +85,7 @@ class RunConfig:
     mode: str = _flag("cond", CONFORMAL, choices=sorted(MODES))
     scores: str | None = _flag(None, ("bands",), "scores CSV (graph_id,label,p0,p1,...)")
     out: str = _flag(".", COMMANDS, "output directory")
-    force: bool = _flag(False, DATASET)
+    force: bool = _flag(False, PAIRS)
     pairs_parallel: int = _flag(1, PAIRS)
     pool_split: float = _flag(0.8, ("bands",))
     calib_split: float = _flag(0.5, ("bands",))
@@ -186,9 +185,6 @@ def cmd_topo(args: argparse.Namespace) -> int:
     kind = FiltrationKind(cfg.filtration)
     dpath = out / f"{name}_{kind.value}_diagrams.csv"
     ipath = out / f"{name}_{kind.value}_images.csv"
-    if not cfg.force and all(p.exists() and opens_with_comments(p, comments) for p in (dpath, ipath)):
-        print(f"topo outputs exist, skipping: {dpath.name}, {ipath.name} (--force to redo)")
-        return 0
     graphs = _dataset_graphs(cfg)
     diagrams = _dataset_diagrams(graphs, kind)
     cap = max_finite_value(diagrams)

@@ -58,20 +58,14 @@ class Graph:
 
 
 def write_table(path: str | Path, rows, header=None, comments: tuple[str, ...] = ()) -> None:
-    """Write `comments` as `# ` lines, then `header` (if any) and `rows` as CSV."""
+    """Write `comments` as `# ` lines, then `header` (if any) and `rows` as CSV;
+    `csv` writes a Python float as its repr, so pass `.tolist()` values."""
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         writer.writerows(rows)
-
-
-def opens_with_comments(path: str | Path, comments: tuple[str, ...]) -> bool:
-    """Whether the file at `path` opens with `comments` as `write_table` writes them."""
-    prologue = "".join(f"# {line}\n" for line in comments).encode()
-    with open(path, "rb") as fh:
-        return fh.read(len(prologue)) == prologue
 
 
 def _line_rows(path: Path, width: int, what: str) -> tuple[list[list[int]], list[int], ParseError | None]:
@@ -135,7 +129,7 @@ def _edge_keys(path: Path, name: str, graph_of: np.ndarray, rank: np.ndarray) ->
     rows, lines, fault = _int_rows(path, 2, "two node ids")
     n_nodes = graph_of.size
     unknown = ((rows < 1) | (rows > n_nodes)).any(axis=1)
-    u, v = (np.where(unknown[:, None], 1, rows).astype(np.int64) - 1).T
+    u, v = np.where(unknown[:, None], 0, rows - 1).astype(np.int64, copy=False).T
     bad = np.flatnonzero(unknown | (graph_of[u] != graph_of[v]))
     if bad.size:
         i = int(bad[0])
@@ -145,9 +139,14 @@ def _edge_keys(path: Path, name: str, graph_of: np.ndarray, rank: np.ndarray) ->
         raise ParseError(f"{name}_A.txt:{lines[i]}: edge ({rows[i, 0]},{rows[i, 1]}) {kind}")
     if fault is not None:
         raise fault
-    loop = u == v
-    ru, rv = rank[u[~loop]], rank[v[~loop]]
-    return np.unique(np.minimum(ru, rv) * n_nodes + np.maximum(ru, rv)), int(loop.sum())
+    del rows  # the keys need only the ranks of the non-loop edges
+    keep = u != v
+    ru, rv = rank[u[keep]], rank[v[keep]]
+    del u, v
+    keys = np.minimum(ru, rv)
+    keys *= n_nodes
+    keys += np.maximum(ru, rv)
+    return np.unique(keys), keep.size - keys.size
 
 
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:

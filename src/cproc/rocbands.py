@@ -208,7 +208,7 @@ def write_band_csv(
     """Band CSV shared by conformal and bootstrap bands; leading '#' lines
     carry provenance."""
     columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
-    rows = zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns))
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
     write_table(path, rows, BAND_COLUMNS, comments)
 
 

@@ -386,5 +386,4 @@ def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMa
 
 
 def export_matrix_csv(matrix: SimilarityMatrix, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    rows = np.asarray(matrix.values, dtype=float).tolist()
-    write_table(path, (map(repr, row) for row in rows), comments=comments)
+    write_table(path, np.asarray(matrix.values, dtype=float).tolist(), comments=comments)

@@ -195,10 +195,10 @@ def diagrams_to_csv(
     diagrams: list[PersistenceDiagram], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
     rows = (
-        [d.graph_id, dim, repr(float(birth)), "inf" if math.isinf(death) else repr(float(death))]
+        [d.graph_id, dim, *point]
         for d in diagrams
         for dim in (0, 1)
-        for birth, death in d.points(dim)
+        for point in np.asarray(d.points(dim), dtype=float).tolist()
     )
     write_table(path, rows, ["graph_id", "dim", "birth", "death"], comments)
 
@@ -206,5 +206,5 @@ def diagrams_to_csv(
 def images_to_csv(
     images: list[tuple[int, np.ndarray]], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
-    rows = ([gid, *map(repr, img.reshape(-1).tolist())] for gid, img in images)
+    rows = ([gid, *img.reshape(-1).tolist()] for gid, img in images)
     write_table(path, rows, comments=comments)

@@ -38,4 +38,4 @@ def write_scores(scored: ScoredDataset, path) -> None:
     """Scores CSV in the schema `load_scores` reads: graph_id,label,p0..p{L-1}."""
     header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
     rows = enumerate(zip(scored.labels, scored.probs.tolist()))
-    write_table(path, ([gid, int(label), *map(repr, probs)] for gid, (label, probs) in rows), header)
+    write_table(path, ([gid, int(label), *probs] for gid, (label, probs) in rows), header)

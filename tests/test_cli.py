@@ -56,7 +56,7 @@ def twin_star_dataset(tmp_path, n_pairs=12):
     return data_dir, scores_path, split_path, labels, probs, parts
 
 
-def test_topo_fixture_and_idempotence(tmp_path, capsys):
+def test_topo_fixture_and_idempotence(tmp_path):
     data = write_tiny_fixture(tmp_path / "TINY")
     out = tmp_path / "out"
     rc = main(["topo", "--dataset", str(data), "--out", str(out)])
@@ -67,15 +67,12 @@ def test_topo_fixture_and_idempotence(tmp_path, capsys):
     ]
     gids = {l.split(",")[0] for l in diag_lines[1:]}
     assert gids == {"0", "1"}
-    capsys.readouterr()
-    rc = main(["topo", "--dataset", str(data), "--out", str(out)])
-    assert rc == 0 and "skipping" in capsys.readouterr().out
-    (tmp_path / "force.cfg").write_text("force=true\n")
-    rc = main(["topo", "--dataset", str(data), "--out", str(out), "--config", str(tmp_path / "force.cfg")])
-    assert rc == 0 and "skipping" not in capsys.readouterr().out
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["topo", "--dataset", str(data), "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
-def test_topo_reruns_when_its_configuration_changes(tmp_path, capsys):
+def test_topo_reruns_when_its_configuration_changes(tmp_path):
     data = write_tiny_fixture(tmp_path / "TINY")
     out = tmp_path / "out"
     topo = ["topo", "--dataset", str(data), "--out", str(out), "--pi-resolution"]
@@ -85,11 +82,21 @@ def test_topo_reruns_when_its_configuration_changes(tmp_path, capsys):
         return {len(row.split(",")) - 1 for row in rows if not row.startswith("#")}
 
     assert main(topo + ["5"]) == 0 and values_per_row() == {25}
-    capsys.readouterr()
-    assert main(topo + ["50"]) == 0
-    assert "skipping" not in capsys.readouterr().out and values_per_row() == {2500}
-    assert main(topo + ["50"]) == 0
-    assert "skipping" in capsys.readouterr().out
+    assert main(topo + ["50"]) == 0 and values_per_row() == {2500}
+
+
+def test_topo_reruns_after_the_dataset_changes(tmp_path):
+    data = write_tiny_fixture(tmp_path / "TINY")
+    out = tmp_path / "out"
+    topo = ["topo", "--dataset", str(data), "--out", str(out)]
+    diagrams = out / "TINY_degree_diagrams.csv"
+    assert main(topo) == 0
+    before = diagrams.read_bytes()
+    # drop the triangle's edge 2-3: graph 0 becomes a path and loses its cycle
+    edges = data / "TINY_A.txt"
+    edges.write_text(edges.read_text().replace("2, 3\n3, 2\n", ""))
+    assert main(topo) == 0
+    assert diagrams.read_bytes() != before
 
 
 def test_topo_missing_dataset_exit_2(tmp_path):
@@ -555,7 +562,7 @@ def test_outputs_embed_version_and_config(tmp_path):
 
 
 _FLAGS = {
-    "topo": "--dataset --filtration --force --name --out --pi-resolution",
+    "topo": "--dataset --filtration --name --out --pi-resolution",
     "simmat": "--dataset --filtration --force --name --out --pairs-parallel --wasserstein-p",
     "bands": "--alpha --bootstrap --calib-split --dataset --filtration --force --knn --level "
              "--min-stratum --mode --name --out --pairs-parallel --pool-split --repeats --scores "

@@ -331,6 +331,12 @@ def test_band_csv_roundtrip(tmp_path):
     assert np.array_equal(data["lambda"], band.lambda_grid)
     assert np.array_equal(data["sen_lo"], band.sen_lo)
     assert np.array_equal(data["spe_up"], band.spe_up)
+    edge = np.array([-0.0, 5e-324, 0.1 + 0.2])
+    write_band_csv(tmp_path / "edge.csv", edge, edge, edge, edge, edge)
+    assert (tmp_path / "edge.csv").read_text().splitlines()[1:] == [
+        ",".join([repr(x)] * 5) for x in (-0.0, 5e-324, 0.30000000000000004)
+    ]
+    assert read_band_csv(tmp_path / "edge.csv")["lambda"].tobytes() == edge.tobytes()
 
 
 def test_band_csv_rejects_garbage(tmp_path):

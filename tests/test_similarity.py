@@ -670,6 +670,9 @@ def test_matrix_csv_export(tmp_path):
     export_matrix_csv(mat, tmp_path / "m.csv")
     rows = (tmp_path / "m.csv").read_text().strip().splitlines()
     assert [float(v) for v in rows[0].split(",")] == [0.0, 1.5]
+    edge = SimilarityMatrix(values=np.array([[-0.0, 5e-324], [0.1 + 0.2, np.inf]]), p=1.0, kinds=(), cap=1.0)
+    export_matrix_csv(edge, tmp_path / "edge.csv")
+    assert (tmp_path / "edge.csv").read_bytes() == b"-0.0,5e-324\r\n0.30000000000000004,inf\r\n"
 
 
 def test_matrix_value_checksum(tmp_path):

@@ -16,6 +16,7 @@ from cproc.topology import (
     PersistenceDiagram,
     compute_filtration,
     diagrams_to_csv,
+    images_to_csv,
     max_finite_value,
     persistence_image,
     sublevel_persistence,
@@ -366,12 +367,18 @@ def test_diagram_csv_roundtrip(tmp_path, triangle):
     d1 = sublevel_persistence(triangle, np.array([0.0, 0.5, 1.0]))
     g2 = Graph(id=1, num_nodes=2, edges=((0, 1),), label=0)
     d2 = sublevel_persistence(g2, np.array([0.25, 0.75]))
-    diagrams_to_csv([d1, d2], tmp_path / "d.csv", comments=("test",))
+    # values whose text is easy to get wrong are written as repr writes them
+    d3 = PersistenceDiagram(2, np.array([[-0.0, np.inf], [5e-324, 0.1 + 0.2]]), np.array([[0.1 + 0.2, np.inf]]))
+    diagrams_to_csv([d1, d2, d3], tmp_path / "d.csv", comments=("test",))
     back = diagrams_from_csv(tmp_path / "d.csv")
-    for orig, loaded in zip([d1, d2], back):
+    for orig, loaded in zip([d1, d2, d3], back):
         assert loaded.graph_id == orig.graph_id
         for dim in (0, 1):
             assert as_multiset(loaded.points(dim)) == as_multiset(orig.points(dim))
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    assert lines[-3:] == ["2,0,-0.0,inf", "2,0,5e-324,0.30000000000000004", "2,1,0.30000000000000004,inf"]
+    images_to_csv([(2, np.array([[-0.0, 5e-324], [0.1 + 0.2, np.inf]]))], tmp_path / "i.csv")
+    assert (tmp_path / "i.csv").read_bytes() == b"2,-0.0,5e-324,0.30000000000000004,inf\r\n"
 
 
 def test_max_finite_value():
