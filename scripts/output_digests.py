@@ -21,10 +21,15 @@ passes each binary set to `cp_roc_bands`.
 The warm case runs `cproc simmat` and then two `cproc bands` calls with a
 1000-resample bootstrap in the same directory; both must hit the similarity
 cache, and the outputs are hashed after each call, so the cache-hit path
-and the bootstrap are covered. Last come `cproc topo` with the eigenvector
+and the bootstrap are covered. Then come `cproc topo` with the eigenvector
 filtration on the MUTAG-shaped set and a `cproc plot` that overlays the
 cond and exch twin-star bands, so every subcommand writes files that are
-hashed.
+hashed. Last, `cproc simmat` runs with the betweenness, closeness and
+communicability filtrations on the MUTAG-shaped set, so every filtration
+builds a matrix, and closeness runs once more with `--pairs-parallel 2` in
+its own directory; the script exits non-zero unless the pooled matrix's
+values equal the serial ones bit for bit (its files differ, since they
+record the configuration).
 """
 
 import os
@@ -48,6 +53,7 @@ import gen  # noqa: E402
 from cproc.cli import main  # noqa: E402
 from cproc.graphdata import Graph, ScoredDataset, write_tu_dataset  # noqa: E402
 from cproc.rocbands import cp_roc_bands, write_band_csv  # noqa: E402
+from cproc.similarity import load_matrix  # noqa: E402
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate  # noqa: E402
 
 
@@ -146,7 +152,17 @@ def run_all() -> list[str]:
     cli("topo", "--dataset", "MUTAGX/MUTAGX", "--filtration", "eigenvector", "--out", "topo")
     Path("plot").mkdir()
     cli("plot", "stars-cond/band.csv", "stars-exch/band.csv", "--out", "plot")
-    return lines + digests("topo") + digests("plot")
+    lines += digests("topo") + digests("plot")
+
+    for kind, workers, out in (("betweenness", "1", "tu-pairs"), ("closeness", "1", "tu-pairs"),
+                               ("communicability", "1", "tu-pairs"), ("closeness", "2", "tu-pairs-pool")):
+        cli("simmat", "--dataset", "MUTAGX/MUTAGX", "--filtration", kind, "--pairs-parallel", workers,
+            "--out", out)
+    serial, pooled = (load_matrix(Path(out, "MUTAGX_closeness_p1.simmat")).values.tobytes()
+                      for out in ("tu-pairs", "tu-pairs-pool"))
+    if serial != pooled:
+        raise SystemExit("closeness simmat --pairs-parallel 2 differs from --pairs-parallel 1")
+    return lines + digests("tu-pairs") + digests("tu-pairs-pool")
 
 
 def main_() -> int:

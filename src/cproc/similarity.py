@@ -46,12 +46,15 @@ K columns.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -241,18 +244,8 @@ class SimilarityMatrix:
         return self._values[np.ix_(rows, cols)]
 
 
-_WORKER_PREPARED: list[tuple[_Points, _Points]] = []
-_WORKER_P = 1.0
-
-
-def _pool_init(prepared: list[tuple[_Points, _Points]], p: float) -> None:
-    global _WORKER_PREPARED, _WORKER_P
-    _WORKER_PREPARED = prepared
-    _WORKER_P = p
-
-
-def _pool_pairs(pairs: list[tuple[int, int]]) -> list[tuple[int, int, float]]:
-    return [(i, j, _distance(_WORKER_PREPARED[i], _WORKER_PREPARED[j], _WORKER_P)) for i, j in pairs]
+def _pair_distance(prepared: list[tuple[_Points, _Points]], p: float, pair: tuple[int, int]) -> float:
+    return _distance(prepared[pair[0]], prepared[pair[1]], p)
 
 
 def build_similarity_matrix(
@@ -261,14 +254,16 @@ def build_similarity_matrix(
     cap: float | None = None,
     kinds: tuple[str, ...] = (),
     key: str = "",
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SimilarityMatrix:
     """All-pairs Wasserstein distances (symmetric, zero diagonal).
 
     `cap` defaults to the largest finite birth/death in the dataset and is
     applied to every diagram before matching. For p = 1, a dimension whose
-    points are all integer is solved by duality for all pairs at once; the
-    other dimensions are matched pair by pair, on `workers` processes.
+    points are all integer is solved by duality for all pairs at once. Any
+    other dimension is matched pair by pair by `_pair_distance`, in this
+    process or, for `workers` > 1, on a pool of that many processes that
+    each take one contiguous run of the pairs.
     """
     if cap is None:
         cap = max_finite_value(diagrams)
@@ -287,17 +282,13 @@ def build_similarity_matrix(
                 # dimension's cost is the float sum `_distance` takes
                 prepared = [q[:dim] + (_NO_POINTS,) + q[dim + 1 :] for q in prepared]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if matched else []
-    if workers and workers > 1 and len(pairs) > 1:
-        chunks = [pairs[k::workers] for k in range(workers) if pairs[k::workers]]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_init, initargs=(prepared, p)
-        ) as pool:
-            for result in pool.map(_pool_pairs, chunks):
-                for i, j, dist in result:
-                    values[i, j] = values[j, i] = values[i, j] + dist
-    else:
-        for i, j in pairs:
-            values[i, j] = values[j, i] = values[i, j] + _distance(prepared[i], prepared[j], p)
+    solve = partial(_pair_distance, prepared, p)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(pairs) > 1 else None
+    with pool or contextlib.nullcontext():
+        chunk = math.ceil(len(pairs) / workers)
+        dists = pool.map(solve, pairs, chunksize=chunk) if pool else map(solve, pairs)
+        for (i, j), dist in zip(pairs, dists):
+            values[i, j] = values[j, i] = values[i, j] + dist
     return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)
 
 

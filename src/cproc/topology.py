@@ -152,18 +152,19 @@ def persistence_image(
 
     Each point contributes an isotropic Gaussian of width sigma (default
     cap/20) weighted by persistence/cap; a pixel holds the center-evaluated
-    density times the pixel area. Infinite deaths are replaced by `cap`.
+    density times the pixel area. Infinite deaths are replaced by `cap`. An
+    empty diagram or a cap <= 0 (every finite value 0) gives the zero image.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    if sigma is None:
-        sigma = cap / 20.0
-    if sigma <= 0:
+    if sigma is not None and sigma <= 0:
         raise ValueError("sigma must be positive")
 
     pts = [p for dim in (d.dim0, d.dim1) for p in dim]
     if not pts or cap <= 0:
         return np.zeros((resolution, resolution))
+    if sigma is None:
+        sigma = cap / 20.0
 
     births = np.array([p[0] for p in pts])
     deaths = np.minimum(np.array([p[1] for p in pts]), cap)

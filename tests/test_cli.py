@@ -103,6 +103,18 @@ def test_topo_missing_dataset_exit_2(tmp_path):
     assert main(["topo", "--dataset", str(tmp_path / "NOPE"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kind, edges", [("degree", ()), ("betweenness", ((0, 1),))])
+def test_topo_all_zero_filtration_writes_zero_images(tmp_path, kind, edges):
+    # every finite filtration value is 0, so the cap is 0 and the default sigma too
+    graphs = [Graph(id=gid, num_nodes=2, edges=edges, label=gid) for gid in (0, 1)]
+    write_tu_dataset(graphs, tmp_path / "Z", "Z")
+    out = tmp_path / "out"
+    assert main(["topo", "--dataset", str(tmp_path / "Z"), "--filtration", kind, "--pi-resolution", "4",
+                 "--out", str(out)]) == 0
+    rows = [row for row in (out / f"Z_{kind}_images.csv").read_text().splitlines() if not row.startswith("#")]
+    assert rows == [",".join([str(gid)] + ["0.0"] * 16) for gid in (0, 1)]
+
+
 def test_simmat_matches_oracle_and_caches(tmp_path, capsys):
     graphs = [star(0, 2, 0), star(1, 3, 1), star(2, 4, 0)]
     data = tmp_path / "S3"

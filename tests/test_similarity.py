@@ -416,8 +416,10 @@ def test_non_integer_points_are_matched_pair_by_pair(monkeypatch):
 
 
 def test_order_two_is_matched_pair_by_pair(monkeypatch):
+    # worker processes solve the assignments, so with workers this process solves none
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
     assert_matched_pair_by_pair(monkeypatch, diagrams, 2.0, (0, 1), cap=cap)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, 2.0, (), cap=cap, workers=2)
 
 
 def test_lattice_over_the_limit_is_matched_pair_by_pair(monkeypatch):
@@ -426,14 +428,14 @@ def test_lattice_over_the_limit_is_matched_pair_by_pair(monkeypatch):
     assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
 
 
-@pytest.mark.parametrize("workers", [None, 2])
+@pytest.mark.parametrize("workers", [1, 2])
 def test_only_the_non_integer_dimension_is_matched(monkeypatch, workers):
     # dim-1 deaths moved off the integers; dim 0 keeps them. Worker processes
     # solve the assignments, so with workers this process solves none.
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
     assert any(len(d.dim1) for d in diagrams)
     shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in diagrams]
-    assert_matched_pair_by_pair(monkeypatch, shifted, 1.0, () if workers else (1,), cap=cap + 0.5, workers=workers)
+    assert_matched_pair_by_pair(monkeypatch, shifted, 1.0, (1,) if workers == 1 else (), cap=cap + 0.5, workers=workers)
 
 
 def test_workers_leave_the_dual_path_alone(monkeypatch):

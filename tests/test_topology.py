@@ -293,10 +293,15 @@ def test_persistence_permutation_invariance():
 
 
 def test_image_empty_diagram():
-    d = PersistenceDiagram(0, np.zeros((0, 2)), np.zeros((0, 2)))
-    img = persistence_image(d, resolution=10, sigma=0.1, cap=1.0)
-    assert img.shape == (10, 10)
-    assert np.all(img == 0.0)
+    # with cap 0 (every finite value 0) the default sigma is 0 as well; the image is still all zeros
+    for points, cap in ((np.zeros((0, 2)), 1.0), (np.array([[0.0, np.inf], [0.0, 0.0]]), 0.0)):
+        d = PersistenceDiagram(0, points, np.zeros((0, 2)))
+        for sigma in (0.1, None):
+            img = persistence_image(d, resolution=10, sigma=sigma, cap=cap)
+            assert img.shape == (10, 10)
+            assert np.all(img == 0.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            persistence_image(d, resolution=10, sigma=0.0, cap=cap)
 
 
 def test_image_single_point_mass_and_location():
