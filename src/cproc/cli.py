@@ -176,23 +176,21 @@ def _dataset_diagrams(graphs, kind: FiltrationKind):
     return [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
 
 
-def cmd_topo(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     name = _dataset_name(cfg)
     comments = _comments(cfg)
     kind = FiltrationKind(cfg.filtration)
-    dpath = out / f"{name}_{kind.value}_diagrams.csv"
-    ipath = out / f"{name}_{kind.value}_images.csv"
     graphs = _dataset_graphs(cfg)
     diagrams = _dataset_diagrams(graphs, kind)
     cap = max_finite_value(diagrams)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    dpath = out / f"{name}_{kind.value}_diagrams.csv"
+    ipath = out / f"{name}_{kind.value}_images.csv"
     diagrams_to_csv(diagrams, dpath, comments=comments)
     images = [(d.graph_id, persistence_image(d, cfg.pi_resolution, cap=cap)) for d in diagrams]
     images_to_csv(images, ipath, comments=comments)
     print(f"{name}: {len(graphs)} graphs -> {dpath.name}, {ipath.name} (cap={cap:g})")
-    return 0
 
 
 def _graphs_digest(graphs) -> str:
@@ -211,7 +209,7 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _simmat_with_cache(cfg: RunConfig, graphs=None):
+def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMatrix, Path]:
     """Load the dataset's `.simmat` cache, or build and save it on a miss.
 
     The key names everything the distances depend on: the graphs (digest),
@@ -221,8 +219,6 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
     out of the key; a hit therefore runs no filtration, and the cap is only
     recorded in the file's metadata.
     """
-    if graphs is None:
-        graphs = _dataset_graphs(cfg)
     name = _dataset_name(cfg)
     kind = FiltrationKind(cfg.filtration)
     key = (
@@ -236,7 +232,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
         try:
             matrix = load_matrix(path, expect_key=key)
             print(f"simmat cache hit: {path.name}")
-            return graphs, name, matrix, path
+            return matrix, path
         except CprocError as exc:
             warnings.warn(f"similarity cache unusable ({exc}); recomputing", stacklevel=2)
     diagrams = _dataset_diagrams(graphs, kind)
@@ -248,24 +244,19 @@ def _simmat_with_cache(cfg: RunConfig, graphs=None):
         workers=cfg.pairs_parallel,
     )
     save_matrix(matrix, path, extra_meta={"config": asdict(cfg), "version": VERSION})
-    return graphs, name, matrix, path
+    return matrix, path
 
 
-def cmd_simmat(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    graphs, name, matrix, path = _simmat_with_cache(cfg)
+def cmd_simmat(cfg: RunConfig, args: argparse.Namespace) -> None:
+    matrix, path = _simmat_with_cache(cfg, _dataset_graphs(cfg))
     csv_path = path.with_suffix(".csv")
     export_matrix_csv(matrix, csv_path, comments=_comments(cfg))
-    print(f"{name}: {matrix.n}x{matrix.n} matrix -> {path.name}, {csv_path.name}")
-    return 0
+    print(f"{_dataset_name(cfg)}: {matrix.n}x{matrix.n} matrix -> {path.name}, {csv_path.name}")
 
 
-def cmd_bands(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     if cfg.scores is None:
         raise ValueError("cmd bands needs --scores FILE")
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     comments = _comments(cfg)
 
     # scores and splits are checked against the graphs before any distance is computed
@@ -288,9 +279,11 @@ def cmd_bands(args: argparse.Namespace) -> int:
         splits = [base_split]
     else:
         splits = [resplit(base_split, cfg.calib_split, cfg.seed + i) for i in range(cfg.repeats)]
-    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[2]
+    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[0]
     if scored.n != matrix.n:
         raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     mode = MODES[cfg.mode]
     grid = UNIFORM_GRID
@@ -357,11 +350,9 @@ def cmd_bands(args: argparse.Namespace) -> int:
         f"bands: auc={summary['auc']:.4f} [{summary['auc_lo']:.4f}, {summary['auc_up']:.4f}] "
         f"bw_sen={summary['mean_bw_sen']:.4f} bw_spe={summary['mean_bw_spe']:.4f} -> {out}/band.csv"
     )
-    return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     beta = _parse_float_list(cfg.beta, "--beta")
     spec = SyntheticSpec(
         n_train=cfg.n_train,
@@ -373,8 +364,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         shift=_parse_float_list(cfg.shift, "--shift") or None,
         seed=cfg.seed,
     )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = coverage_experiment(
         spec,
         alpha=cfg.alpha,
@@ -384,6 +373,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         min_stratum=cfg.min_stratum,
         thin_stratum=cfg.thin_stratum,
     )
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     _write_report(out / "coverage.json", report.to_json(), cfg)
     write_table(
         out / "coverage_replicates.csv",
@@ -396,11 +387,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"coverage_spe={report.coverage_spe:.3f} (se {report.se_spe:.3f}) "
         f"bw=({report.mean_bw_sen:.4f}, {report.mean_bw_spe:.4f}) -> {out}/coverage.json"
     )
-    return 0
 
 
-def cmd_plot(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> None:
     bands = []
     for path in args.band_files:
         data = read_band_csv(path)
@@ -410,7 +399,6 @@ def cmd_plot(args: argparse.Namespace) -> int:
         out = out / "bands.svg"
     band_svg(bands, out, title="ROC bands", comment=" ".join(_comments(cfg)))
     print(f"plot: {len(bands)} band(s) -> {out}")
-    return 0
 
 
 _FLAG_FIELDS = {f.name: f for f in fields(RunConfig) if "commands" in f.metadata}
@@ -484,7 +472,8 @@ def main(argv: list[str] | None = None) -> int:
         defaults = _read_config_file(known.config) if known.config else {}
         parser = build_parser(defaults)
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(_config_from_args(args), args)
+        return 0
     except NumericalError as exc:
         print(f"cproc: numerical error: {exc}", file=sys.stderr)
         return 3

@@ -68,11 +68,11 @@ def write_table(path: str | Path, rows, header=None, comments: tuple[str, ...] =
         writer.writerows(rows)
 
 
-def _line_rows(path: Path, width: int, what: str) -> tuple[list[list[int]], list[int], ParseError | None]:
-    """The int() rows of the non-blank lines of `path`, their line numbers,
-    and the ParseError of the first line that int() rejects or that does not
-    hold `width` integers ("expected {what}"), or None; the rows stop there.
-    A byte that is not UTF-8 becomes U+FFFD, which int() rejects."""
+def _line_rows(path: Path, width: int, what: str) -> tuple[list[int], list[int], ParseError | None]:
+    """The int() values of the non-blank lines of `path` in one flat list,
+    their line numbers, and the ParseError of the first line that int()
+    rejects or that does not hold `width` integers ("expected {what}"), or
+    None; they stop there. A non-UTF-8 byte becomes U+FFFD, which int() rejects."""
     rows, lines = [], []
     with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, line in enumerate(fh, 1):
@@ -85,7 +85,7 @@ def _line_rows(path: Path, width: int, what: str) -> tuple[list[list[int]], list
                 return rows, lines, ParseError(f"{path.name}:{ln}: {exc}")
             if len(row) != width:
                 return rows, lines, ParseError(f"{path.name}:{ln}: expected {what}, got {row}")
-            rows.append(row)
+            rows += row
             lines.append(ln)
     return rows, lines, None
 
@@ -296,7 +296,7 @@ def read_split_manifest(path: str | Path) -> SplitAssignment:
         header = next(reader, None)
         if header != ["graph_id", "part"]:
             raise ParseError(f"{path}: bad split manifest header {header}")
-        rows = list(reader)
+        rows = [row for row in reader if row]
     parts = [""] * len(rows)
     for row in rows:
         if len(row) != 2 or row[1] not in PARTS:
@@ -357,7 +357,7 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
         num_labels = len(header) - 2
         if [h.strip() for h in header[2:]] != [f"p{k}" for k in range(num_labels)]:
             raise ScoreIngestError(f"{path}: probability columns must be p0..p{num_labels - 1}")
-        rows = list(enumerate(reader, 2))
+        rows = [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
     n = len(rows) if graphs is None else len(graphs)
     if n == 0:
         raise ScoreIngestError(f"{path}: no score rows")

@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cproc
 from cproc.cli import VERSION, _code_digest, _graphs_digest, main
 from cproc.graphdata import (
     Graph,
@@ -99,8 +104,33 @@ def test_topo_reruns_after_the_dataset_changes(tmp_path):
     assert diagrams.read_bytes() != before
 
 
-def test_topo_missing_dataset_exit_2(tmp_path):
-    assert main(["topo", "--dataset", str(tmp_path / "NOPE"), "--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize("argv, message, in_subprocess", [
+    pytest.param(["topo"], "needs --dataset", False, id="topo"),
+    pytest.param(["topo"], "needs --dataset", True, id="topo-subprocess"),
+    pytest.param(["topo", "--dataset", "{missing}"], "missing mandatory", False, id="topo-missing-dataset"),
+    pytest.param(["simmat"], "needs --dataset", False, id="simmat"),
+    pytest.param(["bands", "--dataset", "{data}"], "needs --scores FILE", False, id="bands-no-scores"),
+    pytest.param(["bands", "--scores", "{scores}"], "needs --dataset", False, id="bands-no-graphs"),
+    pytest.param(["bands", "--dataset", "{data}", "--scores", "{missing}"], "No such file", False,
+                 id="bands-missing-scores"),
+])
+def test_usage_and_input_errors_exit_2_before_out_exists(tmp_path, capsys, argv, message, in_subprocess):
+    data, scores, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "X"
+    paths = {"data": data, "scores": scores, "missing": tmp_path / "none"}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
+    if in_subprocess:
+        # the module's __main__ line turns main's return value into the process exit status
+        src = str(Path(cproc.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "cproc.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        rc, err = proc.returncode, proc.stderr
+    else:
+        rc, err = main(argv), capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("cproc: error:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind, edges", [("degree", ()), ("betweenness", ((0, 1),))])
@@ -166,13 +196,6 @@ def test_bands_degenerate_scores_equal_empirical_roc(tmp_path):
     assert summary["auc_lo"] == pytest.approx(summary["auc"])
     assert summary["auc_up"] == pytest.approx(summary["auc"])
     assert summary["config"]["knn"] == 1 and "version" in summary
-
-
-def test_bands_missing_scores_exit_2(tmp_path):
-    data = write_tiny_fixture(tmp_path / "TINY")
-    rc = main(["bands", "--dataset", str(data), "--scores", str(tmp_path / "none.csv"),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
 
 
 def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):

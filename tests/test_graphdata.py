@@ -474,8 +474,10 @@ def test_resplit_equals_reference(parts, calib_split, seed):
 def test_split_manifest_roundtrip(tmp_path):
     split = split_dataset(20, seed=3)
     write_split_manifest(split, tmp_path / "split.csv")
-    again = read_split_manifest(tmp_path / "split.csv")
-    assert again.parts == split.parts
+    # a blank last line is skipped, as every other reader skips it
+    (tmp_path / "blank.csv").write_text((tmp_path / "split.csv").read_text() + "\n")
+    for path in (tmp_path / "split.csv", tmp_path / "blank.csv"):
+        assert read_split_manifest(path).parts == split.parts
 
 
 def test_split_manifest_rows_in_any_order(tmp_path):
@@ -570,9 +572,12 @@ def test_scores_csv_roundtrip(tmp_path):
     probs = np.array([[0.25, 0.75], [0.9, 0.1], [0.5, 0.5]])
     scored = ScoredDataset(labels=np.array([1, 0, 1]), probs=probs)
     write_scores(scored, tmp_path / "s.csv")
-    again = load_scores(tmp_path / "s.csv")
-    assert np.array_equal(again.labels, scored.labels)
-    assert np.array_equal(again.probs, scored.probs)
+    # a blank last line is skipped, as every other reader skips it
+    (tmp_path / "blank.csv").write_text((tmp_path / "s.csv").read_text() + "\n")
+    for path in (tmp_path / "s.csv", tmp_path / "blank.csv"):
+        again = load_scores(path)
+        assert np.array_equal(again.labels, scored.labels)
+        assert np.array_equal(again.probs, scored.probs)
 
 
 def test_load_scores_without_graphs_applies_the_same_checks(tmp_path):
