@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields
@@ -55,12 +56,15 @@ PAIRS = ("simmat", "bands")
 CONFORMAL = ("bands", "simulate")
 
 
-def _flag(default, commands, help=None, choices=None, **command_defaults):
+def _flag(default, commands, help=None, choices=None, low=None, unit=False, **command_defaults):
     """A RunConfig field that is also a `--flag` of each subcommand in
-    `commands`; `command_defaults` gives one subcommand its own default."""
+    `commands`; `command_defaults` gives one subcommand its own default.
+    `validate` holds the value to `choices`, to `>= low` and, with `unit`,
+    to the open interval (0, 1)."""
     return field(
         default=default,
-        metadata={"commands": commands, "help": help, "choices": choices, "defaults": command_defaults},
+        metadata={"commands": commands, "help": help, "choices": choices, "low": low, "unit": unit,
+                  "defaults": command_defaults},
     )
 
 
@@ -77,57 +81,47 @@ class RunConfig:
     dataset: str | None = _flag(None, DATASET, "TU dataset directory")
     name: str | None = _flag(None, DATASET, "dataset name (default: dir name)")
     filtration: str = _flag("degree", DATASET, choices=[k.value for k in FiltrationKind])
-    wasserstein_p: float = _flag(1.0, PAIRS)
-    knn: int = _flag(20, CONFORMAL, "neighbor count K")
-    alpha: float = _flag(0.1, CONFORMAL)
-    seed: int = _flag(0, CONFORMAL)
-    repeats: int = _flag(1, CONFORMAL)
+    wasserstein_p: float = _flag(1.0, PAIRS, low=1)
+    knn: int = _flag(20, CONFORMAL, "neighbor count K", low=1)
+    alpha: float = _flag(0.1, CONFORMAL, unit=True)
+    seed: int = _flag(0, CONFORMAL, low=0)
+    repeats: int = _flag(1, CONFORMAL, low=1)
     mode: str = _flag("cond", CONFORMAL, choices=sorted(MODES))
     scores: str | None = _flag(None, ("bands",), "scores CSV (graph_id,label,p0,p1,...)")
-    out: str = _flag(".", COMMANDS, "output directory")
+    out: str = _flag(".", COMMANDS, "output directory; for plot, the SVG file, or a directory "
+                     "(existing or ending in /) that gets bands.svg")
     force: bool = _flag(False, PAIRS)
-    pairs_parallel: int = _flag(1, PAIRS)
-    pool_split: float = _flag(0.8, ("bands",))
-    calib_split: float = _flag(0.5, ("bands",))
+    pairs_parallel: int = _flag(1, PAIRS, low=1)
+    pool_split: float = _flag(0.8, ("bands",), unit=True)
+    calib_split: float = _flag(0.5, ("bands",), unit=True)
     # coverage runs must finish even when a rare low-probability test point has
     # a thin label stratum, so widening is the simulate default
     thin_stratum: str = _flag("error", CONFORMAL, choices=["error", "widen"], simulate="widen")
-    min_stratum: int = _flag(5, CONFORMAL)
+    min_stratum: int = _flag(5, CONFORMAL, low=1)
     simmat: str | None = _flag(None, ("bands",), "precomputed similarity matrix file")
     split: str | None = _flag(None, ("bands",), "split manifest CSV overriding --seed split")
-    pi_resolution: int = _flag(50, ("topo",))
-    n_train: int = _flag(2000, ("simulate",))
-    n_calib: int = _flag(1000, ("simulate",))
-    n_test: int = _flag(500, ("simulate",))
-    dim: int = _flag(3, ("simulate",))
+    pi_resolution: int = _flag(50, ("topo",), low=1)
+    n_train: int = _flag(2000, ("simulate",), low=1)
+    n_calib: int = _flag(1000, ("simulate",), low=1)
+    n_test: int = _flag(500, ("simulate",), low=1)
+    dim: int = _flag(3, ("simulate",), low=1)
     beta: str = _flag("1.0,-0.8,0.6", ("simulate",), "comma-separated coefficients")
     missing: str = _flag("", ("simulate",), "comma-separated covariate indices")
     shift: str = _flag("", ("simulate",), "comma-separated test mean shift")
-    bootstrap: int = _flag(0, ("bands",), "also emit a B-resample bootstrap band (0 = off)")
-    level: float = _flag(0.95, ("bands",), "bootstrap confidence level")
+    bootstrap: int = _flag(0, ("bands",), "also emit a B-resample bootstrap band (0 = off)", low=0)
+    level: float = _flag(0.95, ("bands",), "bootstrap confidence level", unit=True)
 
     def validate(self) -> None:
         for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"--{f.name.replace('_', '-')} must be finite, got {getattr(self, f.name)}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"--level must lie in (0, 1), got {self.level}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed}")
-        if self.bootstrap < 0:
-            raise ValueError(f"--bootstrap must be >= 0, got {self.bootstrap}")
-        for name in ("knn", "repeats", "pairs_parallel", "min_stratum", "pi_resolution",
-                     "dim", "n_train", "n_calib", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
-        if self.wasserstein_p < 1.0:
-            raise ValueError(f"--wasserstein-p must be >= 1, got {self.wasserstein_p}")
-        if not (0.0 < self.pool_split < 1.0 and 0.0 < self.calib_split < 1.0):
-            raise ValueError("split ratios must lie strictly inside (0, 1)")
-        if self.mode not in MODES:
-            raise ValueError(f"--mode must be one of {sorted(MODES)}")
+            flag, value, meta = "--" + f.name.replace("_", "-"), getattr(self, f.name), f.metadata
+            if f.type == "float" and not np.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
+            if meta.get("choices") and value not in meta["choices"]:
+                raise ValueError(f"{flag}: {value!r} is not one of {meta['choices']}")
+            if meta.get("low") is not None and value < meta["low"]:
+                raise ValueError(f"{flag} must be >= {meta['low']}, got {value}")
+            if meta.get("unit") and not 0.0 < value < 1.0:
+                raise ValueError(f"{flag} must lie in (0, 1), got {value}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -395,8 +389,9 @@ def cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> None:
         data = read_band_csv(path)
         bands.append((Path(path).stem, data["sen_lo"], data["sen_up"], data["spe_lo"], data["spe_up"]))
     out = Path(cfg.out)
-    if out.is_dir():
+    if out.is_dir() or cfg.out.endswith(("/", os.sep)):
         out = out / "bands.svg"
+    out.parent.mkdir(parents=True, exist_ok=True)
     band_svg(bands, out, title="ROC bands", comment=" ".join(_comments(cfg)))
     print(f"plot: {len(bands)} band(s) -> {out}")
 
@@ -449,8 +444,6 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
                 continue
             flag = "--" + name.replace("_", "-")
             default = defaults.get(name, meta["defaults"].get(command, f.default))
-            if meta["choices"] and default not in meta["choices"]:
-                raise ValueError(f"config key {name}: {default!r} is not one of {meta['choices']}")
             if f.type == "bool":
                 if default not in (False, True, "false", "true"):
                     raise ValueError(f"config key {name}: {default!r} is not true or false")

@@ -108,6 +108,8 @@ def test_topo_reruns_after_the_dataset_changes(tmp_path):
     pytest.param(["topo"], "needs --dataset", False, id="topo"),
     pytest.param(["topo"], "needs --dataset", True, id="topo-subprocess"),
     pytest.param(["topo", "--dataset", "{missing}"], "missing mandatory", False, id="topo-missing-dataset"),
+    pytest.param(["topo", "--dataset", "{data}", "--pi-resolution", "0"], "--pi-resolution must be >= 1, got 0",
+                 False, id="topo-pi-resolution-0"),
     pytest.param(["simmat"], "needs --dataset", False, id="simmat"),
     pytest.param(["bands", "--dataset", "{data}"], "needs --scores FILE", False, id="bands-no-scores"),
     pytest.param(["bands", "--scores", "{scores}"], "needs --dataset", False, id="bands-no-graphs"),
@@ -218,6 +220,15 @@ def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
     (["--wasserstein-p", "nan"], "--wasserstein-p must be finite, got nan"),
     (["--wasserstein-p", "inf"], "--wasserstein-p must be finite, got inf"),
     (["--alpha", "nan"], "--alpha must be finite, got nan"),
+    (["--knn", "0"], "--knn must be >= 1, got 0"),
+    (["--repeats", "0"], "--repeats must be >= 1, got 0"),
+    (["--min-stratum", "0"], "--min-stratum must be >= 1, got 0"),
+    (["--alpha", "0"], "--alpha must lie in (0, 1), got 0.0"),
+    (["--alpha", "1"], "--alpha must lie in (0, 1), got 1.0"),
+    (["--pool-split", "1"], "--pool-split must lie in (0, 1), got 1.0"),
+    (["--calib-split", "0"], "--calib-split must lie in (0, 1), got 0.0"),
+    (["--level", "0"], "--level must lie in (0, 1), got 0.0"),
+    (["--wasserstein-p", "0.5"], "--wasserstein-p must be >= 1, got 0.5"),
 ])
 def test_bands_bad_flag_exit_2_before_any_file(tmp_path, capsys, flags, message):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
@@ -350,6 +361,21 @@ def test_plot_bad_band_row_exit_2(tmp_path, capsys, row):
     assert main(["plot", str(band), "--out", str(tmp_path / "x.svg")]) == 2
     assert f"{band}:4:" in capsys.readouterr().err
     assert not (tmp_path / "x.svg").exists()
+    # nothing is created before every band file is read and checked
+    assert main(["plot", str(band), "--out", str(tmp_path / "newdir") + os.sep]) == 2
+    assert not (tmp_path / "newdir").exists()
+
+
+@pytest.mark.parametrize("out, svg", [
+    ("newdir" + os.sep, "newdir/bands.svg"), ("missing/x.svg", "missing/x.svg"), (".", "bands.svg"),
+])
+def test_plot_out_names_a_directory_or_the_svg_file(tmp_path, monkeypatch, out, svg):
+    band = tmp_path / "band.csv"
+    band.write_text("# config\nlambda,sen_lo,sen_up,spe_lo,spe_up\n0.0,1,1,1,1\n1.0,0,0,0,0\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", str(band), "--out", out]) == 0
+    assert (tmp_path / svg).read_text().startswith("<?xml")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["band.csv", *Path(svg).parts])
 
 
 def test_simulate_single_replicate_audit(tmp_path):
@@ -422,6 +448,12 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys):
     cfgfile.write_text(base + "force=maybe\n")
     assert main(["bands", "--config", str(cfgfile)]) == 2
     assert "config key force: 'maybe' is not true or false" in capsys.readouterr().err
+    # file values pass the same checks as flags and are reported by their flag
+    for line, message in (("pool_split=1.5", "--pool-split must lie in (0, 1), got 1.5"),
+                          ("mode=both", "--mode: 'both' is not one of ['cond', 'exch']")):
+        cfgfile.write_text(base.replace("mode=exch\n", "") + line + "\n")
+        assert main(["bands", "--config", str(cfgfile)]) == 2
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "o" / "summary.json").exists()
     # a key of another subcommand is accepted, so one file can serve several
     cfgfile.write_text(base + "n_train=300\npi-resolution=10\nalpha=0.5\n")
