@@ -30,6 +30,10 @@ builds a matrix, and closeness runs once more with `--pairs-parallel 2` in
 its own directory; the script exits non-zero unless the pooled matrix's
 values equal the serial ones bit for bit (its files differ, since they
 record the configuration).
+
+No CLI output holds a Euclidean covariate matrix, so one more line pins the
+bytes of the full table that `covariate_distance_matrix` gives on criterion
+5's design (n = 150/80/60, dim 3, seed 600).
 """
 
 import os
@@ -162,7 +166,9 @@ def run_all() -> list[str]:
                       for out in ("tu-pairs", "tu-pairs-pool"))
     if serial != pooled:
         raise SystemExit("closeness simmat --pairs-parallel 2 differs from --pairs-parallel 1")
-    return lines + digests("tu-pairs") + digests("tu-pairs-pool")
+    covariates = covariate_distance_matrix(generate(SyntheticSpec(n_train=150, n_calib=80, n_test=60, seed=600)))
+    table = hashlib.sha256(covariates.values.tobytes()).hexdigest()
+    return lines + digests("tu-pairs") + digests("tu-pairs-pool") + [f"{table}  covariate_distance_matrix seed 600"]
 
 
 def main_() -> int:

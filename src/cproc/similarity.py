@@ -30,12 +30,13 @@ product and a row max per diagram, equal to the assignment bit for bit (both
 sum exact half-integers). A dimension with a non-integer point, p != 1, or
 more than `_MAX_LATTICE_POINTS` integer points takes the assignment path.
 
-A `SimilarityMatrix` hands out `block(rows, cols)`, the only way the conformal
-pipeline reads distances. It has two backends: a dense array (every `.simmat`
-file and Wasserstein build), whose blocks are slices, and Euclidean points
-(synthetic runs), whose blocks are `cdist` of the rows' and columns' points,
-so no n x n table is built unless `values` is asked for. `load_matrix` checks
-a `.simmat` header's sizes against the file's length before it reads on.
+A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
+pipeline and `knn_indices` read distances. Its constructor alone knows where
+they come from and installs the block function once: a slice of a dense table
+(every `.simmat` file and Wasserstein build), or `cdist` of the rows' and
+columns' Euclidean points (synthetic runs), so no n x n table is built unless
+`values` is asked for. `load_matrix` checks a `.simmat` header's sizes
+against the file's length before it reads on.
 
 `knn_indices` orders neighbours by ascending (distance, id). It selects the K
 nearest with `argpartition` and sorts only those; a row whose K-th distance
@@ -54,12 +55,12 @@ import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import ParseError
 from .graphdata import write_table
@@ -208,40 +209,34 @@ def capped_diagram(d: PersistenceDiagram, cap: float) -> PersistenceDiagram:
 class SimilarityMatrix:
     """Symmetric pairwise-distance table over all graphs, read by blocks.
 
-    Backed by a dense `values` array, or by Euclidean `points` (one row per
-    graph); for points, `values` is squareform(pdist(points)), built on first
-    access, and blocks never touch it.
+    Built from exactly one of a dense square `values` table and Euclidean
+    `points` (one row per graph). `block(rows, cols)` gives the distances from
+    each graph in `rows` to each graph in `cols`: a slice of the table, or
+    `cdist` of the points. For points, `values` is the block of every graph
+    against every graph, built on first access.
     """
 
     def __init__(self, values=None, p: float = 1.0, kinds: tuple[str, ...] = (), cap: float = 0.0,
                  key: str = "", *, points=None) -> None:
         if (values is None) == (points is None):
             raise ValueError("a similarity matrix needs exactly one of values and points")
-        self._values = None if values is None else np.asarray(values)
-        if values is not None and (self._values.ndim != 2 or self._values.shape[0] != self._values.shape[1]):
-            raise ValueError(f"similarity values must be a square 2-D array, got shape {self._values.shape}")
-        self.points = None if points is None else np.asarray(points, dtype=float)
+        if values is not None:
+            table = np.asarray(values)
+            if table.ndim != 2 or table.shape[0] != table.shape[1]:
+                raise ValueError(f"similarity values must be a square 2-D array, got shape {table.shape}")
+            self.values = table
+            self.block = lambda rows, cols: table[np.ix_(rows, cols)]
+        else:
+            table = np.asarray(points, dtype=float)
+            self.block = lambda rows, cols: cdist(table[rows], table[cols])
+        self.n = len(table)
+        self.shape = (self.n, self.n)
         self.p, self.kinds, self.cap, self.key = p, tuple(kinds), cap, key
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = squareform(pdist(self.points))
-        return self._values
-
-    @property
-    def n(self) -> int:
-        return len(self.points) if self.points is not None else self._values.shape[0]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Distances from each graph in `rows` to each graph in `cols`."""
-        if self.points is not None:
-            return cdist(self.points[rows], self.points[cols])
-        return self._values[np.ix_(rows, cols)]
+        every = np.arange(self.n)
+        return self.block(every, every)
 
 
 def _pair_distance(prepared: list[tuple[_Points, _Points]], p: float, pair: tuple[int, int]) -> float:
@@ -262,8 +257,9 @@ def build_similarity_matrix(
     applied to every diagram before matching. For p = 1, a dimension whose
     points are all integer is solved by duality for all pairs at once. Any
     other dimension is matched pair by pair by `_pair_distance`, in this
-    process or, for `workers` > 1, on a pool of that many processes that
-    each take one contiguous run of the pairs.
+    process or, for `workers` > 1, on a pool of that many processes (at most
+    the CPUs this process may use) that each take one contiguous run of the
+    pairs.
     """
     if cap is None:
         cap = max_finite_value(diagrams)
@@ -282,6 +278,9 @@ def build_similarity_matrix(
                 # dimension's cost is the float sum `_distance` takes
                 prepared = [q[:dim] + (_NO_POINTS,) + q[dim + 1 :] for q in prepared]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if matched else []
+    # the pool forks all its workers at the first submit
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, cpus)
     solve = partial(_pair_distance, prepared, p)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(pairs) > 1 else None
     with pool or contextlib.nullcontext():
@@ -306,10 +305,8 @@ def knn_indices(values, query_ids, pool_ids, K: int) -> np.ndarray:
     inside = np.isin(query_ids, pool_sorted)
     if inside.any():
         raise ValueError(f"query {int(query_ids[inside][0])} must not be a member of the pool")
-    if isinstance(values, SimilarityMatrix):
-        sub = values.block(query_ids, pool_sorted)
-    else:
-        sub = np.asarray(values)[np.ix_(query_ids, pool_sorted)]
+    matrix = values if isinstance(values, SimilarityMatrix) else SimilarityMatrix(values=values)
+    sub = matrix.block(query_ids, pool_sorted)
     width = min(K, pool_sorted.size)
     # columns are in id order, so a stable sort of a row ranks by (distance, id)
     pick = np.argpartition(sub, width - 1, axis=1)[:, :width]

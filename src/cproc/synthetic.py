@@ -84,13 +84,7 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
 def covariate_distance_matrix(ds: SyntheticDataset) -> SimilarityMatrix:
     """Euclidean distances on the full covariates (pluggable stand-in for the
     Wasserstein matrix), computed per block from the points."""
-    return SimilarityMatrix(
-        points=ds.x,
-        p=2.0,
-        kinds=("euclidean",),
-        cap=0.0,
-        key=f"synthetic-seed{ds.spec.seed}",
-    )
+    return SimilarityMatrix(points=ds.x)
 
 
 @dataclass(frozen=True)

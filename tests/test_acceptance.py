@@ -134,7 +134,9 @@ def test_criterion_06_conditional_bands_narrower_under_shift():
     assert wins >= 40, f"conditional narrower in only {wins}/50 replicates"
     print(
         f"\nACCEPTANCE 6 PASS: conditional bands narrower in {wins}/50 shifted replicates "
-        f"(mean bw {cond.mean_bw_sen + cond.mean_bw_spe:.3f} vs {exch.mean_bw_sen + exch.mean_bw_spe:.3f})"
+        f"(mean bw {cond.mean_bw_sen + cond.mean_bw_spe:.3f} vs {exch.mean_bw_sen + exch.mean_bw_spe:.3f}; "
+        f"coverage sen/spe cond {cond.coverage_sen:.2f}/{cond.coverage_spe:.2f}, "
+        f"exch {exch.coverage_sen:.2f}/{exch.coverage_spe:.2f})"
     )
 
 

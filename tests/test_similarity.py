@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import pdist, squareform
 
 import cproc.similarity as similarity
 from cproc.errors import ParseError
@@ -443,6 +445,34 @@ def test_workers_leave_the_dual_path_alone(monkeypatch):
     assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (), cap=cap, workers=2)
 
 
+def test_pairs_pool_never_exceeds_the_usable_cpus(monkeypatch):
+    """A pool forks all its workers at once, so `workers` is capped at the
+    CPUs this process may use. A stand-in pool records its size and maps in
+    this process; no real pool is started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
+    serial = build_similarity_matrix(diagrams, p=1.0, cap=cap)
+    monkeypatch.setattr(similarity, "ProcessPoolExecutor", InProcessPool)
+    pooled = build_similarity_matrix(diagrams, p=1.0, cap=cap, workers=10_000)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert sizes == ([cpus] if cpus > 1 else [])
+    assert np.array_equal(pooled.values, serial.values)
+
+
 # --- knn ----------------------------------------------------------------------
 
 
@@ -544,7 +574,8 @@ def reference_knn_indices(values, query_ids, pool_ids, K):
 def test_property_partition_knn_equals_full_sort(data):
     """Integer distances in a small range tie across the K boundary often;
     every K from 1 to |pool| must match the full stable sort, for a dense
-    array and for a SimilarityMatrix alike, with some query rows all NaN.
+    array, a table-backed SimilarityMatrix (with some query rows all NaN) and
+    a points-backed one over small integer coordinates with repeated points.
 
     The same holds on any subset of the pool, which the conformal engine
     relies on when it widens a thin row with a same-label kNN:
@@ -559,17 +590,17 @@ def test_property_partition_knn_equals_full_sort(data):
     n_query = data.draw(st.integers(1, n - 1))
     queries, pool = np.array(perm[:n_query]), np.array(perm[n_query:])
     vals[data.draw(st.lists(st.sampled_from(queries.tolist()), max_size=n_query)), :] = np.nan
-    mat = SimilarityMatrix(values=vals)
-    for K in range(1, len(pool) + 1):
-        want = reference_knn_indices(vals, queries, pool, K)
-        assert np.array_equal(knn_indices(vals, queries, pool, K), want)
-        assert np.array_equal(knn_indices(mat, queries, pool, K), want)
+    dim = data.draw(st.integers(1, 3))
+    x = np.array(data.draw(st.lists(st.integers(0, top), min_size=n * dim, max_size=n * dim)), float).reshape(n, dim)
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size)))
-    order = reference_knn_indices(vals, queries, pool, pool.size)
-    filtered = order[np.isin(order, pool[mask])].reshape(queries.size, int(mask.sum()))
-    for m in range(1, int(mask.sum()) + 1):
-        assert np.array_equal(knn_indices(vals, queries, pool[mask], m), filtered[:, :m])
-        assert np.array_equal(knn_indices(mat, queries, pool[mask], m), filtered[:, :m])
+    cases = [(vals, vals), (vals, SimilarityMatrix(values=vals)), (squareform(pdist(x)), SimilarityMatrix(points=x))]
+    for dense, source in cases:
+        for K in range(1, len(pool) + 1):
+            assert np.array_equal(knn_indices(source, queries, pool, K), reference_knn_indices(dense, queries, pool, K))
+        order = reference_knn_indices(dense, queries, pool, pool.size)
+        filtered = order[np.isin(order, pool[mask])].reshape(queries.size, int(mask.sum()))
+        for m in range(1, int(mask.sum()) + 1):
+            assert np.array_equal(knn_indices(source, queries, pool[mask], m), filtered[:, :m])
 
 
 def test_partition_knn_ties_straddling_the_boundary():
@@ -599,13 +630,14 @@ def test_property_euclidean_block_bit_equal_to_dense_values(data):
     n = data.draw(st.integers(2, 20))
     dim = data.draw(st.integers(1, 6))
     coords = data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n * dim, max_size=n * dim))
-    mat = SimilarityMatrix(points=np.array(coords).reshape(n, dim), p=2.0)
+    points = np.array(coords).reshape(n, dim)
+    mat = SimilarityMatrix(points=points, p=2.0)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-    block = mat.block(rows, cols)
+    want = squareform(pdist(points))
     assert mat.shape == (n, n) and mat.n == n
-    assert np.array_equal(block, mat.values[np.ix_(rows, cols)])
-    assert np.array_equal(mat.values, mat.values.T) and not np.diag(mat.values).any()
+    assert np.array_equal(mat.block(rows, cols), want[np.ix_(rows, cols)])
+    assert np.array_equal(mat.values, want)
 
 
 def test_similarity_matrix_needs_one_backend():
