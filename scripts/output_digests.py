@@ -18,6 +18,13 @@ also have, so it can be run against them. The one-vs-rest case binarizes a
 3-label synthetic set label by label, as the README's recipe does, and
 passes each binary set to `cp_roc_bands`.
 
+Five runs reach code that the others leave alone: `cproc bands` with the
+fixture's split manifest and `--repeats 1` (the manifest is used as is),
+`cproc simmat --wasserstein-p 2` on the fixture (every dimension is matched
+pair by pair at p != 1), `cproc topo` on a copy of the fixture whose
+adjacency file starts with a whitespace-only line (the TU line reader), and
+a small `cproc simulate` design with a `--shift` of its test part.
+
 The warm case runs `cproc simmat` and then two `cproc bands` calls with a
 1000-resample bootstrap in the same directory; both must hit the similarity
 cache, and the outputs are hashed after each call, so the cache-hit path
@@ -26,10 +33,11 @@ filtration on the MUTAG-shaped set and a `cproc plot` that overlays the
 cond and exch twin-star bands, so every subcommand writes files that are
 hashed. Last, `cproc simmat` runs with the betweenness, closeness and
 communicability filtrations on the MUTAG-shaped set, so every filtration
-builds a matrix, and closeness runs once more with `--pairs-parallel 2` in
-its own directory; the script exits non-zero unless the pooled matrix's
-values equal the serial ones bit for bit (its files differ, since they
-record the configuration).
+builds a matrix, closeness runs once more with `--pairs-parallel 2` in
+its own directory, and betweenness once more with `--wasserstein-p 1.5`
+(its `.csv` export pins the values at a non-integer order). The script
+exits non-zero unless the pooled matrix's values equal the serial ones bit
+for bit (its files differ, since they record the configuration).
 
 No CLI output holds a Euclidean covariate matrix, so one more line pins the
 bytes of the full table that `covariate_distance_matrix` gives on criterion
@@ -44,6 +52,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -136,8 +145,19 @@ def run_all() -> list[str]:
 
     multilabel(Path("multilabel"))
 
+    cli(*stars, "--mode", "cond", "--thin-stratum", "widen", "--repeats", "1", "--out", "stars-manifest")
+    cli("simmat", "--dataset", "STARS", "--wasserstein-p", "2", "--out", "stars-p2")
+    shutil.copytree("STARS", Path("stars-blank", "STARS"))
+    adjacency = Path("stars-blank", "STARS", "STARS_A.txt")
+    adjacency.write_text(" \t \n" + adjacency.read_text())
+    cli("topo", "--dataset", "stars-blank/STARS", "--out", "topo-blank")
+    cli("simulate", "--n-train", "300", "--n-calib", "200", "--n-test", "150", "--dim", "3",
+        "--beta", "1.0,-0.8,0.6", "--shift", "0.5,0.5,0", "--knn", "20", "--seed", "61", "--repeats", "2",
+        "--mode", "cond", "--out", "sim-shift")
+
     lines = []
-    for out in ("stars-cond", "stars-exch", "sim-cond", "sim-exch", "sim-thin", "tu-cold", "multilabel"):
+    for out in ("stars-cond", "stars-exch", "stars-manifest", "stars-p2", "topo-blank", "sim-cond", "sim-exch",
+                "sim-thin", "sim-shift", "tu-cold", "multilabel"):
         lines += digests(out)
 
     scores = gen.write_tu(gen.tu_set(gen.MUTAG_LIKE, 1), Path("MUTAGX") / "MUTAGX")
@@ -158,10 +178,11 @@ def run_all() -> list[str]:
     cli("plot", "stars-cond/band.csv", "stars-exch/band.csv", "--out", "plot")
     lines += digests("topo") + digests("plot")
 
-    for kind, workers, out in (("betweenness", "1", "tu-pairs"), ("closeness", "1", "tu-pairs"),
-                               ("communicability", "1", "tu-pairs"), ("closeness", "2", "tu-pairs-pool")):
+    for kind, workers, p, out in (("betweenness", "1", "1", "tu-pairs"), ("closeness", "1", "1", "tu-pairs"),
+                                  ("communicability", "1", "1", "tu-pairs"), ("closeness", "2", "1", "tu-pairs-pool"),
+                                  ("betweenness", "1", "1.5", "tu-pairs")):
         cli("simmat", "--dataset", "MUTAGX/MUTAGX", "--filtration", kind, "--pairs-parallel", workers,
-            "--out", out)
+            "--wasserstein-p", p, "--out", out)
     serial, pooled = (load_matrix(Path(out, "MUTAGX_closeness_p1.simmat")).values.tobytes()
                       for out in ("tu-pairs", "tu-pairs-pool"))
     if serial != pooled:

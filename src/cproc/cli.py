@@ -11,6 +11,7 @@ with an identical configuration are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -20,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__, similarity, topology
 from .baseline import bootstrap_bands
@@ -145,15 +147,13 @@ def _write_report(path: Path, payload: dict, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in text.split(",") if tok.strip()) if text else ()
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{flag} must hold finite numbers, got {text}")
-    return values
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip()) if text else ()
+def _parse_list(text: str, flag: str, kind: type = float) -> tuple:
+    """The comma-separated `kind` values of a list flag; blank entries are skipped."""
+    with contextlib.suppress(ValueError, OverflowError):
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        if np.all(np.isfinite(np.array(values, dtype=float))):
+            return values
+    raise ValueError(f"{flag} must hold {'integers' if kind is int else 'finite numbers'}, got {text}")
 
 
 def _dataset_name(cfg: RunConfig) -> str:
@@ -207,7 +207,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
     """Load the dataset's `.simmat` cache, or build and save it on a miss.
 
     The key names everything the distances depend on: the graphs (digest),
-    the filtration, p, the homology dimensions, the cproc version and a
+    filtration, p, dimensions, the cproc, numpy and scipy versions and a
     digest of the filtration and distance code, so an edit of either misses.
     The cap is a function of the graphs and the filtration, so it is left
     out of the key; a hit therefore runs no filtration, and the cap is only
@@ -217,6 +217,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
     kind = FiltrationKind(cfg.filtration)
     key = (
         f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|dims=(0, 1)|{VERSION}"
+        f"|numpy={np.__version__}|scipy={scipy.__version__}"
         f"|code={_code_digest()}|graphs={_graphs_digest(graphs)}"
     )
     out = Path(cfg.out)
@@ -347,15 +348,15 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
-    beta = _parse_float_list(cfg.beta, "--beta")
+    beta = _parse_list(cfg.beta, "--beta")
     spec = SyntheticSpec(
         n_train=cfg.n_train,
         n_calib=cfg.n_calib,
         n_test=cfg.n_test,
         dim=cfg.dim,
         beta=beta if beta else (1.0,) * cfg.dim,
-        missing=_parse_int_list(cfg.missing),
-        shift=_parse_float_list(cfg.shift, "--shift") or None,
+        missing=_parse_list(cfg.missing, "--missing", int),
+        shift=_parse_list(cfg.shift, "--shift") or None,
         seed=cfg.seed,
     )
     report = coverage_experiment(

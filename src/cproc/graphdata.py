@@ -351,11 +351,11 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 4 or header[:2] != ["graph_id", "label"]:
+        header = [cell.strip() for cell in next(reader, [])]
+        if len(header) < 4 or header[:2] != ["graph_id", "label"]:
             raise ScoreIngestError(f"{path}: bad header {header}")
         num_labels = len(header) - 2
-        if [h.strip() for h in header[2:]] != [f"p{k}" for k in range(num_labels)]:
+        if header[2:] != [f"p{k}" for k in range(num_labels)]:
             raise ScoreIngestError(f"{path}: probability columns must be p0..p{num_labels - 1}")
         rows = [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
     n = len(rows) if graphs is None else len(graphs)

@@ -28,7 +28,8 @@ coordinate by coordinate, and a point is a vertex when its tight constraints
 connect every point to the root (rank T). The matrix is then one integer
 product and a row max per diagram, equal to the assignment bit for bit (both
 sum exact half-integers). A dimension with a non-integer point, p != 1, or
-more than `_MAX_LATTICE_POINTS` integer points takes the assignment path.
+more than `_MAX_LATTICE_POINTS` integer points takes the assignment path;
+only such dimensions reach `_pair_distance`, whose result adds to the dual costs.
 
 A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
 pipeline and `knn_indices` read distances. Its constructor alone knows where
@@ -85,9 +86,6 @@ class _Points:
     key: tuple[int, bytes]  # canonical orientation of a pair, see _matching_cost
 
 
-_NO_POINTS = _Points(births=np.zeros(0), deaths=np.zeros(0), diag=np.zeros(0), diag_sum=0.0, key=(0, b""))
-
-
 def _prepare_points(arr: np.ndarray, p: float, label: str) -> _Points:
     pts = np.asarray(arr, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
@@ -142,11 +140,6 @@ def _matching_cost(a: _Points, b: _Points, p: float) -> float:
     return max(0.0, b.diag_sum + float(cost[rows, cols].sum()))
 
 
-def _distance(a: tuple[_Points, _Points], b: tuple[_Points, _Points], p: float) -> float:
-    """Wasserstein distance between two prepared diagrams."""
-    return (_matching_cost(a[0], b[0], p) + _matching_cost(a[1], b[1], p)) ** (1.0 / p)
-
-
 def _dual_doubled_costs(points: list[_Points]) -> np.ndarray | None:
     """Twice the p = 1 matching cost between every two diagrams' points of one
     dimension, by duality over the dataset's distinct points (see the module
@@ -193,7 +186,7 @@ def _dual_doubled_costs(points: list[_Points]) -> np.ndarray | None:
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
-    return _distance(_prepare(d1, p), _prepare(d2, p), p)
+    return _pair_distance([_prepare(d1, p), _prepare(d2, p)], p, (0, 1))
 
 
 def capped_diagram(d: PersistenceDiagram, cap: float) -> PersistenceDiagram:
@@ -239,8 +232,12 @@ class SimilarityMatrix:
         return self.block(every, every)
 
 
-def _pair_distance(prepared: list[tuple[_Points, _Points]], p: float, pair: tuple[int, int]) -> float:
-    return _distance(prepared[pair[0]], prepared[pair[1]], p)
+def _pair_distance(prepared: list[tuple[_Points, ...]], p: float, pair: tuple[int, int]) -> float:
+    """Wasserstein distance between two prepared diagrams over the dimensions they hold."""
+    cost = 0.0
+    for a, b in zip(prepared[pair[0]], prepared[pair[1]]):
+        cost += _matching_cost(a, b, p)
+    return cost ** (1.0 / p)
 
 
 def build_similarity_matrix(
@@ -255,37 +252,35 @@ def build_similarity_matrix(
 
     `cap` defaults to the largest finite birth/death in the dataset and is
     applied to every diagram before matching. For p = 1, a dimension whose
-    points are all integer is solved by duality for all pairs at once. Any
-    other dimension is matched pair by pair by `_pair_distance`, in this
-    process or, for `workers` > 1, on a pool of that many processes (at most
-    the CPUs this process may use) that each take one contiguous run of the
-    pairs.
+    points are all integer is solved by duality for all pairs at once. Only
+    the dimensions left are matched pair by pair: `_pair_distance` is given
+    their points alone, in this process or, for `workers` > 1, on a pool of
+    that many processes (at most the CPUs this process may use) that each
+    take one contiguous run of the pairs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if cap is None:
         cap = max_finite_value(diagrams)
     prepared = [_prepare(capped_diagram(d, cap), p) for d in diagrams]
     n = len(prepared)
     values = np.zeros((n, n))
-    matched = 2  # dimensions left to match pair by pair
+    left = [0, 1]  # dimensions left to match pair by pair
     if p == 1.0 and n > 1:
         for dim in (0, 1):
             doubled = _dual_doubled_costs([q[dim] for q in prepared])
             if doubled is not None:
                 values += doubled / 2.0
-                matched -= 1
-                # the pairs below match this dimension as empty, at cost 0.0;
-                # with p = 1 the root is the identity, so adding the other
-                # dimension's cost is the float sum `_distance` takes
-                prepared = [q[:dim] + (_NO_POINTS,) + q[dim + 1 :] for q in prepared]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if matched else []
+                left.remove(dim)
+    prepared = [tuple(q[dim] for dim in left) for q in prepared]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if left else []
     # the pool forks all its workers at the first submit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, cpus)
     solve = partial(_pair_distance, prepared, p)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(pairs) > 1 else None
     with pool or contextlib.nullcontext():
-        chunk = math.ceil(len(pairs) / workers)
-        dists = pool.map(solve, pairs, chunksize=chunk) if pool else map(solve, pairs)
+        dists = pool.map(solve, pairs, chunksize=math.ceil(len(pairs) / workers)) if pool else map(solve, pairs)
         for (i, j), dist in zip(pairs, dists):
             values[i, j] = values[j, i] = values[i, j] + dist
     return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import cproc
 from cproc.cli import VERSION, _code_digest, _graphs_digest, main
@@ -410,12 +412,22 @@ def test_simulate_size_below_one_exit_2_before_any_file(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flag, value", [
     ("--beta", "inf,0,0"), ("--beta", "nan,1,1"), ("--shift", "nan,0,0"), ("--shift", "inf,0,0"),
+    ("--beta", "1,x"), ("--shift", "0,,y"), ("--missing", "a"), ("--missing", "1.5"),
 ])
 def test_simulate_non_finite_list_exit_2_before_any_file(tmp_path, capsys, flag, value):
     out = tmp_path / "sim"
     rc = main(["simulate", "--dim", "3", flag, value, "--repeats", "1", "--out", str(out)])
-    assert rc == 2 and f"{flag} must hold finite numbers, got {value}" in capsys.readouterr().err
+    what = "integers" if flag == "--missing" else "finite numbers"
+    assert rc == 2 and f"{flag} must hold {what}, got {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_readme_simulate_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (line,) = [ln for ln in readme.replace("\\\n", " ").splitlines() if ln.startswith("cproc simulate ")]
+    small = ["--n-train", "150", "--n-calib", "80", "--n-test", "60", "--knn", "10", "--repeats", "1",
+             "--out", str(tmp_path / "sim")]
+    assert main(shlex.split(line)[1:] + small) == 0
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -599,6 +611,22 @@ def test_cache_key_names_the_distance_code_digest(tmp_path, capsys):
     assert "cache hit" not in capsys.readouterr().out
     rebuilt = load_matrix(cache)
     assert rebuilt.key == matrix.key and np.array_equal(rebuilt.values, matrix.values)
+
+
+def test_cache_key_names_numpy_and_scipy(tmp_path, capsys, monkeypatch):
+    # their arithmetic and tie-breaking decide the last bits of the distances
+    data, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "out"
+    simmat = ["simmat", "--dataset", str(data), "--out", str(out)]
+    assert main(simmat) == 0
+    key = load_matrix(out / "STARS_degree_p1.simmat").key.split("|")
+    assert f"numpy={np.__version__}" in key and f"scipy={scipy.__version__}" in key
+    monkeypatch.setattr(scipy, "__version__", "0.0.0")
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="cache key mismatch"):
+        assert main(simmat) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert "scipy=0.0.0" in load_matrix(out / "STARS_degree_p1.simmat").key.split("|")
 
 
 def test_outputs_embed_version_and_config(tmp_path):

@@ -523,6 +523,15 @@ def test_load_scores_column_convention(tmp_path):
     assert scored.probs[1, 1] == pytest.approx(0.4)
 
 
+def test_load_scores_header_may_space_its_cells(tmp_path):
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("graph_id,label,p0,p1\n0,1,0.2,0.8\n1,0,0.6,0.4\n")
+    spaced.write_text("graph_id, label, p0, p1\n0, 1, 0.2, 0.8\n1, 0, 0.6, 0.4\n")
+    for graphs in (None, _two_graphs()):
+        want, got = load_scores(plain, graphs), load_scores(spaced, graphs)
+        assert np.array_equal(got.labels, want.labels) and np.array_equal(got.probs, want.probs)
+
+
 def test_load_scores_rejects_bad_sum(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("graph_id,label,p0,p1\n0,1,0.2,0.7\n1,0,0.6,0.4\n")

@@ -417,11 +417,19 @@ def test_non_integer_points_are_matched_pair_by_pair(monkeypatch):
     assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
 
 
-def test_order_two_is_matched_pair_by_pair(monkeypatch):
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_order_above_one_is_matched_pair_by_pair(monkeypatch, p):
     # worker processes solve the assignments, so with workers this process solves none
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, 2.0, (0, 1), cap=cap)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, 2.0, (), cap=cap, workers=2)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, p, (0, 1), cap=cap)
+    assert_matched_pair_by_pair(monkeypatch, diagrams, p, (), cap=cap, workers=2)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_are_rejected(workers):
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        build_similarity_matrix(diagrams, cap=cap, workers=workers)
 
 
 def test_lattice_over_the_limit_is_matched_pair_by_pair(monkeypatch):
