@@ -39,6 +39,12 @@ its own directory, and betweenness once more with `--wasserstein-p 1.5`
 exits non-zero unless the pooled matrix's values equal the serial ones bit
 for bit (its files differ, since they record the configuration).
 
+Every `.simmat` file gets a second line: the sha256 of its values, read back
+with `load_matrix`, and its cap. The file's own digest changes with every
+edit of `topology.py` or `similarity.py`, since the cache key it records
+holds a digest of that code; the values line shows whether the distances
+kept their bits through such an edit.
+
 No CLI output holds a Euclidean covariate matrix, so one more line pins the
 bytes of the full table that `covariate_distance_matrix` gives on criterion
 5's design (n = 150/80/60, dim 3, seed 600).
@@ -102,8 +108,14 @@ def cli(*argv: str) -> str:
 
 
 def digests(out: str, note: str = "") -> list[str]:
-    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}{note}"
-            for path in sorted(Path(out).iterdir())]
+    lines = []
+    for path in sorted(Path(out).iterdir()):
+        lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}{note}")
+        if path.suffix == ".simmat":
+            matrix = load_matrix(path)
+            values = hashlib.sha256(matrix.values.tobytes()).hexdigest()
+            lines.append(f"{values}  {path.as_posix()} values, cap {matrix.cap!r}{note}")
+    return lines
 
 
 def multilabel(out: Path) -> None:

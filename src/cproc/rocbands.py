@@ -156,7 +156,8 @@ def cp_roc_bands(
     min_stratum: int = 5,
     thin_stratum: str = "error",
 ) -> RocBand:
-    """Full band pipeline for a two-label scored set, with label 1 positive.
+    """Full band pipeline for a two-label scored set, with label 1 positive;
+    `matrix` holds the distances between exactly the scored graphs.
 
     `thin_stratum` controls test points whose K-neighborhood holds fewer than
     `min_stratum` same-label calibration graphs: "error" raises, "widen"
@@ -168,6 +169,8 @@ def cp_roc_bands(
         raise ValueError(f"unknown thin_stratum policy {thin_stratum!r}")
     if scored.num_labels != 2:
         raise ValueError(f"binary bands need 2 labels, got {scored.num_labels}")
+    if scored.n != matrix.n:
+        raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
 
     train_ids = np.sort(scored.part_ids("train"))
     calib_ids = np.sort(scored.part_ids("calib"))

@@ -7,15 +7,15 @@ diagonal projection ((b+d)/2, (b+d)/2); ground cost is the L-infinity norm
 raised to the p-th power, so matching (b, d) to the diagonal costs
 ((d-b)/2)^p. The solver is exact, so oracle tests can demand equality.
 
-Each diagram is prepared once: validated (finite, death >= birth), stripped
-of its zero-persistence points (birth == death), and given its diagonal costs
-and their sum. Dropping those points is exact: such a point z lies on the
-diagonal and matches it at cost 0, and a point x matched to z pays at least
-x's own distance to the diagonal (triangle inequality), so sending both to
-the diagonal is never worse. Each pair is then solved as a rectangular
-assignment whose rows are the smaller diagram's points and whose columns are
-the other diagram's points plus one own-diagonal slot per row; the other
-diagram's diagonal costs enter as an offset.
+Each homology dimension is prepared once, as one table of every diagram's
+points and their owners: capped, validated (finite, death >= birth) and
+stripped of its zero-persistence points. Dropping those is exact: such a
+point z lies on the diagonal and matches it at cost 0, and a point x matched
+to z pays at least x's own distance to the diagonal (triangle inequality), so
+sending both to the diagonal is never worse. A dimension matched pair by pair
+is cut into per-diagram point sets with their diagonal costs; each pair is a
+rectangular assignment of the smaller set's points to the other's points plus
+one own-diagonal slot per row, the other's diagonal costs as an offset.
 
 For p = 1, `build_similarity_matrix` solves a homology dimension whose points
 are all integer without assignments. With the diagonal as one root node, W1 is
@@ -54,6 +54,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -86,30 +87,40 @@ class _Points:
     key: tuple[int, bytes]  # canonical orientation of a pair, see _matching_cost
 
 
-def _prepare_points(arr: np.ndarray, p: float, label: str) -> _Points:
-    pts = np.asarray(arr, dtype=float).reshape(-1, 2)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{label} contains non-finite points; cap essential deaths first")
-    if np.any(pts[:, 1] < pts[:, 0]):
-        raise ValueError(f"{label} contains a point whose death precedes its birth")
-    pts = pts[pts[:, 1] > pts[:, 0]]
-    diag = (pts[:, 1] - pts[:, 0]) / 2.0
-    if p != 1.0:
-        diag **= p
-    return _Points(
-        births=pts[:, 0].copy(),
-        deaths=pts[:, 1].copy(),
-        diag=diag,
-        diag_sum=float(diag.sum()),
-        key=(len(pts), pts.tobytes()),
-    )
-
-
-def _prepare(d: PersistenceDiagram, p: float) -> tuple[_Points, _Points]:
-    """Validate a finite diagram once and precompute what every pair reuses."""
+def _point_tables(diagrams: list[PersistenceDiagram], p: float, cap: float | None = None) -> Iterator[tuple]:
+    """Dims 0 and 1 in turn: every diagram's points as one C-contiguous (m, 2)
+    table and the sorted index of each point's diagram. Given a `cap`, dim 0
+    keeps its finite pairs and dim 1 deaths are capped at it; the points are
+    then validated and those of zero persistence dropped."""
     if not (1.0 <= p < np.inf):
         raise ValueError(f"Wasserstein order must be finite and >= 1, got {p}")
-    return tuple(_prepare_points(d.points(dim), p, f"diagram {d.graph_id} dim{dim}") for dim in (0, 1))
+    for dim in (0, 1):
+        parts = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for d in diagrams]
+        pts = np.concatenate([np.zeros((0, 2)), *parts])  # a copy: the caller's arrays stay as they are
+        owner = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
+        if cap is not None and dim == 0:
+            keep = np.isfinite(pts[:, 1])
+            pts, owner = pts[keep], owner[keep]
+        elif cap is not None:
+            np.minimum(pts[:, 1], cap, out=pts[:, 1])
+        finite = np.isfinite(pts).all(1)
+        bad = ~finite | (pts[:, 1] < pts[:, 0])
+        if bad.any():
+            first = owner[bad.argmax()]
+            what = ("contains a point whose death precedes its birth" if finite[owner == first].all()
+                    else "contains non-finite points; cap essential deaths first")
+            raise ValueError(f"diagram {diagrams[first].graph_id} dim{dim} {what}")
+        keep = pts[:, 1] > pts[:, 0]
+        yield pts[keep], owner[keep]
+
+
+def _per_diagram(pts: np.ndarray, owner: np.ndarray, n: int, p: float) -> list[_Points]:
+    """One dimension's table cut into the point sets of its n diagrams."""
+    cuts = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    births, deaths = pts.T.copy()
+    diag = (deaths - births) / 2.0 if p == 1.0 else ((deaths - births) / 2.0) ** p
+    return [_Points(births[i:j], deaths[i:j], diag[i:j], float(diag[i:j].sum()), (j - i, pts[i:j].tobytes()))
+            for i, j in zip(cuts, cuts[1:])]
 
 
 def _matching_cost(a: _Points, b: _Points, p: float) -> float:
@@ -140,18 +151,15 @@ def _matching_cost(a: _Points, b: _Points, p: float) -> float:
     return max(0.0, b.diag_sum + float(cost[rows, cols].sum()))
 
 
-def _dual_doubled_costs(points: list[_Points]) -> np.ndarray | None:
-    """Twice the p = 1 matching cost between every two diagrams' points of one
-    dimension, by duality over the dataset's distinct points (see the module
-    docstring); None unless every point is integer and the dual polytope holds
-    at most _MAX_LATTICE_POINTS integer points."""
-    pts = np.column_stack([np.concatenate([q.births for q in points]),
-                           np.concatenate([q.deaths for q in points])])
+def _dual_doubled_costs(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
+    """Twice the p = 1 matching cost between every two of n diagrams in one
+    dimension's table (see _point_tables), by duality over its distinct points
+    (see the module docstring); None unless every point is integer and the
+    dual polytope holds at most _MAX_LATTICE_POINTS integer points."""
     if not np.array_equal(pts, np.round(pts)):
         return None
     types, kind = np.unique(pts, axis=0, return_inverse=True)
-    n, T = len(points), len(types)
-    owner = np.repeat(np.arange(n), [len(q.births) for q in points])
+    T = len(types)
     counts = np.bincount(owner * T + kind.reshape(-1), minlength=n * T).reshape(n, T)
     reach = types[:, 1] - types[:, 0]  # twice the cost of the diagonal
     gap = 2.0 * np.abs(types[:, None, :] - types[None, :, :]).max(2)  # twice the L-infinity cost
@@ -186,17 +194,8 @@ def _dual_doubled_costs(points: list[_Points]) -> np.ndarray | None:
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
-    return _pair_distance([_prepare(d1, p), _prepare(d2, p)], p, (0, 1))
-
-
-def capped_diagram(d: PersistenceDiagram, cap: float) -> PersistenceDiagram:
-    """Finite version of a diagram for distance computation: dim0 keeps only
-    its finite pairs, dim1 deaths are capped at `cap`."""
-    d0 = d.dim0[np.isfinite(d.dim0[:, 1])]
-    d1 = np.zeros((0, 2))
-    if len(d.dim1):
-        d1 = np.column_stack([d.dim1[:, 0], np.minimum(d.dim1[:, 1], cap)])
-    return PersistenceDiagram(graph_id=d.graph_id, dim0=d0, dim1=d1)
+    by_dim = [_per_diagram(*table, 2, p) for table in _point_tables([d1, d2], p)]
+    return _pair_distance(list(zip(*by_dim)), p, (0, 1))
 
 
 class SimilarityMatrix:
@@ -250,29 +249,29 @@ def build_similarity_matrix(
 ) -> SimilarityMatrix:
     """All-pairs Wasserstein distances (symmetric, zero diagonal).
 
-    `cap` defaults to the largest finite birth/death in the dataset and is
-    applied to every diagram before matching. For p = 1, a dimension whose
-    points are all integer is solved by duality for all pairs at once. Only
-    the dimensions left are matched pair by pair: `_pair_distance` is given
-    their points alone, in this process or, for `workers` > 1, on a pool of
-    that many processes (at most the CPUs this process may use) that each
-    take one contiguous run of the pairs.
+    `cap` defaults to the largest finite birth/death in the dataset; dim 0
+    keeps its finite pairs and dim 1 deaths are capped at it, in copies. A
+    fault of dim 0 in any diagram is reported before one of dim 1. For p = 1,
+    a dimension whose points are all integer is solved by duality for all
+    pairs at once. Only the dimensions left are matched pair by pair:
+    `_pair_distance` is given their points alone, in this process or, for
+    `workers` > 1, on a pool of that many processes (at most the CPUs this
+    process may use) that each take one contiguous run of the pairs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if cap is None:
-        cap = max_finite_value(diagrams)
-    prepared = [_prepare(capped_diagram(d, cap), p) for d in diagrams]
-    n = len(prepared)
+    cap = max_finite_value(diagrams) if cap is None else cap
+    tables = list(_point_tables(diagrams, p, cap))
+    n = len(diagrams)
     values = np.zeros((n, n))
     left = [0, 1]  # dimensions left to match pair by pair
     if p == 1.0 and n > 1:
         for dim in (0, 1):
-            doubled = _dual_doubled_costs([q[dim] for q in prepared])
+            doubled = _dual_doubled_costs(*tables[dim], n)
             if doubled is not None:
                 values += doubled / 2.0
                 left.remove(dim)
-    prepared = [tuple(q[dim] for dim in left) for q in prepared]
+    prepared = list(zip(*(_per_diagram(*tables[dim], n, p) for dim in left)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if left else []
     # the pool forks all its workers at the first submit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -160,14 +160,14 @@ def persistence_image(
     if sigma is not None and sigma <= 0:
         raise ValueError("sigma must be positive")
 
-    pts = [p for dim in (d.dim0, d.dim1) for p in dim]
-    if not pts or cap <= 0:
+    pts = np.concatenate([d.dim0, d.dim1])
+    if not len(pts) or cap <= 0:
         return np.zeros((resolution, resolution))
     if sigma is None:
         sigma = cap / 20.0
 
-    births = np.array([p[0] for p in pts])
-    deaths = np.minimum(np.array([p[1] for p in pts]), cap)
+    births = pts[:, 0]
+    deaths = np.minimum(pts[:, 1], cap)
     pers = deaths - births
     weights = pers / cap
 
@@ -183,13 +183,9 @@ def persistence_image(
 
 def max_finite_value(diagrams: list[PersistenceDiagram]) -> float:
     """Largest finite birth/death across a dataset; the default diagram cap."""
-    best = 0.0
-    for d in diagrams:
-        for arr in (d.dim0, d.dim1):
-            finite = arr[np.isfinite(arr)]
-            if finite.size:
-                best = max(best, float(finite.max()))
-    return best
+    values = np.concatenate([np.zeros(0), *(np.ravel(arr) for d in diagrams for arr in (d.dim0, d.dim1))])
+    # Python's max keeps the floor +0.0 where numpy's could return -0.0
+    return max(0.0, float(values[np.isfinite(values)].max(initial=0.0)))
 
 
 def diagrams_to_csv(

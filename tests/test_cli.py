@@ -489,6 +489,17 @@ def test_bands_more_than_two_labels_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "band.csv").exists()
 
 
+def test_bands_simmat_of_another_size_exit_2_before_out(tmp_path, capsys):
+    ds = generate(SyntheticSpec(n_train=60, n_calib=40, n_test=30, dim=2, beta=(1.0, -1.0), seed=2))
+    write_scores(scored_dataset(ds, ds.pi), tmp_path / "s.csv")
+    save_matrix(SimilarityMatrix(values=np.zeros((137, 137))), tmp_path / "wrong.simmat")
+    rc = main(["bands", "--scores", str(tmp_path / "s.csv"), "--simmat", str(tmp_path / "wrong.simmat"),
+               "--out", str(tmp_path / "X")])
+    assert rc == 2
+    assert "scores cover 130 graphs but matrix is 137x137" in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
 def test_bands_bad_scores_exit_2_before_any_distance(tmp_path, capsys):
     data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
     lines = scores.read_text().splitlines()

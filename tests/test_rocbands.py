@@ -270,6 +270,13 @@ def test_pipeline_degenerate_test_part():
         cp_roc_bands(scored, mat, K=10, alpha=0.1)
 
 
+@pytest.mark.parametrize("size", [137, 100])
+def test_pipeline_rejects_a_matrix_of_another_size(size):
+    scored, _ = _pipeline_inputs(n_train=60, n_calib=40, n_test=30)
+    with pytest.raises(ValueError, match=f"^scores cover 130 graphs but matrix is {size}x{size}$"):
+        cp_roc_bands(scored, SimilarityMatrix(values=np.zeros((size, size))), K=10, alpha=0.1)
+
+
 def _one_vs_rest(scored: ScoredDataset, k: int) -> ScoredDataset:
     """The README's one-vs-rest recipe: label k against the rest, scored by p_k."""
     return ScoredDataset(labels=(scored.labels == k).astype(np.int64), split=scored.split,

@@ -17,7 +17,6 @@ from cproc.graphdata import Graph
 from cproc.similarity import (
     SimilarityMatrix,
     build_similarity_matrix,
-    capped_diagram,
     export_matrix_csv,
     knn_indices,
     load_matrix,
@@ -115,6 +114,12 @@ def diag_only(points, gid=0):
     return PersistenceDiagram(gid, np.asarray(points, dtype=float).reshape(-1, 2), np.zeros((0, 2)))
 
 
+def hand_capped(d, cap):
+    """A hand-capped copy, as a build caps: dim0 keeps its finite pairs, dim1 deaths are capped at `cap`."""
+    return PersistenceDiagram(d.graph_id, d.dim0[np.isfinite(d.dim0[:, 1])],
+                              np.column_stack([d.dim1[:, 0], np.minimum(d.dim1[:, 1], cap)]))
+
+
 def test_identity_distance_zero():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -178,13 +183,54 @@ def test_rejects_bad_order():
             wasserstein_distance(diag_only([]), diag_only([], 1), p)
 
 
-def test_capped_diagram_policy():
-    d = PersistenceDiagram(
-        0, np.array([[0.0, np.inf], [0.2, 0.7]]), np.array([[0.5, np.inf]])
-    )
-    capped = capped_diagram(d, cap=2.0)
-    assert capped.dim0.tolist() == [[0.2, 0.7]]  # dim0 essentials dropped
-    assert capped.dim1.tolist() == [[0.5, 2.0]]  # dim1 essentials capped
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_build_drops_dim0_essentials_and_caps_dim1_deaths(p):
+    d = PersistenceDiagram(0, np.array([[0.0, np.inf], [0.2, 0.7]]), np.array([[0.5, np.inf]]))
+    empty = PersistenceDiagram(1, np.array([[0.0, np.inf]]), np.zeros((0, 2)))
+    # d is left with (0.2, 0.7) in dim0 and (0.5, 2.0) in dim1, the other with nothing
+    want = (0.25**p + 0.75**p) ** (1 / p)
+    assert build_similarity_matrix([d, empty], p=p, cap=2.0).values[0, 1] == pytest.approx(want)
+    rng = np.random.default_rng(8)
+    diagrams = []
+    for gid in range(6):
+        r = random_diagram(rng, gid)
+        essential = np.column_stack([rng.uniform(0, 1, 2), [np.inf, 1.5]])
+        diagrams.append(PersistenceDiagram(gid, np.vstack([r.dim0, essential[:1]]), np.vstack([r.dim1, essential])))
+    mat = build_similarity_matrix(diagrams, p=p, cap=2.5)
+    capped = [hand_capped(d, 2.5) for d in diagrams]
+    for i, j in itertools.combinations(range(6), 2):
+        assert mat.values[i, j] == wasserstein_distance(capped[i], capped[j], p)
+
+
+def test_a_fault_names_the_graph_id_and_dimension():
+    ok = [diag_only([[0.0, 1.0]], gid) for gid in (5, 3)]
+    backwards = PersistenceDiagram(9, np.array([[0.0, 2.0]]), np.array([[2.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"^diagram 9 dim1 contains a point whose death precedes its birth$"):
+        build_similarity_matrix([*ok, backwards, diag_only([], 1)], cap=4.0)
+    # within one diagram and dimension a non-finite point is named before a backwards one
+    both = PersistenceDiagram(7, np.zeros((0, 2)), np.array([[1.0, 0.0], [0.5, np.inf]]))
+    with pytest.raises(ValueError, match=r"^diagram 7 dim1 contains non-finite points; cap essential deaths first"):
+        wasserstein_distance(ok[1], both, 1.0)
+    with pytest.raises(ValueError, match="order"):  # the order is checked before any point
+        wasserstein_distance(ok[1], both, 0.5)
+    nan = PersistenceDiagram(4, np.array([[np.nan, 1.0]]), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match=r"^diagram 4 dim0 contains non-finite points"):
+        build_similarity_matrix([ok[0], nan, ok[1]])
+
+
+def test_dim0_faults_come_first_and_the_diagrams_stay_unchanged():
+    # the earlier diagram's dim-1 fault is named after the later one's dim-0 fault
+    dim1_fault = PersistenceDiagram(2, np.zeros((0, 2)), np.array([[3.0, 1.0]]))
+    dim0_fault = PersistenceDiagram(8, np.array([[2.0, 1.0]]), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match=r"^diagram 8 dim0 "):
+        build_similarity_matrix([dim1_fault, dim0_fault], cap=5.0)
+    diagrams = [PersistenceDiagram(0, np.array([[0.0, np.inf], [1.0, 1.0]]), np.array([[0.5, np.inf], [1.0, 4.0]])),
+                PersistenceDiagram(1, np.array([[0.0, 2.0]]), np.array([[1.0, np.inf]]))]
+    before = [(d.dim0.copy(), d.dim1.copy()) for d in diagrams]
+    for p in (1.0, 2.0):
+        build_similarity_matrix(diagrams, p=p, cap=3.0)
+    for d, (dim0, dim1) in zip(diagrams, before):
+        assert np.array_equal(d.dim0, dim0) and np.array_equal(d.dim1, dim1)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
@@ -233,7 +279,7 @@ def molecule_like_diagrams(kind, n_graphs=24, seed=0):
     ]
     diagrams = [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
     cap = max_finite_value(diagrams)
-    return [capped_diagram(d, cap) for d in diagrams], cap
+    return [hand_capped(d, cap) for d in diagrams], cap
 
 
 @pytest.mark.parametrize("kind", [FiltrationKind.DEGREE, FiltrationKind.EIGENVECTOR])
@@ -332,7 +378,7 @@ def test_matrix_entries_match_pairwise_calls():
     cap = 3.0
     mat = build_similarity_matrix(diagrams, p=1.0, cap=cap)
     for i, j in itertools.combinations(range(4), 2):
-        want = wasserstein_distance(capped_diagram(diagrams[i], cap), capped_diagram(diagrams[j], cap), 1.0)
+        want = wasserstein_distance(hand_capped(diagrams[i], cap), hand_capped(diagrams[j], cap), 1.0)
         assert mat.values[i, j] == pytest.approx(want, abs=1e-12)
         assert mat.values[i, j] == mat.values[j, i]
     assert np.array_equal(np.diag(mat.values), np.zeros(4))
@@ -364,7 +410,7 @@ def test_property_dual_build_bit_equal_to_pairwise_distances(data):
         for gid in range(n)
     ]
     mat = build_similarity_matrix(diagrams, p=1.0)
-    capped = [capped_diagram(d, mat.cap) for d in diagrams]
+    capped = [hand_capped(d, mat.cap) for d in diagrams]
     for i, j in itertools.permutations(range(n), 2):
         assert mat.values[i, j] == wasserstein_distance(capped[i], capped[j], 1.0)
 
@@ -397,7 +443,7 @@ def assert_matched_pair_by_pair(monkeypatch, diagrams, p, matched_dims, **kw):
     """The build equals pairwise `wasserstein_distance` bit for bit and solves
     the assignments that pairwise calls solve in the dimensions `matched_dims`."""
     mat, calls = assignment_calls(monkeypatch, lambda: build_similarity_matrix(diagrams, p=p, **kw))
-    capped = [capped_diagram(d, mat.cap) for d in diagrams]
+    capped = [hand_capped(d, mat.cap) for d in diagrams]
     pairs = list(itertools.combinations(range(len(diagrams)), 2))
 
     def only(d):
