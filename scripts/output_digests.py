@@ -39,6 +39,10 @@ its own directory, and betweenness once more with `--wasserstein-p 1.5`
 exits non-zero unless the pooled matrix's values equal the serial ones bit
 for bit (its files differ, since they record the configuration).
 
+Every `.svg` file it hashes is parsed with `xml.dom.minidom` and every
+`.json` file with `json.load`; the script exits non-zero, naming the file,
+when one is not well formed.
+
 Every `.simmat` file gets a second line: the sha256 of its values, read back
 with `load_matrix`, and its cap. The file's own digest changes with every
 edit of `topology.py` or `similarity.py`, since the cache key it records
@@ -58,10 +62,13 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
+from xml.dom import minidom  # noqa: E402
+from xml.parsers.expat import ExpatError  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -107,9 +114,21 @@ def cli(*argv: str) -> str:
     return stdout.getvalue()
 
 
+def check_well_formed(path: Path) -> None:
+    try:
+        if path.suffix == ".svg":
+            minidom.parse(str(path))
+        elif path.suffix == ".json":
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+    except (ExpatError, ValueError) as exc:
+        raise SystemExit(f"{path.as_posix()} is not well formed: {exc}") from None
+
+
 def digests(out: str, note: str = "") -> list[str]:
     lines = []
     for path in sorted(Path(out).iterdir()):
+        check_well_formed(path)
         lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.as_posix()}{note}")
         if path.suffix == ".simmat":
             matrix = load_matrix(path)

@@ -234,7 +234,6 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
     matrix = build_similarity_matrix(
         diagrams,
         p=cfg.wasserstein_p,
-        kinds=(kind.value,),
         key=key,
         workers=cfg.pairs_parallel,
     )
@@ -275,22 +274,23 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     else:
         splits = [resplit(base_split, cfg.calib_split, cfg.seed + i) for i in range(cfg.repeats)]
     matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[0]
-    if scored.n != matrix.n:
-        raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
+    mode = MODES[cfg.mode]
+    # every band is built before --out is created, so a failing repeat leaves no file
+    bands = [
+        cp_roc_bands(
+            scored.with_split(split_i), matrix, cfg.knn, cfg.alpha, mode=mode,
+            min_stratum=cfg.min_stratum, thin_stratum=cfg.thin_stratum,
+        )
+        for split_i in splits
+    ]
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    mode = MODES[cfg.mode]
     grid = UNIFORM_GRID
     acc = np.zeros((4, grid.size))  # sen_lo, sen_up, spe_lo, spe_up
     stat_names = ("auc", "auc_lo", "auc_up", "mean_bw_sen", "mean_bw_spe")
     stats = np.zeros((len(stat_names), cfg.repeats))  # one column per repeat
-    for i, split_i in enumerate(splits):
-        scored_i = scored.with_split(split_i)
-        band = cp_roc_bands(
-            scored_i, matrix, cfg.knn, cfg.alpha, mode=mode,
-            min_stratum=cfg.min_stratum, thin_stratum=cfg.thin_stratum,
-        )
+    for i, (split_i, band) in enumerate(zip(splits, bands)):
         write_band_csv(
             out / f"band_rep{i}.csv",
             band.lambda_grid, band.sen_lo, band.sen_up, band.spe_lo, band.spe_up,
@@ -300,7 +300,7 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
         sl, su = band.sen_at(grid)
         pl, pu = band.spe_at(grid)
         acc += (sl, su, pl, pu)
-        curve = empirical_roc(scored_i)
+        curve = empirical_roc(scored.with_split(split_i))
         stats[:, i] = curve.auc, band.auc_lo, band.auc_up, np.mean(su - sl), np.mean(pu - pl)
 
     if cfg.bootstrap > 0:

@@ -288,27 +288,27 @@ def read_split_manifest(path: str | Path) -> SplitAssignment:
     """Read a `graph_id,part` CSV written by `write_split_manifest`.
 
     Rows may come in any order; their ids must cover 0..n-1 exactly once,
-    where n is the row count.
+    where n is the row count. Cells are stripped; a bad row raises
+    ParseError naming `path:line`.
     """
-    with open(path, newline="") as fh:
-        lines = (line for line in fh if not line.startswith("#"))
-        reader = csv.reader(lines)
-        header = next(reader, None)
-        if header != ["graph_id", "part"]:
-            raise ParseError(f"{path}: bad split manifest header {header}")
-        rows = [row for row in reader if row]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        lines = [(ln, line) for ln, line in enumerate(fh, 1) if line.strip() and not line.startswith("#")]
+    rows = [(ln, [cell.strip() for cell in next(csv.reader([line]))]) for ln, line in lines]
+    header = rows.pop(0)[1] if rows else None
+    if header != ["graph_id", "part"]:
+        raise ParseError(f"{path}: bad split manifest header {header}")
     parts = [""] * len(rows)
-    for row in rows:
+    for ln, row in rows:
         if len(row) != 2 or row[1] not in PARTS:
-            raise ParseError(f"{path}: bad manifest row {row}")
+            raise ParseError(f"{path}:{ln}: bad manifest row {row}")
         try:
             gid = int(row[0])
         except ValueError:
-            raise ParseError(f"{path}: manifest row {row}: graph_id is not an integer") from None
+            raise ParseError(f"{path}:{ln}: manifest row {row}: graph_id is not an integer") from None
         if not 0 <= gid < len(rows):
-            raise ParseError(f"{path}: manifest row {row}: graph_id outside [0, {len(rows)})")
+            raise ParseError(f"{path}:{ln}: manifest row {row}: graph_id outside [0, {len(rows)})")
         if parts[gid]:
-            raise ParseError(f"{path}: manifest row {row}: duplicate graph_id {gid}")
+            raise ParseError(f"{path}:{ln}: manifest row {row}: duplicate graph_id {gid}")
         parts[gid] = row[1]
     return SplitAssignment(tuple(parts))
 
@@ -349,7 +349,7 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
     match the parsed labels; each probability vector must be finite, lie in
     [0, 1] and sum to 1 within 1e-6.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = [cell.strip() for cell in next(reader, [])]
         if len(header) < 4 or header[:2] != ["graph_id", "label"]:

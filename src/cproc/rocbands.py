@@ -218,9 +218,9 @@ def write_band_csv(
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:
     """The five band columns; a data row that is not five finite numbers
     raises ValueError naming `path:line`."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = [(ln, line.strip()) for ln, line in enumerate(fh, 1) if line.strip() and not line.startswith("#")]
-    if not lines or tuple(lines[0][1].split(",")) != BAND_COLUMNS:
+    if not lines or tuple(cell.strip() for cell in lines[0][1].split(",")) != BAND_COLUMNS:
         raise ValueError(f"{path}: not a band CSV")
     rows = []
     for ln, line in lines[1:]:

@@ -36,8 +36,10 @@ pipeline and `knn_indices` read distances. Its constructor alone knows where
 they come from and installs the block function once: a slice of a dense table
 (every `.simmat` file and Wasserstein build), or `cdist` of the rows' and
 columns' Euclidean points (synthetic runs), so no n x n table is built unless
-`values` is asked for. `load_matrix` checks a `.simmat` header's sizes
-against the file's length before it reads on.
+`values` is asked for. A `.simmat` file carries one sha256 over its metadata
+and values (see `save_matrix`); `load_matrix` checks the header's sizes
+against the file's length before it reads on, and the digest before it
+decodes the metadata.
 
 `knn_indices` orders neighbours by ascending (distance, id). It selects the K
 nearest with `argpartition` and sorts only those; a row whose K-th distance
@@ -69,7 +71,7 @@ from .graphdata import write_table
 from .topology import PersistenceDiagram, max_finite_value
 
 _MAGIC = b"CPROCSIM"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 # integer points of one dimension's dual polytope that the exact p = 1 path
 # may enumerate; a larger polytope takes the assignment path. The polytope
 # holds every 0/1 point, so this also keeps the path to at most 16 types.
@@ -208,8 +210,7 @@ class SimilarityMatrix:
     against every graph, built on first access.
     """
 
-    def __init__(self, values=None, p: float = 1.0, kinds: tuple[str, ...] = (), cap: float = 0.0,
-                 key: str = "", *, points=None) -> None:
+    def __init__(self, values=None, *, points=None, cap: float = 0.0, key: str = "") -> None:
         if (values is None) == (points is None):
             raise ValueError("a similarity matrix needs exactly one of values and points")
         if values is not None:
@@ -223,7 +224,7 @@ class SimilarityMatrix:
             self.block = lambda rows, cols: cdist(table[rows], table[cols])
         self.n = len(table)
         self.shape = (self.n, self.n)
-        self.p, self.kinds, self.cap, self.key = p, tuple(kinds), cap, key
+        self.cap, self.key = cap, key
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -243,7 +244,6 @@ def build_similarity_matrix(
     diagrams: list[PersistenceDiagram],
     p: float = 1.0,
     cap: float | None = None,
-    kinds: tuple[str, ...] = (),
     key: str = "",
     workers: int = 1,
 ) -> SimilarityMatrix:
@@ -282,7 +282,7 @@ def build_similarity_matrix(
         dists = pool.map(solve, pairs, chunksize=math.ceil(len(pairs) / workers)) if pool else map(solve, pairs)
         for (i, j), dist in zip(pairs, dists):
             values[i, j] = values[j, i] = values[i, j] + dist
-    return SimilarityMatrix(values=values, p=p, kinds=kinds, cap=cap, key=key)
+    return SimilarityMatrix(values=values, cap=cap, key=key)
 
 
 def knn_indices(values, query_ids, pool_ids, K: int) -> np.ndarray:
@@ -314,57 +314,47 @@ def knn_indices(values, query_ids, pool_ids, K: int) -> np.ndarray:
 
 
 def save_matrix(matrix: SimilarityMatrix, path: str | Path, extra_meta: dict | None = None) -> None:
-    """Binary layout: magic, format version, n, p, sha256(key), sha256(values),
-    JSON metadata, row-major float64 values."""
-    meta = {
-        "kinds": list(matrix.kinds),
-        "cap": matrix.cap,
-        "key": matrix.key,
-        **(extra_meta or {}),
-    }
-    blob = json.dumps(meta, sort_keys=True).encode()
-    digest = hashlib.sha256(matrix.key.encode()).digest()
-    raw = np.ascontiguousarray(matrix.values, dtype="<f8").tobytes()
+    """Binary layout (version 3): magic, u32 version, u64 n, u64 metadata
+    length, sha256 of the metadata bytes followed by the value bytes, then the
+    JSON metadata (`cap`, `key` and `extra_meta`) and the row-major float64
+    values."""
+    blob = json.dumps({"cap": matrix.cap, "key": matrix.key, **(extra_meta or {})}, sort_keys=True).encode()
+    values = np.ascontiguousarray(matrix.values, dtype="<f8")
+    digest = hashlib.sha256(blob)
+    digest.update(values)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQd", _FORMAT_VERSION, matrix.n, matrix.p))
-        fh.write(digest)
-        fh.write(hashlib.sha256(raw).digest())
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(_MAGIC + struct.pack("<IQQ", _FORMAT_VERSION, matrix.n, len(blob)) + digest.digest())
         fh.write(blob)
-        fh.write(raw)
+        fh.write(values)
 
 
 def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMatrix:
-    """Read a matrix file; raises ParseError on corruption, an older format
+    """Read a matrix file; raises ParseError on corruption, another format
     version or key mismatch."""
     try:
         with open(path, "rb") as fh:
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ParseError(f"{path}: bad magic")
-            version, n, p = struct.unpack("<IQd", fh.read(20))
+            (version,) = struct.unpack("<I", fh.read(4))
             if version != _FORMAT_VERSION:
                 raise ParseError(f"{path}: unsupported format version {version}")
-            digest = fh.read(32)
-            values_digest = fh.read(32)
-            (meta_len,) = struct.unpack("<Q", fh.read(8))
-            if meta_len + n * n * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
-                raise ParseError(f"{path}: truncated (header needs {meta_len} + 8*{n}^2 more bytes)")
-            meta = json.loads(fh.read(meta_len).decode())
+            n, meta_len, digest = struct.unpack("<QQ32s", fh.read(48))
+            if meta_len + n * n * 8 != os.fstat(fh.fileno()).st_size - fh.tell():
+                raise ParseError(f"{path}: truncated or overlong (header says {meta_len} + 8*{n}^2 more bytes)")
+            blob = fh.read(meta_len)
             raw = fh.read(n * n * 8)
-            if hashlib.sha256(raw).digest() != values_digest:
-                raise ParseError(f"{path}: value block checksum mismatch")
-            values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
+        check = hashlib.sha256(blob)
+        check.update(raw)
+        if check.digest() != digest:
+            raise ParseError(f"{path}: checksum mismatch")
+        meta = json.loads(blob.decode())
     except (OSError, struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     key = meta.get("key", "")
-    if hashlib.sha256(key.encode()).digest() != digest:
-        raise ParseError(f"{path}: metadata hash mismatch")
     if expect_key is not None and key != expect_key:
         raise ParseError(f"{path}: cache key mismatch (have {key!r}, want {expect_key!r})")
-    return SimilarityMatrix(
-        values=values, p=p, kinds=tuple(meta.get("kinds", ())), cap=float(meta.get("cap", 0.0)), key=key
-    )
+    values = np.frombuffer(raw, dtype="<f8").reshape(n, n).copy()
+    return SimilarityMatrix(values=values, cap=float(meta.get("cap", 0.0)), key=key)
 
 
 def export_matrix_csv(matrix: SimilarityMatrix, path: str | Path, comments: tuple[str, ...] = ()) -> None:

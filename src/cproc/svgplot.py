@@ -11,6 +11,8 @@ import numpy as np
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
 _SIZE = 480
 _MARGIN = 56
+# XML character data escapes, as xml.sax.saxutils.escape gives them (its import pulls in urllib: about 2 MB of RSS)
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _px(x: float) -> float:
@@ -36,7 +38,7 @@ def band_svg(
 ) -> None:
     """Render one or more bands, each given as
     (name, sen_lo, sen_up, spe_lo, spe_up) with rows ordered by ascending
-    threshold."""
+    threshold; names and the title are XML-escaped."""
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
@@ -66,7 +68,7 @@ def band_svg(
         f'<text x="14" y="{_py(0.5):.2f}" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 14 {_py(0.5):.2f})">True positive rate</text>'
         f'<text x="{_px(0.5):.2f}" y="{_MARGIN - 16}" font-size="14" '
-        f'text-anchor="middle">{title}</text>'
+        f'text-anchor="middle">{title.translate(_XML_ESCAPES)}</text>'
     )
     parts.append(
         f'<path d="{_path([0, 1], [0, 1])}" stroke="#999999" stroke-dasharray="5,4" fill="none"/>'
@@ -83,7 +85,7 @@ def band_svg(
         parts.append(
             f'<rect x="{_px(0.62):.2f}" y="{ly - 9}" width="12" height="12" fill="{color}" '
             f'fill-opacity="0.45"/><text x="{_px(0.62) + 16:.2f}" y="{ly + 1}" '
-            f'font-size="11">{name}</text>'
+            f'font-size="11">{name.translate(_XML_ESCAPES)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

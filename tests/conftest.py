@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,3 +43,19 @@ def write_scores(scored: ScoredDataset, path) -> None:
     header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
     rows = enumerate(zip(scored.labels, scored.probs.tolist()))
     write_table(path, ([gid, int(label), *probs] for gid, (label, probs) in rows), header)
+
+
+def write_simmat_v2(path, values, cap: float, key: str) -> None:
+    """A `.simmat` file in the version-2 layout: magic, version, n, p,
+    sha256(key), sha256(values), metadata length, JSON metadata (with
+    `kinds`), values."""
+    blob = json.dumps({"cap": cap, "key": key, "kinds": ["degree"]}, sort_keys=True).encode()
+    raw = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(b"CPROCSIM")
+        fh.write(struct.pack("<IQd", 2, len(values), 1.0))
+        fh.write(hashlib.sha256(key.encode()).digest())
+        fh.write(hashlib.sha256(raw).digest())
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        fh.write(raw)

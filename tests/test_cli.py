@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from cproc.graphdata import (
     write_split_manifest,
     write_tu_dataset,
 )
-from cproc.rocbands import _frac_above, read_band_csv
+from cproc.rocbands import _frac_above, read_band_csv, write_band_csv
 from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
+from cproc.svgplot import band_svg
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 from cproc.topology import FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
 
-from conftest import write_scores, write_tiny_fixture
+from conftest import write_scores, write_simmat_v2, write_tiny_fixture
 
 
 def star(gid: int, leaves: int, label: int) -> Graph:
@@ -368,6 +370,18 @@ def test_plot_bad_band_row_exit_2(tmp_path, capsys, row):
     assert not (tmp_path / "newdir").exists()
 
 
+def test_plot_escapes_band_names_and_the_title(tmp_path):
+    band = tmp_path / "a&b<c>.csv"
+    grid = np.linspace(0.0, 1.0, 3)
+    write_band_csv(band, grid, grid, grid, grid, grid)
+    assert main(["plot", str(band), "--out", str(tmp_path / "p.svg")]) == 0
+    legend = [node.firstChild.data for node in minidom.parse(str(tmp_path / "p.svg")).getElementsByTagName("text")]
+    assert "a&b<c>" in legend
+    band_svg([], tmp_path / "t.svg", title="x < y & z")
+    titles = [node.firstChild.data for node in minidom.parse(str(tmp_path / "t.svg")).getElementsByTagName("text")]
+    assert "x < y & z" in titles
+
+
 @pytest.mark.parametrize("out, svg", [
     ("newdir" + os.sep, "newdir/bands.svg"), ("missing/x.svg", "missing/x.svg"), (".", "bands.svg"),
 ])
@@ -515,9 +529,9 @@ def test_bands_bad_scores_exit_2_before_any_distance(tmp_path, capsys):
     assert not list(out.glob("*.simmat"))
 
 
-@pytest.mark.parametrize("offset", [12, 92])
+@pytest.mark.parametrize("offset", [12, 20])
 def test_bands_rebuild_a_cache_whose_header_sizes_exceed_the_file(tmp_path, offset):
-    # offset 12 holds the matrix size n, offset 92 the metadata length
+    # offset 12 holds the matrix size n, offset 20 the metadata length
     data, scores, split, *_ = twin_star_dataset(tmp_path)
     out = tmp_path / "out"
     bands = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
@@ -531,6 +545,49 @@ def test_bands_rebuild_a_cache_whose_header_sizes_exceed_the_file(tmp_path, offs
     with pytest.warns(UserWarning, match="similarity cache unusable"):
         assert main(bands) == 0
     assert cache.read_bytes() == good
+
+
+def test_bands_rebuild_a_version_2_cache_once(tmp_path, capsys):
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    out = tmp_path / "out"
+    bands = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+             "--knn", "1", "--mode", "exch", "--out", str(out)]
+    assert main(bands) == 0
+    cache = out / "STARS_degree_p1.simmat"
+    good = cache.read_bytes()
+    matrix = load_matrix(cache)
+    # the same matrix and key in the two-digest layout
+    write_simmat_v2(cache, matrix.values, cap=matrix.cap, key=matrix.key)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="unsupported format version 2.*recomputing"):
+        assert main(bands) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert cache.read_bytes() == good
+    assert main(bands) == 0
+    assert "simmat cache hit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("knn, min_stratum", [("3", "3"), ("9", "2")])
+def test_bands_failing_repeat_with_simmat_leaves_no_out(tmp_path, capsys, knn, min_stratum):
+    # at --knn 3 the first repeat fails; at --knn 9 the first passes and the second fails
+    ds = generate(SyntheticSpec(n_train=60, n_calib=40, n_test=30, dim=2, beta=(1.0, -1.0), seed=2))
+    write_scores(scored_dataset(ds, ds.pi), tmp_path / "s.csv")
+    save_matrix(covariate_distance_matrix(ds), tmp_path / "m.simmat")
+    rc = main(["bands", "--scores", str(tmp_path / "s.csv"), "--simmat", str(tmp_path / "m.simmat"),
+               "--knn", knn, "--min-stratum", min_stratum, "--repeats", "10", "--out", str(tmp_path / "X")])
+    assert rc == 2
+    assert "nearest calibration neighbors (need" in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
+def test_bands_failing_repeat_keeps_only_the_cache(tmp_path):
+    # the first two repeats pass and a later one fails; the cache was written when it was built
+    data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    out = tmp_path / "out"
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+               "--knn", "7", "--min-stratum", "3", "--repeats", "5", "--mode", "cond", "--out", str(out)])
+    assert rc == 2
+    assert [path.name for path in out.iterdir()] == ["STARS_degree_p1.simmat"]
 
 
 def test_bands_edited_edge_is_a_cache_key_mismatch(tmp_path, capsys):
@@ -589,8 +646,7 @@ def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, cap
     assert matrix.cap == max_finite_value(diagrams)
     # a cache written under the earlier key, which named the cap and no version
     old_key = f"STARS|degree|p=1.0|cap={matrix.cap!r}|dims=(0, 1)|graphs={_graphs_digest(graphs)}"
-    save_matrix(SimilarityMatrix(values=matrix.values, p=1.0, kinds=matrix.kinds, cap=matrix.cap,
-                                 key=old_key), cache)
+    save_matrix(SimilarityMatrix(values=matrix.values, cap=matrix.cap, key=old_key), cache)
     capsys.readouterr()
     with pytest.warns(UserWarning, match="cache key mismatch"):
         assert main(simmat) == 0
@@ -614,8 +670,7 @@ def test_cache_key_names_the_distance_code_digest(tmp_path, capsys):
     code = f"code={_code_digest()}"
     assert code in matrix.key.split("|")
     stale_key = matrix.key.replace(code, "code=" + "0" * 64)
-    save_matrix(SimilarityMatrix(values=matrix.values, p=1.0, kinds=matrix.kinds, cap=matrix.cap,
-                                 key=stale_key), cache)
+    save_matrix(SimilarityMatrix(values=matrix.values, cap=matrix.cap, key=stale_key), cache)
     capsys.readouterr()
     with pytest.warns(UserWarning, match="cache key mismatch"):
         assert main(simmat) == 0

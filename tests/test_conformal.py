@@ -15,7 +15,7 @@ from reference import quantile
 
 def dist_matrix_from_coords(coords: np.ndarray) -> SimilarityMatrix:
     vals = np.abs(coords[:, None] - coords[None, :])
-    return SimilarityMatrix(values=vals, p=1.0, kinds=("coord",), cap=1.0)
+    return SimilarityMatrix(values=vals, cap=1.0)
 
 
 def soft_prob(query: int, mat: SimilarityMatrix, train, probs: np.ndarray, K: int) -> float:
@@ -364,7 +364,7 @@ def test_property_engine_bit_equal_to_reference(data):
         c = data.draw(st.integers(1, min(min_stratum - 1, K - min_stratum)))
         cols = data.draw(st.lists(st.integers(min_stratum, K - 1), min_size=c, max_size=c, unique=True))
         labels[calib[cols]] = k
-    mat = SimilarityMatrix(values=values, p=1.0, kinds=("test",), cap=1.0)
+    mat = SimilarityMatrix(values=values, cap=1.0)
     calib_sorted, scores = score_table(mat, calib, train, probs, K)
     same = labels[calib_sorted] == k
 
@@ -398,7 +398,7 @@ def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
     ds = thin_rows_fixture()
     fhat, labels = ds.pi, ds.labels
     euclidean = covariate_distance_matrix(ds)
-    dense = SimilarityMatrix(values=squareform(pdist(ds.x)), p=2.0)
+    dense = SimilarityMatrix(values=squareform(pdist(ds.x)))
     train, calib, test = (np.sort(ds.split.ids(p)) for p in ("train", "calib", "test"))
     K, min_stratum = 4, 3
     same = labels[knn_indices(dense, test, calib, K)] == labels[test][:, None]
@@ -428,7 +428,7 @@ def test_widening_asks_no_knn_wider_than_k_or_min_stratum(monkeypatch):
         return knn_indices(values, query_ids, pool_ids, k)
 
     monkeypatch.setattr("cproc.conformal.knn_indices", spy)
-    for mat in (covariate_distance_matrix(ds), SimilarityMatrix(values=squareform(pdist(ds.x)), p=2.0)):
+    for mat in (covariate_distance_matrix(ds), SimilarityMatrix(values=squareform(pdist(ds.x)))):
         cp_roc_bands(scored_dataset(ds, ds.pi), mat, K, 0.1, min_stratum=min_stratum, thin_stratum="widen")
     assert max(asked) <= max(K, min_stratum)
     assert min_stratum in asked

@@ -532,6 +532,24 @@ def test_load_scores_header_may_space_its_cells(tmp_path):
         assert np.array_equal(got.labels, want.labels) and np.array_equal(got.probs, want.probs)
 
 
+def test_split_manifest_may_space_its_cells_and_names_a_bad_line(tmp_path):
+    (tmp_path / "plain.csv").write_text("graph_id,part\n0,train\n1,test\n")
+    (tmp_path / "spaced.csv").write_text("graph_id, part\n0, train\n 1 ,test\n")
+    assert read_split_manifest(tmp_path / "spaced.csv") == read_split_manifest(tmp_path / "plain.csv")
+    (tmp_path / "bad.csv").write_text("# provenance\ngraph_id,part\n0,train\n\n1,holdout\n")
+    with pytest.raises(ParseError, match=r"bad\.csv:5: bad manifest row \['1', 'holdout'\]"):
+        read_split_manifest(tmp_path / "bad.csv")
+
+
+def test_scores_and_manifests_may_start_with_a_utf8_bom(tmp_path):
+    bom = "\ufeff".encode()
+    (tmp_path / "scores.csv").write_bytes(bom + b"graph_id,label,p0,p1\n0,1,0.2,0.8\n1,0,0.6,0.4\n")
+    scored = load_scores(tmp_path / "scores.csv", _two_graphs())
+    assert scored.labels.tolist() == [1, 0] and scored.probs[:, 1].tolist() == [0.8, 0.4]
+    (tmp_path / "m.csv").write_bytes(bom + b"graph_id,part\n0,train\n1,test\n")
+    assert read_split_manifest(tmp_path / "m.csv").parts == ("train", "test")
+
+
 def test_load_scores_rejects_bad_sum(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("graph_id,label,p0,p1\n0,1,0.2,0.7\n1,0,0.6,0.4\n")

@@ -7,6 +7,7 @@ from scipy.spatial.distance import pdist, squareform
 from cproc.errors import DegenerateTestError, StratumError
 from cproc.graphdata import ScoredDataset, SplitAssignment
 from cproc.rocbands import (
+    BAND_COLUMNS,
     band_from_intervals,
     cp_roc_bands,
     default_lambda_grid,
@@ -292,7 +293,7 @@ def _three_class_inputs():
     labels = np.array([rng.choice(3, p=p) for p in probs])
     parts = ("train",) * 200 + ("calib",) * 100 + ("test",) * 60
     scored = ScoredDataset(labels=labels, probs=probs, split=SplitAssignment(parts))
-    mat = SimilarityMatrix(values=squareform(pdist(x)), p=2.0, kinds=("euclidean",), cap=0.0)
+    mat = SimilarityMatrix(values=squareform(pdist(x)), cap=0.0)
     return scored, mat
 
 
@@ -344,6 +345,15 @@ def test_band_csv_roundtrip(tmp_path):
         ",".join([repr(x)] * 5) for x in (-0.0, 5e-324, 0.30000000000000004)
     ]
     assert read_band_csv(tmp_path / "edge.csv")["lambda"].tobytes() == edge.tobytes()
+
+
+def test_band_csv_may_space_its_cells_and_start_with_a_bom(tmp_path):
+    rows = "0.5,0.1,0.9,0.2,0.8\n1.0,0.0,1.0,0.0,1.0\n"
+    (tmp_path / "plain.csv").write_text(",".join(BAND_COLUMNS) + "\n" + rows)
+    spaced = "\ufeff" + ", ".join(BAND_COLUMNS) + "\n" + rows.replace(",", ", ")
+    (tmp_path / "spaced.csv").write_bytes(spaced.encode())
+    want, got = read_band_csv(tmp_path / "plain.csv"), read_band_csv(tmp_path / "spaced.csv")
+    assert all(np.array_equal(got[name], want[name]) for name in BAND_COLUMNS)
 
 
 def test_band_csv_rejects_garbage(tmp_path):

@@ -31,6 +31,8 @@ from cproc.topology import (
     sublevel_persistence,
 )
 
+from conftest import write_simmat_v2
+
 
 def exhaustive_matching_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
     """Minimum p-power matching cost over every partial bijection, the rest
@@ -685,7 +687,7 @@ def test_property_euclidean_block_bit_equal_to_dense_values(data):
     dim = data.draw(st.integers(1, 6))
     coords = data.draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=n * dim, max_size=n * dim))
     points = np.array(coords).reshape(n, dim)
-    mat = SimilarityMatrix(points=points, p=2.0)
+    mat = SimilarityMatrix(points=points)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     want = squareform(pdist(points))
@@ -715,36 +717,45 @@ def test_matrix_save_load_roundtrip(tmp_path):
     raw = rng.uniform(0, 1, (5, 5))
     vals = np.triu(raw, 1)
     vals = vals + vals.T
-    mat = SimilarityMatrix(values=vals, p=2.0, kinds=("degree",), cap=4.0, key="k1")
+    mat = SimilarityMatrix(values=vals, cap=4.0, key="k1")
     save_matrix(mat, tmp_path / "m.simmat")
     back = load_matrix(tmp_path / "m.simmat", expect_key="k1")
     assert np.array_equal(back.values, mat.values)
-    assert back.p == 2.0 and back.kinds == ("degree",) and back.cap == 4.0
+    assert back.cap == 4.0 and back.key == "k1"
+
+
+def test_similarity_matrix_takes_cap_and_key_by_keyword():
+    # a caller that still passes the removed `p` positionally fails loudly
+    with pytest.raises(TypeError):
+        SimilarityMatrix(np.eye(2), 1.0)
 
 
 def test_matrix_key_mismatch(tmp_path):
-    mat = SimilarityMatrix(values=np.zeros((2, 2)), p=1.0, kinds=(), cap=1.0, key="a")
+    mat = SimilarityMatrix(values=np.zeros((2, 2)), cap=1.0, key="a")
     save_matrix(mat, tmp_path / "m.simmat")
     with pytest.raises(ParseError, match="key mismatch"):
         load_matrix(tmp_path / "m.simmat", expect_key="b")
 
 
 def test_matrix_corruption_detected(tmp_path):
-    mat = SimilarityMatrix(values=np.eye(3), p=1.0, kinds=(), cap=1.0, key="a")
+    mat = SimilarityMatrix(values=np.eye(3), cap=1.0, key="a")
     save_matrix(mat, tmp_path / "m.simmat")
     blob = (tmp_path / "m.simmat").read_bytes()
     (tmp_path / "m.simmat").write_bytes(blob[: len(blob) - 16])  # truncate values
     with pytest.raises(ParseError, match="truncated"):
+        load_matrix(tmp_path / "m.simmat")
+    (tmp_path / "m.simmat").write_bytes(blob + b"\0")  # a byte no digest covers
+    with pytest.raises(ParseError, match="overlong"):
         load_matrix(tmp_path / "m.simmat")
     (tmp_path / "m.simmat").write_bytes(b"garbage" + blob[7:])
     with pytest.raises(ParseError, match="magic"):
         load_matrix(tmp_path / "m.simmat")
 
 
-@pytest.mark.parametrize("offset", [12, 92])
+@pytest.mark.parametrize("offset", [12, 20])
 def test_matrix_header_sizes_beyond_the_file(tmp_path, offset):
-    # offset 12 holds n, offset 92 the metadata length; both patched to 2**40
-    mat = SimilarityMatrix(values=np.eye(3), p=1.0, kinds=(), cap=1.0, key="a")
+    # offset 12 holds n, offset 20 the metadata length; both patched to 2**40
+    mat = SimilarityMatrix(values=np.eye(3), cap=1.0, key="a")
     save_matrix(mat, tmp_path / "m.simmat")
     blob = bytearray((tmp_path / "m.simmat").read_bytes())
     blob[offset : offset + 8] = struct.pack("<Q", 2**40)
@@ -754,22 +765,35 @@ def test_matrix_header_sizes_beyond_the_file(tmp_path, offset):
 
 
 def test_matrix_csv_export(tmp_path):
-    mat = SimilarityMatrix(values=np.array([[0.0, 1.5], [1.5, 0.0]]), p=1.0, kinds=(), cap=1.0)
+    mat = SimilarityMatrix(values=np.array([[0.0, 1.5], [1.5, 0.0]]), cap=1.0)
     export_matrix_csv(mat, tmp_path / "m.csv")
     rows = (tmp_path / "m.csv").read_text().strip().splitlines()
     assert [float(v) for v in rows[0].split(",")] == [0.0, 1.5]
-    edge = SimilarityMatrix(values=np.array([[-0.0, 5e-324], [0.1 + 0.2, np.inf]]), p=1.0, kinds=(), cap=1.0)
+    edge = SimilarityMatrix(values=np.array([[-0.0, 5e-324], [0.1 + 0.2, np.inf]]), cap=1.0)
     export_matrix_csv(edge, tmp_path / "edge.csv")
     assert (tmp_path / "edge.csv").read_bytes() == b"-0.0,5e-324\r\n0.30000000000000004,inf\r\n"
 
 
 def test_matrix_value_checksum(tmp_path):
-    mat = SimilarityMatrix(values=np.eye(3), p=1.0, kinds=(), cap=1.0, key="a")
+    mat = SimilarityMatrix(values=np.eye(3), cap=1.0, key="a")
     save_matrix(mat, tmp_path / "m.simmat")
     blob = bytearray((tmp_path / "m.simmat").read_bytes())
     blob[-5] ^= 0x01  # one bit of the last value
     (tmp_path / "m.simmat").write_bytes(bytes(blob))
-    with pytest.raises(ParseError, match="checksum"):
+    with pytest.raises(ParseError, match="checksum mismatch"):
+        load_matrix(tmp_path / "m.simmat")
+
+
+@pytest.mark.parametrize("entry, edit", [(b'"cap": 4.0', b'"cap": 9.0'), (b'"key": "k1"', b'"key": "k2"'),
+                                         (b'"alpha": 0.1', b'"alpha": 0.2')])
+def test_matrix_metadata_checksum(tmp_path, entry, edit):
+    # the digest covers every metadata byte: the cap, the key and the `config` entry
+    mat = SimilarityMatrix(values=np.eye(3), cap=4.0, key="k1")
+    save_matrix(mat, tmp_path / "m.simmat", extra_meta={"config": {"alpha": 0.1}})
+    blob = (tmp_path / "m.simmat").read_bytes()
+    assert blob.count(entry) == 1
+    (tmp_path / "m.simmat").write_bytes(blob.replace(entry, edit))
+    with pytest.raises(ParseError, match="checksum mismatch"):
         load_matrix(tmp_path / "m.simmat")
 
 
@@ -788,11 +812,19 @@ def test_matrix_format_v1_rejected(tmp_path):
         load_matrix(tmp_path / "old.simmat", expect_key="a")
 
 
+def test_matrix_format_v2_rejected(tmp_path):
+    # the version-2 layout: one digest of the key and one of the values
+    write_simmat_v2(tmp_path / "old.simmat", np.eye(2), cap=1.0, key="a")
+    with pytest.raises(ParseError, match="unsupported format version 2"):
+        load_matrix(tmp_path / "old.simmat", expect_key="a")
+
+
 def test_matrix_metadata_not_utf8(tmp_path):
-    mat = SimilarityMatrix(values=np.eye(2), p=1.0, kinds=(), cap=1.0, key="a")
+    mat = SimilarityMatrix(values=np.eye(2), cap=1.0, key="a")
     save_matrix(mat, tmp_path / "m.simmat")
     blob = bytearray((tmp_path / "m.simmat").read_bytes())
-    blob[101] = 0xFF  # inside the JSON metadata, which starts after the 100-byte header
+    blob[61] = 0xFF  # inside the JSON metadata, which starts after the 60-byte header
+    blob[28:60] = hashlib.sha256(blob[60:]).digest()  # a digest that matches, so the JSON is decoded
     (tmp_path / "m.simmat").write_bytes(bytes(blob))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="codec can't decode"):
         load_matrix(tmp_path / "m.simmat")
