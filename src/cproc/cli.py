@@ -142,7 +142,7 @@ def _comments(cfg: RunConfig) -> tuple[str, str]:
 
 def _write_report(path: Path, payload: dict, cfg: RunConfig) -> None:
     """A JSON report: `payload` plus the run's config and version."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump({**payload, "config": asdict(cfg), "version": VERSION}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -371,10 +371,11 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out / "coverage.json", report.to_json(), cfg)
+    names = list(report.rows[0])
     write_table(
         out / "coverage_replicates.csv",
-        (row.values() for row in report.rows),
-        list(report.rows[0]),
+        [np.array([row[name] for row in report.rows]) for name in names],
+        names,
         _comments(cfg),
     )
     print(
@@ -388,7 +389,9 @@ def cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> None:
     bands = []
     for path in args.band_files:
         data = read_band_csv(path)
-        bands.append((Path(path).stem, data["sen_lo"], data["sen_up"], data["spe_lo"], data["spe_up"]))
+        # a file name is bytes on POSIX, undecodable under an ASCII locale; the SVG is UTF-8
+        name = os.fsencode(Path(path).stem).decode("utf-8", "replace")
+        bands.append((name, data["sen_lo"], data["sen_up"], data["spe_lo"], data["spe_up"]))
     out = Path(cfg.out)
     if out.is_dir() or cfg.out.endswith(("/", os.sep)):
         out = out / "bands.svg"

@@ -57,15 +57,40 @@ class Graph:
         return a
 
 
-def write_table(path: str | Path, rows, header=None, comments: tuple[str, ...] = ()) -> None:
-    """Write `comments` as `# ` lines, then `header` (if any) and `rows` as CSV;
-    `csv` writes a Python float as its repr, so pass `.tolist()` values."""
-    with open(path, "w", newline="") as fh:
+def format_floats(values, fmt) -> list[str]:
+    """`fmt` of each value of `values` as a Python float, in order, called
+    once per distinct bit pattern: np.unique on the values themselves would
+    merge -0.0 with 0.0."""
+    values = np.ravel(np.asarray(values, dtype=np.float64))
+    _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
+    return np.array([fmt(v) for v in values[first].tolist()], dtype=object)[inverse].tolist()
+
+
+def _csv_cells(column) -> list[str]:
+    """One column's cells as `csv.writer` writes them: a float array's reprs
+    through `format_floats`, and otherwise each value's str, quoted with
+    inner quotes doubled when it holds a comma, a quote or a line break."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return format_floats(column, repr)
+        column = column.tolist()
+    cells = list(map(str, column))
+    return ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\r" in c or "\n" in c else c for c in cells]
+
+
+def write_table(path: str | Path, columns, header=None, comments: tuple[str, ...] = ()) -> None:
+    """Write `comments` as `# ` lines, then `header` (if any) and the rows
+    that `columns`, equal-length sequences, make, byte for byte as
+    `csv.writer` writes `.tolist()` rows: each cell is its str (a float's
+    repr), quoted when it holds a comma, a quote or a line break, and lines
+    end in "\\r\\n". A float array column runs repr once per distinct bit
+    pattern."""
+    lines = [] if header is None else [",".join(_csv_cells(header))]
+    lines += map(",".join, zip(*map(_csv_cells, columns), strict=True))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+        # a row of one empty cell is the one empty line, and csv.writer writes it as ""
+        fh.write("\r\n".join([*(line or '""' for line in lines), ""]))
 
 
 def _line_rows(path: Path, width: int, what: str) -> tuple[list[int], list[int], ParseError | None]:
@@ -281,7 +306,7 @@ def resplit(split: SplitAssignment, calib_split: float, seed: int) -> SplitAssig
 
 
 def write_split_manifest(split: SplitAssignment, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    write_table(path, enumerate(split.parts), ["graph_id", "part"], comments)
+    write_table(path, [np.arange(len(split.parts)), split.parts], ["graph_id", "part"], comments)
 
 
 def read_split_manifest(path: str | Path) -> SplitAssignment:
@@ -357,39 +382,40 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
         num_labels = len(header) - 2
         if header[2:] != [f"p{k}" for k in range(num_labels)]:
             raise ScoreIngestError(f"{path}: probability columns must be p0..p{num_labels - 1}")
-        rows = [(rownum, row) for rownum, row in enumerate(reader, 2) if row]
+        # line_num is the file line the row ends on, blank lines counted
+        rows = [(reader.line_num, row) for row in reader if row]
     n = len(rows) if graphs is None else len(graphs)
     if n == 0:
         raise ScoreIngestError(f"{path}: no score rows")
     labels = np.full(n, -1, dtype=np.int64)
     probs = np.zeros((n, num_labels))
     seen = np.zeros(n, dtype=bool)
-    for rownum, row in rows:
+    for line, row in rows:
         if len(row) != 2 + num_labels:
-            raise ScoreIngestError(f"row {rownum}: expected {2 + num_labels} fields")
+            raise ScoreIngestError(f"{path}:{line}: expected {2 + num_labels} fields")
         try:
             gid, label = int(row[0]), int(row[1])
             vec = np.array([float(x) for x in row[2:]])
         except ValueError as exc:
-            raise ScoreIngestError(f"row {rownum}: {exc}") from None
+            raise ScoreIngestError(f"{path}:{line}: {exc}") from None
         if not (0 <= gid < n):
-            raise ScoreIngestError(f"row {rownum}: unknown graph_id {gid}")
+            raise ScoreIngestError(f"{path}:{line}: unknown graph_id {gid}")
         if seen[gid]:
-            raise ScoreIngestError(f"row {rownum}: duplicate graph_id {gid}")
+            raise ScoreIngestError(f"{path}:{line}: duplicate graph_id {gid}")
         if not (0 <= label < num_labels):
-            raise ScoreIngestError(f"row {rownum}: label {label} outside [0, {num_labels})")
+            raise ScoreIngestError(f"{path}:{line}: label {label} outside [0, {num_labels})")
         if graphs is not None and label != graphs[gid].label:
             raise ScoreIngestError(
-                f"row {rownum}: label {label} does not match parsed label {graphs[gid].label}"
+                f"{path}:{line}: label {label} does not match parsed label {graphs[gid].label}"
             )
         if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
-            raise ScoreIngestError(f"row {rownum}: probability outside [0,1] or not a number")
+            raise ScoreIngestError(f"{path}:{line}: probability outside [0,1] or not a number")
         if abs(float(vec.sum()) - 1.0) > 1e-6:
-            raise ScoreIngestError(f"row {rownum}: probabilities sum to {vec.sum():.8f}")
+            raise ScoreIngestError(f"{path}:{line}: probabilities sum to {vec.sum():.8f}")
         labels[gid] = label
         probs[gid] = vec
         seen[gid] = True
     if not seen.all():
         missing = int(np.flatnonzero(~seen)[0])
-        raise ScoreIngestError(f"graph_id {missing} has no score row")
+        raise ScoreIngestError(f"{path}: graph_id {missing} has no score row")
     return ScoredDataset(labels=labels, probs=probs)

@@ -211,8 +211,7 @@ def write_band_csv(
     """Band CSV shared by conformal and bootstrap bands; leading '#' lines
     carry provenance."""
     columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    write_table(path, rows, BAND_COLUMNS, comments)
+    write_table(path, [np.asarray(c, dtype=float) for c in columns], BAND_COLUMNS, comments)
 
 
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:

@@ -358,4 +358,4 @@ def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMa
 
 
 def export_matrix_csv(matrix: SimilarityMatrix, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    write_table(path, np.asarray(matrix.values, dtype=float).tolist(), comments=comments)
+    write_table(path, np.asarray(matrix.values, dtype=float).T, comments=comments)

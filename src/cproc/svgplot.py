@@ -1,12 +1,17 @@
 """Dependency-free SVG rendering of ROC bands (staircase + shaded region +
 diagonal reference). Output is deterministic: no timestamps, fixed float
-formatting."""
+formatting. A path maps its points to pixels with array arithmetic that
+rounds as the scalar `_px` and `_py` do, and formats each distinct pixel
+value once with `:.2f`. The file is written as UTF-8, as it declares,
+whatever the locale."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 import numpy as np
+
+from .graphdata import format_floats
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
 _SIZE = 480
@@ -24,10 +29,12 @@ def _py(y: float) -> float:
 
 
 def _path(xs, ys) -> str:
-    return " ".join(
-        f"{'M' if i == 0 else 'L'} {_px(float(x)):.2f} {_py(float(y)):.2f}"
-        for i, (x, y) in enumerate(zip(xs, ys))
-    )
+    """Path data "M x0 y0 L x1 y1 ..." for the points in pixels ("" for
+    none). `_px` and `_py` run on the arrays, whose `*` and `+` round as
+    Python's floats do, and each distinct pixel value is formatted once."""
+    xs = np.asarray(xs, dtype=float)
+    text = format_floats(np.concatenate([_px(xs), _py(np.asarray(ys, dtype=float))]), "{:.2f}".format)
+    return "M " + " L ".join(map(" ".join, zip(text[: xs.size], text[xs.size :]))) if xs.size else ""
 
 
 def band_svg(
@@ -88,4 +95,4 @@ def band_svg(
             f'font-size="11">{name.translate(_XML_ESCAPES)}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")

@@ -191,17 +191,16 @@ def max_finite_value(diagrams: list[PersistenceDiagram]) -> float:
 def diagrams_to_csv(
     diagrams: list[PersistenceDiagram], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
-    rows = (
-        [d.graph_id, dim, *point]
-        for d in diagrams
-        for dim in (0, 1)
-        for point in np.asarray(d.points(dim), dtype=float).tolist()
-    )
-    write_table(path, rows, ["graph_id", "dim", "birth", "death"], comments)
+    blocks = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for d in diagrams for dim in (0, 1)]
+    sizes = [len(block) for block in blocks]
+    ids = np.repeat([d.graph_id for d in diagrams for _ in (0, 1)], sizes)
+    dims = np.repeat([0, 1] * len(diagrams), sizes)
+    points = np.concatenate([np.zeros((0, 2)), *blocks])
+    write_table(path, [ids, dims, *points.T], ["graph_id", "dim", "birth", "death"], comments)
 
 
 def images_to_csv(
     images: list[tuple[int, np.ndarray]], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
-    rows = ([gid, *img.reshape(-1).tolist()] for gid, img in images)
-    write_table(path, rows, comments=comments)
+    pixels = np.array([img.reshape(-1) for _, img in images])
+    write_table(path, [[gid for gid, _ in images], *pixels.T], comments=comments)

@@ -41,8 +41,7 @@ def write_tiny_fixture(root, name="TINY"):
 def write_scores(scored: ScoredDataset, path) -> None:
     """Scores CSV in the schema `load_scores` reads: graph_id,label,p0..p{L-1}."""
     header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
-    rows = enumerate(zip(scored.labels, scored.probs.tolist()))
-    write_table(path, ([gid, int(label), *probs] for gid, (label, probs) in rows), header)
+    write_table(path, [np.arange(scored.n), np.asarray(scored.labels, dtype=np.int64), *scored.probs.T], header)
 
 
 def write_simmat_v2(path, values, cap: float, key: str) -> None:

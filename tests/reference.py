@@ -3,10 +3,13 @@ references that the numpy parser and the list union-find are compared
 against. They are the implementations these replaced, moved here as they
 were, so a property test can require equal results on random input.
 `quantile` is the one-multiset order statistic that the batched engine's
-endpoints are checked against."""
+endpoints are checked against. `write_rows` (a `csv.writer` over rows) and
+`svg_path` (one point at a time) are the writers that `write_table` and
+`svgplot._path` must match byte for byte."""
 
 from __future__ import annotations
 
+import csv
 import warnings
 from collections.abc import Iterator
 from pathlib import Path
@@ -16,6 +19,7 @@ import numpy as np
 from cproc.conformal import _rank
 from cproc.errors import ParseError
 from cproc.graphdata import Graph
+from cproc.svgplot import _px, _py
 from cproc.topology import PersistenceDiagram
 
 
@@ -161,3 +165,21 @@ def sublevel_persistence(g: Graph, values: np.ndarray) -> PersistenceDiagram:
     d0 = np.array(sorted(dim0), dtype=float).reshape(-1, 2)
     d1 = np.array(sorted(dim1), dtype=float).reshape(-1, 2)
     return PersistenceDiagram(graph_id=g.id, dim0=d0, dim1=d1)
+
+
+def write_rows(path, rows, header=None, comments: tuple[str, ...] = ()) -> None:
+    """`comments` as `# ` lines, then `header` (if any) and `rows` through `csv.writer`."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def svg_path(xs, ys) -> str:
+    """SVG path data, one point and one format call at a time."""
+    return " ".join(
+        f"{'M' if i == 0 else 'L'} {_px(float(x)):.2f} {_py(float(y)):.2f}"
+        for i, (x, y) in enumerate(zip(xs, ys))
+    )

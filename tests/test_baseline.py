@@ -100,7 +100,7 @@ def _bootstrap_inputs(draw):
     scores = np.array(draw(st.lists(lattice, min_size=n_pos + n_neg, max_size=n_pos + n_neg)))
     mask = np.array(draw(st.permutations([True] * n_pos + [False] * n_neg)))
     grid = np.linspace(0.0, 1.0, draw(st.sampled_from([2, 5, 9, 33])))
-    B = draw(st.integers(1, 60))
+    B = draw(st.integers(1, 60) | st.integers(1, 1200))
     level = draw(st.sampled_from([0.5, 0.9, 0.95, 0.999]))
     return mask, scores, grid, B, level, draw(st.integers(0, 2**16))
 
@@ -110,6 +110,13 @@ def _bootstrap_inputs(draw):
 @example((np.array([True, False]), np.array([0.5, 0.5]), np.linspace(0, 1, 5), 1, 0.95, 0))
 @example((np.array([True, False, False, False]), np.array([0.25, 0.25, 0.75, 0.75]),
           np.linspace(0, 1, 9), 200, 0.9, 3))
+# B = 1: the virtual index (B - 1) * q is 0 = B - 1, where numpy reads the largest value twice
+@example((np.array([True, True, False, True, False]), np.array([0.1, 0.6, 0.3, 0.9, 0.75]),
+          np.linspace(0, 1, 33), 1, 0.9, 5))
+# B = 41, level 0.95: the upper virtual index 40 * 0.975 is exactly 39.0, so gamma is 0
+@example((np.array([True, False] * 6), np.linspace(0, 1, 12), np.linspace(0, 1, 33), 41, 0.95, 8))
+@example((np.array([True] * 12 + [False] * 12), np.random.default_rng(4).random(24), np.linspace(0, 1, 33),
+          1200, 0.95, 9))
 def test_property_counting_bit_equal_to_sorting_reference(inputs):
     mask, scores, grid, B, level, seed = inputs
     band = bootstrap_bands(mask, scores, grid, B=B, level=level, seed=seed)

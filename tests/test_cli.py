@@ -6,13 +6,18 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cproc
+import reference
+from cproc import svgplot
 from cproc.cli import VERSION, _code_digest, _graphs_digest, main
 from cproc.graphdata import (
     Graph,
@@ -28,6 +33,15 @@ from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, 
 from cproc.topology import FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
 
 from conftest import write_scores, write_simmat_v2, write_tiny_fixture
+
+
+def run_cli(argv, env=(), **kwargs) -> subprocess.CompletedProcess:
+    """`python -m cproc.cli *argv` in a child process that imports this cproc,
+    with `env` added to the environment."""
+    src = str(Path(cproc.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cproc.cli", *argv], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path, **dict(env)}, **kwargs)
 
 
 def star(gid: int, leaves: int, label: int) -> Graph:
@@ -127,10 +141,7 @@ def test_usage_and_input_errors_exit_2_before_out_exists(tmp_path, capsys, argv,
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(out)]
     if in_subprocess:
         # the module's __main__ line turns main's return value into the process exit status
-        src = str(Path(cproc.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "cproc.cli", *argv], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = run_cli(argv, text=True)
         rc, err = proc.returncode, proc.stderr
     else:
         rc, err = main(argv), capsys.readouterr().err
@@ -382,6 +393,34 @@ def test_plot_escapes_band_names_and_the_title(tmp_path):
     assert "x < y & z" in titles
 
 
+def test_plot_writes_utf8_under_an_ascii_locale(tmp_path):
+    # the file name's bytes are UTF-8 whatever the locale of this process
+    name = "bänd.csv".encode()
+    grid = np.linspace(0.0, 1.0, 3)
+    write_band_csv(tmp_path / os.fsdecode(name), grid, grid, grid, grid, grid)
+    proc = run_cli(["plot", name, "--out", "o2/p.svg"], cwd=tmp_path,
+                   env={"PYTHONUTF8": "0", "LC_ALL": "C"})
+    assert proc.returncode == 0, proc.stderr
+    texts = minidom.parse(str(tmp_path / "o2" / "p.svg")).getElementsByTagName("text")
+    assert "bänd" in [node.firstChild.data for node in texts]
+
+
+_SVG_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1 / 3, -0.25, 1.75, 5e-324, -1e-9]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(_SVG_VALUES, min_size=n, max_size=n), min_size=4, max_size=4)), max_size=3))
+@example([[[-0.0, 0.0, -0.0], [1.5, -0.5, 1.5], [2.0, -0.0, 0.0], [-1.0, 1.0, -0.0]]])
+def test_band_svg_bytes_equal_a_per_point_reference(tmp_path_factory, bands):
+    root = tmp_path_factory.mktemp("svg")
+    named = [(f"b{i}", *map(np.array, band)) for i, band in enumerate(bands)]
+    band_svg(named, root / "got.svg", title="t")
+    with mock.patch.object(svgplot, "_path", reference.svg_path):
+        band_svg(named, root / "want.svg", title="t")
+    assert (root / "got.svg").read_bytes() == (root / "want.svg").read_bytes()
+
+
 @pytest.mark.parametrize("out, svg", [
     ("newdir" + os.sep, "newdir/bands.svg"), ("missing/x.svg", "missing/x.svg"), (".", "bands.svg"),
 ])
@@ -525,7 +564,7 @@ def test_bands_bad_scores_exit_2_before_any_distance(tmp_path, capsys):
                "--knn", "3", "--mode", "cond", "--thin-stratum", "widen", "--min-stratum", "2",
                "--repeats", "3", "--seed", "42", "--out", str(out)])
     assert rc == 2
-    assert "row 2: could not convert string to float: 'x'" in capsys.readouterr().err
+    assert f"{scores}:2: could not convert string to float: 'x'" in capsys.readouterr().err
     assert not list(out.glob("*.simmat"))
 
 

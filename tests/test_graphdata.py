@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -20,6 +20,7 @@ from cproc.graphdata import (
     resplit,
     split_dataset,
     write_split_manifest,
+    write_table,
     write_tu_dataset,
 )
 
@@ -562,7 +563,7 @@ def test_load_scores_rejects_non_finite_probabilities(tmp_path):
     for probs in ("nan,nan", "0.5,nan", "inf,-inf"):
         path.write_text(f"graph_id,label,p0,p1\n0,1,0.2,0.8\n1,0,{probs}\n")
         for graphs in (None, _two_graphs()):
-            with pytest.raises(ScoreIngestError, match="row 3: probability outside"):
+            with pytest.raises(ScoreIngestError, match=r"scores\.csv:3: probability outside"):
                 load_scores(path, graphs)
 
 
@@ -610,10 +611,11 @@ def test_scores_csv_roundtrip(tmp_path):
 def test_load_scores_without_graphs_applies_the_same_checks(tmp_path):
     path = tmp_path / "scores.csv"
     for body, match in (
-        ("graph_id,label,p0,p1\n0,7,0.2,0.8\n1,0,0.6,0.4\n", "row 2: label 7 outside"),
-        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n1,-3,0.6,0.4\n", "row 3: label -3 outside"),
+        ("graph_id,label,p0,p1\n0,7,0.2,0.8\n1,0,0.6,0.4\n", r"scores\.csv:2: label 7 outside"),
+        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n1,-3,0.6,0.4\n", r"scores\.csv:3: label -3 outside"),
+        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n\n1,-3,0.6,0.4\n", r"scores\.csv:4: label -3 outside"),
         ("graph_id,label,foo,bar\n0,1,0.2,0.8\n", "p0..p1"),
-        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n0,0,0.6,0.4\n", "row 3: duplicate graph_id 0"),
+        ("graph_id,label,p0,p1\n0,1,0.2,0.8\n0,0,0.6,0.4\n", r"scores\.csv:3: duplicate graph_id 0"),
         ("graph_id,label,p0,p1\n", "no score rows"),
     ):
         path.write_text(body)
@@ -630,5 +632,49 @@ def test_load_scores_non_integer_id_or_label_names_the_row(tmp_path):
     ):
         path.write_text(body)
         for graphs in (None, _two_graphs()):
-            with pytest.raises(ScoreIngestError, match="row 3"):
+            with pytest.raises(ScoreIngestError, match=r"scores\.csv:3: "):
                 load_scores(path, graphs)
+
+
+_TRICKY_FLOATS = [0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan"), 0.1, 1 / 3, 1e22]
+# text with every character that csv.writer quotes for
+_CELL_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "#", "a", "é"]) | st.characters(), max_size=5)
+
+
+@st.composite
+def _tables(draw):
+    """Equal-length columns of floats (with repeats), ints, bools or str, a
+    header or None, and comment lines."""
+    n = draw(st.integers(0, 12))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "bool", "str", "str array"]), min_size=1, max_size=5)):
+        if kind == "float":
+            pool = draw(st.lists(st.sampled_from(_TRICKY_FLOATS) | st.floats(), min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+        elif kind == "int":
+            ints = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+            columns.append(np.array(draw(ints), dtype=np.int64))
+        elif kind == "bool":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
+        else:
+            cells = draw(st.lists(_CELL_TEXT, min_size=n, max_size=n))
+            columns.append(np.array(cells, dtype=str) if kind == "str array" and cells else tuple(cells))
+    header = draw(st.none() | st.lists(_CELL_TEXT, min_size=len(columns), max_size=len(columns)))
+    comments = tuple(draw(st.lists(st.text(st.characters(blacklist_characters="\r\n"), max_size=8), max_size=2)))
+    return columns, header, comments
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables())
+@example(([np.array([0.0, -0.0, 0.0, -0.0]), np.array([5e-324, np.inf, np.nan, 5e-324])], ["a", "b"], ()))
+@example(([np.zeros(0), np.zeros(0, dtype=np.int64)], ["x", "y"], ("no rows",)))
+@example(([np.array([1.5, -0.0]), np.array([3, -4]), np.array([True, False]), ("a,b", 'q"')], None, ()))
+@example(([("", "x", "")], [""], ()))
+def test_write_table_bytes_equal_csv_writer(tmp_path_factory, table):
+    columns, header, comments = table
+    root = tmp_path_factory.mktemp("table")
+    write_table(root / "got.csv", columns, header, comments)
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    reference.write_rows(root / "want.csv", rows, header, comments)
+    assert (root / "got.csv").read_bytes() == (root / "want.csv").read_bytes()
+
