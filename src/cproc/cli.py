@@ -35,8 +35,8 @@ from .graphdata import (
     write_split_manifest,
     write_table,
 )
-from .rocbands import UNIFORM_GRID, cp_roc_bands, empirical_roc, read_band_csv, write_band_csv
-from .rocbands import default_lambda_grid  # noqa: F401  unused here; perfbench/spans.py hooks it by name
+from .rocbands import UNIFORM_GRID, empirical_roc, read_band_csv, split_bands, write_band_csv
+from .rocbands import cp_roc_bands, default_lambda_grid  # noqa: F401  unused here; perfbench/spans.py hooks them by name
 from .similarity import build_similarity_matrix, export_matrix_csv, load_matrix, save_matrix
 from .svgplot import band_svg
 from .synthetic import SyntheticSpec, coverage_experiment
@@ -276,13 +276,8 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[0]
     mode = MODES[cfg.mode]
     # every band is built before --out is created, so a failing repeat leaves no file
-    bands = [
-        cp_roc_bands(
-            scored.with_split(split_i), matrix, cfg.knn, cfg.alpha, mode=mode,
-            min_stratum=cfg.min_stratum, thin_stratum=cfg.thin_stratum,
-        )
-        for split_i in splits
-    ]
+    bands = split_bands(scored, splits, matrix, cfg.knn, cfg.alpha, mode=mode,
+                        min_stratum=cfg.min_stratum, thin_stratum=cfg.thin_stratum)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -290,11 +285,12 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     acc = np.zeros((4, grid.size))  # sen_lo, sen_up, spe_lo, spe_up
     stat_names = ("auc", "auc_lo", "auc_up", "mean_bw_sen", "mean_bw_spe")
     stats = np.zeros((len(stat_names), cfg.repeats))  # one column per repeat
+    memo: dict[int, str] = {}  # every band CSV of the run reprs a float bit pattern once
     for i, (split_i, band) in enumerate(zip(splits, bands)):
         write_band_csv(
             out / f"band_rep{i}.csv",
             band.lambda_grid, band.sen_lo, band.sen_up, band.spe_lo, band.spe_up,
-            comments=comments + (f"repeat: {i}",),
+            comments=comments + (f"repeat: {i}",), memo=memo,
         )
         write_split_manifest(split_i, out / f"split_rep{i}.csv", comments=comments)
         sl, su = band.sen_at(grid)
@@ -323,6 +319,7 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
             boot.fpr_lo,
             boot.fpr_up,
             comments=comments + (f"bootstrap B={cfg.bootstrap} level={cfg.level:g}",),
+            memo=memo,
         )
 
     acc /= cfg.repeats
@@ -331,6 +328,7 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
         grid,
         *acc,
         comments=comments + (f"mean of {cfg.repeats} repeat(s)",),
+        memo=memo,
     )
     summary = {name: float(np.mean(row)) for name, row in zip(stat_names, stats)}
     summary.update(alpha=cfg.alpha, mode=mode, K=cfg.knn, repeats=cfg.repeats)

@@ -3,14 +3,18 @@ turns them into soft conformal intervals for latent class probabilities.
 
 A score is s_i = pi_tilde(G_i) - f_hat(G_i), where pi_tilde averages the
 model probabilities of the K nearest training graphs under the similarity
-matrix. Scores depend only on the calibration graph, so they are computed
-once (`score_table`) and reused by every query; conditioning changes which
-scores are selected, never their values.
+matrix. Scores depend only on the calibration graph and the training graphs,
+so they are computed once (`score_table`) and reused by every query, and by
+every re-split of a run that keeps the training graphs: its table covers the
+union of the splits' calibration sets. Conditioning changes which scores are
+selected, never their values.
 
 `conformal_intervals` covers every calibration scheme with one batched
 order-statistic step: the marginal interval (every calibration score), the
 label-conditional interval (the scores of the query's label), and the local
-interval. For the local interval it is handed the similarity matrix and picks
+interval. A member mask gives each query its own calibration set within the
+table (its split's), so the queries of several splits share one call and
+one kNN block read; without one, every query uses the whole table. For the local interval it is handed the similarity matrix and picks
 each query's local calibration set itself: the same-label members of its K
 nearest calibration graphs (`knn_indices`), and, for the queries where those
 are fewer than `min_stratum`, an error or, with `widen`, its `min_stratum`
@@ -40,7 +44,8 @@ def score_table(
     probs: np.ndarray,
     K: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized scores for every calibration graph.
+    """Vectorized scores for every graph of `calib_ids` (one split's
+    calibration set, or the union of several splits' that share `train_ids`).
 
     Returns (sorted calibration ids, scores aligned to them).
     """
@@ -59,6 +64,7 @@ def conformal_intervals(
     alpha: float,
     *,
     label: int,
+    member: np.ndarray | None = None,
     matrix: SimilarityMatrix | None = None,
     K: int | None = None,
     min_stratum: int = 1,
@@ -68,13 +74,17 @@ def conformal_intervals(
 
     `calib_ids` are the ascending calibration ids of `score_table`, `scores`
     and `same_label` are aligned to them (the mask says which graphs carry
-    the queries' label `label`), and `f_hat` is indexed by graph id. Without
-    `matrix` every query shares the same-label scores (label-conditional; an
-    all-true mask gives the marginal interval). With `matrix` the stratum is
-    the same-label part of each query's K nearest calibration graphs; a
+    the queries' label `label`), and `f_hat` is indexed by graph id. Every
+    query calibrates against all of `calib_ids`, or, with `member` (a bool
+    array aligned to (query_ids, calib_ids)), against the ids its row marks,
+    so queries of several splits can share one call. Without `matrix` a
+    query's stratum is its same-label calibration scores (label-conditional;
+    an all-true mask gives the marginal interval). With `matrix` the stratum
+    is the same-label part of each query's K nearest calibration graphs; a
     stratum below `min_stratum` raises StratumError, or with `widen` becomes
     the query's `min_stratum` nearest same-label calibration graphs, so no
-    kNN call asks for more than max(K, min_stratum) neighbours.
+    kNN call asks for more than max(K, min_stratum) neighbours. A
+    StratumError concerns the first failing query, and its `row` says which.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -82,42 +92,52 @@ def conformal_intervals(
     calib_ids = np.asarray(calib_ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
     same_label = np.asarray(same_label, dtype=bool)
+    pool = same_label[None, :] if member is None else member & same_label  # each row's same-label calibration
     if matrix is None:
-        ranked = np.sort(scores[same_label])[None, :]
-        counts = np.array([ranked.size])
-        if ranked.size == 0:
-            raise StratumError(f"no calibration graphs with binarized label {label}")
+        counts = pool.sum(axis=1)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            raise StratumError(f"no calibration graphs with binarized label {label}", int(empty[0]))
+        ranked = np.where(pool, scores, np.inf)
     else:
         if K is None:
             raise ValueError("K is required with a matrix")
         if min_stratum < 1:
             raise ValueError(f"min_stratum must be >= 1, got {min_stratum}")
-        position = np.empty(matrix.n, dtype=np.int64)  # graph id -> index into calib_ids
+        # graph id -> index into calib_ids; a -1 pad of a masked kNN reads a valid index and is dropped
+        position = np.zeros(matrix.n, dtype=np.int64)
         position[calib_ids] = np.arange(calib_ids.size)
-        near = position[knn_indices(matrix, query_ids, calib_ids, K)]
-        member = same_label[near]
-        counts = member.sum(axis=1)
+        near_ids = knn_indices(matrix, query_ids, calib_ids, K, member=member)
+        near = position[near_ids]
+        kept = same_label[near] & (near_ids >= 0)
+        counts = kept.sum(axis=1)
         thin = np.flatnonzero(counts < min_stratum)
-        ranked = np.where(member, scores[near], np.inf)
+        ranked = np.where(kept, scores[near], np.inf)
         if thin.size:
+            i = int(thin[0])
             if not widen:
+                width = min(K, calib_ids.size if member is None else int(member[i].sum()))
                 raise StratumError(
-                    f"graph {int(query_ids[thin[0]])}: {int(counts[thin[0]])} label-{label} graph(s) "
-                    f"among its {near.shape[1]} nearest calibration neighbors (need {min_stratum})"
+                    f"graph {int(query_ids[i])}: {int(counts[i])} label-{label} graph(s) "
+                    f"among its {width} nearest calibration neighbors (need {min_stratum})", i
                 )
-            if same_label.sum() < min_stratum:
+            stratum_pool = np.broadcast_to(pool.sum(axis=1), counts.shape)
+            short = thin[stratum_pool[thin] < min_stratum]
+            if short.size:
+                i = int(short[0])
                 raise StratumError(
-                    f"graph {int(query_ids[thin[0]])}: calibration pool holds only "
-                    f"{int(same_label.sum())} label-{label} graph(s) (need {min_stratum})"
+                    f"graph {int(query_ids[i])}: calibration pool holds only "
+                    f"{int(stratum_pool[i])} label-{label} graph(s) (need {min_stratum})", i
                 )
             # each thin row keeps exactly its min_stratum nearest same-label graphs
-            first = position[knn_indices(matrix, query_ids[thin], calib_ids[same_label], min_stratum)]
+            first = position[knn_indices(matrix, query_ids[thin], calib_ids[same_label], min_stratum,
+                                         member=None if member is None else member[thin][:, same_label])]
             ranked = np.pad(ranked, ((0, 0), (0, max(0, min_stratum - ranked.shape[1]))),
                             constant_values=np.inf)
             ranked[thin] = np.inf
             ranked[thin, :min_stratum] = scores[first]
             counts[thin] = min_stratum
-        ranked.sort(axis=1)
+    ranked.sort(axis=1)
     rows = np.arange(ranked.shape[0])
     fq = f_hat[query_ids]
     lo = fq + ranked[rows, _rank(alpha / 2.0, counts) - 1]

@@ -6,7 +6,8 @@ to a single undirected edge, and self-loops are dropped (counted in a
 warning). Only the files the distances use are read: node label and
 attribute files are ignored. numpy's `loadtxt` reads a file whose lines all
 split at "," or all at whitespace; a per-line reader, about 6x slower on a
-BZR-sized edge file, reads any other and names the line of every fault.
+BZR-sized edge file, reads any other and names the line of every fault, and
+turns its values into int64 arrays one chunk of lines at a time.
 One stable argsort numbers the nodes of each graph and one np.unique over
 int64 keys dedupes and orders the edges. `split_dataset` and `resplit` cut
 the calib/test pool by one rule, and `write_table` is the one writer of
@@ -57,48 +58,71 @@ class Graph:
         return a
 
 
-def format_floats(values, fmt) -> list[str]:
+def format_floats(values, fmt, memo: dict[int, str] | None = None) -> list[str]:
     """`fmt` of each value of `values` as a Python float, in order, called
     once per distinct bit pattern: np.unique on the values themselves would
-    merge -0.0 with 0.0."""
+    merge -0.0 with 0.0. A `memo` maps bit patterns to their text; it is read
+    and filled, so a caller that keeps one across calls with the same `fmt`
+    formats each pattern once in all of them."""
     values = np.ravel(np.asarray(values, dtype=np.float64))
-    _, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
-    return np.array([fmt(v) for v in values[first].tolist()], dtype=object)[inverse].tolist()
+    bits, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
+    if memo is None:
+        text = [fmt(v) for v in values[first].tolist()]
+    else:
+        text = [memo[b] if b in memo else memo.setdefault(b, fmt(v)) for b, v in zip(bits.tolist(), values[first].tolist())]
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _csv_cells(column) -> list[str]:
+def _csv_cells(column, memo: dict[int, str] | None = None) -> list[str]:
     """One column's cells as `csv.writer` writes them: a float array's reprs
-    through `format_floats`, and otherwise each value's str, quoted with
-    inner quotes doubled when it holds a comma, a quote or a line break."""
+    through `format_floats` (with `memo`), and otherwise each value's str,
+    quoted with inner quotes doubled when it holds a comma, a quote or a
+    line break."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
-            return format_floats(column, repr)
+            return format_floats(column, repr, memo)
         column = column.tolist()
     cells = list(map(str, column))
     return ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\r" in c or "\n" in c else c for c in cells]
 
 
-def write_table(path: str | Path, columns, header=None, comments: tuple[str, ...] = ()) -> None:
+def write_table(path: str | Path, columns, header=None, comments: tuple[str, ...] = (),
+                memo: dict[int, str] | None = None) -> None:
     """Write `comments` as `# ` lines, then `header` (if any) and the rows
     that `columns`, equal-length sequences, make, byte for byte as
     `csv.writer` writes `.tolist()` rows: each cell is its str (a float's
     repr), quoted when it holds a comma, a quote or a line break, and lines
     end in "\\r\\n". A float array column runs repr once per distinct bit
-    pattern."""
+    pattern, and a `memo` (see `format_floats`) that the caller keeps across
+    tables makes that once per pattern in all of them."""
     lines = [] if header is None else [",".join(_csv_cells(header))]
-    lines += map(",".join, zip(*map(_csv_cells, columns), strict=True))
+    lines += map(",".join, zip(*(_csv_cells(column, memo) for column in columns), strict=True))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         # a row of one empty cell is the one empty line, and csv.writer writes it as ""
         fh.write("\r\n".join([*(line or '""' for line in lines), ""]))
 
 
-def _line_rows(path: Path, width: int, what: str) -> tuple[list[int], list[int], ParseError | None]:
-    """The int() values of the non-blank lines of `path` in one flat list,
-    their line numbers, and the ParseError of the first line that int()
-    rejects or that does not hold `width` integers ("expected {what}"), or
-    None; they stop there. A non-UTF-8 byte becomes U+FFFD, which int() rejects."""
-    rows, lines = [], []
+_CHUNK_LINES = 4096  # the line reader turns its Python ints into arrays this many lines at a time
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """`values` as int64, or as Python ints when one is beyond int64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _line_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarray, ParseError | None]:
+    """The int() values of the non-blank lines of `path` as a (k, width)
+    array (see `_int_array`), their line numbers, and the ParseError of the
+    first line that int() rejects or that does not hold `width` integers
+    ("expected {what}"), or None; they stop there. A non-UTF-8 byte becomes
+    U+FFFD, which int() rejects. Values are held as Python ints for at most
+    `_CHUNK_LINES` lines at a time."""
+    rows, lines = [], []  # one array per chunk
+    chunk, chunk_lines, fault = [], [], None
     with open(path, encoding="utf-8", errors="replace") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -107,20 +131,27 @@ def _line_rows(path: Path, width: int, what: str) -> tuple[list[int], list[int],
             try:
                 row = [int(tok) for tok in line.replace(",", " ").split()]
             except ValueError as exc:
-                return rows, lines, ParseError(f"{path.name}:{ln}: {exc}")
+                fault = ParseError(f"{path.name}:{ln}: {exc}")
+                break
             if len(row) != width:
-                return rows, lines, ParseError(f"{path.name}:{ln}: expected {what}, got {row}")
-            rows += row
-            lines.append(ln)
-    return rows, lines, None
+                fault = ParseError(f"{path.name}:{ln}: expected {what}, got {row}")
+                break
+            chunk += row
+            chunk_lines.append(ln)
+            if len(chunk_lines) == _CHUNK_LINES:
+                rows.append(_int_array(chunk))
+                lines.append(np.array(chunk_lines, dtype=np.int64))
+                chunk, chunk_lines = [], []
+    rows.append(_int_array(chunk))
+    lines.append(np.array(chunk_lines, dtype=np.int64))
+    return np.concatenate(rows).reshape(-1, width), np.concatenate(lines), fault
 
 
-def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, list | None, ParseError | None]:
-    """`_line_rows(path, width, what)` with the rows as a (k, width) array of
-    int64, or of Python ints when a value is beyond int64. Where numpy's
-    reader reads the whole file into `width` columns without a warning, with
-    "," or else whitespace as the separator, its rows are the same and the
-    line numbers are None: it skips empty lines without counting them."""
+def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarray | None, ParseError | None]:
+    """`_line_rows(path, width, what)`, unless numpy's reader reads the whole
+    file into `width` columns of int64 without a warning, with "," or else
+    whitespace as the separator: its rows are the same, and the line numbers
+    are None, since it skips empty lines without counting them."""
     with warnings.catch_warnings():
         # an empty file warns, and so does a float token on numpy releases that cast it to int64
         warnings.simplefilter("error")
@@ -131,11 +162,7 @@ def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, list | Non
                 continue
             if rows.shape[1] == width:
                 return rows, None, None
-    rows, lines, fault = _line_rows(path, width, what)
-    try:
-        return np.array(rows, dtype=np.int64).reshape(-1, width), lines, fault
-    except OverflowError:
-        return np.array(rows, dtype=object).reshape(-1, width), lines, fault
+    return _line_rows(path, width, what)
 
 
 def _column(path: Path) -> np.ndarray:

@@ -1,15 +1,20 @@
 """Empirical ROC curves and conformal ROC confidence bands.
 
-`cp_roc_bands` scores the calibration graphs once (`conformal.score_table`)
-and hands the scores to `conformal.conformal_intervals` for the positives and
-the negatives; in conditional mode it also hands over the similarity matrix,
-and the engine picks each test graph's local calibration set itself.
+`split_bands` builds the bands of several splits that share their train
+part in one pass, and `cp_roc_bands` is its one-split call. It scores the
+union of the splits' calibration graphs once (`conformal.score_table`) and
+hands the scores to `conformal.conformal_intervals` once for the positives
+and once for the negatives of every split, each test graph masked to its own
+split's calibration graphs; in conditional mode it also hands over the
+similarity matrix, and the engine picks each test graph's local calibration
+set itself.
 `band_from_intervals` then turns the four endpoint arrays into bands: at each
 threshold the bounds are the fractions of endpoints strictly above it
 (positives give the sensitivity band, negatives the specificity band, both on
 the FPR/TPR scale). Bands are exact staircases; the default grid carries every
 interval endpoint so nothing is sampled away. Band CSVs, conformal and
-bootstrap alike, are written through `graphdata.write_table`.
+bootstrap alike, are written through `graphdata.write_table`; a caller that
+writes many passes one float memo to all of them.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import conformal_intervals, score_table
-from .errors import DegenerateTestError
-from .graphdata import ScoredDataset, write_table
+from .errors import DegenerateTestError, StratumError
+from .graphdata import ScoredDataset, SplitAssignment, write_table
 from .similarity import SimilarityMatrix
 from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.py hooks it by name
 
@@ -156,12 +161,35 @@ def cp_roc_bands(
     min_stratum: int = 5,
     thin_stratum: str = "error",
 ) -> RocBand:
-    """Full band pipeline for a two-label scored set, with label 1 positive;
-    `matrix` holds the distances between exactly the scored graphs.
+    """Full band pipeline for a two-label scored set and its split, with
+    label 1 positive: `split_bands` of the one split."""
+    return split_bands(scored, [scored.split], matrix, K, alpha, mode, min_stratum, thin_stratum)[0]
+
+
+def split_bands(
+    scored: ScoredDataset,
+    splits: list[SplitAssignment],
+    matrix: SimilarityMatrix,
+    K: int,
+    alpha: float,
+    mode: str = "conditional",
+    min_stratum: int = 5,
+    thin_stratum: str = "error",
+) -> list[RocBand]:
+    """One band per split of a two-label scored set, with label 1 positive;
+    `matrix` holds the distances between exactly the scored graphs, and the
+    splits share their train ids (`scored.split` is not read).
 
     `thin_stratum` controls test points whose K-neighborhood holds fewer than
     `min_stratum` same-label calibration graphs: "error" raises, "widen"
     extends the neighborhood minimally for those points.
+
+    The splits are built in one pass: the union of their calibration parts
+    is scored once against the shared train part, and each class's test
+    points of every split get their intervals from one call, each row
+    restricted to its own split's calibration part. A failing call raises
+    what a loop of one-split calls raises first: by split, the test part's
+    classes, then the positives' strata, then the negatives'.
     """
     if mode not in ("exchangeable", "conditional"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -172,28 +200,47 @@ def cp_roc_bands(
     if scored.n != matrix.n:
         raise ValueError(f"scores cover {scored.n} graphs but matrix is {matrix.n}x{matrix.n}")
 
-    train_ids = np.sort(scored.part_ids("train"))
-    calib_ids = np.sort(scored.part_ids("calib"))
-    test_ids = np.sort(scored.part_ids("test"))
+    if any(split is None for split in splits):
+        raise ValueError("dataset carries no split assignment")
+    if any(len(split.parts) != scored.n for split in splits):
+        raise ValueError("split size does not match dataset size")
+    train_ids = splits[0].ids("train")
+    if any(not np.array_equal(split.ids("train"), train_ids) for split in splits[1:]):
+        raise ValueError("the splits must share their train ids")
+    calibs = [split.ids("calib") for split in splits]
     fhat = scored.probs[:, 1]
     binary = scored.labels == 1
 
-    calib_sorted, scores = score_table(matrix, calib_ids, train_ids, fhat, K)
-    test_pos = test_ids[binary[test_ids]]
-    test_neg = test_ids[~binary[test_ids]]
-    if test_pos.size == 0 or test_neg.size == 0:
-        raise DegenerateTestError(
-            f"test part lacks a class for label 1 ({test_pos.size} positive / {test_neg.size} negative)"
-        )
+    union = calibs[0] if len(splits) == 1 else np.unique(np.concatenate(calibs))
+    calib_sorted, scores = score_table(matrix, union, train_ids, fhat, K)
+    tests = [split.ids("test") for split in splits]
+    classes = [(k, [t[binary[t] == bool(k)] for t in tests]) for k in (1, 0)]  # positives, then negatives
+    sizes = np.array([[t.size for t in per_split] for _, per_split in classes])  # (class, split)
+    degenerate = np.flatnonzero((sizes == 0).any(axis=0))
+    done = int(degenerate[0]) if degenerate.size else len(splits)  # the splits before the first degenerate one
 
     local = matrix if mode == "conditional" else None
-    endpoints = []
-    for ids, k in ((test_pos, 1), (test_neg, 0)):
-        endpoints += conformal_intervals(
-            ids, fhat, calib_sorted, scores, binary[calib_sorted] == bool(k), alpha, label=k,
-            matrix=local, K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
-        )
-    return band_from_intervals(*endpoints)
+    in_calib = None if len(splits) == 1 else np.array([np.isin(calib_sorted, c) for c in calibs[:done]])
+    endpoints, faults = [], []
+    for c, (k, per_split) in enumerate(classes if done else ()):
+        ends = np.cumsum(sizes[c, :done])
+        try:
+            lo, up = conformal_intervals(
+                np.concatenate(per_split[:done]), fhat, calib_sorted, scores, binary[calib_sorted] == bool(k),
+                alpha, label=k, member=None if in_calib is None else np.repeat(in_calib, sizes[c, :done], axis=0),
+                matrix=local, K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
+            )
+        except StratumError as exc:  # the fault of the earliest split in this class
+            faults.append((int(np.searchsorted(ends, exc.row, side="right")), c, exc))
+            continue
+        endpoints.append((np.split(lo, ends[:-1]), np.split(up, ends[:-1])))
+    if faults:
+        raise min(faults, key=lambda fault: fault[:2])[2]
+    if degenerate.size:
+        pos, neg = sizes[:, done]
+        raise DegenerateTestError(f"test part lacks a class for label 1 ({pos} positive / {neg} negative)")
+    (lo_pos, up_pos), (lo_neg, up_neg) = endpoints
+    return [band_from_intervals(*ends) for ends in zip(lo_pos, up_pos, lo_neg, up_neg)]
 
 
 BAND_COLUMNS = ("lambda", "sen_lo", "sen_up", "spe_lo", "spe_up")
@@ -207,11 +254,12 @@ def write_band_csv(
     spe_lo: np.ndarray,
     spe_up: np.ndarray,
     comments: tuple[str, ...] = (),
+    memo: dict[int, str] | None = None,
 ) -> None:
     """Band CSV shared by conformal and bootstrap bands; leading '#' lines
-    carry provenance."""
+    carry provenance, and `memo` is `write_table`'s."""
     columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
-    write_table(path, [np.asarray(c, dtype=float) for c in columns], BAND_COLUMNS, comments)
+    write_table(path, [np.asarray(c, dtype=float) for c in columns], BAND_COLUMNS, comments, memo)
 
 
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:

@@ -43,9 +43,11 @@ decodes the metadata.
 
 `knn_indices` orders neighbours by ascending (distance, id). It selects the K
 nearest with `argpartition` and sorts only those; a row whose K-th distance
-is tied with a distance outside the K selected (or is NaN) is ranked by a
-full stable sort instead, so the result always equals the full sort's first
-K columns.
+is tied with a distance outside the K selected (or is not finite) is ranked
+by a full stable sort instead, so the result always equals the full sort's
+first K columns. A per-row member mask ranks each row over its own subset of
+the pool (one split's calibration graphs, within the union of several
+splits'), with non-members placed after every member.
 """
 
 from __future__ import annotations
@@ -285,32 +287,57 @@ def build_similarity_matrix(
     return SimilarityMatrix(values=values, cap=cap, key=key)
 
 
-def knn_indices(values, query_ids, pool_ids, K: int) -> np.ndarray:
+def knn_indices(values, query_ids, pool_ids, K: int, member=None) -> np.ndarray:
     """Row r holds the ids of the min(K, |pool|) pool members nearest to
     query_ids[r], by ascending (distance, id); the pool's order is irrelevant.
     Queries must not be pool members. `values` is a SimilarityMatrix or a
-    dense distance array."""
+    dense distance array.
+
+    With `member`, a bool array aligned to (query_ids, pool_ids), row r ranks
+    only the pool ids that member[r] marks, and may hold one of them as its
+    own query; rows are min(K, most members of any row) wide, and a row with
+    fewer members is padded with -1. A row without members raises."""
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     query_ids = np.asarray(query_ids, dtype=np.int64)
-    pool_sorted = np.sort(np.asarray(pool_ids, dtype=np.int64))
+    pool_ids = np.asarray(pool_ids, dtype=np.int64)
+    order = np.argsort(pool_ids, kind="stable")
+    pool_sorted = pool_ids[order]
     if pool_sorted.size == 0:
         raise ValueError("empty neighbor pool")
-    inside = np.isin(query_ids, pool_sorted)
+    slot = np.minimum(np.searchsorted(pool_sorted, query_ids), pool_sorted.size - 1)
+    inside = pool_sorted[slot] == query_ids
+    if member is not None:
+        member = np.asarray(member, dtype=bool)[:, order]
+        inside &= member[np.arange(query_ids.size), slot]
+        counts = member.sum(axis=1)
+        if not counts.all():
+            raise ValueError("empty neighbor pool")
     if inside.any():
         raise ValueError(f"query {int(query_ids[inside][0])} must not be a member of the pool")
     matrix = values if isinstance(values, SimilarityMatrix) else SimilarityMatrix(values=values)
     sub = matrix.block(query_ids, pool_sorted)
-    width = min(K, pool_sorted.size)
-    # columns are in id order, so a stable sort of a row ranks by (distance, id)
+    width = min(K, pool_sorted.size if member is None else int(counts.max(initial=1)))
+    masked = ()  # a lexsort key that ranks before the distance: members first
+    if member is not None:
+        sub = np.where(member, sub, np.inf)
+        masked = (~member,)
+
+    def stable_rank(keys):
+        # columns are in id order, so a stable sort of a row ranks by (distance, id)
+        return np.argsort(keys[0], axis=1, kind="stable") if len(keys) == 1 else np.lexsort(keys, axis=1)
+
     pick = np.argpartition(sub, width - 1, axis=1)[:, :width]
     kth = np.take_along_axis(sub, pick[:, -1:], axis=1)
-    tied = np.flatnonzero(np.count_nonzero(sub <= kth, axis=1) != width)
+    tied = np.flatnonzero((np.count_nonzero(sub <= kth, axis=1) != width) | ~np.isfinite(kth[:, 0]))
     if tied.size:
-        pick[tied] = np.argsort(sub[tied], axis=1, kind="stable")[:, :width]
+        pick[tied] = stable_rank([a[tied] for a in (sub, *masked)])[:, :width]
     pick.sort(axis=1)
-    rank = np.argsort(np.take_along_axis(sub, pick, axis=1), axis=1, kind="stable")
-    return pool_sorted[np.take_along_axis(pick, rank, axis=1)]
+    rank = stable_rank([np.take_along_axis(a, pick, axis=1) for a in (sub, *masked)])
+    near = pool_sorted[np.take_along_axis(pick, rank, axis=1)]
+    if member is not None:
+        near[np.arange(width) >= np.minimum(counts, K)[:, None]] = -1
+    return near
 
 
 def save_matrix(matrix: SimilarityMatrix, path: str | Path, extra_meta: dict | None = None) -> None:

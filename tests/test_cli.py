@@ -19,14 +19,18 @@ import cproc
 import reference
 from cproc import svgplot
 from cproc.cli import VERSION, _code_digest, _graphs_digest, main
+from cproc.errors import StratumError
 from cproc.graphdata import (
     Graph,
     ScoredDataset,
+    SplitAssignment,
+    load_scores,
     parse_tu_dataset,
+    resplit,
     write_split_manifest,
     write_tu_dataset,
 )
-from cproc.rocbands import _frac_above, read_band_csv, write_band_csv
+from cproc.rocbands import _frac_above, cp_roc_bands, read_band_csv, write_band_csv
 from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
 from cproc.svgplot import band_svg
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
@@ -616,6 +620,41 @@ def test_bands_failing_repeat_with_simmat_leaves_no_out(tmp_path, capsys, knn, m
                "--knn", knn, "--min-stratum", min_stratum, "--repeats", "10", "--out", str(tmp_path / "X")])
     assert rc == 2
     assert "nearest calibration neighbors (need" in capsys.readouterr().err
+    assert not (tmp_path / "X").exists()
+
+
+def test_bands_failing_run_reports_the_earliest_repeat_error(tmp_path, capsys):
+    """Repeat 0 has a thin positive stratum and a later repeat's test part
+    has no positive: the run exits 2 with repeat 0's message, which a loop
+    of one-split `cp_roc_bands` calls also raises first, and writes no --out."""
+    n_train, n = 20, 30
+    labels = np.zeros(n, dtype=np.int64)
+    labels[[3, 8, 20, 21]] = 1  # the pool (ids 20-29) holds two positives
+    p1 = np.linspace(0.1, 0.9, n)
+    write_scores(ScoredDataset(labels=labels, probs=np.column_stack([1.0 - p1, p1])), tmp_path / "s.csv")
+    raw = np.random.default_rng(5).random((n, n))
+    values = raw + raw.T
+    np.fill_diagonal(values, 0.0)
+    save_matrix(SimilarityMatrix(values=values), tmp_path / "m.simmat")
+    base = SplitAssignment(tuple(["train"] * n_train + ["calib"] * 5 + ["test"] * 5))
+    write_split_manifest(base, tmp_path / "split.csv")
+    scored = load_scores(tmp_path / "s.csv")
+
+    def degenerate(split):
+        return len(set(labels[split.ids("test")].tolist())) < 2
+
+    seed = next(s for s in range(200) if not degenerate(resplit(base, 0.5, s))
+                and any(degenerate(resplit(base, 0.5, s + i)) for i in range(1, 4)))
+    with pytest.raises(StratumError) as first:
+        for i in range(4):
+            cp_roc_bands(scored.with_split(resplit(base, 0.5, seed + i)), SimilarityMatrix(values=values),
+                         K=4, alpha=0.1, mode="conditional", min_stratum=3)
+    assert "nearest calibration neighbors (need 3)" in str(first.value)
+    rc = main(["bands", "--scores", str(tmp_path / "s.csv"), "--simmat", str(tmp_path / "m.simmat"),
+               "--split", str(tmp_path / "split.csv"), "--repeats", "4", "--seed", str(seed),
+               "--calib-split", "0.5", "--knn", "4", "--min-stratum", "3", "--out", str(tmp_path / "X")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"cproc: error: {first.value}\n"
     assert not (tmp_path / "X").exists()
 
 

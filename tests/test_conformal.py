@@ -418,12 +418,14 @@ def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
 def test_widening_asks_no_knn_wider_than_k_or_min_stratum(monkeypatch):
     """The engine never fetches a whole calibration order: every kNN call of
     `conformal` asks for at most max(K, min_stratum) neighbours, and the
-    thin rows are widened by a call of exactly min_stratum."""
+    thin rows are widened by a call of exactly min_stratum. One split builds
+    no member mask."""
     ds = thin_rows_fixture()
     K, min_stratum = 4, 3
     asked = []
 
-    def spy(values, query_ids, pool_ids, k):
+    def spy(values, query_ids, pool_ids, k, member=None):
+        assert member is None
         asked.append(k)
         return knn_indices(values, query_ids, pool_ids, k)
 

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
+import reference
+
 from cproc.errors import DegenerateTestError, StratumError
 from cproc.graphdata import ScoredDataset, SplitAssignment
 from cproc.rocbands import (
@@ -15,6 +17,7 @@ from cproc.rocbands import (
     oracle_rates,
     read_band_csv,
     roc_from_arrays,
+    split_bands,
     staircase_auc,
     write_band_csv,
 )
@@ -360,3 +363,117 @@ def test_band_csv_rejects_garbage(tmp_path):
     (tmp_path / "bad.csv").write_text("# comment\nnot,a,band\n")
     with pytest.raises(ValueError, match="band CSV"):
         read_band_csv(tmp_path / "bad.csv")
+
+
+# --- several splits in one pass ------------------------------------------------------
+
+
+def _reference_split_endpoints(values, fhat, binary, split, K, alpha, mode, min_stratum, widen):
+    """One split's four endpoint arrays by brute force: every neighbour order
+    is a stable sort of (distance, id) pairs, every quantile is
+    `reference.quantile`; errors are raised in the one-split order (test
+    classes, positives, negatives)."""
+    train, calib, test = (split.ids(part) for part in ("train", "calib", "test"))
+
+    def order(q, ids):
+        return [int(j) for _, j in sorted(((values[q, j], j) for j in ids), key=lambda pair: pair[0])]
+
+    scores = {int(c): float(np.mean(fhat[order(c, train)[:K]])) - fhat[c] for c in calib}
+    pos, neg = test[binary[test]], test[~binary[test]]
+    if not pos.size or not neg.size:
+        raise DegenerateTestError(
+            f"test part lacks a class for label 1 ({pos.size} positive / {neg.size} negative)")
+    ends = []
+    for ids, k in ((pos, 1), (neg, 0)):
+        lo, up = [], []
+        for q in ids.tolist():
+            same = [c for c in order(q, calib) if binary[c] == bool(k)]
+            if mode == "exchangeable":
+                if not same:
+                    raise StratumError(f"no calibration graphs with binarized label {k}")
+                stratum = same
+            else:
+                near = order(q, calib)[:K]
+                stratum = [c for c in near if binary[c] == bool(k)]
+                if len(stratum) < min_stratum:
+                    if not widen:
+                        raise StratumError(f"graph {q}: {len(stratum)} label-{k} graph(s) among its "
+                                           f"{len(near)} nearest calibration neighbors (need {min_stratum})")
+                    if len(same) < min_stratum:
+                        raise StratumError(f"graph {q}: calibration pool holds only {len(same)} "
+                                           f"label-{k} graph(s) (need {min_stratum})")
+                    stratum = same[:min_stratum]
+            values_k = [scores[c] for c in stratum]
+            lo.append(fhat[q] + reference.quantile(values_k, alpha / 2.0))
+            up.append(fhat[q] + reference.quantile(values_k, 1.0 - alpha / 2.0))
+        ends += [np.array(lo, dtype=float), np.array(up, dtype=float)]
+    return ends
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except (StratumError, DegenerateTestError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_split_bands_equal_a_brute_force_reference_per_split(data):
+    """`split_bands` over 1-6 re-splits of one calib+test pool gives every
+    split's endpoints `tobytes`-equal to the brute-force reference, or raises
+    the error a loop over the splits meets first; `cp_roc_bands` split by
+    split agrees. Integer distances tie often; K may reach past |calib|."""
+    n_train = data.draw(st.integers(1, 6))
+    n_pool = data.draw(st.integers(2, 12))
+    n = n_train + n_pool
+    if data.draw(st.booleans()):
+        raw = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), float)
+    else:
+        raw = np.array(data.draw(st.lists(st.floats(0, 5), min_size=n * n, max_size=n * n)))
+    values = np.minimum(raw.reshape(n, n), raw.reshape(n, n).T)
+    np.fill_diagonal(values, 0.0)
+    fhat = np.array(data.draw(st.lists(st.one_of(st.floats(0, 1), st.sampled_from([0.2, 0.5, 0.8])),
+                                       min_size=n, max_size=n)))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    splits = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        pool = np.array(data.draw(st.permutations(perm[n_train:].tolist())))
+        n_calib = data.draw(st.integers(1, n_pool - 1))
+        parts = np.full(n, "train", dtype=object)
+        parts[pool[:n_calib]], parts[pool[n_calib:]] = "calib", "test"
+        splits.append(SplitAssignment(tuple(parts)))
+    mode = data.draw(st.sampled_from(["exchangeable", "conditional"]))
+    thin = data.draw(st.sampled_from(["error", "widen"]))
+    K = data.draw(st.integers(1, n_pool + 1))
+    min_stratum = data.draw(st.integers(1, 4))
+    alpha = data.draw(st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9]))
+    scored = ScoredDataset(labels=labels, probs=np.column_stack([1.0 - fhat, fhat]))
+    mat = SimilarityMatrix(values=values)
+
+    def reference_loop():
+        return [_reference_split_endpoints(values, fhat, labels == 1, split, K, alpha, mode, min_stratum,
+                                           thin == "widen") for split in splits]
+
+    def engine(bands):
+        return [[b.lo_pos, b.up_pos, b.lo_neg, b.up_neg] for b in bands]
+
+    want, want_error = _outcome(reference_loop)
+    got, got_error = _outcome(lambda: engine(split_bands(scored, splits, mat, K, alpha, mode, min_stratum, thin)))
+    one, one_error = _outcome(lambda: engine(cp_roc_bands(scored.with_split(split), mat, K, alpha, mode,
+                                                          min_stratum, thin) for split in splits))
+    assert got_error == want_error == one_error
+    if want is not None:
+        for got_ends, one_ends, want_ends in zip(got, one, want):
+            for a, b, c in zip(got_ends, one_ends, want_ends):
+                assert a.tobytes() == b.tobytes() == c.tobytes()
+
+
+def test_split_bands_need_one_train_part():
+    scored, mat = _pipeline_inputs(n_train=60, n_calib=40, n_test=30)
+    parts = list(scored.split.parts)
+    moved = parts.index("calib")
+    parts[moved] = "train"
+    with pytest.raises(ValueError, match="^the splits must share their train ids$"):
+        split_bands(scored, [scored.split, SplitAssignment(tuple(parts))], mat, K=10, alpha=0.1)

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
@@ -657,6 +657,50 @@ def test_property_partition_knn_equals_full_sort(data):
         filtered = order[np.isin(order, pool[mask])].reshape(queries.size, int(mask.sum()))
         for m in range(1, int(mask.sum()) + 1):
             assert np.array_equal(knn_indices(source, queries, pool[mask], m), filtered[:, :m])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_member_mask_knn_equals_filtered_full_sort(data):
+    """With a member mask, row r is the stable (distance, id) order of the
+    pool ids that member[r] marks, cut at K and padded with -1 to the widest
+    row; a query may sit in the pool when its own row leaves it out. Tied
+    integer distances, NaN rows and float distances are drawn."""
+    n = data.draw(st.integers(2, 16))
+    if data.draw(st.booleans()):
+        raw = np.array(data.draw(st.lists(st.integers(0, data.draw(st.integers(0, 4))), min_size=n * n,
+                                          max_size=n * n)), float)
+    else:
+        raw = np.array(data.draw(st.lists(st.floats(0, 10), min_size=n * n, max_size=n * n)))
+    vals = np.minimum(raw.reshape(n, n), raw.reshape(n, n).T)
+    np.fill_diagonal(vals, 0.0)
+    pool = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+    queries = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+    vals[data.draw(st.lists(st.sampled_from(queries.tolist()), max_size=2)), :] = np.nan
+    member = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size),
+                                         min_size=queries.size, max_size=queries.size)))
+    member &= pool[None, :] != queries[:, None]
+    keep = member.any(axis=1)  # a row without members raises, as checked below
+    assume(keep.any())
+    queries, member = queries[keep], member[keep]
+    for source in (vals, SimilarityMatrix(values=vals)):
+        for K in range(1, pool.size + 2):
+            got = knn_indices(source, queries, pool, K, member=member)
+            width = min(K, int(member.sum(axis=1).max()))
+            assert got.shape == (queries.size, width)
+            for row, q, marks in zip(got.tolist(), queries, member):
+                ids = np.sort(pool[marks])
+                want = ids[np.argsort(vals[q, ids], kind="stable")][:K].tolist()
+                assert row == want + [-1] * (width - len(want))
+    empty = member.copy()
+    empty[-1] = False
+    with pytest.raises(ValueError, match="empty neighbor pool"):
+        knn_indices(vals, queries, pool, 1, member=empty)
+    if np.isin(queries[0], pool):
+        own = member.copy()
+        own[0, pool == queries[0]] = True
+        with pytest.raises(ValueError, match=f"query {queries[0]} must not be a member of the pool"):
+            knn_indices(vals, queries, pool, 1, member=own)
 
 
 def test_partition_knn_ties_straddling_the_boundary():
