@@ -8,9 +8,10 @@ Run it from the repository root with the cproc to be checked on the path:
 
 Each run works in a fresh temporary directory and passes relative paths, so
 the configuration line that every output embeds names no machine path; BLAS
-is held to one thread. Two runs of the script print the same lines, and a
-change that keeps every output byte-identical prints the same lines as its
-parent. The inputs are fabricated here (the twin-star fixture of acceptance
+is held to one thread unless the environment sets its thread counts, so a
+run with more threads shows whether they change an output. Two runs of the
+script print the same lines, and a change that keeps every output
+byte-identical prints the same lines as its parent. The inputs are fabricated here (the twin-star fixture of acceptance
 criterion 10, the criterion-1 synthetic design) or by `perfbench/gen.py`
 (the BZR-shaped set of the tu-cold workload and the MUTAG-shaped set of the
 tu-warm workload), and the script uses only cproc names that older versions
@@ -57,7 +58,7 @@ bytes of the full table that `covariate_distance_matrix` gives on criterion
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+    os.environ.setdefault(_var, "1")
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402

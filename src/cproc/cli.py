@@ -404,7 +404,7 @@ _TYPES = {"int": int, "float": float}
 
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
-    for ln, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for ln, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

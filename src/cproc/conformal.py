@@ -12,14 +12,17 @@ selected, never their values.
 `conformal_intervals` covers every calibration scheme with one batched
 order-statistic step: the marginal interval (every calibration score), the
 label-conditional interval (the scores of the query's label), and the local
-interval. A member mask gives each query its own calibration set within the
-table (its split's), so the queries of several splits share one call and
-one kNN block read; without one, every query uses the whole table. For the local interval it is handed the similarity matrix and picks
-each query's local calibration set itself: the same-label members of its K
-nearest calibration graphs (`knn_indices`), and, for the queries where those
-are fewer than `min_stratum`, an error or, with `widen`, its `min_stratum`
-nearest same-label calibration graphs (a same-label kNN, which equals the
-first `min_stratum` same-label graphs of its whole calibration order).
+interval. Each query brings its own label, and a member mask gives it its
+own calibration set within the table (its split's), so the test graphs of
+both classes and several splits share one call and one kNN block read;
+without a mask, every query uses the whole table. A query's pool is the
+graphs of its label in its calibration set. For the local interval the
+engine is handed the similarity matrix and picks each query's local
+calibration set itself: the pool members among its K nearest calibration
+graphs (`knn_indices`), and, for the queries where those are fewer than
+`min_stratum`, an error or, with `widen`, its `min_stratum` nearest pool
+graphs (a kNN masked to the pool, which equals the first `min_stratum` pool
+graphs of its whole calibration order).
 Endpoints stay raw, so they may leave [0, 1]; band indicators use them as
 they are.
 """
@@ -60,10 +63,9 @@ def conformal_intervals(
     f_hat: np.ndarray,
     calib_ids: np.ndarray,
     scores: np.ndarray,
-    same_label: np.ndarray,
+    labels: np.ndarray,
     alpha: float,
     *,
-    label: int,
     member: np.ndarray | None = None,
     matrix: SimilarityMatrix | None = None,
     K: int | None = None,
@@ -73,31 +75,34 @@ def conformal_intervals(
     """Raw endpoints [f_hat + q_{a/2}, f_hat + q_{1-a/2}] for every query.
 
     `calib_ids` are the ascending calibration ids of `score_table`, `scores`
-    and `same_label` are aligned to them (the mask says which graphs carry
-    the queries' label `label`), and `f_hat` is indexed by graph id. Every
-    query calibrates against all of `calib_ids`, or, with `member` (a bool
-    array aligned to (query_ids, calib_ids)), against the ids its row marks,
-    so queries of several splits can share one call. Without `matrix` a
-    query's stratum is its same-label calibration scores (label-conditional;
-    an all-true mask gives the marginal interval). With `matrix` the stratum
-    is the same-label part of each query's K nearest calibration graphs; a
-    stratum below `min_stratum` raises StratumError, or with `widen` becomes
-    the query's `min_stratum` nearest same-label calibration graphs, so no
-    kNN call asks for more than max(K, min_stratum) neighbours. A
-    StratumError concerns the first failing query, and its `row` says which.
+    are aligned to them, and `f_hat` and `labels` are indexed by graph id.
+    Each query calibrates against the calibration graphs of its own label:
+    all of `calib_ids`, or, with `member` (a bool array aligned to
+    (query_ids, calib_ids)), the ids its row marks, so queries of several
+    splits and both labels share one call. Without `matrix` a query's stratum
+    is that whole pool (label-conditional; one label for all gives the
+    marginal interval). With `matrix` the stratum is the pool's part of each
+    query's K nearest calibration graphs; a stratum below `min_stratum`
+    raises StratumError, or with `widen` becomes the query's `min_stratum`
+    nearest pool graphs, so no kNN call asks for more than
+    max(K, min_stratum) neighbours. A StratumError concerns the first
+    failing query.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     query_ids = np.asarray(query_ids, dtype=np.int64)
     calib_ids = np.asarray(calib_ids, dtype=np.int64)
     scores = np.asarray(scores, dtype=float)
-    same_label = np.asarray(same_label, dtype=bool)
-    pool = same_label[None, :] if member is None else member & same_label  # each row's same-label calibration
+    labels = np.asarray(labels)
+    label = labels[query_ids]
+    pool = labels[calib_ids] == label[:, None]  # each row's same-label calibration graphs
+    if member is not None:
+        pool &= member
     if matrix is None:
         counts = pool.sum(axis=1)
         empty = np.flatnonzero(counts == 0)
         if empty.size:
-            raise StratumError(f"no calibration graphs with binarized label {label}", int(empty[0]))
+            raise StratumError(f"no calibration graphs with binarized label {label[empty[0]]}")
         ranked = np.where(pool, scores, np.inf)
     else:
         if K is None:
@@ -108,30 +113,26 @@ def conformal_intervals(
         position = np.zeros(matrix.n, dtype=np.int64)
         position[calib_ids] = np.arange(calib_ids.size)
         near_ids = knn_indices(matrix, query_ids, calib_ids, K, member=member)
-        near = position[near_ids]
-        kept = same_label[near] & (near_ids >= 0)
+        kept = (labels[near_ids] == label[:, None]) & (near_ids >= 0)
         counts = kept.sum(axis=1)
         thin = np.flatnonzero(counts < min_stratum)
-        ranked = np.where(kept, scores[near], np.inf)
+        ranked = np.where(kept, scores[position[near_ids]], np.inf)
         if thin.size:
-            i = int(thin[0])
+            i = thin[0]
             if not widen:
-                width = min(K, calib_ids.size if member is None else int(member[i].sum()))
                 raise StratumError(
-                    f"graph {int(query_ids[i])}: {int(counts[i])} label-{label} graph(s) "
-                    f"among its {width} nearest calibration neighbors (need {min_stratum})", i
+                    f"graph {query_ids[i]}: {counts[i]} label-{label[i]} graph(s) among its "
+                    f"{(near_ids[i] >= 0).sum()} nearest calibration neighbors (need {min_stratum})"
                 )
-            stratum_pool = np.broadcast_to(pool.sum(axis=1), counts.shape)
-            short = thin[stratum_pool[thin] < min_stratum]
+            short = thin[pool[thin].sum(axis=1) < min_stratum]
             if short.size:
-                i = int(short[0])
+                i = short[0]
                 raise StratumError(
-                    f"graph {int(query_ids[i])}: calibration pool holds only "
-                    f"{int(stratum_pool[i])} label-{label} graph(s) (need {min_stratum})", i
+                    f"graph {query_ids[i]}: calibration pool holds only "
+                    f"{pool[i].sum()} label-{label[i]} graph(s) (need {min_stratum})"
                 )
-            # each thin row keeps exactly its min_stratum nearest same-label graphs
-            first = position[knn_indices(matrix, query_ids[thin], calib_ids[same_label], min_stratum,
-                                         member=None if member is None else member[thin][:, same_label])]
+            # each thin row keeps exactly its min_stratum nearest pool graphs
+            first = position[knn_indices(matrix, query_ids[thin], calib_ids, min_stratum, member=pool[thin])]
             ranked = np.pad(ranked, ((0, 0), (0, max(0, min_stratum - ranked.shape[1]))),
                             constant_values=np.inf)
             ranked[thin] = np.inf

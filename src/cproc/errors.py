@@ -24,12 +24,7 @@ class NumericalError(CprocError):
 
 
 class StratumError(CprocError):
-    """Raised when a label stratum is empty or below the configured minimum;
-    `row` is the index of the first query whose stratum fails."""
-
-    def __init__(self, message: str, row: int = 0) -> None:
-        super().__init__(message)
-        self.row = row
+    """Raised when a label stratum is empty or below the configured minimum."""
 
 
 class DegenerateTestError(CprocError):

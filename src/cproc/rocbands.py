@@ -3,11 +3,11 @@
 `split_bands` builds the bands of several splits that share their train
 part in one pass, and `cp_roc_bands` is its one-split call. It scores the
 union of the splits' calibration graphs once (`conformal.score_table`) and
-hands the scores to `conformal.conformal_intervals` once for the positives
-and once for the negatives of every split, each test graph masked to its own
-split's calibration graphs; in conditional mode it also hands over the
-similarity matrix, and the engine picks each test graph's local calibration
-set itself.
+hands the scores to `conformal.conformal_intervals` once, for every test
+graph of every split, each masked to its own split's calibration graphs and
+calibrated on those of its own label; in conditional mode it also hands over
+the similarity matrix, and the engine picks each test graph's local
+calibration set itself.
 `band_from_intervals` then turns the four endpoint arrays into bands: at each
 threshold the bounds are the fractions of endpoints strictly above it
 (positives give the sensitivity band, negatives the specificity band, both on
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import conformal_intervals, score_table
-from .errors import DegenerateTestError, StratumError
+from .errors import DegenerateTestError
 from .graphdata import ScoredDataset, SplitAssignment, write_table
 from .similarity import SimilarityMatrix
 from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.py hooks it by name
@@ -185,11 +185,12 @@ def split_bands(
     extends the neighborhood minimally for those points.
 
     The splits are built in one pass: the union of their calibration parts
-    is scored once against the shared train part, and each class's test
-    points of every split get their intervals from one call, each row
-    restricted to its own split's calibration part. A failing call raises
-    what a loop of one-split calls raises first: by split, the test part's
-    classes, then the positives' strata, then the negatives'.
+    is scored once against the shared train part, and every test point of
+    every split gets its interval from one call, each row restricted to its
+    own split's calibration part. Rows are ordered by split, positives
+    first; the first failing row is raised. The call covers the splits
+    before the first whose test part lacks a class, which then raises
+    DegenerateTestError.
     """
     if mode not in ("exchangeable", "conditional"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -209,38 +210,28 @@ def split_bands(
         raise ValueError("the splits must share their train ids")
     calibs = [split.ids("calib") for split in splits]
     fhat = scored.probs[:, 1]
-    binary = scored.labels == 1
 
     union = calibs[0] if len(splits) == 1 else np.unique(np.concatenate(calibs))
     calib_sorted, scores = score_table(matrix, union, train_ids, fhat, K)
-    tests = [split.ids("test") for split in splits]
-    classes = [(k, [t[binary[t] == bool(k)] for t in tests]) for k in (1, 0)]  # positives, then negatives
-    sizes = np.array([[t.size for t in per_split] for _, per_split in classes])  # (class, split)
-    degenerate = np.flatnonzero((sizes == 0).any(axis=0))
+    label = (scored.labels == 1).astype(np.int64)  # binarized: 1 positive, 0 negative
+    blocks = [t[label[t] == k] for t in (split.ids("test") for split in splits) for k in (1, 0)]
+    sizes = np.array([b.size for b in blocks]).reshape(-1, 2)  # (split, class)
+    degenerate = np.flatnonzero((sizes == 0).any(axis=1))
     done = int(degenerate[0]) if degenerate.size else len(splits)  # the splits before the first degenerate one
-
-    local = matrix if mode == "conditional" else None
-    in_calib = None if len(splits) == 1 else np.array([np.isin(calib_sorted, c) for c in calibs[:done]])
-    endpoints, faults = [], []
-    for c, (k, per_split) in enumerate(classes if done else ()):
-        ends = np.cumsum(sizes[c, :done])
-        try:
-            lo, up = conformal_intervals(
-                np.concatenate(per_split[:done]), fhat, calib_sorted, scores, binary[calib_sorted] == bool(k),
-                alpha, label=k, member=None if in_calib is None else np.repeat(in_calib, sizes[c, :done], axis=0),
-                matrix=local, K=K, min_stratum=min_stratum, widen=thin_stratum == "widen",
-            )
-        except StratumError as exc:  # the fault of the earliest split in this class
-            faults.append((int(np.searchsorted(ends, exc.row, side="right")), c, exc))
-            continue
-        endpoints.append((np.split(lo, ends[:-1]), np.split(up, ends[:-1])))
-    if faults:
-        raise min(faults, key=lambda fault: fault[:2])[2]
+    if done:
+        member = None if len(splits) == 1 else np.repeat(
+            np.array([np.isin(calib_sorted, c) for c in calibs[:done]]), sizes[:done].sum(axis=1), axis=0)
+        lo, up = conformal_intervals(
+            np.concatenate(blocks[:2 * done]), fhat, calib_sorted, scores, label, alpha, member=member,
+            matrix=matrix if mode == "conditional" else None, K=K, min_stratum=min_stratum,
+            widen=thin_stratum == "widen",
+        )
     if degenerate.size:
-        pos, neg = sizes[:, done]
+        pos, neg = sizes[done]
         raise DegenerateTestError(f"test part lacks a class for label 1 ({pos} positive / {neg} negative)")
-    (lo_pos, up_pos), (lo_neg, up_neg) = endpoints
-    return [band_from_intervals(*ends) for ends in zip(lo_pos, up_pos, lo_neg, up_neg)]
+    ends = np.cumsum(sizes)[:-1]
+    lo, up = np.split(lo, ends), np.split(up, ends)
+    return [band_from_intervals(*four) for four in zip(lo[::2], up[::2], lo[1::2], up[1::2])]
 
 
 BAND_COLUMNS = ("lambda", "sen_lo", "sen_up", "spe_lo", "spe_up")

@@ -531,6 +531,24 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys):
     assert summary["alpha"] == 0.5 and summary["config"]["n_train"] == 2000
 
 
+def test_config_file_may_start_with_a_bom(tmp_path):
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    text = f"knn=3\ndataset={data}\nscores={scores}\nsplit={split}\nmode=exch\nrepeats=1\nout={tmp_path / 'o'}\n"
+    cfgfile.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(["bands", "--config", str(cfgfile)]) == 0
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["config"]["knn"] == 3
+
+
+def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    twin_star_dataset(tmp_path)
+    (tmp_path / "run.cfg").write_bytes("# bande à K=1, répétée une fois\ndataset=STARS\nscores=scores.csv\n"
+                                       "split=split.csv\nknn=1\nmode=exch\nrepeats=1\nout=o\n".encode())
+    proc = run_cli(["bands", "--config", "run.cfg"], cwd=tmp_path, env={"PYTHONUTF8": "0", "LC_ALL": "C"})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "o" / "band.csv").exists()
+
+
 def test_bands_more_than_two_labels_exit_2(tmp_path, capsys):
     spec = SyntheticSpec(n_train=60, n_calib=40, n_test=30, dim=2, beta=(1.0, -1.0), seed=2)
     ds = generate(spec)

@@ -6,7 +6,8 @@ from scipy.spatial.distance import pdist, squareform
 
 from cproc.conformal import conformal_intervals, score_table
 from cproc.errors import StratumError
-from cproc.rocbands import band_from_intervals, cp_roc_bands
+from cproc.graphdata import SplitAssignment
+from cproc.rocbands import band_from_intervals, cp_roc_bands, split_bands
 from cproc.similarity import SimilarityMatrix, knn_indices
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 
@@ -24,21 +25,22 @@ def soft_prob(query: int, mat: SimilarityMatrix, train, probs: np.ndarray, K: in
 
 
 def marginal(f_hat: float, scores, alpha: float):
-    lo, up = conformal_intervals([0], np.array([f_hat]), np.arange(len(scores)), scores,
-                                 np.ones(len(scores), bool), alpha, label=1)
-    return float(lo[0]), float(up[0])
+    return label_conditional(f_hat, 1, scores, np.ones(len(scores), np.int64), alpha)
 
 
 def label_conditional(f_hat: float, k: int, scores, labels, alpha: float):
-    lo, up = conformal_intervals([0], np.array([f_hat]), np.arange(len(scores)), scores,
-                                 np.asarray(labels) == k, alpha, label=k)
+    """Engine call for one label-k query, graph len(scores), over calibration graphs 0..len(scores)-1."""
+    n = len(scores)
+    lo, up = conformal_intervals([n], np.full(n + 1, f_hat), np.arange(n), scores,
+                                 np.append(labels, k), alpha)
     return float(lo[0]), float(up[0])
 
 
 def local(gid, k, mat, calib, scores, labels, probs, K, alpha, min_stratum=5, widen=False):
-    """Engine call for one query's local interval; scores align with sorted calib."""
+    """Engine call for one label-k query's local interval; scores align with sorted calib."""
     calib = np.sort(np.asarray(calib))
-    lo, up = conformal_intervals([gid], probs, calib, scores, labels[calib] == k, alpha, label=k,
+    labels = np.where(np.arange(labels.size) == gid, k, labels)
+    lo, up = conformal_intervals([gid], probs, calib, scores, labels, alpha,
                                  matrix=mat, K=K, min_stratum=min_stratum, widen=widen)
     return float(lo[0]), float(up[0])
 
@@ -223,7 +225,7 @@ def test_local_interval_needs_k_before_reading_a_distance():
 
     unread = Unread(values=mat.values)
     with pytest.raises(ValueError, match="K is required with a matrix"):
-        conformal_intervals([120], probs, calib, scores, labels[calib] == 1, 0.1, label=1, matrix=unread)
+        conformal_intervals([120], probs, calib, scores, labels, 0.1, matrix=unread)
 
 
 def _local_setup():
@@ -367,6 +369,8 @@ def test_property_engine_bit_equal_to_reference(data):
     mat = SimilarityMatrix(values=values, cap=1.0)
     calib_sorted, scores = score_table(mat, calib, train, probs, K)
     same = labels[calib_sorted] == k
+    labels_k = labels.copy()
+    labels_k[queries] = k  # every query has label k; the reference reads only calibration labels
 
     def outcome(fn):
         try:
@@ -377,18 +381,25 @@ def test_property_engine_bit_equal_to_reference(data):
     want = outcome(lambda: [reference_local_interval(int(q), k, values, calib, train, probs, labels, K,
                                                      alpha, min_stratum, widen) for q in queries])
     got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
-        queries, probs, calib_sorted, scores, same, alpha, label=k, matrix=mat, K=K,
+        queries, probs, calib_sorted, scores, labels_k, alpha, matrix=mat, K=K,
         min_stratum=min_stratum, widen=widen)))))
     assert got == want
 
     want = outcome(lambda: [reference_label_interval(probs[q], k, scores, same, alpha) for q in queries])
     got = outcome(lambda: list(zip(*(e.tolist() for e in conformal_intervals(
-        queries, probs, calib_sorted, scores, same, alpha, label=k)))))
+        queries, probs, calib_sorted, scores, labels_k, alpha)))))
     assert got == want
 
 
 def thin_rows_fixture():
     return generate(SyntheticSpec(n_train=300, n_calib=150, n_test=80, dim=3, beta=(2.0, -1.5, 1.0), seed=17))
+
+
+def thin_queries(dense, labels, calib, test, K, min_stratum):
+    """The test graphs whose K nearest calibration graphs hold fewer than
+    min_stratum graphs of their own label."""
+    same = labels[knn_indices(dense, test, calib, K)] == labels[test][:, None]
+    return test[same.sum(axis=1) < min_stratum]
 
 
 def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
@@ -401,8 +412,7 @@ def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
     dense = SimilarityMatrix(values=squareform(pdist(ds.x)))
     train, calib, test = (np.sort(ds.split.ids(p)) for p in ("train", "calib", "test"))
     K, min_stratum = 4, 3
-    same = labels[knn_indices(dense, test, calib, K)] == labels[test][:, None]
-    assert 0 < np.count_nonzero(same.sum(axis=1) < min_stratum) < test.size
+    assert 0 < thin_queries(dense, labels, calib, test, K, min_stratum).size < test.size
     bands = [cp_roc_bands(scored_dataset(ds, fhat), mat, K, 0.1, min_stratum=min_stratum,
                           thin_stratum="widen") for mat in (euclidean, dense)]
     calib_sorted, scores = score_table(dense, calib, train, fhat, K)
@@ -417,20 +427,68 @@ def test_thin_rows_widen_alike_on_euclidean_and_dense_backends():
 
 def test_widening_asks_no_knn_wider_than_k_or_min_stratum(monkeypatch):
     """The engine never fetches a whole calibration order: every kNN call of
-    `conformal` asks for at most max(K, min_stratum) neighbours, and the
-    thin rows are widened by a call of exactly min_stratum. One split builds
-    no member mask."""
+    `conformal` asks for at most max(K, min_stratum) neighbours. After the
+    score table's call on the train part, it asks for K neighbours of every
+    test graph and then exactly min_stratum neighbours of the thin ones,
+    masked row by row to each thin graph's same-label calibration graphs.
+    One split builds no member mask for its K-wide call."""
     ds = thin_rows_fixture()
     K, min_stratum = 4, 3
+    dense = SimilarityMatrix(values=squareform(pdist(ds.x)))
+    train, calib, test = (np.sort(ds.split.ids(p)) for p in ("train", "calib", "test"))
+    thin = thin_queries(dense, ds.labels, calib, test, K, min_stratum)
     asked = []
 
     def spy(values, query_ids, pool_ids, k, member=None):
-        assert member is None
         asked.append(k)
-        return knn_indices(values, query_ids, pool_ids, k)
+        if np.array_equal(pool_ids, train):
+            assert member is None and np.array_equal(query_ids, calib)
+        elif k == K:
+            assert member is None and sorted(query_ids.tolist()) == test.tolist()
+        else:
+            assert member.shape == (len(query_ids), len(pool_ids))
+            assert sorted(query_ids.tolist()) == thin.tolist()
+            assert (ds.labels[pool_ids][None, :] == ds.labels[query_ids][:, None])[member].all()
+        return knn_indices(values, query_ids, pool_ids, k, member=member)
 
     monkeypatch.setattr("cproc.conformal.knn_indices", spy)
-    for mat in (covariate_distance_matrix(ds), SimilarityMatrix(values=squareform(pdist(ds.x)))):
+    for mat in (covariate_distance_matrix(ds), dense):
         cp_roc_bands(scored_dataset(ds, ds.pi), mat, K, 0.1, min_stratum=min_stratum, thin_stratum="widen")
     assert max(asked) <= max(K, min_stratum)
-    assert min_stratum in asked
+    assert asked == [K, K, min_stratum] * 2
+
+
+def test_split_bands_select_neighbours_once_at_width_k_and_once_for_the_thin_rows(monkeypatch):
+    """Over several re-splits, every test graph of every split, both
+    classes, gets its K nearest calibration graphs from one kNN call, and
+    the thin ones of every split their min_stratum nearest pool graphs from
+    at most one more."""
+    ds = thin_rows_fixture()
+    K, min_stratum = 4, 3
+    dense = SimilarityMatrix(values=squareform(pdist(ds.x)))
+    train = ds.split.ids("train")
+    pool = np.flatnonzero(np.array(ds.split.parts) != "train")
+    splits = []
+    for seed in range(3):
+        parts = np.array(ds.split.parts, dtype=object)
+        shuffled = np.random.default_rng(seed).permutation(pool)
+        parts[shuffled[:150]], parts[shuffled[150:]] = "calib", "test"
+        splits.append(SplitAssignment(tuple(parts)))
+    tests = np.concatenate([split.ids("test") for split in splits])
+    thin = np.concatenate([thin_queries(dense, ds.labels, split.ids("calib"), split.ids("test"), K, min_stratum)
+                           for split in splits])
+    assert 0 < thin.size < tests.size
+    calls = []
+
+    def spy(values, query_ids, pool_ids, k, member=None):
+        if not np.array_equal(pool_ids, train):  # not the score table's call
+            calls.append((k, sorted(query_ids.tolist())))
+        return knn_indices(values, query_ids, pool_ids, k, member=member)
+
+    monkeypatch.setattr("cproc.conformal.knn_indices", spy)
+    split_bands(scored_dataset(ds, ds.pi), splits, dense, K, 0.1, min_stratum=min_stratum, thin_stratum="widen")
+    wide = [queries for k, queries in calls if k == K]
+    narrow = [queries for k, queries in calls if k == min_stratum]
+    assert len(wide) + len(narrow) == len(calls)
+    assert wide == [sorted(tests.tolist())]
+    assert len(narrow) <= 1 and narrow == [sorted(thin.tolist())]
