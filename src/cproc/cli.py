@@ -400,6 +400,9 @@ def cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> None:
 
 _FLAG_FIELDS = {f.name: f for f in fields(RunConfig) if "commands" in f.metadata}
 _TYPES = {"int": int, "float": float}
+# config values that name files get the bytes argv would give them: a UTF-8
+# path in a config file opens the same file under an ASCII filesystem encoding
+_PATH_KEYS = ("dataset", "name", "scores", "out", "simmat", "split")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -414,7 +417,8 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _FLAG_FIELDS:
             raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-        values[key] = value.strip()
+        value = value.strip()
+        values[key] = os.fsdecode(value.encode()) if key in _PATH_KEYS else value
     return values
 
 

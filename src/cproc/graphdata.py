@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -284,10 +285,17 @@ class SplitAssignment:
 
     parts: tuple[str, ...]
 
+    @cached_property
+    def _codes(self) -> np.ndarray:
+        """Each graph's part as its index in PARTS (-1 for any other string)."""
+        code = {p: i for i, p in enumerate(PARTS)}
+        return np.array([code.get(p, -1) for p in self.parts], dtype=np.int8)
+
     def ids(self, part: str) -> np.ndarray:
+        """The ids in `part`, ascending, as a new array on every call."""
         if part not in PARTS:
             raise ValueError(f"unknown part {part!r}")
-        return np.array([i for i, p in enumerate(self.parts) if p == part], dtype=np.int64)
+        return np.flatnonzero(self._codes == PARTS.index(part))
 
 
 def _deal(parts: list[str], pool: np.ndarray, calib_split: float) -> SplitAssignment:

@@ -41,13 +41,16 @@ and values (see `save_matrix`); `load_matrix` checks the header's sizes
 against the file's length before it reads on, and the digest before it
 decodes the metadata.
 
-`knn_indices` orders neighbours by ascending (distance, id). It selects the K
-nearest with `argpartition` and sorts only those; a row whose K-th distance
-is tied with a distance outside the K selected (or is not finite) is ranked
-by a full stable sort instead, so the result always equals the full sort's
-first K columns. A per-row member mask ranks each row over its own subset of
-the pool (one split's calibration graphs, within the union of several
-splits'), with non-members placed after every member.
+`knn_indices` orders neighbours by ascending (distance, id). It reads and
+ranks one block of rows at a time, about `_KNN_BLOCK_CELLS` (2^17) distances,
+so no |queries| x |pool| array exists; rows never interact, so the result
+does not depend on the block size. In each block it selects the K nearest
+with `argpartition` and sorts only those; a row whose K-th distance is tied
+with a distance outside the K selected (or is not finite) is ranked by a full
+stable sort instead, so the result always equals the full sort's first K
+columns. A per-row member mask ranks each row over its own subset of the pool
+(one split's calibration graphs, within the union of several splits'), with
+non-members placed after every member.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ _FORMAT_VERSION = 3
 # may enumerate; a larger polytope takes the assignment path. The polytope
 # holds every 0/1 point, so this also keeps the path to at most 16 types.
 _MAX_LATTICE_POINTS = 100_000
+# distances `knn_indices` reads and ranks at a time (1 MB of float64): a block
+# of rows stays in cache and no |queries| x |pool| array is ever allocated
+_KNN_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -296,7 +302,10 @@ def knn_indices(values, query_ids, pool_ids, K: int, member=None) -> np.ndarray:
     With `member`, a bool array aligned to (query_ids, pool_ids), row r ranks
     only the pool ids that member[r] marks, and may hold one of them as its
     own query; rows are min(K, most members of any row) wide, and a row with
-    fewer members is padded with -1. A row without members raises."""
+    fewer members is padded with -1. A row without members raises.
+
+    Distances are read and ranked one block of about `_KNN_BLOCK_CELLS`
+    cells (whole rows, at least one) at a time, straight into the result."""
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     query_ids = np.asarray(query_ids, dtype=np.int64)
@@ -316,25 +325,32 @@ def knn_indices(values, query_ids, pool_ids, K: int, member=None) -> np.ndarray:
     if inside.any():
         raise ValueError(f"query {int(query_ids[inside][0])} must not be a member of the pool")
     matrix = values if isinstance(values, SimilarityMatrix) else SimilarityMatrix(values=values)
-    sub = matrix.block(query_ids, pool_sorted)
     width = min(K, pool_sorted.size if member is None else int(counts.max(initial=1)))
-    masked = ()  # a lexsort key that ranks before the distance: members first
-    if member is not None:
-        sub = np.where(member, sub, np.inf)
-        masked = (~member,)
+    near = np.empty((query_ids.size, width), dtype=np.int64)
 
     def stable_rank(keys):
         # columns are in id order, so a stable sort of a row ranks by (distance, id)
         return np.argsort(keys[0], axis=1, kind="stable") if len(keys) == 1 else np.lexsort(keys, axis=1)
 
-    pick = np.argpartition(sub, width - 1, axis=1)[:, :width]
-    kth = np.take_along_axis(sub, pick[:, -1:], axis=1)
-    tied = np.flatnonzero((np.count_nonzero(sub <= kth, axis=1) != width) | ~np.isfinite(kth[:, 0]))
-    if tied.size:
-        pick[tied] = stable_rank([a[tied] for a in (sub, *masked)])[:, :width]
-    pick.sort(axis=1)
-    rank = stable_rank([np.take_along_axis(a, pick, axis=1) for a in (sub, *masked)])
-    near = pool_sorted[np.take_along_axis(pick, rank, axis=1)]
+    # one block's arrays live until the next block's replace them: freeing them
+    # all at the end of every block lets glibc trim the heap and fault it back
+    # in once per block (9.8k minor faults per criterion-1 replicate, not 1.3k)
+    step = max(1, _KNN_BLOCK_CELLS // pool_sorted.size)
+    for start in range(0, query_ids.size, step):
+        rows = slice(start, start + step)
+        sub = matrix.block(query_ids[rows], pool_sorted)
+        masked = ()  # a lexsort key that ranks before the distance: members first
+        if member is not None:
+            sub = np.where(member[rows], sub, np.inf)
+            masked = (~member[rows],)
+        pick = np.argpartition(sub, width - 1, axis=1)[:, :width]
+        kth = np.take_along_axis(sub, pick[:, -1:], axis=1)
+        tied = np.flatnonzero((np.count_nonzero(sub <= kth, axis=1) != width) | ~np.isfinite(kth[:, 0]))
+        if tied.size:
+            pick[tied] = stable_rank([a[tied] for a in (sub, *masked)])[:, :width]
+        pick.sort(axis=1)
+        rank = stable_rank([np.take_along_axis(a, pick, axis=1) for a in (sub, *masked)])
+        near[rows] = pool_sorted[np.take_along_axis(pick, rank, axis=1)]
     if member is not None:
         near[np.arange(width) >= np.minimum(counts, K)[:, None]] = -1
     return near

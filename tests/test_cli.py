@@ -549,6 +549,24 @@ def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):
     assert (tmp_path / "o" / "band.csv").exists()
 
 
+def test_config_file_paths_open_under_an_ascii_filesystem_encoding(tmp_path):
+    """A non-ASCII path in a config file names the file that the same path
+    given as a flag names, byte for byte, under an ASCII filesystem encoding."""
+    twin_star_dataset(tmp_path)
+    common = "dataset=STARS\nscores=scores.csv\nsplit=split.csv\nknn=1\nmode=exch\nrepeats=1\n"
+    (tmp_path / "run.cfg").write_bytes((common + "out=rés\n").encode())
+    (tmp_path / "flag.cfg").write_bytes(common.encode())
+    ascii_env = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+    by_config = run_cli(["bands", "--config", "run.cfg"], cwd=tmp_path, env=ascii_env)
+    assert by_config.returncode == 0, by_config.stderr
+    made = (tmp_path / "rés").rename(tmp_path / "by-config")
+    by_flag = run_cli(["bands", "--config", "flag.cfg", "--out", "rés".encode()], cwd=tmp_path, env=ascii_env)
+    assert by_flag.returncode == 0, by_flag.stderr
+    assert "rés".encode() in os.listdir(bytes(tmp_path))
+    for name in ("band.csv", "summary.json"):
+        assert (made / name).read_bytes() == (tmp_path / "rés" / name).read_bytes()
+
+
 def test_bands_more_than_two_labels_exit_2(tmp_path, capsys):
     spec = SyntheticSpec(n_train=60, n_calib=40, n_test=30, dim=2, beta=(1.0, -1.0), seed=2)
     ds = generate(spec)

@@ -470,6 +470,27 @@ def test_split_error_on_empty_part():
         split_dataset(3, seed=0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.sampled_from(PARTS), max_size=40))
+def test_split_ids_equal_the_scan_of_its_parts(parts):
+    split = SplitAssignment(tuple(parts))
+    for part in PARTS:
+        got = split.ids(part)
+        assert got.dtype == np.int64
+        assert got.tolist() == [i for i, p in enumerate(parts) if p == part]
+    with pytest.raises(ValueError, match="unknown part 'holdout'"):
+        split.ids("holdout")
+    assert split == SplitAssignment(tuple(parts)) and hash(split) == hash(SplitAssignment(tuple(parts)))
+
+
+def test_split_ids_are_a_new_array_on_every_call():
+    split = SplitAssignment(("test", "train", "test", "calib"))
+    first = split.ids("test")
+    first[:] = 99
+    assert split.ids("test").tolist() == [0, 2]
+    assert split.ids("test") is not split.ids("test")
+
+
 def reference_resplit(base_split, pool, calib_split, seed):
     """The re-split `cproc bands` used before `resplit`, kept as its oracle."""
     perm = np.random.default_rng(seed).permutation(pool.size)

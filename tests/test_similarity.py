@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -722,6 +723,103 @@ def test_partition_knn_ranks_nan_last_like_the_full_sort():
     for K in range(1, 6):
         assert np.array_equal(knn_indices(vals, [0], range(1, 6), K),
                               reference_knn_indices(vals, [0], range(1, 6), K))
+
+
+def brute_force_knn(dense, queries, pool, K, member=None):
+    """Each row's pool ids (those member[r] marks) by ascending (distance, id),
+    cut at K and padded with -1 to the widest row."""
+    rows = [[j for _, j in sorted((dense[q, j], j) for j in (pool if member is None else pool[member[r]]))][:K]
+            for r, q in enumerate(queries)]
+    width = max(map(len, rows))
+    return np.array([row + [-1] * (width - len(row)) for row in rows], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_property_knn_row_blocks_equal_one_block(data):
+    """`knn_indices` reads and ranks a few rows at a time. With blocks of 1 to
+    64 cells, its result is still the one-block result and the brute-force
+    (distance, id) order, and bad arguments are refused as before. Drawn:
+    dense tables of tied integers or floats, both with inf; Euclidean points
+    on a small integer grid (repeated points) or floats; member masks whose
+    narrow rows pad with -1 in other blocks than the widest row's; K up to
+    |pool| + 2."""
+    n = data.draw(st.integers(2, 20))
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(1, 3))
+        coord = st.integers(0, 3).map(float) if data.draw(st.booleans()) else st.floats(-10, 10)
+        x = np.array(data.draw(st.lists(coord, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+        dense = squareform(pdist(x))
+        source = SimilarityMatrix(points=x)
+    else:
+        cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf]) if data.draw(st.booleans()) else \
+            st.floats(0, 10) | st.just(np.inf)
+        raw = np.array(data.draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+        dense = np.minimum(raw, raw.T)
+        np.fill_diagonal(dense, 0.0)
+        source = data.draw(st.sampled_from([dense, SimilarityMatrix(values=dense)]))
+    member = None
+    if data.draw(st.booleans()):
+        pool = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)))
+        queries = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10)))
+        member = np.array(data.draw(st.lists(st.lists(st.booleans(), min_size=pool.size, max_size=pool.size),
+                                             min_size=queries.size, max_size=queries.size)))
+        member &= pool[None, :] != queries[:, None]
+        keep = member.any(axis=1)
+        assume(keep.any())
+        queries, member = queries[keep], member[keep]
+    else:
+        perm = data.draw(st.permutations(range(n)))
+        n_query = data.draw(st.integers(1, n - 1))
+        queries, pool = np.array(perm[:n_query]), np.array(perm[n_query:])
+    K = data.draw(st.integers(1, pool.size + 2))
+    whole = knn_indices(source, queries, pool, K, member=member)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(similarity, "_KNN_BLOCK_CELLS", data.draw(st.integers(1, 64)))
+        got = knn_indices(source, queries, pool, K, member=member)
+        with pytest.raises(ValueError, match="K must be positive"):
+            knn_indices(source, queries, pool, data.draw(st.integers(-3, 0)), member=member)
+        with pytest.raises(ValueError, match="empty neighbor pool"):
+            knn_indices(source, queries, pool[:0], K)
+        with pytest.raises(ValueError, match=f"query {queries[0]} must not be a member of the pool"):
+            knn_indices(source, queries[:1], np.union1d(pool, queries[:1]), K)
+        if member is not None:
+            empty = member.copy()
+            empty[-1] = False
+            with pytest.raises(ValueError, match="empty neighbor pool"):
+                knn_indices(source, queries, pool, K, member=empty)
+    assert got.dtype == whole.dtype == np.int64
+    assert np.array_equal(got, whole)
+    assert np.array_equal(got, brute_force_knn(dense, queries, pool, K, member))
+
+
+def test_knn_pads_narrow_rows_read_in_other_blocks(monkeypatch):
+    vals = np.zeros((6, 6))
+    vals[:3, 3:] = [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0], [2.0, 2.0, 2.0]]
+    vals += vals.T
+    member = np.array([[True, False, True], [True, True, True], [False, True, False]])
+    monkeypatch.setattr(similarity, "_KNN_BLOCK_CELLS", 3)  # one row of three pool ids per block
+    assert knn_indices(vals, [0, 1, 2], [3, 4, 5], 3, member=member).tolist() == [
+        [3, 5, -1], [5, 4, 3], [4, -1, -1]]
+    assert knn_indices(vals, [0, 1, 2], [5, 4, 3], 2, member=member[:, ::-1]).tolist() == [
+        [3, 5], [5, 4], [4, -1]]
+
+
+def test_knn_peak_memory_is_a_few_row_blocks():
+    """1000 queries against a pool of 2000 Euclidean points, K = 50: the
+    distances alone would take 16 MB as one float64 block."""
+    x = np.random.default_rng(8).normal(size=(3000, 12))
+    matrix = SimilarityMatrix(points=x)
+    queries, pool = np.arange(2000, 3000), np.arange(2000)
+    tracemalloc.start()
+    try:
+        near = knn_indices(matrix, queries, pool, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6 / 4, f"peak {peak / 1e6:.1f} MB"
+    sample = queries[::97]
+    assert np.array_equal(near[::97], np.argsort(matrix.block(sample, pool), axis=1, kind="stable")[:, :50])
 
 
 @settings(max_examples=100, deadline=None)
