@@ -41,14 +41,15 @@ from .similarity import build_similarity_matrix, export_matrix_csv, load_matrix,
 from .svgplot import band_svg
 from .synthetic import SyntheticSpec, coverage_experiment
 from .topology import (
+    EdgeTable,
     FiltrationKind,
-    compute_filtration,
+    dataset_diagrams,
     diagrams_to_csv,
     images_to_csv,
     max_finite_value,
     persistence_image,
-    sublevel_persistence,
 )
+from .topology import compute_filtration, sublevel_persistence  # noqa: F401  unused here; perfbench/spans.py hooks them by name
 
 VERSION = f"cproc-{__version__}"
 MODES = {"exch": "exchangeable", "cond": "conditional"}
@@ -166,16 +167,12 @@ def _dataset_graphs(cfg: RunConfig):
     return parse_tu_dataset(cfg.dataset, _dataset_name(cfg))
 
 
-def _dataset_diagrams(graphs, kind: FiltrationKind):
-    return [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
-
-
 def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     name = _dataset_name(cfg)
     comments = _comments(cfg)
     kind = FiltrationKind(cfg.filtration)
     graphs = _dataset_graphs(cfg)
-    diagrams = _dataset_diagrams(graphs, kind)
+    diagrams = dataset_diagrams(EdgeTable.of(graphs), kind)
     cap = max_finite_value(diagrams)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -187,11 +184,12 @@ def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     print(f"{name}: {len(graphs)} graphs -> {dpath.name}, {ipath.name} (cap={cap:g})")
 
 
-def _graphs_digest(graphs) -> str:
-    """sha256 of what the distances depend on: node counts and edges."""
+def _graphs_digest(table: EdgeTable) -> str:
+    """sha256 of what the distances depend on, as little-endian int64: the
+    graph count, the node counts, the per-graph edge counts and the edges."""
     digest = hashlib.sha256()
-    for g in graphs:
-        digest.update(repr((g.num_nodes, g.edges)).encode())
+    for part in ([len(table.ids)], table.nodes, table.sizes, table.edges):
+        digest.update(np.asarray(part, dtype="<i8").tobytes())
     return digest.hexdigest()
 
 
@@ -215,10 +213,11 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
     """
     name = _dataset_name(cfg)
     kind = FiltrationKind(cfg.filtration)
+    table = EdgeTable.of(graphs)
     key = (
         f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|dims=(0, 1)|{VERSION}"
         f"|numpy={np.__version__}|scipy={scipy.__version__}"
-        f"|code={_code_digest()}|graphs={_graphs_digest(graphs)}"
+        f"|code={_code_digest()}|graphs={_graphs_digest(table)}"
     )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -230,7 +229,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
             return matrix, path
         except CprocError as exc:
             warnings.warn(f"similarity cache unusable ({exc}); recomputing", stacklevel=2)
-    diagrams = _dataset_diagrams(graphs, kind)
+    diagrams = dataset_diagrams(table, kind)
     matrix = build_similarity_matrix(
         diagrams,
         p=cfg.wasserstein_p,
@@ -422,25 +421,33 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentParser:
-    """One subparser per command, its flags read off the RunConfig fields;
+def build_parser(defaults: dict[str, str] | None = None,
+                 commands: tuple[str, ...] = COMMANDS) -> argparse.ArgumentParser:
+    """One subparser per command; those in `commands` get their flags, read
+    off the RunConfig fields, and the others only their name and help line.
     `defaults` (config-file values) replace the fields' defaults."""
     defaults = defaults or {}
+    for name, value in defaults.items():
+        if _FLAG_FIELDS[name].type == "bool" and value not in (False, True, "false", "true"):
+            raise ValueError(f"config key {name}: {value!r} is not true or false")
     parser = argparse.ArgumentParser(
         prog="cproc",
         description="Conformal prediction confidence bands for ROC curves.",
     )
     parser.add_argument("--version", action="version", version=VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
+    handlers = {
         "topo": (cmd_topo, "persistence diagrams and images for a dataset"),
         "simmat": (cmd_simmat, "pairwise Wasserstein similarity matrix"),
         "bands": (cmd_bands, "CP-ROC bands from classifier scores"),
         "simulate": (cmd_simulate, "synthetic coverage experiment"),
         "plot": (cmd_plot, "render band CSVs as SVG"),
     }
-    for command, (handler, help_text) in commands.items():
+    for command, (handler, help_text) in handlers.items():
         sp = sub.add_parser(command, help=help_text)
+        sp.set_defaults(func=handler)
+        if command not in commands:
+            continue
         if command == "plot":
             sp.add_argument("band_files", nargs="+", help="band CSV files to overlay")
         sp.add_argument("--config", help="key=value config file; flags override file values")
@@ -451,14 +458,11 @@ def build_parser(defaults: dict[str, str] | None = None) -> argparse.ArgumentPar
             flag = "--" + name.replace("_", "-")
             default = defaults.get(name, meta["defaults"].get(command, f.default))
             if f.type == "bool":
-                if default not in (False, True, "false", "true"):
-                    raise ValueError(f"config key {name}: {default!r} is not true or false")
                 sp.add_argument(flag, action="store_true", default=default in (True, "true"),
                                 help=meta["help"])
             else:
                 sp.add_argument(flag, dest=name, type=_TYPES.get(f.type), default=default,
                                 choices=meta["choices"], help=meta["help"])
-        sp.set_defaults(func=handler)
     return parser
 
 
@@ -469,7 +473,9 @@ def main(argv: list[str] | None = None) -> int:
     known, _ = pre.parse_known_args(argv)
     try:
         defaults = _read_config_file(known.config) if known.config else {}
-        parser = build_parser(defaults)
+        # argparse runs the subcommand named by the first positional token, so
+        # only the subcommands named anywhere in argv need their flags
+        parser = build_parser(defaults, tuple(arg for arg in argv if arg in COMMANDS))
         args = parser.parse_args(argv)
         args.func(_config_from_args(args), args)
         return 0

@@ -9,9 +9,10 @@ split at "," or all at whitespace; a per-line reader, about 6x slower on a
 BZR-sized edge file, reads any other and names the line of every fault, and
 turns its values into int64 arrays one chunk of lines at a time.
 One stable argsort numbers the nodes of each graph and one np.unique over
-int64 keys dedupes and orders the edges. `split_dataset` and `resplit` cut
-the calib/test pool by one rule, and `write_table` is the one writer of
-every CSV that cproc emits.
+int64 keys dedupes and orders the edges; with the masks that check every
+edge, that lets the parsed graphs skip `Graph.__post_init__`'s per-edge
+loop. `split_dataset` and `resplit` cut the calib/test pool by one rule,
+and `write_table` is the one writer of every CSV that cproc emits.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ class Graph:
             if key in seen:
                 raise ValueError(f"graph {self.id}: duplicate edge ({u},{v})")
             seen.add(key)
+
+    @classmethod
+    def _trusted(cls, id: int, num_nodes: int, edges: tuple[tuple[int, int], ...], label: int) -> Graph:
+        """A graph whose edges the caller has already checked, as
+        `parse_tu_dataset` does with masks, so `__post_init__` does not run."""
+        g = object.__new__(cls)
+        g.__dict__.update(id=id, num_nodes=num_nodes, edges=edges, label=label)
+        return g
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix."""
@@ -254,7 +263,7 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     pairs = list(zip(local[lo].tolist(), local[hi].tolist()))
     cuts = np.searchsorted(lo, np.append(first_rank, n_nodes)).tolist()
     return [
-        Graph(id=gid, num_nodes=k, edges=tuple(pairs[cuts[gid] : cuts[gid + 1]]), label=labels[gid])
+        Graph._trusted(id=gid, num_nodes=k, edges=tuple(pairs[cuts[gid] : cuts[gid + 1]]), label=labels[gid])
         for gid, k in enumerate(counts.tolist())
     ]
 

@@ -34,7 +34,7 @@ from cproc.rocbands import _frac_above, cp_roc_bands, read_band_csv, write_band_
 from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
 from cproc.svgplot import band_svg
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
-from cproc.topology import FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
+from cproc.topology import EdgeTable, FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
 
 from conftest import write_scores, write_simmat_v2, write_tiny_fixture
 
@@ -741,6 +741,7 @@ def test_cache_hits_run_no_filtration(tmp_path, capsys, monkeypatch):
         raise RuntimeError("a filtration ran on a cache hit")
 
     monkeypatch.setattr("cproc.cli.compute_filtration", refuse)
+    monkeypatch.setattr("cproc.cli.dataset_diagrams", refuse)
     capsys.readouterr()
     for argv in (bands, simmat):
         assert main(argv) == 0
@@ -759,7 +760,7 @@ def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, cap
     assert VERSION in matrix.key.split("|") and "cap=" not in matrix.key
     assert matrix.cap == max_finite_value(diagrams)
     # a cache written under the earlier key, which named the cap and no version
-    old_key = f"STARS|degree|p=1.0|cap={matrix.cap!r}|dims=(0, 1)|graphs={_graphs_digest(graphs)}"
+    old_key = f"STARS|degree|p=1.0|cap={matrix.cap!r}|dims=(0, 1)|graphs={_graphs_digest(EdgeTable.of(graphs))}"
     save_matrix(SimilarityMatrix(values=matrix.values, cap=matrix.cap, key=old_key), cache)
     capsys.readouterr()
     with pytest.warns(UserWarning, match="cache key mismatch"):
@@ -768,6 +769,64 @@ def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, cap
     rebuilt = load_matrix(cache)
     assert rebuilt.key == matrix.key and rebuilt.cap == matrix.cap
     assert np.array_equal(rebuilt.values, matrix.values)
+    assert main(simmat) == 0
+    assert "simmat cache hit" in capsys.readouterr().out
+
+
+def graphs_key(root, a_text: str, indicator_text: str, labels_text: str = "0\n1\n") -> str:
+    """The `graphs=` part of the key that `cproc simmat` writes for a TU set
+    with these files, all named SET; the set goes to `root`/SET."""
+    data = root / "SET"
+    data.mkdir(parents=True)
+    for suffix, text in (("A", a_text), ("graph_indicator", indicator_text), ("graph_labels", labels_text)):
+        (data / f"SET_{suffix}.txt").write_text(text)
+    assert main(["simmat", "--dataset", str(data), "--out", str(root / "out")]) == 0
+    return next(part for part in load_matrix(root / "out" / "SET_degree_p1.simmat").key.split("|")
+                if part.startswith("graphs="))
+
+
+def test_cache_key_changes_when_an_edge_or_a_graph_boundary_moves(tmp_path):
+    # every total stays the same: 2 graphs, 6 nodes, 3 edges
+    edges, indicator = "1, 2\n4, 5\n5, 6\n", "1\n1\n1\n2\n2\n2\n"
+    base = graphs_key(tmp_path / "base", edges, indicator)
+    # the edge 5-6 of graph 1 becomes the edge 2-3 of graph 0
+    moved_edge = graphs_key(tmp_path / "edge", "1, 2\n2, 3\n4, 5\n", indicator)
+    # node 3 moves to graph 1: only the node counts change, not the global edge ids
+    moved_boundary = graphs_key(tmp_path / "boundary", edges, "1\n1\n2\n2\n2\n2\n")
+    assert len({base, moved_edge, moved_boundary}) == 3
+
+
+def test_cache_key_is_the_same_for_comma_and_tab_separated_files(tmp_path):
+    text = "1, 2\n2, 1\n2, 3\n4, 5\n5, 6\n"
+    indicator = "1\n1\n1\n2\n2\n2\n"
+    tabs = text.replace(", ", "\t")
+    assert graphs_key(tmp_path / "comma", text, indicator) == graphs_key(tmp_path / "tab", tabs, indicator)
+
+
+def test_a_cache_with_the_repr_graphs_digest_is_rebuilt_once(tmp_path, capsys):
+    import hashlib
+
+    data, *_ = twin_star_dataset(tmp_path, n_pairs=8)
+    out = tmp_path / "out"
+    simmat = ["simmat", "--dataset", str(data), "--out", str(out)]
+    assert main(simmat) == 0
+    cache = out / "STARS_degree_p1.simmat"
+    matrix = load_matrix(cache)
+    parsed = parse_tu_dataset(data, "STARS")
+    # the digest that earlier versions wrote: the repr of (node count, edges), graph by graph
+    digest = hashlib.sha256()
+    for g in parsed:
+        digest.update(repr((g.num_nodes, g.edges)).encode())
+    graphs = f"graphs={_graphs_digest(EdgeTable.of(parsed))}"
+    assert graphs in matrix.key.split("|")
+    old_key = matrix.key.replace(graphs, f"graphs={digest.hexdigest()}")
+    save_matrix(SimilarityMatrix(values=matrix.values, cap=matrix.cap, key=old_key), cache)
+    capsys.readouterr()
+    with pytest.warns(UserWarning, match="similarity cache unusable.*cache key mismatch"):
+        assert main(simmat) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    rebuilt = load_matrix(cache)
+    assert rebuilt.key == matrix.key and np.array_equal(rebuilt.values, matrix.values)
     assert main(simmat) == 0
     assert "simmat cache hit" in capsys.readouterr().out
 
@@ -887,3 +946,21 @@ def test_parser_flags_and_default_config_pinned():
     cfg = json.loads(_config_from_args(build_parser(file_values).parse_args(["bands"])).to_json())
     assert [cfg[k] for k in file_values] == [3, 0.25, 2.0, "exch", 2000]
     assert isinstance(cfg["wasserstein_p"], float)
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_subcommand_help_lists_exactly_its_runconfig_flags(command, capsys):
+    """`main` gives only the invoked subcommand its flags; its help must
+    still list every RunConfig field of that subcommand and no other."""
+    import re
+    from dataclasses import fields
+
+    from cproc.cli import RunConfig
+
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    want = {"--" + f.name.replace("_", "-") for f in fields(RunConfig) if command in f.metadata.get("commands", ())}
+    assert listed == want | {"--help", "--config"}
+    assert sorted(want) == _FLAGS[command].split()

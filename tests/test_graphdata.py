@@ -426,13 +426,27 @@ def test_tu_parser_reports_the_fault_the_line_parser_reports(tmp_path_factory, d
 
 
 def test_graph_validates_edges():
-    with pytest.raises(ValueError, match="self-loop"):
+    with pytest.raises(ValueError, match=r"^graph 0: self-loop \(1,1\)$"):
         Graph(id=0, num_nodes=2, edges=((1, 1),), label=0)
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match=r"^graph 0: edge \(0,2\) out of range$"):
         Graph(id=0, num_nodes=2, edges=((0, 2),), label=0)
-    for edges in (((0, 1), (1, 0)), ((0, 1), (0, 1)), ((1, 2), (0, 1), (2, 1))):
-        with pytest.raises(ValueError, match="duplicate edge"):
+    for edges, dup in ((((0, 1), (1, 0)), "1,0"), (((0, 1), (0, 1)), "0,1"), (((1, 2), (0, 1), (2, 1)), "2,1")):
+        with pytest.raises(ValueError, match=rf"^graph 0: duplicate edge \({dup}\)$"):
             Graph(id=0, num_nodes=3, edges=edges, label=0)
+
+
+def test_parsed_graphs_skip_the_edge_checks_and_equal_checked_graphs(tmp_path, monkeypatch):
+    graphs = [Graph(id=0, num_nodes=4, edges=((0, 1), (0, 2), (1, 2), (2, 3)), label=0),
+              Graph(id=1, num_nodes=3, edges=((0, 1),), label=1)]
+    write_tu_dataset(graphs, tmp_path, "SMALL")
+
+    def refuse(self):
+        raise AssertionError("a parsed graph re-checked its edges")
+
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
+    parsed = parse_tu_dataset(tmp_path, "SMALL")
+    monkeypatch.undo()
+    assert parsed == graphs and hash(tuple(parsed)) == hash(tuple(graphs))
 
 
 def test_adjacency_symmetric(triangle):

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import networkx as nx
@@ -10,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from cproc import topology
 from cproc.graphdata import Graph
 from cproc.topology import (
+    EdgeTable,
     FiltrationKind,
     PersistenceDiagram,
     compute_filtration,
+    dataset_diagrams,
     diagrams_to_csv,
     images_to_csv,
     max_finite_value,
@@ -255,6 +259,69 @@ def test_persistence_equals_reference_on_a_bzr_shaped_set():
         for g in graphs:
             values = compute_filtration(g, kind)
             assert_bit_equal(sublevel_persistence(g, values), reference.sublevel_persistence(g, values))
+
+
+@st.composite
+def datasets_with_values(draw, min_nodes: int = 0):
+    """1-6 graphs, some without edges and, with `min_nodes` 0, some without
+    nodes; edges keep the orientation they are drawn in. The values are
+    tie-heavy: small integers, zeros of both signs, or a few floats."""
+    graphs = []
+    for gid in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(min_nodes, 8))
+        ends = st.integers(0, max(n - 1, 0))
+        pairs = draw(st.lists(st.tuples(ends, ends), max_size=2 * n))
+        edges = {(min(u, v), max(u, v)): (u, v) for u, v in pairs if u != v}
+        graphs.append(Graph(id=draw(st.integers(0, 9)), num_nodes=n, edges=tuple(edges.values()), label=0))
+    total = sum(g.num_nodes for g in graphs)
+    pool = st.integers(-2, 3).map(float) | st.sampled_from((0.0, -0.0, 0.25, 0.1 + 0.2)) | st.floats(-5, 5)
+    return graphs, np.array(draw(st.lists(pool, min_size=total, max_size=total)), dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=datasets_with_values())
+def test_dataset_persistence_equals_the_reference_graph_by_graph(case):
+    graphs, values = case
+    diagrams = topology._diagrams(EdgeTable.of(graphs), values)
+    cuts = np.cumsum([0] + [g.num_nodes for g in graphs]).tolist()
+    assert len(diagrams) == len(graphs)
+    for g, d, lo, hi in zip(graphs, diagrams, cuts, cuts[1:]):
+        assert_bit_equal(d, reference.sublevel_persistence(g, values[lo:hi]))
+        assert_bit_equal(sublevel_persistence(g, values[lo:hi]), d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=datasets_with_values(min_nodes=1))
+def test_dataset_diagrams_equal_the_one_graph_calls(case):
+    graphs, _ = case
+    table = EdgeTable.of(graphs)
+    degree = np.concatenate([g.adjacency().sum(axis=1) for g in graphs])
+    assert topology._filtration(table, FiltrationKind.DEGREE).tobytes() == degree.tobytes()
+    for kind in FiltrationKind:
+        for g, d in zip(graphs, dataset_diagrams(table, kind), strict=True):
+            values = compute_filtration(g, kind)
+            assert_bit_equal(d, reference.sublevel_persistence(g, values))
+            if kind is FiltrationKind.DEGREE:
+                assert values.tobytes() == g.adjacency().sum(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda v: np.append(v, 1.0), lambda v: v[:-1], lambda v: np.where(v == v.max(), np.nan, v),
+    lambda v: np.where(v == v.min(), -np.inf, v),
+])
+def test_persistence_refuses_values_that_are_not_one_finite_value_per_vertex(edit, triangle, path3):
+    graphs = [triangle, replace(path3, id=1)]
+    values = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match="^need one finite filtration value per vertex$"):
+        topology._diagrams(EdgeTable.of(graphs), edit(values))
+    with pytest.raises(ValueError, match="^need one finite filtration value per vertex$"):
+        sublevel_persistence(triangle, edit(values[:3]))
+
+
+def test_dataset_filtration_refuses_a_graph_without_nodes(triangle):
+    table = EdgeTable.of([triangle, Graph(id=1, num_nodes=0, edges=(), label=0)])
+    with pytest.raises(ValueError, match="cannot compute a filtration on an empty graph"):
+        dataset_diagrams(table, FiltrationKind.DEGREE)
 
 
 def test_persistence_shift_invariance():
