@@ -406,18 +406,20 @@ _PATH_KEYS = ("dataset", "name", "scores", "out", "simmat", "split")
 
 def _read_config_file(path: str) -> dict[str, str]:
     values = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _FLAG_FIELDS:
-            raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
-        value = value.strip()
-        values[key] = os.fsdecode(value.encode()) if key in _PATH_KEYS else value
+    # a text file's lines end at "\n", "\r\n" or "\r" alone, as in every other reader
+    with open(path, encoding="utf-8-sig") as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{ln}: expected key=value, got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in _FLAG_FIELDS:
+                raise ValueError(f"{path}:{ln}: unknown config key {key!r}")
+            value = value.strip()
+            values[key] = os.fsdecode(value.encode()) if key in _PATH_KEYS else value
     return values
 
 

@@ -59,14 +59,6 @@ class Graph:
         g.__dict__.update(id=id, num_nodes=num_nodes, edges=edges, label=label)
         return g
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix."""
-        a = np.zeros((self.num_nodes, self.num_nodes))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
-        return a
-
 
 def format_floats(values, fmt, memo: dict[int, str] | None = None) -> list[str]:
     """`fmt` of each value of `values` as a Python float, in order, called
@@ -133,7 +125,7 @@ def _line_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarra
     `_CHUNK_LINES` lines at a time."""
     rows, lines = [], []  # one array per chunk
     chunk, chunk_lines, fault = [], [], None
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -167,7 +159,7 @@ def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarray
         warnings.simplefilter("error")
         for sep in (",", None):
             try:
-                rows = np.loadtxt(path, np.int64, comments=None, delimiter=sep, ndmin=2, encoding="utf-8")
+                rows = np.loadtxt(path, np.int64, comments=None, delimiter=sep, ndmin=2, encoding="utf-8-sig")
             except (ValueError, Warning):
                 continue
             if rows.shape[1] == width:

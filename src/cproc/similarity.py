@@ -25,11 +25,17 @@ duality 2 W1(a, b) is the largest (c_a - c_b) . g over the vertices g of
 diagram's copies of each point. Its constraint matrix is a graph incidence
 matrix, so every vertex is an integer point: the integer points are walked
 coordinate by coordinate, and a point is a vertex when its tight constraints
-connect every point to the root (rank T). The matrix is then one integer
-product and a row max per diagram, equal to the assignment bit for bit (both
-sum exact half-integers). A dimension with a non-integer point, p != 1, or
-more than `_MAX_LATTICE_POINTS` integer points takes the assignment path;
-only such dimensions reach `_pair_distance`, whose result adds to the dual costs.
+connect every point to the root (rank T). The polytope is symmetric under
+g -> -g, so its vertex set V is too, and the largest (c_a - c_b) . g is the
+Chebyshev distance of rows a and b of the dual embedding E = c V^T: one
+product and one `cdist`. The lattice holds every 0/1 point, so T <= 16, and
+the all-zero prefix's width at each type is at most `_MAX_LATTICE_POINTS`, so
+a coordinate lies within 5e4 of 0 or of an earlier one: an entry of E is an
+integer of at most (points per diagram) * 16 * 5e4. Held to 2^52, float64 is
+exact throughout, bit-equal to the assignment (both sum exact half-integers).
+A dimension past that, with a non-integer point, p != 1, or more than
+`_MAX_LATTICE_POINTS` integer points takes the assignment path; only such
+dimensions reach `_pair_distance`.
 
 A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
 pipeline and `knn_indices` read distances. Its constructor alone knows where
@@ -161,11 +167,11 @@ def _matching_cost(a: _Points, b: _Points, p: float) -> float:
     return max(0.0, b.diag_sum + float(cost[rows, cols].sum()))
 
 
-def _dual_doubled_costs(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
-    """Twice the p = 1 matching cost between every two of n diagrams in one
-    dimension's table (see _point_tables), by duality over its distinct points
-    (see the module docstring); None unless every point is integer and the
-    dual polytope holds at most _MAX_LATTICE_POINTS integer points."""
+def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
+    """The dual embedding of n diagrams in one dimension's table: twice the
+    p = 1 matching cost of two is the Chebyshev distance of their rows. None
+    unless every point is integer, the lattice holds at most _MAX_LATTICE_POINTS
+    points, and a diagram's points times the largest |coordinate| <= 2^52."""
     if not np.array_equal(pts, np.round(pts)):
         return None
     types, kind = np.unique(pts, axis=0, return_inverse=True)
@@ -194,11 +200,10 @@ def _dual_doubled_costs(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarra
     for _ in range(T - 1):
         for y in range(T):
             linked |= tight[y] & linked[:, [y]]
-    flow = counts @ lattice[linked.all(1)].astype(np.int64).T
-    doubled = np.zeros((n, n), dtype=np.int64)
-    for i in range(n - 1):
-        doubled[i, i + 1 :] = (flow[i] - flow[i + 1 :]).max(1)
-    return doubled + doubled.T
+    vertices = lattice[linked.all(1)]
+    if counts.sum(1).max() * np.abs(vertices).max(initial=0.0) > 2.0**52:
+        return None
+    return counts @ vertices.T
 
 
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
@@ -275,9 +280,9 @@ def build_similarity_matrix(
     left = [0, 1]  # dimensions left to match pair by pair
     if p == 1.0 and n > 1:
         for dim in (0, 1):
-            doubled = _dual_doubled_costs(*tables[dim], n)
-            if doubled is not None:
-                values += doubled / 2.0
+            embedding = _dual_embedding(*tables[dim], n)
+            if embedding is not None:
+                values += cdist(embedding, embedding, "chebyshev") / 2.0
                 left.remove(dim)
     prepared = list(zip(*(_per_diagram(*tables[dim], n, p) for dim in left)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if left else []

@@ -5,7 +5,8 @@ were, so a property test can require equal results on random input.
 `quantile` is the one-multiset order statistic that the batched engine's
 endpoints are checked against. `write_rows` (a `csv.writer` over rows) and
 `svg_path` (one point at a time) are the writers that `write_table` and
-`svgplot._path` must match byte for byte."""
+`svgplot._path` must match byte for byte. `adjacency` is the dense matrix
+whose row sums are the degree filtration's oracle."""
 
 from __future__ import annotations
 
@@ -31,6 +32,14 @@ def quantile(values, gamma: float) -> float:
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
     return float(arr[_rank(gamma, arr.size) - 1])
+
+
+def adjacency(g: Graph) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix; its row sums are the degree oracle."""
+    a = np.zeros((g.num_nodes, g.num_nodes))
+    for u, v in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    return a
 
 
 def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import cproc
 import reference
 from cproc import svgplot
-from cproc.cli import VERSION, _code_digest, _graphs_digest, main
+from cproc.cli import VERSION, _code_digest, _graphs_digest, _read_config_file, main
 from cproc.errors import StratumError
 from cproc.graphdata import (
     Graph,
@@ -538,6 +538,17 @@ def test_config_file_may_start_with_a_bom(tmp_path):
     cfgfile.write_bytes(b"\xef\xbb\xbf" + text.encode())
     assert main(["bands", "--config", str(cfgfile)]) == 0
     assert json.loads((tmp_path / "o" / "summary.json").read_text())["config"]["knn"] == 3
+
+
+def test_config_file_lines_end_only_at_newlines(tmp_path):
+    # "\r\n" and "\r" end a line; U+2028, U+0085, a form feed and "\x1c" stay in their value
+    cfgfile = tmp_path / "c.cfg"
+    cfgfile.write_bytes("knn=7\r\nout=a\u2028b\rdataset=d\x0ce\u0085f\x1cg\nscores=s\n".encode())
+    assert _read_config_file(str(cfgfile)) == {"knn": "7", "out": "a\u2028b", "dataset": "d\x0ce\u0085f\x1cg",
+                                               "scores": "s"}
+    cfgfile.write_bytes("knn=7\nout=a\u2028b\nsplit\n".encode())
+    with pytest.raises(ValueError, match=r"c\.cfg:3: expected key=value, got 'split'"):
+        _read_config_file(str(cfgfile))
 
 
 def test_config_file_is_read_as_utf8_under_an_ascii_locale(tmp_path):

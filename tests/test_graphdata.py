@@ -88,6 +88,9 @@ def test_parse_errors_name_the_file_line(tmp_path):
         ("1, 2, 3\n1, x\n", r":1: expected two node ids, got \[1, 2, 3\]"),
         ("1, x, 3\n", r":1: invalid literal for int\(\) with base 10: 'x'"),
         ("1, 2\n\n\n1, 99\n", r":4: edge \(1,99\) references unknown node"),
+        # a byte-order mark moves no line number, in either reader
+        ("\ufeff1, 2\n1, x\n", r":2: invalid literal for int\(\) with base 10: 'x'"),
+        ("\ufeff1, 2\n1, 4\n", r":2: edge \(1,4\) crosses graphs"),
     ],
 )
 def test_parse_reports_the_first_faulty_line(tmp_path, text, message):
@@ -96,7 +99,7 @@ def test_parse_reports_the_first_faulty_line(tmp_path, text, message):
     # numpy's reader skips empty lines, so the line number of an edge fault
     # in a file it read comes from the line reader
     root = write_tiny_fixture(tmp_path / "TINY")
-    (root / "TINY_A.txt").write_text(text)
+    (root / "TINY_A.txt").write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match="TINY_A\\.txt" + message):
         parse_tu_dataset(root, "TINY")
 
@@ -132,6 +135,20 @@ def test_both_readers_parse_as_the_reference(tmp_path, edit, line_reader):
         graphs = parse_tu_dataset(root, "TINY")
     assert spy.called == line_reader
     assert graphs == reference.parse_tu_dataset(root, "TINY")
+
+
+@pytest.mark.parametrize("line_reader", [False, True], ids=["numpy", "whitespace-only-line"])
+def test_tu_files_may_start_with_a_utf8_bom(tmp_path, line_reader):
+    root = write_tiny_fixture(tmp_path / "TINY")
+    if line_reader:
+        (root / "TINY_A.txt").write_text(" \t\n" + (root / "TINY_A.txt").read_text())
+    want = parse_tu_dataset(root, "TINY")
+    for path in root.iterdir():
+        path.write_bytes("\ufeff".encode() + path.read_bytes())
+    with mock.patch.object(graphdata, "_line_rows", wraps=graphdata._line_rows) as spy:
+        graphs = parse_tu_dataset(root, "TINY")
+    assert spy.called == line_reader
+    assert graphs == want
 
 
 def test_line_reader_holds_python_ints_for_one_chunk_at_a_time(tmp_path):
@@ -450,7 +467,7 @@ def test_parsed_graphs_skip_the_edge_checks_and_equal_checked_graphs(tmp_path, m
 
 
 def test_adjacency_symmetric(triangle):
-    a = triangle.adjacency()
+    a = reference.adjacency(triangle)
     assert np.array_equal(a, a.T)
     assert np.array_equal(np.diag(a), np.zeros(3))
 

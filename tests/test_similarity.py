@@ -418,6 +418,35 @@ def test_property_dual_build_bit_equal_to_pairwise_distances(data):
         assert mat.values[i, j] == wasserstein_distance(capped[i], capped[j], 1.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_property_dual_embedding_is_symmetric_under_negation(data):
+    """The vertex set of the dual polytope is closed under g -> -g, so for any
+    two rows of the embedding the largest difference either way is the same:
+    the Chebyshev distance of the rows is the largest (c_a - c_b) . g."""
+    lattices = [data.draw(st.lists(_lattice_point, min_size=1, max_size=8, unique=True)) for _ in (0, 1)]
+    n = data.draw(st.integers(2, 12))
+    diagrams = [
+        _diagram(gid, *(data.draw(st.lists(st.sampled_from(types), max_size=6)) for types in lattices))
+        for gid in range(n)
+    ]
+    for table in similarity._point_tables(diagrams, 1.0, max_finite_value(diagrams)):
+        embedding = similarity._dual_embedding(*table, n)
+        if embedding is None:  # a polytope past the lattice limit has none
+            continue
+        for i, j in itertools.combinations(range(n), 2):
+            assert (embedding[i] - embedding[j]).max() == (embedding[j] - embedding[i]).max()
+
+
+def test_many_copies_of_one_point_are_exact_without_assignments(monkeypatch):
+    # 150,001 copies of (1, 4), each 1.5 from the diagonal, against an empty diagram
+    copies = 150_001
+    diagrams = [_diagram(0, np.tile([1.0, 4.0], (copies, 1)), []), _diagram(1, [], [])]
+    mat, calls = assignment_calls(monkeypatch, lambda: build_similarity_matrix(diagrams, p=1.0))
+    assert calls == 0
+    assert mat.values[0, 1] == mat.values[1, 0] == copies * 1.5
+
+
 def test_integer_diagrams_solve_no_assignment(monkeypatch):
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE, 60)
     want = [[wasserstein_distance(a, b, 1.0) for b in diagrams] for a in diagrams]
