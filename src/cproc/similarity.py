@@ -34,8 +34,19 @@ a coordinate lies within 5e4 of 0 or of an earlier one: an entry of E is an
 integer of at most (points per diagram) * 16 * 5e4. Held to 2^52, float64 is
 exact throughout, bit-equal to the assignment (both sum exact half-integers).
 A dimension past that, with a non-integer point, p != 1, or more than
-`_MAX_LATTICE_POINTS` integer points takes the assignment path; only such
-dimensions reach `_pair_distance`.
+`_MAX_LATTICE_POINTS` integer points is left to the pair path.
+
+On the pair path, a pair whose points all share one death (every capped dim 1; an empty
+set pairs with any) takes no assignment: matching two such points costs
+|b - b'|^p, convex in b - b', so some optimal matching never crosses, and
+`_shared_death_costs` finds one for all such pairs at once with a DP over
+sorted births. It sums the traced matching as `_matching_cost` sums its
+assignment (the first set's offset-form entries in their given order, left to
+right: numpy's order below eight terms), so most pairs keep the assignment's
+bits. The rest are tied optima, crossing matchings of equal cost that the
+assignment may pick and round differently (by about 1e-14).
+`wasserstein_distance` runs the same code for its one pair, so a build stays
+bit-equal to pairwise calls, serial or pooled.
 
 A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
 pipeline and `knn_indices` read distances. Its constructor alone knows where
@@ -90,6 +101,9 @@ _MAX_LATTICE_POINTS = 100_000
 # distances `knn_indices` reads and ranks at a time (1 MB of float64): a block
 # of rows stays in cache and no |queries| x |pool| array is ever allocated
 _KNN_BLOCK_CELLS = 1 << 17
+# DP cells `_shared_death_costs` fills at a time (2048 pairs of 3-point sets),
+# so its temporaries stay small whatever the number of pairs
+_DP_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -167,6 +181,85 @@ def _matching_cost(a: _Points, b: _Points, p: float) -> float:
     return max(0.0, b.diag_sum + float(cost[rows, cols].sum()))
 
 
+def _shared_death_costs(points: list[_Points], first: np.ndarray, second: np.ndarray, p: float) -> np.ndarray:
+    """`_matching_cost` of each pair (first[k], second[k]) of one dimension's
+    point sets whose points all share one death (or that holds an empty set),
+    NaN for every other pair. Pairs are oriented by key, as `_matching_cost`
+    does; the DP runs over sorted births in blocks of about `_DP_BLOCK_CELLS`
+    cells, pairs grouped by the larger set's size."""
+    size = np.array([len(q.births) for q in points], dtype=np.int64)
+    death = np.array([q.deaths[0] if size[d] and (q.deaths == q.deaths[0]).all() else np.nan
+                      for d, q in enumerate(points)])  # the death a set's points share, NaN if none
+    by_key = {key: r for r, key in enumerate(sorted({q.key for q in points}))}
+    rank = np.array([by_key[q.key] for q in points], dtype=np.int64)
+    swap = rank[first] > rank[second]
+    a, b = np.where(swap, second, first), np.where(swap, first, second)
+    out = np.where(rank[a] == rank[b], 0.0, np.nan)
+    # after orientation a's set is the smaller (an empty one is a's)
+    todo = (rank[a] != rank[b]) & ((size[a] == 0) | (death[a] == death[b]))
+    if not todo.any():
+        return out
+    width = int(size.max())
+    births, diag = np.zeros((len(points), width)), np.zeros((len(points), width))
+    slot = np.zeros((len(points), 1), dtype=np.int64) + np.arange(width)  # each given point's place in birth order
+    for d, q in enumerate(points):
+        order = np.argsort(q.births, kind="stable")
+        births[d, : size[d]], diag[d, : size[d]] = q.births[order], q.diag[order]
+        slot[d, order] = np.arange(size[d])
+    diag_sum = np.array([q.diag_sum for q in points])
+    for m in sorted(set(size[b[todo]].tolist())):
+        group = np.flatnonzero(todo & (size[b] == m))
+        step = max(1, _DP_BLOCK_CELLS // (m + 1) ** 2)
+        for start in range(0, group.size, step):
+            k = group[start : start + step]
+            ka, kb = a[k], b[k]
+            total = _sorted_matching(births[ka, :m], diag[ka, :m], slot[ka, :m], size[ka],
+                                     births[kb, :m], diag[kb, :m], p)
+            out[k] = np.maximum(0.0, diag_sum[kb] + total)
+    return out
+
+
+def _sorted_matching(x, dx, slot_x, nx, y, dy, p: float) -> np.ndarray:
+    """Offset-form optimal matching costs, row by row, of sorted births x
+    (the first nx[r] real, diagonal costs dx) against sorted births y (all
+    real, diagonal costs dy) whose points share one death. cost[i, j] is the
+    best over the first i x and j y points; its last move sends x_i or y_j
+    to its diagonal (y_j at 0 in the offset form) or matches the two. The
+    traced matching is summed over the x points in their given order
+    (`slot_x`), left to right."""
+    rows, m = y.shape
+    gap = np.abs(x[:, :, None] - y[:, None, :])
+    if p != 1.0:
+        gap **= p
+    gap -= dy[:, None, :]  # x_i to y_j instead of y_j to its diagonal
+    # the points a move uses up: bit 0 y_j, bit 1 x_i (1: y_j off, 2: x_i off, 3: matched)
+    move = np.zeros((rows, m + 1, m + 1), dtype=np.int8)
+    move[:, 0, 1:], move[:, 1:, 0] = 1, 2
+    cost = np.zeros((rows, m + 1))  # no x point yet: every y point on its diagonal
+    for i in range(1, m + 1):
+        best = cost + dx[:, i - 1 : i]  # x_i to its diagonal
+        pair = cost[:, :-1] + gap[:, i - 1]
+        take = pair < best[:, 1:]
+        np.minimum(best[:, 1:], pair, out=best[:, 1:])
+        cost = np.minimum.accumulate(best, axis=1)  # or y_j to its diagonal
+        move[:, i, 1:] = np.where(cost[:, :-1] < best[:, 1:], 1, 2 + take)
+    # trace back from (nx, m); partner[r, i] is the y point sorted x_i goes to
+    partner = np.full((rows, m), -1)
+    i, j, every = nx.copy(), np.full(rows, m), np.arange(rows)
+    for _ in range(int(nx.max()) + m):
+        step = move[every, i, j]
+        paired = step == 3
+        partner[every[paired], i[paired] - 1] = j[paired] - 1
+        i -= step >> 1
+        j -= step & 1
+    every = every[:, None]
+    entry = np.where(partner >= 0, gap[every, np.arange(m), np.maximum(partner, 0)], dx)[every, slot_x]
+    total = np.zeros(rows)
+    for column in entry.T:
+        total += column
+    return total
+
+
 def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
     """The dual embedding of n diagrams in one dimension's table: twice the
     p = 1 matching cost of two is the Chebyshev distance of their rows. None
@@ -210,7 +303,8 @@ def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: floa
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
     by_dim = [_per_diagram(*table, 2, p) for table in _point_tables([d1, d2], p)]
-    return _pair_distance(list(zip(*by_dim)), p, (0, 1))
+    known = [_shared_death_costs(points, np.array([0]), np.array([1]), p) for points in by_dim]
+    return _pair_distance(list(zip(*by_dim)), p, known, (0, (0, 1)))
 
 
 class SimilarityMatrix:
@@ -245,11 +339,15 @@ class SimilarityMatrix:
         return self.block(every, every)
 
 
-def _pair_distance(prepared: list[tuple[_Points, ...]], p: float, pair: tuple[int, int]) -> float:
-    """Wasserstein distance between two prepared diagrams over the dimensions they hold."""
+def _pair_distance(prepared: list[tuple[_Points, ...]], p: float, known: list[np.ndarray], task) -> float:
+    """Wasserstein distance between the prepared diagrams of pair k = (i, j),
+    task = (k, (i, j)), over the dimensions they hold; a dimension whose
+    known[dim][k] is NaN is matched by assignment."""
+    k, (i, j) = task
     cost = 0.0
-    for a, b in zip(prepared[pair[0]], prepared[pair[1]]):
-        cost += _matching_cost(a, b, p)
+    for a, b, costs in zip(prepared[i], prepared[j], known):
+        dim_cost = float(costs[k])
+        cost += _matching_cost(a, b, p) if math.isnan(dim_cost) else dim_cost
     return cost ** (1.0 / p)
 
 
@@ -266,10 +364,12 @@ def build_similarity_matrix(
     keeps its finite pairs and dim 1 deaths are capped at it, in copies. A
     fault of dim 0 in any diagram is reported before one of dim 1. For p = 1,
     a dimension whose points are all integer is solved by duality for all
-    pairs at once. Only the dimensions left are matched pair by pair:
-    `_pair_distance` is given their points alone, in this process or, for
-    `workers` > 1, on a pool of that many processes (at most the CPUs this
-    process may use) that each take one contiguous run of the pairs.
+    pairs at once. In the dimensions left, the pairs whose points share one
+    death are solved by one DP here; `_pair_distance` is given those costs
+    and the points of the dimensions left, and solves an assignment for each
+    other pair, in this process or, for `workers` > 1, on a pool of that many
+    processes (at most the CPUs this process may use) that each take one
+    contiguous run of the pairs.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -284,17 +384,19 @@ def build_similarity_matrix(
             if embedding is not None:
                 values += cdist(embedding, embedding, "chebyshev") / 2.0
                 left.remove(dim)
-    prepared = list(zip(*(_per_diagram(*tables[dim], n, p) for dim in left)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)] if left else []
+    by_dim = [_per_diagram(*tables[dim], n, p) for dim in left]
+    first, second = np.triu_indices(n if left else 0, 1)  # no pairs once every dimension is done
+    known = [_shared_death_costs(points, first, second, p) for points in by_dim]
     # the pool forks all its workers at the first submit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, cpus)
-    solve = partial(_pair_distance, prepared, p)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(pairs) > 1 else None
+    solve = partial(_pair_distance, list(zip(*by_dim)), p, known)
+    tasks = enumerate(zip(first.tolist(), second.tolist()))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(first) > 1 else None
     with pool or contextlib.nullcontext():
-        dists = pool.map(solve, pairs, chunksize=math.ceil(len(pairs) / workers)) if pool else map(solve, pairs)
-        for (i, j), dist in zip(pairs, dists):
-            values[i, j] = values[j, i] = values[i, j] + dist
+        dists = pool.map(solve, tasks, chunksize=math.ceil(len(first) / workers)) if pool else map(solve, tasks)
+        values[first, second] += np.fromiter(dists, float, len(first))
+    values[second, first] = values[first, second]
     return SimilarityMatrix(values=values, cap=cap, key=key)
 
 

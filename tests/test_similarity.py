@@ -365,6 +365,49 @@ def test_property_diagonal_points_change_nothing(a0, a1, b0, b1, p, data):
     assert wasserstein_distance(padded, b, p) == wasserstein_distance(a, b, p)
 
 
+# --- the shared-death DP -----------------------------------------------------
+
+# births on [0, 10] against the one death 10: repeated values give tied
+# births and tied costs, and a birth of 10 is a zero-persistence point
+_shared_birth = st.one_of(st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0]), _coord)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(_shared_birth, max_size=5), min_size=1, max_size=5), _order)
+def test_property_shared_death_dp_matches_assignment(births, p):
+    """Diagrams whose dim-1 points share one death, in any order, with empty
+    diagrams and copies (one with equal keys, one in reverse order): every DP
+    cost is the assignment's and the square reference's, both orientations
+    give the same bits, and so do blocks of one cell."""
+    births = [*births, births[0], births[0][::-1]]
+    diagrams = [_diagram(gid, [], [(b, 10.0) for b in bs]) for gid, bs in enumerate(births)]
+    _, dim1 = similarity._point_tables(diagrams, p)
+    points = similarity._per_diagram(*dim1, len(diagrams), p)
+    first, second = np.triu_indices(len(diagrams), 1)
+    dp = similarity._shared_death_costs(points, first, second, p)
+    for k, (i, j) in enumerate(zip(first, second)):
+        assert dp[k] == pytest.approx(similarity._matching_cost(points[i], points[j], p), abs=1e-9)
+        assert dp[k] == pytest.approx(square_matching_cost(diagrams[i].dim1, diagrams[j].dim1, p), abs=1e-9)
+        assert wasserstein_distance(diagrams[i], diagrams[j], p) == wasserstein_distance(diagrams[j], diagrams[i], p)
+    assert similarity._shared_death_costs(points, second, first, p).tobytes() == dp.tobytes()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(similarity, "_DP_BLOCK_CELLS", 1)
+        assert similarity._shared_death_costs(points, first, second, p).tobytes() == dp.tobytes()
+
+
+def test_only_sets_that_share_one_death_take_the_dp():
+    # an empty set pairs with any set; two sets pair when every point of both has one death
+    sets = [[], [(0.0, 4.0), (1.0, 4.0)], [(2.0, 4.0)], [(2.0, 5.0)], [(0.0, 4.0), (1.0, 5.0)]]
+    diagrams = [_diagram(gid, [], pts) for gid, pts in enumerate(sets)]
+    points = similarity._per_diagram(*list(similarity._point_tables(diagrams, 1.0))[1], len(sets), 1.0)
+    first, second = np.triu_indices(len(sets), 1)
+    dp = similarity._shared_death_costs(points, first, second, 1.0)
+    solved = {(int(i), int(j)) for i, j, cost in zip(first, second, dp) if not np.isnan(cost)}
+    assert solved == {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}
+    assert dp[0] == 3.5  # the empty set against (0, 4) and (1, 4): 2 + 1.5
+    assert dp[4] == 3.0  # (2, 4) matches (1, 4) at 1 and (0, 4) goes to its diagonal at 2
+
+
 # --- similarity matrix -------------------------------------------------------
 
 
@@ -458,6 +501,28 @@ def test_integer_diagrams_solve_no_assignment(monkeypatch):
     assert np.array_equal(build_similarity_matrix(diagrams, p=1.0, cap=cap).values, want)
 
 
+def test_capped_dim1_solves_no_assignment(monkeypatch):
+    # eigenvector-shaped: one assignment per pair, each the shape of the pair's dim-0 sets
+    diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
+    shapes = []
+
+    def counted(cost):
+        shapes.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    with monkeypatch.context() as m:
+        m.setattr(similarity, "linear_sum_assignment", counted)
+        build_similarity_matrix(diagrams, p=1.0, cap=cap)
+    dim0 = similarity._per_diagram(*next(similarity._point_tables(diagrams, 1.0, cap)), len(diagrams), 1.0)
+    assert min(len(q.births) for q in dim0) > 0 and len({q.key for q in dim0}) == len(dim0)
+    pairs = itertools.combinations([len(q.births) for q in dim0], 2)
+    assert shapes == [(min(sizes), sum(sizes)) for sizes in pairs]
+    # an integer dim 0 at p = 1 (the dual path) plus a non-integer capped dim 1 (the DP) solves none
+    degree, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
+    shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in degree]
+    assert_build_equals_pairwise(monkeypatch, shifted, 1.0, (), cap=cap + 0.5)
+
+
 def assignment_calls(monkeypatch, fn):
     """fn's result and the number of assignments it solved in this process."""
     calls = []
@@ -471,9 +536,11 @@ def assignment_calls(monkeypatch, fn):
         return fn(), len(calls)
 
 
-def assert_matched_pair_by_pair(monkeypatch, diagrams, p, matched_dims, **kw):
+def assert_build_equals_pairwise(monkeypatch, diagrams, p, matched_dims, **kw):
     """The build equals pairwise `wasserstein_distance` bit for bit and solves
-    the assignments that pairwise calls solve in the dimensions `matched_dims`."""
+    the assignments that pairwise calls solve on the dimensions `matched_dims`
+    alone. A dimension whose points share one death (every capped dim 1)
+    solves none either way."""
     mat, calls = assignment_calls(monkeypatch, lambda: build_similarity_matrix(diagrams, p=p, **kw))
     capped = [hand_capped(d, mat.cap) for d in diagrams]
     pairs = list(itertools.combinations(range(len(diagrams)), 2))
@@ -490,17 +557,17 @@ def assert_matched_pair_by_pair(monkeypatch, diagrams, p, matched_dims, **kw):
         assert mat.values[i, j] == mat.values[j, i] == wasserstein_distance(capped[i], capped[j], p)
 
 
-def test_non_integer_points_are_matched_pair_by_pair(monkeypatch):
+def test_non_integer_dim0_is_matched_pair_by_pair(monkeypatch):
     diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
+    assert_build_equals_pairwise(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_order_above_one_is_matched_pair_by_pair(monkeypatch, p):
     # worker processes solve the assignments, so with workers this process solves none
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, p, (0, 1), cap=cap)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, p, (), cap=cap, workers=2)
+    assert_build_equals_pairwise(monkeypatch, diagrams, p, (0, 1), cap=cap)
+    assert_build_equals_pairwise(monkeypatch, diagrams, p, (), cap=cap, workers=2)
 
 
 @pytest.mark.parametrize("workers", [0, -1])
@@ -513,22 +580,23 @@ def test_workers_below_one_are_rejected(workers):
 def test_lattice_over_the_limit_is_matched_pair_by_pair(monkeypatch):
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
     monkeypatch.setattr(similarity, "_MAX_LATTICE_POINTS", 0)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
+    assert_build_equals_pairwise(monkeypatch, diagrams, 1.0, (0, 1), cap=cap)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_the_non_integer_dimension_is_matched(monkeypatch, workers):
-    # dim-1 deaths moved off the integers; dim 0 keeps them. Worker processes
-    # solve the assignments, so with workers this process solves none.
+    # dim-1 deaths moved off the integers, where the capped dim 1 takes the
+    # shared-death DP in this process; dim 0 keeps them and takes the dual path
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
     assert any(len(d.dim1) for d in diagrams)
     shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in diagrams]
-    assert_matched_pair_by_pair(monkeypatch, shifted, 1.0, (1,) if workers == 1 else (), cap=cap + 0.5, workers=workers)
+    assert_build_equals_pairwise(monkeypatch, shifted, 1.0, (1,) if workers == 1 else (), cap=cap + 0.5,
+                                 workers=workers)
 
 
 def test_workers_leave_the_dual_path_alone(monkeypatch):
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
-    assert_matched_pair_by_pair(monkeypatch, diagrams, 1.0, (), cap=cap, workers=2)
+    assert_build_equals_pairwise(monkeypatch, diagrams, 1.0, (), cap=cap, workers=2)
 
 
 def test_pairs_pool_never_exceeds_the_usable_cpus(monkeypatch):
