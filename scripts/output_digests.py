@@ -19,12 +19,15 @@ also have, so it can be run against them. The one-vs-rest case binarizes a
 3-label synthetic set label by label, as the README's recipe does, and
 passes each binary set to `cp_roc_bands`.
 
-Five runs reach code that the others leave alone: `cproc bands` with the
+Six runs reach code that the others leave alone: `cproc bands` with the
 fixture's split manifest and `--repeats 1` (the manifest is used as is),
 `cproc simmat --wasserstein-p 2` on the fixture (every dimension is matched
 pair by pair at p != 1), `cproc topo` on a copy of the fixture whose
-adjacency file starts with a whitespace-only line (the TU line reader), and
-a small `cproc simulate` design with a `--shift` of its test part.
+adjacency file starts with a whitespace-only line (the TU line reader), a
+small `cproc simulate` design with a `--shift` of its test part, and
+`cproc simmat --filtration eigenvector` on the BZR-shaped set, whose dim-0
+sets of up to 29 points are the largest assignments any run solves (ties
+between optimal matchings are likeliest there).
 
 The warm case runs `cproc simmat` and then two `cproc bands` calls with a
 1000-resample bootstrap in the same directory; both must hit the similarity
@@ -186,10 +189,12 @@ def run_all() -> list[str]:
     cli("simulate", "--n-train", "300", "--n-calib", "200", "--n-test", "150", "--dim", "3",
         "--beta", "1.0,-0.8,0.6", "--shift", "0.5,0.5,0", "--knn", "20", "--seed", "61", "--repeats", "2",
         "--mode", "cond", "--out", "sim-shift")
+    cli("simmat", "--dataset", "BZRX/BZRX", "--filtration", "eigenvector", "--pairs-parallel", "1",
+        "--out", "tu-cold-eig")
 
     lines = []
     for out in ("stars-cond", "stars-exch", "stars-manifest", "stars-p2", "topo-blank", "sim-cond", "sim-exch",
-                "sim-thin", "sim-shift", "tu-cold", "multilabel"):
+                "sim-thin", "sim-shift", "tu-cold", "tu-cold-eig", "multilabel"):
         lines += digests(out)
 
     scores = gen.write_tu(gen.tu_set(gen.MUTAG_LIKE, 1), Path("MUTAGX") / "MUTAGX")

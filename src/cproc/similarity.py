@@ -7,15 +7,16 @@ diagonal projection ((b+d)/2, (b+d)/2); ground cost is the L-infinity norm
 raised to the p-th power, so matching (b, d) to the diagonal costs
 ((d-b)/2)^p. The solver is exact, so oracle tests can demand equality.
 
-Each homology dimension is prepared once, as one table of every diagram's
-points and their owners: capped, validated (finite, death >= birth) and
-stripped of its zero-persistence points. Dropping those is exact: such a
-point z lies on the diagonal and matches it at cost 0, and a point x matched
-to z pays at least x's own distance to the diagonal (triangle inequality), so
-sending both to the diagonal is never worse. A dimension matched pair by pair
-is cut into per-diagram point sets with their diagonal costs; each pair is a
-rectangular assignment of the smaller set's points to the other's points plus
-one own-diagonal slot per row, the other's diagonal costs as an offset.
+Both homology dimensions are prepared once, as one table of every diagram's
+points and their sets (dim * n + diagram): capped, validated (finite,
+death >= birth) and stripped of zero-persistence points. Dropping those is
+exact: such a point z lies on the diagonal and matches it at cost 0, and a
+point x matched to z pays at least x's own distance to the diagonal
+(triangle inequality), so sending both to the diagonal is never worse. The
+dimensions matched pair by pair are cut into point sets, padded into one
+table with their diagonal costs; each pair is a rectangular assignment of
+the smaller set's points to the other's points plus one own-diagonal slot per
+row, the other's diagonal costs as an offset.
 
 For p = 1, `build_similarity_matrix` solves a homology dimension whose points
 are all integer without assignments. With the diagonal as one root node, W1 is
@@ -36,17 +37,25 @@ exact throughout, bit-equal to the assignment (both sum exact half-integers).
 A dimension past that, with a non-integer point, p != 1, or more than
 `_MAX_LATTICE_POINTS` integer points is left to the pair path.
 
-On the pair path, a pair whose points all share one death (every capped dim 1; an empty
-set pairs with any) takes no assignment: matching two such points costs
-|b - b'|^p, convex in b - b', so some optimal matching never crosses, and
-`_shared_death_costs` finds one for all such pairs at once with a DP over
-sorted births. It sums the traced matching as `_matching_cost` sums its
-assignment (the first set's offset-form entries in their given order, left to
-right: numpy's order below eight terms), so most pairs keep the assignment's
-bits. The rest are tied optima, crossing matchings of equal cost that the
-assignment may pick and round differently (by about 1e-14).
-`wasserstein_distance` runs the same code for its one pair, so a build stays
-bit-equal to pairwise calls, serial or pooled.
+On the pair path, `_matching_costs` solves every pair of one dimension in
+one call. It orients each pair by the rank of its sets' (size,
+point bytes) keys, so W(a, b) and W(b, a) are the same computation, and
+groups the pairs by route and set sizes. Most pairs take an assignment: the
+offset-form matrices of a group are built as one (pairs, n1, n2 + n1) array,
+in blocks of about `_DP_BLOCK_CELLS` cells, with one `linear_sum_assignment`
+per pair and every pair's chosen entries summed at once, row by row. Each
+matrix and each row sum is the one a single pair gets, element for element,
+so batching changes no bit. A pair whose points all share one death (every
+capped dim 1) and whose larger set holds fewer than `_PAIRWISE_SUM_TERMS`
+points takes no assignment: matching two such points costs |b - b'|^p,
+convex in b - b', so some optimal matching never crosses, and a DP over
+sorted births finds one. It sums the traced matching as the assignment's
+entries are summed (in the first set's given order, left to right: numpy's
+order below eight terms), so most pairs keep the assignment's bits. The rest
+are tied optima, crossing matchings of equal cost that the assignment may
+pick and round differently (by about 1e-14). `wasserstein_distance` runs the
+same code for its one pair, so a build stays bit-equal to pairwise calls,
+serial or pooled.
 
 A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
 pipeline and `knn_indices` read distances. Its constructor alone knows where
@@ -72,17 +81,13 @@ non-members placed after every member.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
-import math
 import os
 import struct
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -101,132 +106,154 @@ _MAX_LATTICE_POINTS = 100_000
 # distances `knn_indices` reads and ranks at a time (1 MB of float64): a block
 # of rows stays in cache and no |queries| x |pool| array is ever allocated
 _KNN_BLOCK_CELLS = 1 << 17
-# DP cells `_shared_death_costs` fills at a time (2048 pairs of 3-point sets),
-# so its temporaries stay small whatever the number of pairs
+# DP or cost-matrix cells `_matching_costs` fills at a time (2048 pairs of
+# 3-point sets), so its temporaries stay small whatever the number of pairs
 _DP_BLOCK_CELLS = 1 << 15
+# numpy adds fewer than eight terms left to right and more pairwise (eight
+# accumulators), which the DP's left-to-right re-sum of its matching does not
+# follow; so a pair whose larger set holds this many points takes the
+# assignment even when its points share one death, and keeps its bits
+_PAIRWISE_SUM_TERMS = 8
 
 
-@dataclass(frozen=True)
-class _Points:
-    """One dimension of a prepared diagram: its positive-persistence points."""
+class _Sets(NamedTuple):
+    """Point sets prepared for matching. table[:, s] holds set s's
+    positive-persistence points in their given order as three rows (births,
+    deaths, and diagonal costs ((death - birth) / 2) ** p), padded with zeros."""
 
-    births: np.ndarray
-    deaths: np.ndarray
-    diag: np.ndarray  # ((death - birth) / 2) ** p, the cost of the diagonal
-    diag_sum: float
-    key: tuple[int, bytes]  # canonical orientation of a pair, see _matching_cost
+    size: np.ndarray  # points per set
+    table: np.ndarray  # (3, sets, most points in a set)
+    diag_sum: np.ndarray  # the sum of a set's own diagonal costs, as one array
+    rank: np.ndarray  # of (size, point bytes): the canonical orientation of a pair
 
 
-def _point_tables(diagrams: list[PersistenceDiagram], p: float, cap: float | None = None) -> Iterator[tuple]:
-    """Dims 0 and 1 in turn: every diagram's points as one C-contiguous (m, 2)
-    table and the sorted index of each point's diagram. Given a `cap`, dim 0
-    keeps its finite pairs and dim 1 deaths are capped at it; the points are
-    then validated and those of zero persistence dropped."""
+def _point_tables(diagrams: list[PersistenceDiagram], p: float, cap: float | None = None) -> tuple:
+    """Every diagram's points in dims 0 and 1 as one C-contiguous (m, 2)
+    table, and the sorted set of each point: dim * n + i for diagram i of n.
+    Given a `cap`, dim 0 keeps its finite pairs and dim 1 deaths are capped
+    at it; the points are then validated (a fault of dim 0 is named before
+    one of dim 1) and those of zero persistence dropped."""
     if not (1.0 <= p < np.inf):
         raise ValueError(f"Wasserstein order must be finite and >= 1, got {p}")
-    for dim in (0, 1):
-        parts = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for d in diagrams]
-        pts = np.concatenate([np.zeros((0, 2)), *parts])  # a copy: the caller's arrays stay as they are
-        owner = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
-        if cap is not None and dim == 0:
-            keep = np.isfinite(pts[:, 1])
-            pts, owner = pts[keep], owner[keep]
-        elif cap is not None:
-            np.minimum(pts[:, 1], cap, out=pts[:, 1])
-        finite = np.isfinite(pts).all(1)
-        bad = ~finite | (pts[:, 1] < pts[:, 0])
-        if bad.any():
-            first = owner[bad.argmax()]
-            what = ("contains a point whose death precedes its birth" if finite[owner == first].all()
-                    else "contains non-finite points; cap essential deaths first")
-            raise ValueError(f"diagram {diagrams[first].graph_id} dim{dim} {what}")
-        keep = pts[:, 1] > pts[:, 0]
-        yield pts[keep], owner[keep]
+    n = len(diagrams)
+    parts = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for dim in (0, 1) for d in diagrams]
+    pts = np.concatenate([np.zeros((0, 2)), *parts])  # a copy: the caller's arrays stay as they are
+    owner = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
+    if cap is not None:
+        dim1 = owner >= n
+        np.minimum(pts[:, 1], cap, out=pts[:, 1], where=dim1)
+        keep = dim1 | np.isfinite(pts[:, 1])
+        pts, owner = pts[keep], owner[keep]
+    finite = np.isfinite(pts).all(1)
+    bad = ~finite | (pts[:, 1] < pts[:, 0])
+    if bad.any():
+        first = owner[bad.argmax()]
+        what = ("contains a point whose death precedes its birth" if finite[owner == first].all()
+                else "contains non-finite points; cap essential deaths first")
+        raise ValueError(f"diagram {diagrams[first % n].graph_id} dim{first // n} {what}")
+    keep = pts[:, 1] > pts[:, 0]
+    return pts[keep], owner[keep]
 
 
-def _per_diagram(pts: np.ndarray, owner: np.ndarray, n: int, p: float) -> list[_Points]:
-    """One dimension's table cut into the point sets of its n diagrams."""
-    cuts = np.searchsorted(owner, np.arange(n + 1)).tolist()
+def _per_diagram(pts: np.ndarray, owner: np.ndarray, count: int, p: float) -> _Sets:
+    """A table of points cut into `count` sets by their sorted owners."""
+    cuts = np.searchsorted(owner, np.arange(count + 1))
     births, deaths = pts.T.copy()
     diag = (deaths - births) / 2.0 if p == 1.0 else ((deaths - births) / 2.0) ** p
-    return [_Points(births[i:j], deaths[i:j], diag[i:j], float(diag[i:j].sum()), (j - i, pts[i:j].tobytes()))
-            for i, j in zip(cuts, cuts[1:])]
+    size = cuts[1:] - cuts[:-1]
+    real = np.arange(size.max(initial=0)) < size[:, None]
+    table = np.zeros((3, *real.shape))
+    table[:, real] = births, deaths, diag
+    spans = list(zip(cuts.tolist(), cuts[1:].tolist()))
+    keys = [(j - i, pts[i:j].tobytes()) for i, j in spans]
+    by_key = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return _Sets(size, table, np.array([float(diag[i:j].sum()) for i, j in spans]),
+                 np.array([by_key[key] for key in keys], dtype=np.int64))
 
 
-def _matching_cost(a: _Points, b: _Points, p: float) -> float:
-    """Optimal matching cost (sum of p-th powers) between two prepared point sets."""
-    # canonical orientation makes the computation literally identical under
-    # argument swap, so W(a,b) == W(b,a) exactly
-    if a.key > b.key:
-        a, b = b, a
-    elif a.key == b.key:
-        return 0.0
-    n1, n2 = len(a.diag), len(b.diag)
-    if n1 == 0:
-        return b.diag_sum
-    # every b-point starts on the diagonal (sum of diag_b); matching it to
-    # a_i instead changes the total by c(a_i, b_j)^p - diag_b[j]
-    cost = np.full((n1, n2 + n1), np.inf)
-    pair = cost[:, :n2]
-    np.maximum(
-        np.abs(a.births[:, None] - b.births), np.abs(a.deaths[:, None] - b.deaths), out=pair
-    )
-    if p != 1.0:
-        pair **= p
-    pair -= b.diag
-    # a-point -> own diagonal slot (row i, column n2 + i); other slots stay forbidden
-    cost.reshape(-1)[n2 :: n1 + n2 + 1] = a.diag
-    rows, cols = linear_sum_assignment(cost)
-    # the offset form can round a zero optimum to a hair below it
-    return max(0.0, b.diag_sum + float(cost[rows, cols].sum()))
-
-
-def _shared_death_costs(points: list[_Points], first: np.ndarray, second: np.ndarray, p: float) -> np.ndarray:
-    """`_matching_cost` of each pair (first[k], second[k]) of one dimension's
-    point sets whose points all share one death (or that holds an empty set),
-    NaN for every other pair. Pairs are oriented by key, as `_matching_cost`
-    does; the DP runs over sorted births in blocks of about `_DP_BLOCK_CELLS`
-    cells, pairs grouped by the larger set's size."""
-    size = np.array([len(q.births) for q in points], dtype=np.int64)
-    death = np.array([q.deaths[0] if size[d] and (q.deaths == q.deaths[0]).all() else np.nan
-                      for d, q in enumerate(points)])  # the death a set's points share, NaN if none
-    by_key = {key: r for r, key in enumerate(sorted({q.key for q in points}))}
-    rank = np.array([by_key[q.key] for q in points], dtype=np.int64)
+def _matching_costs(sets: _Sets, first: np.ndarray, second: np.ndarray, p: float) -> np.ndarray:
+    """Optimal matching cost (sum of p-th powers) of each pair (first[k],
+    second[k]) of prepared point sets. Each pair is oriented by rank, so
+    W(a, b) and W(b, a) are literally the same computation: equal keys cost
+    exactly 0.0 and an empty first set the other's diagonal sum. A pair whose
+    points all share one death and whose larger set holds fewer than
+    `_PAIRWISE_SUM_TERMS` points takes the DP over sorted births; every other
+    one its own `linear_sum_assignment`. Both run on blocks of about
+    `_DP_BLOCK_CELLS` cells of pairs grouped by set sizes, and no pair's
+    cost depends on the pairs solved with it."""
+    size, table, diag_sum, rank = sets
+    births, deaths, _ = table
     swap = rank[first] > rank[second]
     a, b = np.where(swap, second, first), np.where(swap, first, second)
-    out = np.where(rank[a] == rank[b], 0.0, np.nan)
-    # after orientation a's set is the smaller (an empty one is a's)
-    todo = (rank[a] != rank[b]) & ((size[a] == 0) | (death[a] == death[b]))
+    n1, n2 = size[a], size[b]  # after orientation a's set is the smaller (an empty one is a's)
+    out = np.where(n1 == 0, diag_sum[b], 0.0)
+    todo = (rank[a] != rank[b]) & (n1 > 0)
     if not todo.any():
         return out
-    width = int(size.max())
-    births, diag = np.zeros((len(points), width)), np.zeros((len(points), width))
-    slot = np.zeros((len(points), 1), dtype=np.int64) + np.arange(width)  # each given point's place in birth order
-    for d, q in enumerate(points):
-        order = np.argsort(q.births, kind="stable")
-        births[d, : size[d]], diag[d, : size[d]] = q.births[order], q.diag[order]
-        slot[d, order] = np.arange(size[d])
-    diag_sum = np.array([q.diag_sum for q in points])
-    for m in sorted(set(size[b[todo]].tolist())):
-        group = np.flatnonzero(todo & (size[b] == m))
-        step = max(1, _DP_BLOCK_CELLS // (m + 1) ** 2)
-        for start in range(0, group.size, step):
-            k = group[start : start + step]
+    real = np.arange(births.shape[1]) < size[:, None]
+    # the death every point of a set shares, NaN if none
+    death = np.where((deaths == np.where(real, deaths[:, :1], deaths)).all(1), deaths[:, 0], np.nan)
+    dp = todo & (death[a] == death[b]) & (n2 < _PAIRWISE_SUM_TERMS)
+    if dp.any():
+        order = np.argsort(np.where(real, births, np.inf), axis=1, kind="stable")
+        slot = np.argsort(order, axis=1)  # each given point's place in birth order
+        up = table[::2][:, np.arange(len(size))[:, None], order]  # births and diagonal costs, sorted
+    # one group per route and pair of set sizes; the DP pads the smaller set
+    # to the larger, so its groups go by the larger set's size alone
+    width = births.shape[1] + 1
+    group = (dp * width + np.where(dp, 0, n1)) * width + n2
+    pick = np.flatnonzero(todo)
+    pick = pick[np.argsort(group[pick], kind="stable")]
+    group = group[pick]
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()]
+    kinds = zip(*(x[pick[cuts]].tolist() for x in (dp, n1, n2)))
+    for i, j, (shared, s1, s2) in zip(cuts, cuts[1:] + [pick.size], kinds):
+        step = max(1, _DP_BLOCK_CELLS // ((s2 + 1) ** 2 if shared else s1 * (s1 + s2)))
+        for start in range(i, j, step):
+            k = pick[start : min(start + step, j)]
             ka, kb = a[k], b[k]
-            total = _sorted_matching(births[ka, :m], diag[ka, :m], slot[ka, :m], size[ka],
-                                     births[kb, :m], diag[kb, :m], p)
+            if shared:
+                total = _sorted_matching(up[:, ka, :s2], slot[ka, :s2], n1[k], up[:, kb, :s2], p)
+            else:
+                total = _assigned_matching(table[:, ka, :s1], table[:, kb, :s2], p)
+            # the offset form can round a zero optimum to a hair below it
             out[k] = np.maximum(0.0, diag_sum[kb] + total)
     return out
 
 
-def _sorted_matching(x, dx, slot_x, nx, y, dy, p: float) -> np.ndarray:
+def _assigned_matching(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """Offset-form optimal matching costs, row by row, of points x (births,
+    deaths and diagonal costs x = (xb, xd, dx)) against at least as many
+    points y = (yb, yd, dy): one `linear_sum_assignment` per row. Every y
+    point starts on its diagonal (at 0 in the offset form); matching it to x_i
+    instead changes the total by c(x_i, y_j)^p - dy[j], and x_i may take its
+    own diagonal slot (column n2 + i) alone. A row's chosen entries are summed
+    as one contiguous array, in numpy's order."""
+    (xb, xd, dx), (yb, yd, dy) = x, y
+    rows, n1 = xb.shape
+    n2 = yb.shape[1]
+    cost = np.full((rows, n1, n2 + n1), np.inf)
+    pair = cost[:, :, :n2]
+    gap = np.subtract(xd[:, :, None], yd[:, None, :])
+    np.subtract(xb[:, :, None], yb[:, None, :], out=pair)
+    np.maximum(np.abs(pair, out=pair), np.abs(gap, out=gap), out=pair)
+    if p != 1.0:
+        pair **= p
+    pair -= dy[:, None, :]
+    cost.reshape(rows, -1)[:, n2 :: n1 + n2 + 1] = dx
+    cols = np.array([linear_sum_assignment(c)[1] for c in cost]).reshape(rows, n1)
+    return cost[np.arange(rows)[:, None], np.arange(n1), cols].sum(axis=1)
+
+
+def _sorted_matching(xs: np.ndarray, slot_x: np.ndarray, nx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
     """Offset-form optimal matching costs, row by row, of sorted births x
-    (the first nx[r] real, diagonal costs dx) against sorted births y (all
-    real, diagonal costs dy) whose points share one death. cost[i, j] is the
-    best over the first i x and j y points; its last move sends x_i or y_j
-    to its diagonal (y_j at 0 in the offset form) or matches the two. The
-    traced matching is summed over the x points in their given order
-    (`slot_x`), left to right."""
+    (the first nx[r] real) with diagonal costs dx, xs = (x, dx), against
+    sorted births y (all real), ys = (y, dy), whose points share one death.
+    cost[i, j] is the best over the first i x and j y points; its last move
+    sends x_i or y_j to its diagonal (y_j at 0 in the offset form) or matches
+    the two. The traced matching is summed over the x points in their given
+    order (`slot_x`), left to right."""
+    (x, dx), (y, dy) = xs, ys
     rows, m = y.shape
     gap = np.abs(x[:, :, None] - y[:, None, :])
     if p != 1.0:
@@ -243,17 +270,21 @@ def _sorted_matching(x, dx, slot_x, nx, y, dy, p: float) -> np.ndarray:
         np.minimum(best[:, 1:], pair, out=best[:, 1:])
         cost = np.minimum.accumulate(best, axis=1)  # or y_j to its diagonal
         move[:, i, 1:] = np.where(cost[:, :-1] < best[:, 1:], 1, 2 + take)
-    # trace back from (nx, m); partner[r, i] is the y point sorted x_i goes to
-    partner = np.full((rows, m), -1)
-    i, j, every = nx.copy(), np.full(rows, m), np.arange(rows)
-    for _ in range(int(nx.max()) + m):
-        step = move[every, i, j]
-        paired = step == 3
-        partner[every[paired], i[paired] - 1] = j[paired] - 1
-        i -= step >> 1
-        j -= step & 1
+    # trace back from (nx, m) over the flat cells i * (m + 1) + j
+    cells, every = move.reshape(rows, -1), np.arange(rows)
+    back = np.array([0, 1, m + 1, m + 2])  # the cells a move steps back
+    at = nx * (m + 1) + m
+    trail = np.empty((rows, int(nx.max()) + m), dtype=np.int64)
+    for s in range(trail.shape[1]):
+        trail[:, s] = at
+        at -= back[cells[every, at]]
+    # partner[r, i] is x_i's column of gap: its y point, or m for its own diagonal (dx)
     every = every[:, None]
-    entry = np.where(partner >= 0, gap[every, np.arange(m), np.maximum(partner, 0)], dx)[every, slot_x]
+    i, j = np.divmod(trail, m + 1)
+    partner = np.full((rows, m + 1), m)  # the spare last column takes the moves that match nothing
+    partner[every, np.where(cells[every, trail] == 3, i - 1, m)] = j - 1
+    partner = partner[:, :m]
+    entry = np.where(partner < m, gap[every, np.arange(m), np.minimum(partner, m - 1)], dx)[every, slot_x]
     total = np.zeros(rows)
     for column in entry.T:
         total += column
@@ -302,9 +333,11 @@ def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | 
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
-    by_dim = [_per_diagram(*table, 2, p) for table in _point_tables([d1, d2], p)]
-    known = [_shared_death_costs(points, np.array([0]), np.array([1]), p) for points in by_dim]
-    return _pair_distance(list(zip(*by_dim)), p, known, (0, (0, 1)))
+    sets = _per_diagram(*_point_tables([d1, d2], p), 4, p)
+    # sets 0 and 1 are dim 0, sets 2 and 3 dim 1: one call solves both (with
+    # the sum and root of `build_similarity_matrix`, so the bits are its entry's)
+    dim0, dim1 = _matching_costs(sets, np.array([0, 2]), np.array([1, 3]), p).tolist()
+    return ((0.0 + dim0) + dim1) ** (1.0 / p)
 
 
 class SimilarityMatrix:
@@ -339,16 +372,13 @@ class SimilarityMatrix:
         return self.block(every, every)
 
 
-def _pair_distance(prepared: list[tuple[_Points, ...]], p: float, known: list[np.ndarray], task) -> float:
-    """Wasserstein distance between the prepared diagrams of pair k = (i, j),
-    task = (k, (i, j)), over the dimensions they hold; a dimension whose
-    known[dim][k] is NaN is matched by assignment."""
-    k, (i, j) = task
-    cost = 0.0
-    for a, b, costs in zip(prepared[i], prepared[j], known):
-        dim_cost = float(costs[k])
-        cost += _matching_cost(a, b, p) if math.isnan(dim_cost) else dim_cost
-    return cost ** (1.0 / p)
+def _pair_costs(sets: _Sets, n: int, p: float, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The p-th power of the Wasserstein distance of each pair (i, j) of n
+    diagrams: the matching costs of sets i and j (dim 0) and of sets n + i
+    and n + j (dim 1), solved one dimension at a time (so one dimension's
+    pair arrays are alive at once) and added as (0.0 + c0) + c1."""
+    first, second = pairs
+    return (0.0 + _matching_costs(sets, first, second, p)) + _matching_costs(sets, first + n, second + n, p)
 
 
 def build_similarity_matrix(
@@ -364,38 +394,48 @@ def build_similarity_matrix(
     keeps its finite pairs and dim 1 deaths are capped at it, in copies. A
     fault of dim 0 in any diagram is reported before one of dim 1. For p = 1,
     a dimension whose points are all integer is solved by duality for all
-    pairs at once. In the dimensions left, the pairs whose points share one
-    death are solved by one DP here; `_pair_distance` is given those costs
-    and the points of the dimensions left, and solves an assignment for each
-    other pair, in this process or, for `workers` > 1, on a pool of that many
-    processes (at most the CPUs this process may use) that each take one
-    contiguous run of the pairs.
+    pairs at once. The dimensions left are solved by `_matching_costs` (a DP
+    for small sets whose points share one death, an assignment per pair for
+    the rest, both batched over pairs grouped by set sizes) and summed per pair
+    by `_pair_costs`, in this process or, for `workers` > 1, on a pool of
+    that many processes (at most the CPUs this process may use) that each
+    take one contiguous run of the pairs. Each pair's distance is then the
+    Python `** (1.0 / p)` of its sum, as in `wasserstein_distance`, so every
+    entry is bit-equal to that pairwise call.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cap = max_finite_value(diagrams) if cap is None else cap
-    tables = list(_point_tables(diagrams, p, cap))
+    pts, owner = _point_tables(diagrams, p, cap)
     n = len(diagrams)
     values = np.zeros((n, n))
-    left = [0, 1]  # dimensions left to match pair by pair
+    solved = np.zeros(2, dtype=bool)  # dimensions solved by duality
     if p == 1.0 and n > 1:
+        cuts = np.searchsorted(owner, [0, n, 2 * n]).tolist()
         for dim in (0, 1):
-            embedding = _dual_embedding(*tables[dim], n)
+            rows = slice(cuts[dim], cuts[dim + 1])
+            embedding = _dual_embedding(pts[rows], owner[rows] - dim * n, n)
             if embedding is not None:
                 values += cdist(embedding, embedding, "chebyshev") / 2.0
-                left.remove(dim)
-    by_dim = [_per_diagram(*tables[dim], n, p) for dim in left]
-    first, second = np.triu_indices(n if left else 0, 1)  # no pairs once every dimension is done
-    known = [_shared_death_costs(points, first, second, p) for points in by_dim]
+                solved[dim] = True
+    if n < 2 or solved.all():  # no pair left to match
+        return SimilarityMatrix(values=values, cap=cap, key=key)
+    # a dimension solved by duality keeps only empty sets, whose pairs cost exactly 0.0
+    left = ~solved[owner // n]
+    first, second = np.triu_indices(n, 1)
     # the pool forks all its workers at the first submit
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, cpus)
-    solve = partial(_pair_distance, list(zip(*by_dim)), p, known)
-    tasks = enumerate(zip(first.tolist(), second.tolist()))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 and len(first) > 1 else None
-    with pool or contextlib.nullcontext():
-        dists = pool.map(solve, tasks, chunksize=math.ceil(len(first) / workers)) if pool else map(solve, tasks)
-        values[first, second] += np.fromiter(dists, float, len(first))
+    solve = partial(_pair_costs, _per_diagram(pts[left], owner[left], 2 * n, p), n, p)
+    if workers > 1 and len(first) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # it imports multiprocessing: only for a pool
+
+        runs = np.array_split(np.arange(len(first)), workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            cost = np.concatenate(list(pool.map(solve, [(first[r], second[r]) for r in runs])))
+    else:
+        cost = solve((first, second))
+    values[first, second] += np.fromiter((c ** (1.0 / p) for c in cost.tolist()), float, len(first))
     values[second, first] = values[first, second]
     return SimilarityMatrix(values=values, cap=cap, key=key)
 

@@ -6,7 +6,9 @@ were, so a property test can require equal results on random input.
 endpoints are checked against. `write_rows` (a `csv.writer` over rows) and
 `svg_path` (one point at a time) are the writers that `write_table` and
 `svgplot._path` must match byte for byte. `adjacency` is the dense matrix
-whose row sums are the degree filtration's oracle."""
+whose row sums are the degree filtration's oracle. `matching_cost` is the
+one-pair assignment that `similarity._matching_costs` batches over pairs of
+equal set sizes."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from cproc.conformal import _rank
 from cproc.errors import ParseError
@@ -40,6 +43,34 @@ def adjacency(g: Graph) -> np.ndarray:
     for u, v in g.edges:
         a[u, v] = a[v, u] = 1.0
     return a
+
+
+def matching_cost(sets, i: int, j: int, p: float) -> float:
+    """Optimal matching cost (sum of p-th powers) between prepared point sets i and j."""
+    # canonical orientation makes the computation literally identical under
+    # argument swap, so W(a,b) == W(b,a) exactly
+    if sets.rank[i] > sets.rank[j]:
+        i, j = j, i
+    elif sets.rank[i] == sets.rank[j]:
+        return 0.0
+    n1, n2 = sets.size[i], sets.size[j]
+    if n1 == 0:
+        return float(sets.diag_sum[j])
+    a_births, a_deaths, a_diag = sets.table[:, i, :n1]
+    b_births, b_deaths, b_diag = sets.table[:, j, :n2]
+    # every b-point starts on the diagonal (sum of diag_b); matching it to
+    # a_i instead changes the total by c(a_i, b_j)^p - diag_b[j]
+    cost = np.full((n1, n2 + n1), np.inf)
+    pair = cost[:, :n2]
+    np.maximum(np.abs(a_births[:, None] - b_births), np.abs(a_deaths[:, None] - b_deaths), out=pair)
+    if p != 1.0:
+        pair **= p
+    pair -= b_diag
+    # a-point -> own diagonal slot (row i, column n2 + i); other slots stay forbidden
+    cost.reshape(-1)[n2 :: n1 + n2 + 1] = a_diag
+    rows, cols = linear_sum_assignment(cost)
+    # the offset form can round a zero optimum to a hair below it
+    return max(0.0, float(sets.diag_sum[j]) + float(cost[rows, cols].sum()))
 
 
 def _read_rows(path: Path) -> Iterator[tuple[int, list[int]]]:

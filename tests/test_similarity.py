@@ -33,6 +33,7 @@ from cproc.topology import (
 )
 
 from conftest import write_simmat_v2
+from reference import matching_cost
 
 
 def exhaustive_matching_cost(a: np.ndarray, b: np.ndarray, p: float) -> float:
@@ -365,7 +366,42 @@ def test_property_diagonal_points_change_nothing(a0, a1, b0, b1, p, data):
     assert wasserstein_distance(padded, b, p) == wasserstein_distance(a, b, p)
 
 
-# --- the shared-death DP -----------------------------------------------------
+# --- the batched pair costs ---------------------------------------------------
+
+
+def _all_pair_costs(point_sets, p):
+    """`_matching_costs` of every pair of the given point sets, as the dim-1
+    sets of diagrams with an empty dim 0 (both orientations and blocks of one
+    cell give the same bytes), with the prepared sets (diagram i's dim 1 is
+    set n + i), the diagrams and their pairs."""
+    n = len(point_sets)
+    diagrams = [_diagram(gid, [], pts) for gid, pts in enumerate(point_sets)]
+    sets = similarity._per_diagram(*similarity._point_tables(diagrams, p), 2 * n, p)
+    first, second = np.triu_indices(n, 1)
+    costs = similarity._matching_costs(sets, n + first, n + second, p)
+    assert similarity._matching_costs(sets, n + second, n + first, p).tobytes() == costs.tobytes()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(similarity, "_DP_BLOCK_CELLS", 1)
+        assert similarity._matching_costs(sets, n + first, n + second, p).tobytes() == costs.tobytes()
+    return costs, sets, diagrams, zip(first.tolist(), second.tolist())
+
+
+# sets whose points have pairwise different deaths: no two points share one,
+# so every pair of nonempty sets (one point each aside) takes the assignment
+_distinct_deaths = st.lists(_point, max_size=7, unique_by=lambda pt: pt[1])
+
+
+@settings(deadline=None)
+@given(st.lists(_distinct_deaths, min_size=1, max_size=6), _order)
+def test_property_batched_assignments_equal_the_one_pair_reference(sets, p):
+    """Point sets of up to seven points, empty ones among them, plus a copy
+    (equal keys) and a reversed copy of the first: every batched cost has the
+    bits of the one-pair assignment."""
+    sets = [*sets, sets[0], sets[0][::-1]]
+    costs, prepared, _, pairs = _all_pair_costs(sets, p)
+    for k, (i, j) in enumerate(pairs):
+        assert costs[k] == matching_cost(prepared, len(sets) + i, len(sets) + j, p)
+
 
 # births on [0, 10] against the one death 10: repeated values give tied
 # births and tied costs, and a birth of 10 is a zero-persistence point
@@ -380,30 +416,43 @@ def test_property_shared_death_dp_matches_assignment(births, p):
     cost is the assignment's and the square reference's, both orientations
     give the same bits, and so do blocks of one cell."""
     births = [*births, births[0], births[0][::-1]]
-    diagrams = [_diagram(gid, [], [(b, 10.0) for b in bs]) for gid, bs in enumerate(births)]
-    _, dim1 = similarity._point_tables(diagrams, p)
-    points = similarity._per_diagram(*dim1, len(diagrams), p)
-    first, second = np.triu_indices(len(diagrams), 1)
-    dp = similarity._shared_death_costs(points, first, second, p)
-    for k, (i, j) in enumerate(zip(first, second)):
-        assert dp[k] == pytest.approx(similarity._matching_cost(points[i], points[j], p), abs=1e-9)
+    dp, prepared, diagrams, pairs = _all_pair_costs([[(b, 10.0) for b in bs] for bs in births], p)
+    for k, (i, j) in enumerate(pairs):
+        assert dp[k] == pytest.approx(matching_cost(prepared, len(births) + i, len(births) + j, p), abs=1e-9)
         assert dp[k] == pytest.approx(square_matching_cost(diagrams[i].dim1, diagrams[j].dim1, p), abs=1e-9)
         assert wasserstein_distance(diagrams[i], diagrams[j], p) == wasserstein_distance(diagrams[j], diagrams[i], p)
-    assert similarity._shared_death_costs(points, second, first, p).tobytes() == dp.tobytes()
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(similarity, "_DP_BLOCK_CELLS", 1)
-        assert similarity._shared_death_costs(points, first, second, p).tobytes() == dp.tobytes()
 
 
-def test_only_sets_that_share_one_death_take_the_dp():
-    # an empty set pairs with any set; two sets pair when every point of both has one death
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_shared_birth, min_size=8, max_size=40), min_size=1, max_size=4), _order)
+def test_property_large_shared_death_sets_take_the_assignment(births, p):
+    """Sets of 8-40 points that share one death, with an empty set: numpy
+    sums eight or more terms pairwise, so these take the assignment and keep
+    the one-pair reference's bits."""
+    births = [[], *births, births[0][::-1]]
+    costs, prepared, _, pairs = _all_pair_costs([[(b, 10.0) for b in bs] for bs in births], p)
+    for k, (i, j) in enumerate(pairs):
+        assert costs[k] == matching_cost(prepared, len(births) + i, len(births) + j, p)
+
+
+def test_only_sets_that_share_one_death_take_the_dp(monkeypatch):
+    # an empty set pairs with any set; two sets pair when every point of both
+    # has one death; every other pair solves one assignment of its own shape
     sets = [[], [(0.0, 4.0), (1.0, 4.0)], [(2.0, 4.0)], [(2.0, 5.0)], [(0.0, 4.0), (1.0, 5.0)]]
     diagrams = [_diagram(gid, [], pts) for gid, pts in enumerate(sets)]
-    points = similarity._per_diagram(*list(similarity._point_tables(diagrams, 1.0))[1], len(sets), 1.0)
+    prepared = similarity._per_diagram(*similarity._point_tables(diagrams, 1.0), 2 * len(sets), 1.0)
     first, second = np.triu_indices(len(sets), 1)
-    dp = similarity._shared_death_costs(points, first, second, 1.0)
-    solved = {(int(i), int(j)) for i, j, cost in zip(first, second, dp) if not np.isnan(cost)}
-    assert solved == {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)}
+    first, second = first + len(sets), second + len(sets)  # the dim-1 sets
+    shapes = []
+
+    def counted(cost):
+        shapes.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(similarity, "linear_sum_assignment", counted)
+    dp = similarity._matching_costs(prepared, first, second, 1.0)
+    # sets {1, 3}, {2, 4} and {3, 4} are (1, 1 + 2), {2, 3} is (1, 1 + 1), {1, 4} is (2, 2 + 2)
+    assert sorted(shapes) == [(1, 2), (1, 3), (1, 3), (1, 3), (2, 4)]
     assert dp[0] == 3.5  # the empty set against (0, 4) and (1, 4): 2 + 1.5
     assert dp[4] == 3.0  # (2, 4) matches (1, 4) at 1 and (0, 4) goes to its diagonal at 2
 
@@ -473,8 +522,10 @@ def test_property_dual_embedding_is_symmetric_under_negation(data):
         _diagram(gid, *(data.draw(st.lists(st.sampled_from(types), max_size=6)) for types in lattices))
         for gid in range(n)
     ]
-    for table in similarity._point_tables(diagrams, 1.0, max_finite_value(diagrams)):
-        embedding = similarity._dual_embedding(*table, n)
+    pts, owner = similarity._point_tables(diagrams, 1.0, max_finite_value(diagrams))
+    for dim in (0, 1):
+        rows = owner // n == dim
+        embedding = similarity._dual_embedding(pts[rows], owner[rows] - dim * n, n)
         if embedding is None:  # a polytope past the lattice limit has none
             continue
         for i, j in itertools.combinations(range(n), 2):
@@ -513,10 +564,12 @@ def test_capped_dim1_solves_no_assignment(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(similarity, "linear_sum_assignment", counted)
         build_similarity_matrix(diagrams, p=1.0, cap=cap)
-    dim0 = similarity._per_diagram(*next(similarity._point_tables(diagrams, 1.0, cap)), len(diagrams), 1.0)
-    assert min(len(q.births) for q in dim0) > 0 and len({q.key for q in dim0}) == len(dim0)
-    pairs = itertools.combinations([len(q.births) for q in dim0], 2)
-    assert shapes == [(min(sizes), sum(sizes)) for sizes in pairs]
+    prepared = similarity._per_diagram(*similarity._point_tables(diagrams, 1.0, cap), 2 * len(diagrams), 1.0)
+    size, rank = prepared.size[: len(diagrams)], prepared.rank[: len(diagrams)]  # the dim-0 sets
+    assert size.min() > 0 and len(set(rank.tolist())) == len(size)
+    pairs = itertools.combinations(size.tolist(), 2)
+    # solved in groups of equal shape, so the shapes are compared as sorted lists
+    assert sorted(shapes) == sorted((min(sizes), sum(sizes)) for sizes in pairs)
     # an integer dim 0 at p = 1 (the dual path) plus a non-integer capped dim 1 (the DP) solves none
     degree, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
     shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in degree]
@@ -620,7 +673,7 @@ def test_pairs_pool_never_exceeds_the_usable_cpus(monkeypatch):
 
     diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
     serial = build_similarity_matrix(diagrams, p=1.0, cap=cap)
-    monkeypatch.setattr(similarity, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     pooled = build_similarity_matrix(diagrams, p=1.0, cap=cap, workers=10_000)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert sizes == ([cpus] if cpus > 1 else [])
