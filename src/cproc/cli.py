@@ -23,18 +23,18 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, similarity, topology
+from . import __version__, graphdata, similarity, topology
 from .baseline import bootstrap_bands
 from .errors import CprocError, NumericalError
 from .graphdata import (
     load_scores,
-    parse_tu_dataset,
     read_split_manifest,
     resplit,
     split_dataset,
     write_split_manifest,
     write_table,
 )
+from .graphdata import parse_tu_dataset  # noqa: F401  unused here; perfbench/spans.py hooks it by name
 from .rocbands import UNIFORM_GRID, empirical_roc, read_band_csv, split_bands, write_band_csv
 from .rocbands import cp_roc_bands, default_lambda_grid  # noqa: F401  unused here; perfbench/spans.py hooks them by name
 from .similarity import build_similarity_matrix, export_matrix_csv, load_matrix, save_matrix
@@ -163,16 +163,17 @@ def _dataset_name(cfg: RunConfig) -> str:
     return cfg.name or Path(cfg.dataset).name
 
 
-def _dataset_graphs(cfg: RunConfig):
-    return parse_tu_dataset(cfg.dataset, _dataset_name(cfg))
+def _dataset_table(cfg: RunConfig) -> tuple[EdgeTable, np.ndarray]:
+    """The dataset's edge table and graph labels."""
+    return graphdata._tu_table(cfg.dataset, _dataset_name(cfg))
 
 
 def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     name = _dataset_name(cfg)
     comments = _comments(cfg)
     kind = FiltrationKind(cfg.filtration)
-    graphs = _dataset_graphs(cfg)
-    diagrams = dataset_diagrams(EdgeTable.of(graphs), kind)
+    table = _dataset_table(cfg)[0]
+    diagrams = dataset_diagrams(table, kind)
     cap = max_finite_value(diagrams)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +182,7 @@ def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     diagrams_to_csv(diagrams, dpath, comments=comments)
     images = [(d.graph_id, persistence_image(d, cfg.pi_resolution, cap=cap)) for d in diagrams]
     images_to_csv(images, ipath, comments=comments)
-    print(f"{name}: {len(graphs)} graphs -> {dpath.name}, {ipath.name} (cap={cap:g})")
+    print(f"{name}: {len(table.ids)} graphs -> {dpath.name}, {ipath.name} (cap={cap:g})")
 
 
 def _graphs_digest(table: EdgeTable) -> str:
@@ -201,7 +202,7 @@ def _code_digest() -> str:
     return digest.hexdigest()
 
 
-def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMatrix, Path]:
+def _simmat_with_cache(cfg: RunConfig, table: EdgeTable) -> tuple[similarity.SimilarityMatrix, Path]:
     """Load the dataset's `.simmat` cache, or build and save it on a miss.
 
     The key names everything the distances depend on: the graphs (digest),
@@ -213,7 +214,6 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
     """
     name = _dataset_name(cfg)
     kind = FiltrationKind(cfg.filtration)
-    table = EdgeTable.of(graphs)
     key = (
         f"{name}|{kind.value}|p={cfg.wasserstein_p!r}|dims=(0, 1)|{VERSION}"
         f"|numpy={np.__version__}|scipy={scipy.__version__}"
@@ -229,9 +229,10 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
             return matrix, path
         except CprocError as exc:
             warnings.warn(f"similarity cache unusable ({exc}); recomputing", stacklevel=2)
-    diagrams = dataset_diagrams(table, kind)
+    # the dataset pass's table of points, with no per-graph diagram
+    points = topology._diagrams(table, topology._filtration(table, kind))
     matrix = build_similarity_matrix(
-        diagrams,
+        points,
         p=cfg.wasserstein_p,
         key=key,
         workers=cfg.pairs_parallel,
@@ -241,7 +242,7 @@ def _simmat_with_cache(cfg: RunConfig, graphs) -> tuple[similarity.SimilarityMat
 
 
 def cmd_simmat(cfg: RunConfig, args: argparse.Namespace) -> None:
-    matrix, path = _simmat_with_cache(cfg, _dataset_graphs(cfg))
+    matrix, path = _simmat_with_cache(cfg, _dataset_table(cfg)[0])
     csv_path = path.with_suffix(".csv")
     export_matrix_csv(matrix, csv_path, comments=_comments(cfg))
     print(f"{_dataset_name(cfg)}: {matrix.n}x{matrix.n} matrix -> {path.name}, {csv_path.name}")
@@ -253,8 +254,8 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     comments = _comments(cfg)
 
     # scores and splits are checked against the graphs before any distance is computed
-    graphs = _dataset_graphs(cfg) if cfg.dataset or not cfg.simmat else None
-    scored = load_scores(cfg.scores, graphs)
+    table, labels = _dataset_table(cfg) if cfg.dataset or not cfg.simmat else (None, None)
+    scored = load_scores(cfg.scores, labels)
     if scored.num_labels > 2:
         raise ValueError(
             f"{cfg.scores} has {scored.num_labels} labels, but cproc bands builds binary bands; "
@@ -272,7 +273,7 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
         splits = [base_split]
     else:
         splits = [resplit(base_split, cfg.calib_split, cfg.seed + i) for i in range(cfg.repeats)]
-    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, graphs)[0]
+    matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, table)[0]
     mode = MODES[cfg.mode]
     # every band is built before --out is created, so a failing repeat leaves no file
     bands = split_bands(scored, splits, matrix, cfg.knn, cfg.alpha, mode=mode,

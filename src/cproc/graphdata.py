@@ -9,9 +9,12 @@ split at "," or all at whitespace; a per-line reader, about 6x slower on a
 BZR-sized edge file, reads any other and names the line of every fault, and
 turns its values into int64 arrays one chunk of lines at a time.
 One stable argsort numbers the nodes of each graph and one np.unique over
-int64 keys dedupes and orders the edges; with the masks that check every
-edge, that lets the parsed graphs skip `Graph.__post_init__`'s per-edge
-loop. `split_dataset` and `resplit` cut the calib/test pool by one rule,
+int64 keys dedupes and orders the edges, which makes them an `EdgeTable`'s
+global vertex ids, graph by graph: the parser yields that table and the
+graph labels, the input of a cold run, and `parse_tu_dataset`'s `Graph`
+list is a view of them whose edges skip `Graph.__post_init__`'s per-edge
+loop. `load_scores` reads each cell with int() or float() and checks whole
+columns. `split_dataset` and `resplit` cut the calib/test pool by one rule,
 and `write_table` is the one writer of every CSV that cproc emits.
 """
 
@@ -21,7 +24,9 @@ import csv
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +56,25 @@ class Graph:
                 raise ValueError(f"graph {self.id}: duplicate edge ({u},{v})")
             seen.add(key)
 
+
+class EdgeTable(NamedTuple):
+    """Every graph of a dataset as flat arrays: graph g owns the vertices
+    nodes[:g].sum() + 0..nodes[g]-1 and the edges rows sizes[:g].sum() +
+    0..sizes[g]-1 of `edges`, each (u, v) as the graph gives it."""
+
+    ids: tuple  # each graph's id
+    nodes: np.ndarray  # (G,) int64 node counts
+    sizes: np.ndarray  # (G,) int64 edge counts
+    edges: np.ndarray  # (E, 2) int64 global vertex ids
+
     @classmethod
-    def _trusted(cls, id: int, num_nodes: int, edges: tuple[tuple[int, int], ...], label: int) -> Graph:
-        """A graph whose edges the caller has already checked, as
-        `parse_tu_dataset` does with masks, so `__post_init__` does not run."""
-        g = object.__new__(cls)
-        g.__dict__.update(id=id, num_nodes=num_nodes, edges=edges, label=label)
-        return g
+    def of(cls, graphs: list[Graph]) -> EdgeTable:
+        nodes = np.fromiter((g.num_nodes for g in graphs), np.int64, len(graphs))
+        sizes = np.fromiter((len(g.edges) for g in graphs), np.int64, len(graphs))
+        ends = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
+        edges = np.fromiter(ends, np.int64, 2 * int(sizes.sum())).reshape(-1, 2)
+        edges += np.repeat(np.cumsum(nodes) - nodes, sizes)[:, None]
+        return cls(tuple(g.id for g in graphs), nodes, sizes, edges)
 
 
 def format_floats(values, fmt, memo: dict[int, str] | None = None) -> list[str]:
@@ -108,7 +125,7 @@ def write_table(path: str | Path, columns, header=None, comments: tuple[str, ...
 _CHUNK_LINES = 4096  # the line reader turns its Python ints into arrays this many lines at a time
 
 
-def _int_array(values: list[int]) -> np.ndarray:
+def _int_array(values) -> np.ndarray:
     """`values` as int64, or as Python ints when one is beyond int64."""
     try:
         return np.array(values, dtype=np.int64)
@@ -203,6 +220,46 @@ def _edge_keys(path: Path, name: str, graph_of: np.ndarray, rank: np.ndarray) ->
     return np.unique(keys), keep.size - keys.size
 
 
+def _tu_table(dir_path: str | Path, name: str) -> tuple[EdgeTable, np.ndarray]:
+    """The dataset of `parse_tu_dataset` as its `EdgeTable`, and the graph labels."""
+    root = Path(dir_path)
+    for fname in (f"{name}_A.txt", f"{name}_graph_indicator.txt", f"{name}_graph_labels.txt"):
+        if not (root / fname).exists():
+            raise ParseError(f"missing mandatory file {fname} in {root}")
+
+    indicator = _column(root / f"{name}_graph_indicator.txt")
+    raw_labels = _column(root / f"{name}_graph_labels.txt")
+    if not raw_labels.size:
+        raise ParseError(f"{name}: empty dataset (no graph labels)")
+    labels = np.searchsorted(np.unique(raw_labels), raw_labels)
+
+    n_graphs, n_nodes = labels.size, indicator.size
+    out_of_range = np.flatnonzero((indicator < 1) | (indicator > n_graphs))
+    if out_of_range.size:
+        node = int(out_of_range[0])
+        raise ParseError(f"{name}_graph_indicator.txt: node {node + 1} points at graph {indicator[node]}")
+    # TU node ids are global and 1-indexed, so node u belongs to graph
+    # graph_of[u - 1]; rank orders the nodes by graph, then by file order
+    graph_of = indicator.astype(np.int64) - 1
+    counts = np.bincount(graph_of, minlength=n_graphs)
+    rank = np.empty(n_nodes, dtype=np.int64)
+    rank[np.argsort(graph_of, kind="stable")] = np.arange(n_nodes)
+
+    keys, dropped_loops = _edge_keys(root / f"{name}_A.txt", name, graph_of, rank)
+    if dropped_loops:
+        warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=3)
+
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ParseError(f"{name}: graph {empty[0]} has no nodes")
+    # the ranks are the table's global vertex ids, and the sorted keys order
+    # the edges by (graph, smaller, larger id): the table's edge order
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, n_nodes, out=(edges[:, 0], edges[:, 1]))
+    sizes = np.diff(np.searchsorted(edges[:, 0], np.append(np.cumsum(counts) - counts, n_nodes)))
+    return EdgeTable(tuple(range(n_graphs)), counts, sizes, edges), labels
+
+
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     """Parse a dataset directory in the TU benchmark layout.
 
@@ -218,46 +275,14 @@ def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
     file, an empty dataset, an indicator value out of range, then the lines
     of ``NAME_A.txt`` in file order, and last a graph without nodes.
     """
-    root = Path(dir_path)
-    for fname in (f"{name}_A.txt", f"{name}_graph_indicator.txt", f"{name}_graph_labels.txt"):
-        if not (root / fname).exists():
-            raise ParseError(f"missing mandatory file {fname} in {root}")
-
-    indicator = _column(root / f"{name}_graph_indicator.txt")
-    raw_labels = _column(root / f"{name}_graph_labels.txt")
-    if not raw_labels.size:
-        raise ParseError(f"{name}: empty dataset (no graph labels)")
-    labels = np.searchsorted(np.unique(raw_labels), raw_labels).tolist()
-
-    n_graphs, n_nodes = len(labels), indicator.size
-    out_of_range = np.flatnonzero((indicator < 1) | (indicator > n_graphs))
-    if out_of_range.size:
-        node = int(out_of_range[0])
-        raise ParseError(f"{name}_graph_indicator.txt: node {node + 1} points at graph {indicator[node]}")
-    # TU node ids are global and 1-indexed, so node u belongs to graph
-    # graph_of[u - 1]; rank orders the nodes by graph, then by file order
-    graph_of = indicator.astype(np.int64) - 1
-    counts = np.bincount(graph_of, minlength=n_graphs)
-    rank = np.empty(n_nodes, dtype=np.int64)
-    rank[np.argsort(graph_of, kind="stable")] = np.arange(n_nodes)
-
-    keys, dropped_loops = _edge_keys(root / f"{name}_A.txt", name, graph_of, rank)
-    if dropped_loops:
-        warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
-
-    empty = np.flatnonzero(counts == 0)
-    if empty.size:
-        raise ParseError(f"{name}: graph {empty[0]} has no nodes")
-    # the keys order the edges by (graph, smaller, larger local index)
-    first_rank = np.cumsum(counts) - counts
-    local = np.arange(n_nodes) - np.repeat(first_rank, counts)
-    lo, hi = np.divmod(keys, n_nodes)
-    pairs = list(zip(local[lo].tolist(), local[hi].tolist()))
-    cuts = np.searchsorted(lo, np.append(first_rank, n_nodes)).tolist()
-    return [
-        Graph._trusted(id=gid, num_nodes=k, edges=tuple(pairs[cuts[gid] : cuts[gid + 1]]), label=labels[gid])
-        for gid, k in enumerate(counts.tolist())
-    ]
+    table, labels = _tu_table(dir_path, name)  # its checks stand in for Graph.__post_init__
+    local = table.edges - np.repeat(np.cumsum(table.nodes) - table.nodes, table.sizes)[:, None]
+    pairs = list(zip(*local.T.tolist()))
+    cuts = np.append(0, np.cumsum(table.sizes)).tolist()
+    graphs = [object.__new__(Graph) for _ in table.ids]
+    for g, gid, k, label, lo, hi in zip(graphs, table.ids, table.nodes.tolist(), labels.tolist(), cuts, cuts[1:]):
+        g.__dict__.update(id=gid, num_nodes=k, edges=tuple(pairs[lo:hi]), label=label)
+    return graphs
 
 
 def write_tu_dataset(graphs: list[Graph], dir_path: str | Path, name: str) -> None:
@@ -401,14 +426,16 @@ class ScoredDataset:
         return self.split.ids(part)
 
 
-def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDataset:
+def load_scores(path: str | Path, graphs=None) -> ScoredDataset:
     """Read and validate a `graph_id,label,p0,...,p{L-1}` CSV.
 
-    Ids must cover 0..n-1 exactly once, where n is len(graphs), or the row
-    count when no graphs are given (e.g. an external distance matrix). Ids
-    and labels must be integers, labels must lie in [0, L) and, with graphs,
+    Ids must cover 0..n-1 exactly once, where n is the number of `graphs`
+    (the parsed `Graph` list, or the parser's label array), or the row count
+    when no graphs are given (e.g. an external distance matrix). Ids and
+    labels must be integers, labels must lie in [0, L) and, with graphs,
     match the parsed labels; each probability vector must be finite, lie in
-    [0, 1] and sum to 1 within 1e-6.
+    [0, 1] and sum to 1 within 1e-6. The first faulty line is named, with
+    its first fault in that order.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -420,38 +447,49 @@ def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDa
             raise ScoreIngestError(f"{path}: probability columns must be p0..p{num_labels - 1}")
         # line_num is the file line the row ends on, blank lines counted
         rows = [(reader.line_num, row) for row in reader if row]
-    n = len(rows) if graphs is None else len(graphs)
+    parsed = graphs if graphs is None or isinstance(graphs, np.ndarray) else [g.label for g in graphs]
+    n = len(rows) if parsed is None else len(parsed)
     if n == 0:
         raise ScoreIngestError(f"{path}: no score rows")
-    labels = np.full(n, -1, dtype=np.int64)
-    probs = np.zeros((n, num_labels))
-    seen = np.zeros(n, dtype=bool)
+    done, fault = [], None  # the rows before the first that int() or float() rejects
     for line, row in rows:
         if len(row) != 2 + num_labels:
-            raise ScoreIngestError(f"{path}:{line}: expected {2 + num_labels} fields")
+            fault = ScoreIngestError(f"{path}:{line}: expected {2 + num_labels} fields")
+            break
         try:
-            gid, label = int(row[0]), int(row[1])
-            vec = np.array([float(x) for x in row[2:]])
+            done.append((int(row[0]), int(row[1]), [float(x) for x in row[2:]]))
         except ValueError as exc:
-            raise ScoreIngestError(f"{path}:{line}: {exc}") from None
-        if not (0 <= gid < n):
-            raise ScoreIngestError(f"{path}:{line}: unknown graph_id {gid}")
-        if seen[gid]:
-            raise ScoreIngestError(f"{path}:{line}: duplicate graph_id {gid}")
-        if not (0 <= label < num_labels):
-            raise ScoreIngestError(f"{path}:{line}: label {label} outside [0, {num_labels})")
-        if graphs is not None and label != graphs[gid].label:
-            raise ScoreIngestError(
-                f"{path}:{line}: label {label} does not match parsed label {graphs[gid].label}"
-            )
-        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
-            raise ScoreIngestError(f"{path}:{line}: probability outside [0,1] or not a number")
-        if abs(float(vec.sum()) - 1.0) > 1e-6:
-            raise ScoreIngestError(f"{path}:{line}: probabilities sum to {vec.sum():.8f}")
-        labels[gid] = label
-        probs[gid] = vec
-        seen[gid] = True
-    if not seen.all():
-        missing = int(np.flatnonzero(~seen)[0])
-        raise ScoreIngestError(f"{path}: graph_id {missing} has no score row")
-    return ScoredDataset(labels=labels, probs=probs)
+            fault = ScoreIngestError(f"{path}:{line}: {exc}")
+            break
+    ids, marks, cells = zip(*done) if done else ((), (), ())
+    gid, label = _int_array(ids), _int_array(marks)  # Python ints where one is beyond int64
+    probs = np.array(cells, dtype=float).reshape(len(done), num_labels)
+    known = (gid >= 0) & (gid < n)
+    at = np.where(known, gid, 0).astype(np.int64)
+    repeat = np.ones(len(done), dtype=bool)
+    repeat[np.unique(at, return_index=True)[1]] = False  # an id's first row is no repeat
+    want = label if parsed is None else np.asarray(parsed)[at]
+    outside = ~((probs >= 0.0) & (probs <= 1.0)).all(axis=1)  # NaN fails both comparisons
+    sums = np.where(outside[:, None], 0.0, probs).sum(axis=1)
+    bad = np.column_stack([
+        ~known, repeat, (label < 0) | (label >= num_labels), label != want, outside, np.abs(sums - 1.0) > 1e-6,
+    ])
+    faulty = np.flatnonzero(bad.any(axis=1))
+    if faulty.size:
+        r = int(faulty[0])
+        g, k = ids[r], marks[r]
+        raise ScoreIngestError(f"{path}:{rows[r][0]}: " + (
+            f"unknown graph_id {g}", f"duplicate graph_id {g}", f"label {k} outside [0, {num_labels})",
+            f"label {k} does not match parsed label {want[r]}",
+            "probability outside [0,1] or not a number", f"probabilities sum to {sums[r]:.8f}",
+        )[int(bad[r].argmax())])
+    if fault is not None:
+        raise fault
+    labels = np.full(n, -1, dtype=np.int64)
+    labels[at] = label
+    scores = np.zeros((n, num_labels))
+    scores[at] = probs
+    missing = np.flatnonzero(labels < 0)
+    if missing.size:
+        raise ScoreIngestError(f"{path}: graph_id {missing[0]} has no score row")
+    return ScoredDataset(labels=labels, probs=scores)

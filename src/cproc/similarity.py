@@ -7,16 +7,17 @@ diagonal projection ((b+d)/2, (b+d)/2); ground cost is the L-infinity norm
 raised to the p-th power, so matching (b, d) to the diagonal costs
 ((d-b)/2)^p. The solver is exact, so oracle tests can demand equality.
 
-Both homology dimensions are prepared once, as one table of every diagram's
-points and their sets (dim * n + diagram): capped, validated (finite,
-death >= birth) and stripped of zero-persistence points. Dropping those is
-exact: such a point z lies on the diagonal and matches it at cost 0, and a
-point x matched to z pays at least x's own distance to the diagonal
-(triangle inequality), so sending both to the diagonal is never worse. The
-dimensions matched pair by pair are cut into point sets, padded into one
-table with their diagonal costs; each pair is a rectangular assignment of
-the smaller set's points to the other's points plus one own-diagonal slot per
-row, the other's diagonal costs as an offset.
+Both homology dimensions are prepared once, from one table of every
+diagram's points and their sets (dim * n + diagram): the dataset pass's own
+(`topology._Points`), or a list of diagrams stacked into one. The points are
+capped, validated (finite, death >= birth) and stripped of zero-persistence
+points. Dropping those is exact: such a point z lies on the diagonal and
+matches it at cost 0, and a point x matched to z pays at least x's own
+distance to the diagonal (triangle inequality), so sending both to the
+diagonal is never worse. The dimensions matched pair by pair are cut into
+point sets, padded into one table with their diagonal costs; each pair is a
+rectangular assignment of the smaller set's points to the other's points
+plus one own-diagonal slot per row, the other's diagonal costs as an offset.
 
 For p = 1, `build_similarity_matrix` solves a homology dimension whose points
 are all integer without assignments. With the diagonal as one root node, W1 is
@@ -27,9 +28,10 @@ diagram's copies of each point. Its constraint matrix is a graph incidence
 matrix, so every vertex is an integer point: the integer points are walked
 coordinate by coordinate, and a point is a vertex when its tight constraints
 connect every point to the root (rank T). The polytope is symmetric under
-g -> -g, so its vertex set V is too, and the largest (c_a - c_b) . g is the
-Chebyshev distance of rows a and b of the dual embedding E = c V^T: one
-product and one `cdist`. The lattice holds every 0/1 point, so T <= 16, and
+g -> -g, so its vertex set is too, and the largest (c_a - c_b) . g is the
+Chebyshev distance of rows a and b of the dual embedding E = c V^T, where V
+holds one vertex of each pair g, -g: one product and one `cdist` over half
+the vertices. The lattice holds every 0/1 point, so T <= 16, and
 the all-zero prefix's width at each type is at most `_MAX_LATTICE_POINTS`, so
 a coordinate lies within 5e4 of 0 or of an earlier one: an entry of E is an
 integer of at most (points per diagram) * 16 * 5e4. Held to 2^52, float64 is
@@ -95,7 +97,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import ParseError
 from .graphdata import write_table
-from .topology import PersistenceDiagram, max_finite_value
+from .topology import PersistenceDiagram, _Points, max_finite_value
 
 _MAGIC = b"CPROCSIM"
 _FORMAT_VERSION = 3
@@ -127,30 +129,28 @@ class _Sets(NamedTuple):
     rank: np.ndarray  # of (size, point bytes): the canonical orientation of a pair
 
 
-def _point_tables(diagrams: list[PersistenceDiagram], p: float, cap: float | None = None) -> tuple:
-    """Every diagram's points in dims 0 and 1 as one C-contiguous (m, 2)
-    table, and the sorted set of each point: dim * n + i for diagram i of n.
-    Given a `cap`, dim 0 keeps its finite pairs and dim 1 deaths are capped
-    at it; the points are then validated (a fault of dim 0 is named before
-    one of dim 1) and those of zero persistence dropped."""
+def _point_tables(diagrams, p: float, cap: float | None = None) -> tuple:
+    """The points of `diagrams` (a list, or the dataset pass's table; see
+    `topology._Points`) and their owners, with zero-persistence points
+    dropped. Given a `cap`, dim 0 keeps its finite pairs and dim 1 deaths
+    are capped at it, in a copy; the points are then validated (a fault of
+    dim 0 is named before one of dim 1)."""
     if not (1.0 <= p < np.inf):
         raise ValueError(f"Wasserstein order must be finite and >= 1, got {p}")
-    n = len(diagrams)
-    parts = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for dim in (0, 1) for d in diagrams]
-    pts = np.concatenate([np.zeros((0, 2)), *parts])  # a copy: the caller's arrays stay as they are
-    owner = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
+    table = _Points.of(diagrams)
+    pts, owner, n = table.points, table.owner, len(table.ids)
     if cap is not None:
         dim1 = owner >= n
-        np.minimum(pts[:, 1], cap, out=pts[:, 1], where=dim1)
         keep = dim1 | np.isfinite(pts[:, 1])
-        pts, owner = pts[keep], owner[keep]
+        pts, owner, dim1 = pts[keep], owner[keep], dim1[keep]  # copies: the caller's table stays as it is
+        np.minimum(pts[:, 1], cap, out=pts[:, 1], where=dim1)
     finite = np.isfinite(pts).all(1)
     bad = ~finite | (pts[:, 1] < pts[:, 0])
     if bad.any():
         first = owner[bad.argmax()]
         what = ("contains a point whose death precedes its birth" if finite[owner == first].all()
                 else "contains non-finite points; cap essential deaths first")
-        raise ValueError(f"diagram {diagrams[first % n].graph_id} dim{first // n} {what}")
+        raise ValueError(f"diagram {table.ids[first % n]} dim{first // n} {what}")
     keep = pts[:, 1] > pts[:, 0]
     return pts[keep], owner[keep]
 
@@ -291,21 +291,16 @@ def _sorted_matching(xs: np.ndarray, slot_x: np.ndarray, nx: np.ndarray, ys: np.
     return total
 
 
-def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
-    """The dual embedding of n diagrams in one dimension's table: twice the
-    p = 1 matching cost of two is the Chebyshev distance of their rows. None
-    unless every point is integer, the lattice holds at most _MAX_LATTICE_POINTS
-    points, and a diagram's points times the largest |coordinate| <= 2^52."""
-    if not np.array_equal(pts, np.round(pts)):
-        return None
-    types, kind = np.unique(pts, axis=0, return_inverse=True)
+def _dual_vertices(types: np.ndarray) -> np.ndarray | None:
+    """Every vertex of the dual polytope of the integer point `types`, in
+    lexicographic order, or None when the lattice holds more than
+    _MAX_LATTICE_POINTS points."""
     T = len(types)
-    counts = np.bincount(owner * T + kind.reshape(-1), minlength=n * T).reshape(n, T)
     reach = types[:, 1] - types[:, 0]  # twice the cost of the diagonal
     gap = 2.0 * np.abs(types[:, None, :] - types[None, :, :]).max(2)  # twice the L-infinity cost
     # every integer g with |g_x - g_y| <= gap[x, y] and |g_x| <= reach[x],
-    # placed one coordinate at a time (floats: exact for these integers, and
-    # a huge reach or gap cannot overflow before the size check)
+    # placed one coordinate at a time in ascending order (floats: exact for
+    # these integers, and a huge reach or gap cannot overflow before the size check)
     lattice = np.zeros((1, 0))
     for x in range(T):
         lo = np.maximum(-reach[x], (lattice - gap[x, :x]).max(1, initial=-np.inf))
@@ -324,7 +319,26 @@ def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | 
     for _ in range(T - 1):
         for y in range(T):
             linked |= tight[y] & linked[:, [y]]
-    vertices = lattice[linked.all(1)]
+    return lattice[linked.all(1)]
+
+
+def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
+    """The dual embedding of n diagrams in one dimension's table: twice the
+    p = 1 matching cost of two is the Chebyshev distance of their rows. None
+    unless every point is integer, the lattice holds at most _MAX_LATTICE_POINTS
+    points, and a diagram's points times the largest |coordinate| <= 2^52."""
+    if not np.array_equal(pts, np.round(pts)):
+        return None
+    types, kind = np.unique(pts, axis=0, return_inverse=True)
+    vertices = _dual_vertices(types)
+    if vertices is None:
+        return None
+    # the vertex set is closed under g -> -g and in lexicographic order, so
+    # vertices[-1 - i] = -vertices[i]: the first half (with the middle, the
+    # zero vector of no types) gives the same Chebyshev distances
+    vertices = vertices[: (len(vertices) + 1) // 2]
+    T = len(types)
+    counts = np.bincount(owner * T + kind.reshape(-1), minlength=n * T).reshape(n, T)
     if counts.sum(1).max() * np.abs(vertices).max(initial=0.0) > 2.0**52:
         return None
     return counts @ vertices.T
@@ -382,13 +396,14 @@ def _pair_costs(sets: _Sets, n: int, p: float, pairs: tuple[np.ndarray, np.ndarr
 
 
 def build_similarity_matrix(
-    diagrams: list[PersistenceDiagram],
+    diagrams,
     p: float = 1.0,
     cap: float | None = None,
     key: str = "",
     workers: int = 1,
 ) -> SimilarityMatrix:
-    """All-pairs Wasserstein distances (symmetric, zero diagonal).
+    """All-pairs Wasserstein distances (symmetric, zero diagonal) between
+    `diagrams`, a list of them or the dataset pass's table of their points.
 
     `cap` defaults to the largest finite birth/death in the dataset; dim 0
     keeps its finite pairs and dim 1 deaths are capped at it, in copies. A
@@ -405,9 +420,10 @@ def build_similarity_matrix(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    cap = max_finite_value(diagrams) if cap is None else cap
-    pts, owner = _point_tables(diagrams, p, cap)
-    n = len(diagrams)
+    table = _Points.of(diagrams)
+    cap = max_finite_value(table) if cap is None else cap
+    pts, owner = _point_tables(table, p, cap)
+    n = len(table.ids)
     values = np.zeros((n, n))
     solved = np.zeros(2, dtype=bool)  # dimensions solved by duality
     if p == 1.0 and n > 1:

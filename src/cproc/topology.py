@@ -1,12 +1,14 @@
 """Vertex filtrations, sublevel-set persistent homology, persistence images.
 
-A dataset is read as one `EdgeTable`: flat int64 arrays of the node and
-edge counts of its graphs and of every edge, in global vertex ids, graph by
-graph. `dataset_diagrams` computes every graph's diagram from it in one
-pass; `compute_filtration` and `sublevel_persistence` are its one-graph
-calls. The degree filtration is one bincount over the table. The other four
-are numpy on each graph's dense adjacency: betweenness is Brandes'
-dependency accumulation and harmonic closeness a sum of 1/d, both over one
+A dataset is read as one `graphdata.EdgeTable`: flat int64 arrays of the
+node and edge counts of its graphs and of every edge, in global vertex ids,
+graph by graph. `_diagrams` computes every graph's diagram from it in one
+pass, as one table of points (`_Points`) that the distances read as it is;
+`dataset_diagrams` cuts it into one `PersistenceDiagram` per graph, and
+`compute_filtration` and `sublevel_persistence` are its one-graph calls.
+The degree filtration is one bincount over the table. The other four are
+numpy on each graph's dense adjacency: betweenness is Brandes' dependency
+accumulation and harmonic closeness a sum of 1/d, both over one
 level-by-level count of shortest paths from every source; the eigenvector
 filtration is the absolute top `eigh` eigenvector of each component.
 
@@ -16,13 +18,13 @@ rule a merge kills the root with the larger (value, vertex) rank. The
 graphs share no vertex, so a merge in one graph never touches another, and
 each graph sees its own edges in its own order whatever the edges of other
 graphs between them: the pass gives every graph the pairs its own
-union-find would. One stable lexsort by (graph, birth, death) then cuts the
-pairs into the graphs' diagrams. Graphs carry no 2-cells, so every
-independent cycle is an essential H1 class (death = +inf); deaths are
-capped only when vectorizing or comparing diagrams. Zero-persistence H0
-pairs are kept so that the diagram always has exactly one dim-0 entry per
-vertex. A persistence image is a plain (P, P) array; diagrams and images
-are written through `graphdata.write_table`.
+union-find would. One stable lexsort by (dimension and graph, birth, death)
+then orders the pairs as the graphs' diagrams, stacked dim 0 first. Graphs
+carry no 2-cells, so every independent cycle is an essential H1 class
+(death = +inf); deaths are capped only when vectorizing or comparing
+diagrams. Zero-persistence H0 pairs are kept so that the diagram always has
+exactly one dim-0 entry per vertex. A persistence image is a plain (P, P)
+array; diagrams and images are written through `graphdata.write_table`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphdata import Graph, write_table
+from .graphdata import EdgeTable, Graph, write_table
 
 
 class FiltrationKind(enum.Enum):
@@ -57,6 +59,35 @@ class PersistenceDiagram:
 
     def points(self, dim: int) -> np.ndarray:
         return self.dim0 if dim == 0 else self.dim1
+
+
+class _Points(NamedTuple):
+    """The diagrams of a dataset as one table: points[k] is a point of
+    dimension owner[k] // n of diagram owner[k] % n (graph ids[owner[k] % n]),
+    with n = len(ids). Owners ascend, so dim 0 of every diagram comes first,
+    then dim 1, and each diagram's points keep their order."""
+
+    ids: tuple
+    points: np.ndarray  # (m, 2) births and deaths
+    owner: np.ndarray  # (m,) int64
+
+    @classmethod
+    def of(cls, diagrams) -> _Points:
+        """A table as it is, or a list of diagrams stacked into one: the one
+        place where a list becomes a table."""
+        if isinstance(diagrams, cls):
+            return diagrams
+        parts = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for dim in (0, 1) for d in diagrams]
+        owner = np.repeat(np.arange(len(parts)), [len(a) for a in parts])
+        return cls(tuple(d.graph_id for d in diagrams), np.concatenate([np.zeros((0, 2)), *parts]), owner)
+
+    def diagrams(self) -> list[PersistenceDiagram]:
+        """One diagram per graph, cut from the table."""
+        n = len(self.ids)
+        cut = np.searchsorted(self.owner, np.arange(2 * n + 1)).tolist()
+        pts = self.points
+        return [PersistenceDiagram(gid, pts[cut[i] : cut[i + 1]], pts[cut[n + i] : cut[n + i + 1]])
+                for i, gid in enumerate(self.ids)]
 
 
 def _hop_paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -95,26 +126,6 @@ def _eigenvector(a: np.ndarray) -> np.ndarray:
         if len(nodes) > 1:
             values[nodes] = np.abs(np.linalg.eigh(a[np.ix_(nodes, nodes)])[1][:, -1])
     return values
-
-
-class EdgeTable(NamedTuple):
-    """Every graph of a dataset as flat arrays: graph g owns the vertices
-    nodes[:g].sum() + 0..nodes[g]-1 and the edges rows sizes[:g].sum() +
-    0..sizes[g]-1 of `edges`, each (u, v) as the graph gives it."""
-
-    ids: tuple  # each graph's id
-    nodes: np.ndarray  # (G,) int64 node counts
-    sizes: np.ndarray  # (G,) int64 edge counts
-    edges: np.ndarray  # (E, 2) int64 global vertex ids
-
-    @classmethod
-    def of(cls, graphs: list[Graph]) -> EdgeTable:
-        nodes = np.fromiter((g.num_nodes for g in graphs), np.int64, len(graphs))
-        sizes = np.fromiter((len(g.edges) for g in graphs), np.int64, len(graphs))
-        ends = chain.from_iterable(chain.from_iterable(g.edges for g in graphs))
-        edges = np.fromiter(ends, np.int64, 2 * int(sizes.sum())).reshape(-1, 2)
-        edges += np.repeat(np.cumsum(nodes) - nodes, sizes)[:, None]
-        return cls(tuple(g.id for g in graphs), nodes, sizes, edges)
 
 
 def _dense_filtration(a: np.ndarray, kind: FiltrationKind) -> np.ndarray:
@@ -176,7 +187,7 @@ def _union_find(graph_of, a_of, b_of, nodes: np.ndarray) -> tuple[np.ndarray, np
     return np.array(dying, dtype=np.int64), np.fromiter(chain.from_iterable(parents), np.int64, int(nodes.sum()))
 
 
-def _diagrams(table: EdgeTable, values) -> list[PersistenceDiagram]:
+def _diagrams(table: EdgeTable, values) -> _Points:
     """H0/H1 persistence of the vertex sublevel filtration of every graph.
 
     Vertex v enters at values[v]; edge (u,v) at max(values[u], values[v]).
@@ -184,10 +195,19 @@ def _diagrams(table: EdgeTable, values) -> list[PersistenceDiagram]:
     cycle-closing edge emits an essential H1 class.
     """
     values = np.asarray(values, dtype=float)
-    n = int(table.nodes.sum())
-    if values.shape != (n,) or not np.all(np.isfinite(values)):
+    if values.shape != (int(table.nodes.sum()),) or not np.all(np.isfinite(values)):
         raise ValueError("need one finite filtration value per vertex")
+    # the table is made once the pass's arrays are freed: made above them, it
+    # pinned the heap they left (2.3 MB of RSS after a BZR-shaped pass, not 0.7)
+    birth, death, owner = _pairs(table, values)
+    rows = np.lexsort((death, birth, owner))
+    return _Points(table.ids, np.column_stack([birth, death])[rows], owner[rows])
 
+
+def _pairs(table: EdgeTable, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The births, deaths and owners (dim * graphs + graph) of the pairs of
+    `_diagrams`, unsorted: every dim-0 pair, then every dim-1 pair."""
+    n = values.size
     u, v = table.edges.T
     fu, fv = values[u], values[v]
     level = np.where(fv > fu, fv, fu)  # Python's max(fu, fv): the first of two equal values
@@ -204,28 +224,21 @@ def _diagrams(table: EdgeTable, values) -> list[PersistenceDiagram]:
     dying, parent = _union_find(edge_graph, number[u[order]], number[v[order]], table.nodes)
     merges = dying >= 0
     # dim 0: the merges in edge order, then the surviving roots in vertex
-    # order, so a stable sort orders ties as sorting one graph's pairs would
+    # order, so a stable sort orders ties as sorting one graph's pairs would;
+    # dim 1: the cycles in edge order, owned by graph + number of graphs
     roots = np.sort(by_age[parent == local])
     born = np.concatenate([by_age[first[edge_graph[merges]] + dying[merges]], roots])
-    birth, death = values[born], np.concatenate([level[order[merges]], np.full(roots.size, np.inf)])
-    graph_of = vertex_graph[born]
-    dim0 = np.column_stack([birth, death])[np.lexsort((death, birth, graph_of))]
-    cycles, graph_of = order[~merges], edge_graph[~merges]
-    dim1 = np.column_stack([level[cycles], np.full(cycles.size, np.inf)])[np.lexsort((level[cycles], graph_of))]
-    cut0 = np.append(0, np.cumsum(table.nodes)).tolist()
-    cut1 = np.append(0, np.cumsum(np.bincount(graph_of, minlength=len(table.ids)))).tolist()
-    # each diagram copies its rows out: dataset-sized arrays that outlive the
-    # pass would pin the heap it freed below them (1.5 MB of tu-cold's peak RSS)
-    return [
-        PersistenceDiagram(gid, dim0[cut0[i] : cut0[i + 1]].copy(), dim1[cut1[i] : cut1[i + 1]].copy())
-        for i, gid in enumerate(table.ids)
-    ]
+    cycles = order[~merges]
+    birth = np.concatenate([values[born], level[cycles]])
+    death = np.concatenate([level[order[merges]], np.full(roots.size + cycles.size, np.inf)])
+    owner = np.concatenate([vertex_graph[born], edge_graph[~merges] + len(table.ids)])
+    return birth, death, owner
 
 
 def dataset_diagrams(table: EdgeTable, kind: FiltrationKind) -> list[PersistenceDiagram]:
     """Every graph's persistence diagram under `kind`, in one pass: graph by
     graph the same arrays as `sublevel_persistence(g, compute_filtration(g, kind))`."""
-    return _diagrams(table, _filtration(table, kind))
+    return _diagrams(table, _filtration(table, kind)).diagrams()
 
 
 def compute_filtration(g: Graph, kind: FiltrationKind) -> np.ndarray:
@@ -235,7 +248,7 @@ def compute_filtration(g: Graph, kind: FiltrationKind) -> np.ndarray:
 
 def sublevel_persistence(g: Graph, values: np.ndarray) -> PersistenceDiagram:
     """H0/H1 persistence of the vertex sublevel filtration of `g` (see `_diagrams`)."""
-    return _diagrams(EdgeTable.of([g]), values)[0]
+    return _diagrams(EdgeTable.of([g]), values).diagrams()[0]
 
 
 def persistence_image(
@@ -278,9 +291,10 @@ def persistence_image(
     return np.einsum("k,kij->ij", weights, gauss) * step**2
 
 
-def max_finite_value(diagrams: list[PersistenceDiagram]) -> float:
-    """Largest finite birth/death across a dataset; the default diagram cap."""
-    values = np.concatenate([np.zeros(0), *(np.ravel(arr) for d in diagrams for arr in (d.dim0, d.dim1))])
+def max_finite_value(diagrams) -> float:
+    """Largest finite birth/death across a dataset's diagrams (a list, or
+    the dataset pass's table); the default diagram cap."""
+    values = _Points.of(diagrams).points.ravel()
     # Python's max keeps the floor +0.0 where numpy's could return -0.0
     return max(0.0, float(values[np.isfinite(values)].max(initial=0.0)))
 

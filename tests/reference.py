@@ -2,13 +2,14 @@
 references that the numpy parser and the list union-find are compared
 against. They are the implementations these replaced, moved here as they
 were, so a property test can require equal results on random input.
-`quantile` is the one-multiset order statistic that the batched engine's
-endpoints are checked against. `write_rows` (a `csv.writer` over rows) and
-`svg_path` (one point at a time) are the writers that `write_table` and
-`svgplot._path` must match byte for byte. `adjacency` is the dense matrix
-whose row sums are the degree filtration's oracle. `matching_cost` is the
-one-pair assignment that `similarity._matching_costs` batches over pairs of
-equal set sizes."""
+`load_scores` is the row-by-row scores reader whose first fault the column
+checks must name. `quantile` is the one-multiset order statistic that the
+batched engine's endpoints are checked against. `write_rows` (a
+`csv.writer` over rows) and `svg_path` (one point at a time) are the
+writers that `write_table` and `svgplot._path` must match byte for byte.
+`adjacency` is the dense matrix whose row sums are the degree filtration's
+oracle. `matching_cost` is the one-pair assignment that
+`similarity._matching_costs` batches over pairs of equal set sizes."""
 
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from cproc.conformal import _rank
-from cproc.errors import ParseError
-from cproc.graphdata import Graph
+from cproc.errors import ParseError, ScoreIngestError
+from cproc.graphdata import Graph, ScoredDataset
 from cproc.svgplot import _px, _py
 from cproc.topology import PersistenceDiagram
 
@@ -205,6 +206,62 @@ def sublevel_persistence(g: Graph, values: np.ndarray) -> PersistenceDiagram:
     d0 = np.array(sorted(dim0), dtype=float).reshape(-1, 2)
     d1 = np.array(sorted(dim1), dtype=float).reshape(-1, 2)
     return PersistenceDiagram(graph_id=g.id, dim0=d0, dim1=d1)
+
+
+def load_scores(path: str | Path, graphs: list[Graph] | None = None) -> ScoredDataset:
+    """Read and validate a `graph_id,label,p0,...,p{L-1}` CSV.
+
+    Ids must cover 0..n-1 exactly once, where n is len(graphs), or the row
+    count when no graphs are given (e.g. an external distance matrix). Ids
+    and labels must be integers, labels must lie in [0, L) and, with graphs,
+    match the parsed labels; each probability vector must be finite, lie in
+    [0, 1] and sum to 1 within 1e-6.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [cell.strip() for cell in next(reader, [])]
+        if len(header) < 4 or header[:2] != ["graph_id", "label"]:
+            raise ScoreIngestError(f"{path}: bad header {header}")
+        num_labels = len(header) - 2
+        if header[2:] != [f"p{k}" for k in range(num_labels)]:
+            raise ScoreIngestError(f"{path}: probability columns must be p0..p{num_labels - 1}")
+        # line_num is the file line the row ends on, blank lines counted
+        rows = [(reader.line_num, row) for row in reader if row]
+    n = len(rows) if graphs is None else len(graphs)
+    if n == 0:
+        raise ScoreIngestError(f"{path}: no score rows")
+    labels = np.full(n, -1, dtype=np.int64)
+    probs = np.zeros((n, num_labels))
+    seen = np.zeros(n, dtype=bool)
+    for line, row in rows:
+        if len(row) != 2 + num_labels:
+            raise ScoreIngestError(f"{path}:{line}: expected {2 + num_labels} fields")
+        try:
+            gid, label = int(row[0]), int(row[1])
+            vec = np.array([float(x) for x in row[2:]])
+        except ValueError as exc:
+            raise ScoreIngestError(f"{path}:{line}: {exc}") from None
+        if not (0 <= gid < n):
+            raise ScoreIngestError(f"{path}:{line}: unknown graph_id {gid}")
+        if seen[gid]:
+            raise ScoreIngestError(f"{path}:{line}: duplicate graph_id {gid}")
+        if not (0 <= label < num_labels):
+            raise ScoreIngestError(f"{path}:{line}: label {label} outside [0, {num_labels})")
+        if graphs is not None and label != graphs[gid].label:
+            raise ScoreIngestError(
+                f"{path}:{line}: label {label} does not match parsed label {graphs[gid].label}"
+            )
+        if not np.all((vec >= 0.0) & (vec <= 1.0)):  # NaN fails both comparisons
+            raise ScoreIngestError(f"{path}:{line}: probability outside [0,1] or not a number")
+        if abs(float(vec.sum()) - 1.0) > 1e-6:
+            raise ScoreIngestError(f"{path}:{line}: probabilities sum to {vec.sum():.8f}")
+        labels[gid] = label
+        probs[gid] = vec
+        seen[gid] = True
+    if not seen.all():
+        missing = int(np.flatnonzero(~seen)[0])
+        raise ScoreIngestError(f"{path}: graph_id {missing} has no score row")
+    return ScoredDataset(labels=labels, probs=probs)
 
 
 def write_rows(path, rows, header=None, comments: tuple[str, ...] = ()) -> None:

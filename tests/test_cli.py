@@ -31,7 +31,7 @@ from cproc.graphdata import (
     write_tu_dataset,
 )
 from cproc.rocbands import _frac_above, cp_roc_bands, read_band_csv, write_band_csv
-from cproc.similarity import SimilarityMatrix, load_matrix, save_matrix
+from cproc.similarity import SimilarityMatrix, build_similarity_matrix, load_matrix, save_matrix
 from cproc.svgplot import band_svg
 from cproc.synthetic import SyntheticSpec, covariate_distance_matrix, generate, scored_dataset
 from cproc.topology import EdgeTable, FiltrationKind, compute_filtration, max_finite_value, sublevel_persistence
@@ -753,10 +753,36 @@ def test_cache_hits_run_no_filtration(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr("cproc.cli.compute_filtration", refuse)
     monkeypatch.setattr("cproc.cli.dataset_diagrams", refuse)
+    monkeypatch.setattr("cproc.topology._filtration", refuse)  # the dataset pass of a miss
     capsys.readouterr()
     for argv in (bands, simmat):
         assert main(argv) == 0
         assert "simmat cache hit" in capsys.readouterr().out
+
+
+def test_cold_runs_build_no_graph_and_no_diagram(tmp_path, capsys, monkeypatch):
+    """A cold `cproc bands` or `cproc simmat` keeps the dataset in tables from
+    the parse to the distances, and its distances are those of the parsed
+    graphs' diagrams."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    out = tmp_path / "out"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cold run built a Graph or a PersistenceDiagram")
+
+    for target in ("cproc.graphdata.Graph", "cproc.topology.PersistenceDiagram", "cproc.similarity.PersistenceDiagram"):
+        monkeypatch.setattr(target, refuse)
+    for argv in (["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+                  "--knn", "3", "--mode", "exch", "--out", str(out)],
+                 ["simmat", "--dataset", str(data), "--force", "--out", str(out)]):
+        assert main(argv) == 0, capsys.readouterr().err
+        assert "cache hit" not in capsys.readouterr().out
+    monkeypatch.undo()
+    graphs = parse_tu_dataset(data, "STARS")
+    diagrams = [sublevel_persistence(g, compute_filtration(g, FiltrationKind.DEGREE)) for g in graphs]
+    matrix = load_matrix(out / "STARS_degree_p1.simmat")
+    assert matrix.values.tobytes() == build_similarity_matrix(diagrams).values.tobytes()
+    assert (out / "band.csv").exists()
 
 
 def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, capsys):

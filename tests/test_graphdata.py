@@ -12,6 +12,7 @@ from cproc import graphdata
 from cproc.errors import ParseError, ScoreIngestError, SplitError
 from cproc.graphdata import (
     PARTS,
+    EdgeTable,
     Graph,
     ScoredDataset,
     SplitAssignment,
@@ -386,6 +387,15 @@ def test_tu_parser_equals_line_parser(tmp_path_factory, data):
     expected = parse_outcome(reference.parse_tu_dataset, root)
     assert not isinstance(expected[0], str)
     assert reader_outcome(root) == expected
+    # the parser's table and labels are those of its graphs, array for array
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table, labels = graphdata._tu_table(root, "R")
+    want = EdgeTable.of(expected[0])
+    assert table.ids == want.ids
+    for got, arr in ((table.nodes, want.nodes), (table.sizes, want.sizes), (table.edges, want.edges),
+                     (labels, np.array([g.label for g in expected[0]], dtype=np.int64))):
+        assert (got.dtype, got.shape, got.tobytes()) == (arr.dtype, arr.shape, arr.tobytes())
 
 
 FAULTS = ("token", "arity", "unknown", "cross", "range", "no nodes")
@@ -784,4 +794,67 @@ def test_write_table_and_csv_writer_both_refuse_a_lone_surrogate(tmp_path, where
         write_table(tmp_path / "got.csv", columns, header, comments)
     with pytest.raises(UnicodeEncodeError):
         reference.write_rows(tmp_path / "want.csv", zip(*columns), header, comments)
+
+
+_PROB_TEXTS = ("-0.1", "1.5", "nan", "inf", "-inf", "1e-400", "0.999", "x", "")
+
+
+@st.composite
+def score_csvs(draw):
+    """A scores CSV of n graphs with L labels and up to three faults: a
+    field too many or too few, a cell that int() or float() rejects, an id
+    unknown (beyond int64 too) or repeated, a label outside [0, L) or other
+    than the parsed one, a probability outside [0, 1] or off the sum, a
+    missing row; with blank lines, and the parsed labels."""
+    L, n = draw(st.integers(2, 10)), draw(st.integers(1, 6))
+    labels = draw(st.lists(st.integers(0, L - 1), min_size=n, max_size=n))
+    rows = []
+    for gid in draw(st.permutations(range(n))):
+        weights = np.array(draw(st.lists(st.integers(0, 4), min_size=L, max_size=L)), dtype=float) + (
+            np.arange(L) == draw(st.integers(0, L - 1)))
+        rows.append([str(gid), str(labels[gid]), *map(repr, (weights / weights.sum()).tolist())])
+    for _ in range(draw(st.integers(0, 3))):
+        full = [row for row in rows if row]
+        row = full[draw(st.integers(0, len(full) - 1))] if full else None
+        kind = draw(st.sampled_from(("fields", "id", "label", "prob", "sum", "drop", "blank")))
+        if row is None or kind == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif kind == "fields":
+            row[:] = row[:-1] if draw(st.booleans()) else row + ["0"]
+        elif kind == "id":
+            row[0] = draw(st.sampled_from(("-1", str(n), str(10**20), "x", "1.0", full[0][0])))
+        elif kind == "label":
+            row[1] = draw(st.sampled_from(("-1", str(L), str(10**20), "1.5", str(draw(st.integers(0, L - 1))))))
+        elif kind == "prob" and len(row) > 2:
+            row[draw(st.integers(2, len(row) - 1))] = draw(st.sampled_from(_PROB_TEXTS))
+        elif kind == "sum" and len(row) > 2:
+            row[2] = repr(float(row[2]) + draw(st.sampled_from((1e-7, 2e-6, -0.01)))) if row[2] else row[2]
+        elif kind == "drop":
+            rows.remove(row)
+    text = ",".join(["graph_id", "label", *(f"p{k}" for k in range(L))]) + "\n"
+    text += "".join(",".join(row) + "\n" for row in rows)
+    return text, np.array(labels, dtype=np.int64)
+
+
+def score_outcome(load, path, graphs):
+    try:
+        scored = load(path, graphs)
+    except Exception as exc:  # noqa: BLE001  the type and message are the outcome
+        return type(exc).__name__, str(exc)
+    return scored.labels.dtype, scored.labels.tobytes(), scored.probs.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=score_csvs(), given_as=st.sampled_from(("none", "graphs", "labels")))
+def test_load_scores_equals_the_row_loop(tmp_path_factory, case, given_as):
+    """Column checks name the fault the row loop names: the first faulty
+    line, and its first fault; or both give the same arrays."""
+    text, labels = case
+    path = tmp_path_factory.mktemp("scores") / "scores.csv"
+    path.write_text(text)
+    graphs = [Graph(id=i, num_nodes=1, edges=(), label=int(k)) for i, k in enumerate(labels)]
+    want = score_outcome(reference.load_scores, path, None if given_as == "none" else graphs)
+    got = score_outcome(load_scores, path, {"none": None, "graphs": graphs, "labels": labels}[given_as])
+    assert got == want
+    event(want[0] if isinstance(want[0], str) else "loaded")
 

@@ -13,8 +13,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
 
 import cproc.similarity as similarity
+from cproc import topology
 from cproc.errors import ParseError
-from cproc.graphdata import Graph
+from cproc.graphdata import EdgeTable, Graph
 from cproc.similarity import (
     SimilarityMatrix,
     build_similarity_matrix,
@@ -222,6 +223,17 @@ def test_a_fault_names_the_graph_id_and_dimension():
         build_similarity_matrix([ok[0], nan, ok[1]])
 
 
+def test_a_fault_in_the_dataset_table_names_the_graph_id():
+    # owner 5 of three diagrams is dim 1 of the third, graph 9; owner 1 is dim 0 of graph 3
+    points = np.array([[0.0, 1.0], [1.0, np.inf], [0.0, 2.0], [2.0, 1.0]])
+    table = topology._Points((5, 3, 9), points, np.array([0, 1, 2, 5]))
+    for diagrams in (table, table.diagrams()):
+        with pytest.raises(ValueError, match=r"^diagram 9 dim1 contains a point whose death precedes its birth$"):
+            build_similarity_matrix(diagrams)
+        with pytest.raises(ValueError, match=r"^diagram 3 dim0 contains non-finite points"):
+            similarity._point_tables(diagrams, 1.0)  # uncapped, the essential dim-0 point is a fault
+
+
 def test_dim0_faults_come_first_and_the_diagrams_stay_unchanged():
     # the earlier diagram's dim-1 fault is named after the later one's dim-0 fault
     dim1_fault = PersistenceDiagram(2, np.zeros((0, 2)), np.array([[3.0, 1.0]]))
@@ -284,6 +296,34 @@ def molecule_like_diagrams(kind, n_graphs=24, seed=0):
     diagrams = [sublevel_persistence(g, compute_filtration(g, kind)) for g in graphs]
     cap = max_finite_value(diagrams)
     return [hand_capped(d, cap) for d in diagrams], cap
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(FiltrationKind), p=st.sampled_from([1.0, 2.0]),
+       halve=st.booleans())
+def test_property_table_build_equals_list_build(seed, kind, p, halve):
+    """The dataset pass's table and the diagrams cut from it give the same
+    cap and the same distances, bit for bit, or the same fault (a halved cap
+    can fall below a birth), and the build leaves the table as it was."""
+    rng = np.random.default_rng(seed)
+    graphs = [molecule_like_graph(rng, 3 * gid + 1, int(rng.integers(2, 16)), int(rng.integers(0, 3)))
+              for gid in range(int(rng.integers(1, 12)))]
+    edges = EdgeTable.of(graphs)
+    table = topology._diagrams(edges, topology._filtration(edges, kind))
+    listed = table.diagrams()
+    assert max_finite_value(table) == max_finite_value(listed)
+    cap = max_finite_value(listed) / 2 if halve else None
+    before = table.points.tobytes()
+
+    def outcome(diagrams):
+        try:
+            matrix = build_similarity_matrix(diagrams, p=p, cap=cap)
+        except ValueError as exc:
+            return str(exc)
+        return matrix.values.tobytes(), matrix.cap
+
+    assert outcome(table) == outcome(listed)
+    assert table.points.tobytes() == before
 
 
 @pytest.mark.parametrize("kind", [FiltrationKind.DEGREE, FiltrationKind.EIGENVECTOR])
@@ -513,9 +553,11 @@ def test_property_dual_build_bit_equal_to_pairwise_distances(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_property_dual_embedding_is_symmetric_under_negation(data):
-    """The vertex set of the dual polytope is closed under g -> -g, so for any
-    two rows of the embedding the largest difference either way is the same:
-    the Chebyshev distance of the rows is the largest (c_a - c_b) . g."""
+    """The full vertex set of the dual polytope is closed under g -> -g, and
+    in lexicographic order vertex i is minus vertex -1 - i. So the embedding
+    over its first half, which `_dual_embedding` keeps, has the Chebyshev
+    distance of the full embedding, whose largest difference either way is
+    the same: the largest (c_a - c_b) . g."""
     lattices = [data.draw(st.lists(_lattice_point, min_size=1, max_size=8, unique=True)) for _ in (0, 1)]
     n = data.draw(st.integers(2, 12))
     diagrams = [
@@ -528,8 +570,16 @@ def test_property_dual_embedding_is_symmetric_under_negation(data):
         embedding = similarity._dual_embedding(pts[rows], owner[rows] - dim * n, n)
         if embedding is None:  # a polytope past the lattice limit has none
             continue
+        types, kind = np.unique(pts[rows], axis=0, return_inverse=True)
+        vertices = similarity._dual_vertices(types)
+        assert vertices.tobytes() == (-vertices[::-1] + 0.0).tobytes()
+        assert embedding.shape == (n, (len(vertices) + 1) // 2)
+        counts = np.zeros((n, len(types)))
+        np.add.at(counts, (owner[rows] - dim * n, kind.reshape(-1)), 1.0)
+        full = counts @ vertices.T
         for i, j in itertools.combinations(range(n), 2):
-            assert (embedding[i] - embedding[j]).max() == (embedding[j] - embedding[i]).max()
+            assert (full[i] - full[j]).max() == (full[j] - full[i]).max()
+            assert np.abs(embedding[i] - embedding[j]).max(initial=0.0) == (full[i] - full[j]).max()
 
 
 def test_many_copies_of_one_point_are_exact_without_assignments(monkeypatch):

@@ -282,9 +282,15 @@ def datasets_with_values(draw, min_nodes: int = 0):
 @given(case=datasets_with_values())
 def test_dataset_persistence_equals_the_reference_graph_by_graph(case):
     graphs, values = case
-    diagrams = topology._diagrams(EdgeTable.of(graphs), values)
+    table = topology._diagrams(EdgeTable.of(graphs), values)
+    diagrams = table.diagrams()
     cuts = np.cumsum([0] + [g.num_nodes for g in graphs]).tolist()
     assert len(diagrams) == len(graphs)
+    # the pass's table is the diagrams' points stacked dim 0 first, owned by dim * n + graph
+    stacked = topology._Points.of(diagrams)
+    assert table.ids == stacked.ids == tuple(g.id for g in graphs)
+    assert table.points.tobytes() == stacked.points.tobytes()
+    assert table.owner.tolist() == stacked.owner.tolist()
     for g, d, lo, hi in zip(graphs, diagrams, cuts, cuts[1:]):
         assert_bit_equal(d, reference.sublevel_persistence(g, values[lo:hi]))
         assert_bit_equal(sublevel_persistence(g, values[lo:hi]), d)
