@@ -26,17 +26,10 @@ import scipy
 from . import __version__, graphdata, similarity, topology
 from .baseline import bootstrap_bands
 from .errors import CprocError, NumericalError
-from .graphdata import (
-    load_scores,
-    read_split_manifest,
-    resplit,
-    split_dataset,
-    write_split_manifest,
-    write_table,
-)
-from .graphdata import parse_tu_dataset  # noqa: F401  unused here; perfbench/spans.py hooks it by name
-from .rocbands import UNIFORM_GRID, empirical_roc, read_band_csv, split_bands, write_band_csv
-from .rocbands import cp_roc_bands, default_lambda_grid  # noqa: F401  unused here; perfbench/spans.py hooks them by name
+from .graphdata import load_scores, read_split_manifest, resplit, split_dataset, split_table, write_tables
+from .graphdata import parse_tu_dataset, write_split_manifest  # noqa: F401  unused here; perfbench/spans.py hooks them by name
+from .rocbands import UNIFORM_GRID, band_table, empirical_roc, read_band_csv, split_bands
+from .rocbands import cp_roc_bands, default_lambda_grid, write_band_csv  # noqa: F401  unused here; perfbench/spans.py hooks them by name
 from .similarity import build_similarity_matrix, export_matrix_csv, load_matrix, save_matrix
 from .svgplot import band_svg
 from .synthetic import SyntheticSpec, coverage_experiment
@@ -279,20 +272,16 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     bands = split_bands(scored, splits, matrix, cfg.knn, cfg.alpha, mode=mode,
                         min_stratum=cfg.min_stratum, thin_stratum=cfg.thin_stratum)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     grid = UNIFORM_GRID
     acc = np.zeros((4, grid.size))  # sen_lo, sen_up, spe_lo, spe_up
     stat_names = ("auc", "auc_lo", "auc_up", "mean_bw_sen", "mean_bw_spe")
     stats = np.zeros((len(stat_names), cfg.repeats))  # one column per repeat
-    memo: dict[int, str] = {}  # every band CSV of the run reprs a float bit pattern once
+    tables = []  # every CSV of the run, written in one call
     for i, (split_i, band) in enumerate(zip(splits, bands)):
-        write_band_csv(
-            out / f"band_rep{i}.csv",
-            band.lambda_grid, band.sen_lo, band.sen_up, band.spe_lo, band.spe_up,
-            comments=comments + (f"repeat: {i}",), memo=memo,
-        )
-        write_split_manifest(split_i, out / f"split_rep{i}.csv", comments=comments)
+        tables.append(band_table(out / f"band_rep{i}.csv", band.lambda_grid, band.sen_lo, band.sen_up,
+                                 band.spe_lo, band.spe_up, comments + (f"repeat: {i}",)))
+        tables.append(split_table(split_i, out / f"split_rep{i}.csv", comments))
         sl, su = band.sen_at(grid)
         pl, pu = band.spe_at(grid)
         acc += (sl, su, pl, pu)
@@ -311,25 +300,13 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
             # a spawned child stream never equals the default_rng(int) streams of the splits
             seed=np.random.SeedSequence(cfg.seed).spawn(1)[0],
         )
-        write_band_csv(
-            out / "bootstrap_band.csv",
-            grid,
-            boot.tpr_lo,
-            boot.tpr_up,
-            boot.fpr_lo,
-            boot.fpr_up,
-            comments=comments + (f"bootstrap B={cfg.bootstrap} level={cfg.level:g}",),
-            memo=memo,
-        )
+        tables.append(band_table(out / "bootstrap_band.csv", grid, boot.tpr_lo, boot.tpr_up, boot.fpr_lo,
+                                 boot.fpr_up, comments + (f"bootstrap B={cfg.bootstrap} level={cfg.level:g}",)))
 
     acc /= cfg.repeats
-    write_band_csv(
-        out / "band.csv",
-        grid,
-        *acc,
-        comments=comments + (f"mean of {cfg.repeats} repeat(s)",),
-        memo=memo,
-    )
+    tables.append(band_table(out / "band.csv", grid, *acc, comments + (f"mean of {cfg.repeats} repeat(s)",)))
+    out.mkdir(parents=True, exist_ok=True)
+    write_tables(tables)
     summary = {name: float(np.mean(row)) for name, row in zip(stat_names, stats)}
     summary.update(alpha=cfg.alpha, mode=mode, K=cfg.knn, repeats=cfg.repeats)
     _write_report(out / "summary.json", summary, cfg)
@@ -370,12 +347,8 @@ def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_report(out / "coverage.json", report.to_json(), cfg)
     names = list(report.rows[0])
-    write_table(
-        out / "coverage_replicates.csv",
-        [np.array([row[name] for row in report.rows]) for name in names],
-        names,
-        _comments(cfg),
-    )
+    columns = [np.array([row[name] for row in report.rows]) for name in names]
+    write_tables([(out / "coverage_replicates.csv", columns, names, _comments(cfg))])
     print(
         f"simulate[{report.mode}]: coverage_sen={report.coverage_sen:.3f} (se {report.se_sen:.3f}) "
         f"coverage_spe={report.coverage_spe:.3f} (se {report.se_spe:.3f}) "

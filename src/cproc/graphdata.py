@@ -15,7 +15,9 @@ graph labels, the input of a cold run, and `parse_tu_dataset`'s `Graph`
 list is a view of them whose edges skip `Graph.__post_init__`'s per-edge
 loop. `load_scores` reads each cell with int() or float() and checks whole
 columns. `split_dataset` and `resplit` cut the calib/test pool by one rule,
-and `write_table` is the one writer of every CSV that cproc emits.
+and `write_tables` is the one writer of every CSV that cproc emits: it
+writes a list of tables, formats the float columns of all of them in a few
+whole-array passes, and drops each table's cells before its file write.
 """
 
 from __future__ import annotations
@@ -77,49 +79,77 @@ class EdgeTable(NamedTuple):
         return cls(tuple(g.id for g in graphs), nodes, sizes, edges)
 
 
-def format_floats(values, fmt, memo: dict[int, str] | None = None) -> list[str]:
+def format_floats(values, fmt) -> list[str]:
     """`fmt` of each value of `values` as a Python float, in order, called
     once per distinct bit pattern: np.unique on the values themselves would
-    merge -0.0 with 0.0. A `memo` maps bit patterns to their text; it is read
-    and filled, so a caller that keeps one across calls with the same `fmt`
-    formats each pattern once in all of them."""
+    merge -0.0 with 0.0."""
     values = np.ravel(np.asarray(values, dtype=np.float64))
-    bits, first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)
-    if memo is None:
-        text = [fmt(v) for v in values[first].tolist()]
-    else:
-        text = [memo[b] if b in memo else memo.setdefault(b, fmt(v)) for b, v in zip(bits.tolist(), values[first].tolist())]
+    first, inverse = np.unique(values.view(np.uint64), return_index=True, return_inverse=True)[1:]
+    text = [fmt(v) for v in values[first].tolist()]
     return np.array(text, dtype=object)[inverse].tolist()
 
 
-def _csv_cells(column, memo: dict[int, str] | None = None) -> list[str]:
-    """One column's cells as `csv.writer` writes them: a float array's reprs
-    through `format_floats` (with `memo`), and otherwise each value's str,
-    quoted with inner quotes doubled when it holds a comma, a quote or a
-    line break."""
+def _csv_cells(column) -> list[str]:
+    """One column's cells as `csv.writer` writes them: an integer or bool
+    array's str, and otherwise each value's str, quoted with inner quotes
+    doubled when it holds a comma, a quote or a line break."""
     if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return format_floats(column, repr, memo)
+        if column.dtype.kind in "biu":
+            return list(map(str, column.tolist()))
         column = column.tolist()
     cells = list(map(str, column))
     return ['"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\r" in c or "\n" in c else c for c in cells]
 
 
-def write_table(path: str | Path, columns, header=None, comments: tuple[str, ...] = (),
-                memo: dict[int, str] | None = None) -> None:
-    """Write `comments` as `# ` lines, then `header` (if any) and the rows
+# float cells `write_tables` formats in one `format_floats` call (whole
+# columns, at least one): a `cproc bands` run's 38k cells or a 405 x 405
+# matrix take one call, and an image table's np.unique temporaries stay a
+# few MB however many pixels it has
+_FORMAT_CELLS = 1 << 18
+
+
+def write_tables(tables) -> None:
+    """Write each `(path, columns, header, comments)` entry of `tables`:
+    `comments` as `# ` lines, then `header` (None for none) and the rows
     that `columns`, equal-length sequences, make, byte for byte as
-    `csv.writer` writes `.tolist()` rows: each cell is its str (a float's
+    `csv.writer` writes `.tolist()` rows. Each cell is its str (a float's
     repr), quoted when it holds a comma, a quote or a line break, and lines
-    end in "\\r\\n". A float array column runs repr once per distinct bit
-    pattern, and a `memo` (see `format_floats`) that the caller keeps across
-    tables makes that once per pattern in all of them."""
-    lines = [] if header is None else [",".join(_csv_cells(header))]
-    lines += map(",".join, zip(*(_csv_cells(column, memo) for column in columns), strict=True))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.writelines(f"# {line}\n" for line in comments)
-        # a row of one empty cell is the one empty line, and csv.writer writes it as ""
-        fh.write("\r\n".join([*(line or '""' for line in lines), ""]))
+    end in "\\r\\n". The float array columns of all entries are formatted
+    together, whole columns at a time in `format_floats` calls of at most
+    `_FORMAT_CELLS` cells (or one column), so each call reprs a distinct bit
+    pattern once; an entry's cells are dropped once its lines are joined,
+    before its file is written."""
+    tables = list(tables)
+    cells = [[] for _ in tables]
+    floats = []  # (cells of its entry, index there, column) of every float array column
+    for out, (_, columns, _, _) in zip(cells, tables):
+        for column in columns:
+            if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+                floats.append((out, len(out), column))
+                out.append(None)
+            else:
+                out.append(_csv_cells(column))
+    start = 0
+    while start < len(floats):
+        stop, size = start + 1, floats[start][2].size
+        while stop < len(floats) and size + floats[stop][2].size <= _FORMAT_CELLS:
+            size += floats[stop][2].size
+            stop += 1
+        text, at = format_floats(np.concatenate([column for *_, column in floats[start:stop]]), repr), 0
+        for out, j, column in floats[start:stop]:
+            out[j] = text[at:at + column.size]
+            at += column.size
+        del text
+        start = stop
+    for (path, _, header, comments), columns in zip(tables, cells):
+        lines = [] if header is None else [",".join(_csv_cells(header))]
+        lines += map(",".join, zip(*columns, strict=True))
+        columns.clear()
+        if "" in lines:  # a row of one empty cell is the one empty line, and csv.writer writes it as ""
+            lines = [line or '""' for line in lines]
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(f"# {line}\n" for line in comments)
+            fh.write("\r\n".join([*lines, ""]))
 
 
 _CHUNK_LINES = 4096  # the line reader turns its Python ints into arrays this many lines at a time
@@ -366,8 +396,13 @@ def resplit(split: SplitAssignment, calib_split: float, seed: int) -> SplitAssig
     return _deal(list(split.parts), pool[np.random.default_rng(seed).permutation(pool.size)], calib_split)
 
 
+def split_table(split: SplitAssignment, path: str | Path, comments: tuple[str, ...] = ()) -> tuple:
+    """The `write_tables` entry of a `graph_id,part` split manifest."""
+    return path, [np.arange(len(split.parts)), split.parts], ["graph_id", "part"], comments
+
+
 def write_split_manifest(split: SplitAssignment, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    write_table(path, [np.arange(len(split.parts)), split.parts], ["graph_id", "part"], comments)
+    write_tables([split_table(split, path, comments)])
 
 
 def read_split_manifest(path: str | Path) -> SplitAssignment:

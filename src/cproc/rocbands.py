@@ -13,8 +13,8 @@ threshold the bounds are the fractions of endpoints strictly above it
 (positives give the sensitivity band, negatives the specificity band, both on
 the FPR/TPR scale). Bands are exact staircases; the default grid carries every
 interval endpoint so nothing is sampled away. Band CSVs, conformal and
-bootstrap alike, are written through `graphdata.write_table`; a caller that
-writes many passes one float memo to all of them.
+bootstrap alike, are `band_table` entries of `graphdata.write_tables`; a
+caller that writes many hands them all to one call.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .conformal import conformal_intervals, score_table
 from .errors import DegenerateTestError
-from .graphdata import ScoredDataset, SplitAssignment, write_table
+from .graphdata import ScoredDataset, SplitAssignment, write_tables
 from .similarity import SimilarityMatrix
 from .similarity import knn_indices  # noqa: F401  unused here; perfbench/spans.py hooks it by name
 
@@ -237,7 +237,7 @@ def split_bands(
 BAND_COLUMNS = ("lambda", "sen_lo", "sen_up", "spe_lo", "spe_up")
 
 
-def write_band_csv(
+def band_table(
     path: str | Path,
     lambda_grid: np.ndarray,
     sen_lo: np.ndarray,
@@ -245,12 +245,16 @@ def write_band_csv(
     spe_lo: np.ndarray,
     spe_up: np.ndarray,
     comments: tuple[str, ...] = (),
-    memo: dict[int, str] | None = None,
-) -> None:
-    """Band CSV shared by conformal and bootstrap bands; leading '#' lines
-    carry provenance, and `memo` is `write_table`'s."""
+) -> tuple:
+    """The `graphdata.write_tables` entry of a band CSV, shared by conformal
+    and bootstrap bands; leading '#' lines carry provenance."""
     columns = (lambda_grid, sen_lo, sen_up, spe_lo, spe_up)
-    write_table(path, [np.asarray(c, dtype=float) for c in columns], BAND_COLUMNS, comments, memo)
+    return path, [np.asarray(c, dtype=float) for c in columns], BAND_COLUMNS, comments
+
+
+def write_band_csv(path: str | Path, *columns: np.ndarray, comments: tuple[str, ...] = ()) -> None:
+    """Write the band CSV of `band_table(path, *columns, comments)`."""
+    write_tables([band_table(path, *columns, comments)])
 
 
 def read_band_csv(path: str | Path) -> dict[str, np.ndarray]:

@@ -96,7 +96,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import ParseError
-from .graphdata import write_table
+from .graphdata import write_tables
 from .topology import PersistenceDiagram, _Points, max_finite_value
 
 _MAGIC = b"CPROCSIM"
@@ -564,4 +564,4 @@ def load_matrix(path: str | Path, expect_key: str | None = None) -> SimilarityMa
 
 
 def export_matrix_csv(matrix: SimilarityMatrix, path: str | Path, comments: tuple[str, ...] = ()) -> None:
-    write_table(path, np.asarray(matrix.values, dtype=float).T, comments=comments)
+    write_tables([(path, np.asarray(matrix.values, dtype=float).T, None, comments)])

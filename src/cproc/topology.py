@@ -24,7 +24,8 @@ carry no 2-cells, so every independent cycle is an essential H1 class
 (death = +inf); deaths are capped only when vectorizing or comparing
 diagrams. Zero-persistence H0 pairs are kept so that the diagram always has
 exactly one dim-0 entry per vertex. A persistence image is a plain (P, P)
-array; diagrams and images are written through `graphdata.write_table`.
+array; diagrams and images are one-entry calls of `graphdata.write_tables`,
+which formats an image table's pixels in a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphdata import EdgeTable, Graph, write_table
+from .graphdata import EdgeTable, Graph, write_tables
 
 
 class FiltrationKind(enum.Enum):
@@ -307,11 +308,11 @@ def diagrams_to_csv(
     ids = np.repeat([d.graph_id for d in diagrams for _ in (0, 1)], sizes)
     dims = np.repeat([0, 1] * len(diagrams), sizes)
     points = np.concatenate([np.zeros((0, 2)), *blocks])
-    write_table(path, [ids, dims, *points.T], ["graph_id", "dim", "birth", "death"], comments)
+    write_tables([(path, [ids, dims, *points.T], ["graph_id", "dim", "birth", "death"], comments)])
 
 
 def images_to_csv(
     images: list[tuple[int, np.ndarray]], path: str | Path, comments: tuple[str, ...] = ()
 ) -> None:
     pixels = np.array([img.reshape(-1) for _, img in images])
-    write_table(path, [[gid for gid, _ in images], *pixels.T], comments=comments)
+    write_tables([(path, [[gid for gid, _ in images], *pixels.T], None, comments)])

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from cproc.graphdata import Graph, ScoredDataset, write_table
+from cproc.graphdata import Graph, ScoredDataset, write_tables
 
 
 @pytest.fixture
@@ -41,7 +41,8 @@ def write_tiny_fixture(root, name="TINY"):
 def write_scores(scored: ScoredDataset, path) -> None:
     """Scores CSV in the schema `load_scores` reads: graph_id,label,p0..p{L-1}."""
     header = ["graph_id", "label"] + [f"p{k}" for k in range(scored.num_labels)]
-    write_table(path, [np.arange(scored.n), np.asarray(scored.labels, dtype=np.int64), *scored.probs.T], header)
+    columns = [np.arange(scored.n), np.asarray(scored.labels, dtype=np.int64), *scored.probs.T]
+    write_tables([(path, columns, header, ())])
 
 
 def write_simmat_v2(path, values, cap: float, key: str) -> None:

@@ -6,7 +6,7 @@ were, so a property test can require equal results on random input.
 checks must name. `quantile` is the one-multiset order statistic that the
 batched engine's endpoints are checked against. `write_rows` (a
 `csv.writer` over rows) and `svg_path` (one point at a time) are the
-writers that `write_table` and `svgplot._path` must match byte for byte.
+writers that `write_tables` and `svgplot._path` must match byte for byte.
 `adjacency` is the dense matrix whose row sums are the degree filtration's
 oracle. `matching_cost` is the one-pair assignment that
 `similarity._matching_costs` batches over pairs of equal set sizes."""

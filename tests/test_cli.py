@@ -39,12 +39,13 @@ from cproc.topology import EdgeTable, FiltrationKind, compute_filtration, max_fi
 from conftest import write_scores, write_simmat_v2, write_tiny_fixture
 
 
-def run_cli(argv, env=(), **kwargs) -> subprocess.CompletedProcess:
-    """`python -m cproc.cli *argv` in a child process that imports this cproc,
-    with `env` added to the environment."""
+def run_cli(argv, env=(), entry=("-m", "cproc.cli"), **kwargs) -> subprocess.CompletedProcess:
+    """`python *entry *argv` (by default `python -m cproc.cli *argv`) in a
+    child process that imports this cproc, with `env` added to the
+    environment."""
     src = str(Path(cproc.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "cproc.cli", *argv], capture_output=True,
+    return subprocess.run([sys.executable, *entry, *argv], capture_output=True,
                           env={**os.environ, "PYTHONPATH": path, **dict(env)}, **kwargs)
 
 
@@ -280,6 +281,21 @@ def test_bands_node_label_edit_is_a_cache_hit(tmp_path, capsys):
     capsys.readouterr()
     assert main(args) == 0
     assert "simmat cache hit" in capsys.readouterr().out
+
+
+def test_a_serial_cold_run_imports_no_process_pool(tmp_path):
+    """`import cproc.cli` and a cold degree `cproc bands --pairs-parallel 1`
+    leave `multiprocessing` and `concurrent.futures.process` unimported:
+    only a pool of workers needs them, and they cost a process about 9 ms."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    argv = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split), "--knn", "2",
+            "--thin-stratum", "widen", "--min-stratum", "2", "--pairs-parallel", "1", "--out", str(tmp_path / "o")]
+    code = ("import sys, cproc.cli; rc = cproc.cli.main(sys.argv[1:]); "
+            "print(rc, sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = run_cli(argv, entry=("-c", code), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert "simmat cache hit" not in proc.stdout and (tmp_path / "o" / "band.csv").exists()
 
 
 def test_bands_byte_identical_reruns(tmp_path):

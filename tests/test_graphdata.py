@@ -22,7 +22,7 @@ from cproc.graphdata import (
     resplit,
     split_dataset,
     write_split_manifest,
-    write_table,
+    write_tables,
     write_tu_dataset,
 )
 
@@ -762,6 +762,13 @@ def _tables(draw):
     return columns, header, comments
 
 
+def _write_rows(path, table) -> bytes:
+    """The bytes `reference.write_rows` writes for a `_tables()` table."""
+    columns, header, comments = table
+    reference.write_rows(path, zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)), header, comments)
+    return path.read_bytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_tables())
 @example(([np.array([0.0, -0.0, 0.0, -0.0]), np.array([5e-324, np.inf, np.nan, 5e-324])], ["a", "b"], ()))
@@ -771,16 +778,21 @@ def _tables(draw):
 def test_write_table_bytes_equal_csv_writer(tmp_path_factory, table):
     columns, header, comments = table
     root = tmp_path_factory.mktemp("table")
-    write_table(root / "got.csv", columns, header, comments)
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
-    reference.write_rows(root / "want.csv", rows, header, comments)
-    want = (root / "want.csv").read_bytes()
-    assert (root / "got.csv").read_bytes() == want
-    # a memo kept across tables, as `cproc bands` keeps one across its band CSVs, changes no byte
-    memo = {}
-    for name in ("first.csv", "again.csv"):
-        write_table(root / name, columns, header, comments, memo=memo)
-        assert (root / name).read_bytes() == want
+    write_tables([(root / "got.csv", columns, header, comments)])
+    assert (root / "got.csv").read_bytes() == _write_rows(root / "want.csv", table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_tables(), min_size=1, max_size=4), st.sampled_from([1, 1 << 30]))
+def test_write_tables_writes_many_tables_with_csv_writer_bytes(tmp_path_factory, tables, cells):
+    """One call formats the float columns of every table together, in passes
+    of at most `cells` cells (one column at a time, or all at once); each
+    file still gets its own table's bytes."""
+    root = tmp_path_factory.mktemp("tables")
+    with mock.patch.object(graphdata, "_FORMAT_CELLS", cells):
+        write_tables([(root / f"got{i}.csv", *table) for i, table in enumerate(tables)])
+    for i, table in enumerate(tables):
+        assert (root / f"got{i}.csv").read_bytes() == _write_rows(root / f"want{i}.csv", table), i
 
 
 @pytest.mark.parametrize("where", ["cell", "header", "comment"])
@@ -791,9 +803,25 @@ def test_write_table_and_csv_writer_both_refuse_a_lone_surrogate(tmp_path, where
     header = [text] if where == "header" else ["h"]
     comments = (text,) if where == "comment" else ()
     with pytest.raises(UnicodeEncodeError):
-        write_table(tmp_path / "got.csv", columns, header, comments)
+        write_tables([(tmp_path / "got.csv", columns, header, comments)])
     with pytest.raises(UnicodeEncodeError):
         reference.write_rows(tmp_path / "want.csv", zip(*columns), header, comments)
+
+
+def test_write_tables_drops_the_cells_before_the_file_write(tmp_path):
+    """An image-shaped table (one id column, 50 x 50 pixels) of distinct
+    floats: its cells are dropped once its lines are joined, so the traced
+    peak stays near five times the file's size; cells kept alive through
+    the write take more than six times it."""
+    pixels = np.random.default_rng(0).random((405, 2500))
+    path = tmp_path / "images.csv"
+    tracemalloc.start()
+    try:
+        write_tables([(path, [np.arange(405), *pixels.T], None, ())])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.4 * path.stat().st_size
 
 
 _PROB_TEXTS = ("-0.1", "1.5", "nan", "inf", "-inf", "1e-400", "0.999", "x", "")
