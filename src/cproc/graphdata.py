@@ -5,9 +5,9 @@ graphs and per-graph 0-indexed nodes. Duplicate and reversed edges collapse
 to a single undirected edge, and self-loops are dropped (counted in a
 warning). Only the files the distances use are read: node label and
 attribute files are ignored. numpy's `loadtxt` reads a file whose lines all
-split at "," or all at whitespace; a per-line reader, about 6x slower on a
-BZR-sized edge file, reads any other and names the line of every fault, and
-turns its values into int64 arrays one chunk of lines at a time.
+split at ","; a per-line reader, about 6x slower on a BZR-sized edge file,
+reads any other and names the line of every fault, and turns its values into
+int64 arrays one chunk of lines at a time.
 One stable argsort numbers the nodes of each graph and one np.unique over
 int64 keys dedupes and orders the edges, which makes them an `EdgeTable`'s
 global vertex ids, graph by graph: the parser yields that table and the
@@ -198,19 +198,18 @@ def _line_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarra
 
 def _int_rows(path: Path, width: int, what: str) -> tuple[np.ndarray, np.ndarray | None, ParseError | None]:
     """`_line_rows(path, width, what)`, unless numpy's reader reads the whole
-    file into `width` columns of int64 without a warning, with "," or else
-    whitespace as the separator: its rows are the same, and the line numbers
-    are None, since it skips empty lines without counting them."""
+    file into `width` columns of int64 split at ",", without a warning: its
+    rows are the same, and the line numbers are None, since it skips empty
+    lines without counting them."""
     with warnings.catch_warnings():
         # an empty file warns, and so does a float token on numpy releases that cast it to int64
         warnings.simplefilter("error")
-        for sep in (",", None):
-            try:
-                rows = np.loadtxt(path, np.int64, comments=None, delimiter=sep, ndmin=2, encoding="utf-8-sig")
-            except (ValueError, Warning):
-                continue
-            if rows.shape[1] == width:
-                return rows, None, None
+        try:
+            rows = np.loadtxt(path, np.int64, comments=None, delimiter=",", ndmin=2, encoding="utf-8-sig")
+        except (ValueError, Warning):
+            rows = None
+    if rows is not None and rows.shape[1] == width:
+        return rows, None, None
     return _line_rows(path, width, what)
 
 

@@ -42,22 +42,14 @@ A dimension past that, with a non-integer point, p != 1, or more than
 On the pair path, `_matching_costs` solves every pair of one dimension in
 one call. It orients each pair by the rank of its sets' (size,
 point bytes) keys, so W(a, b) and W(b, a) are the same computation, and
-groups the pairs by route and set sizes. Most pairs take an assignment: the
+groups the pairs by set sizes. Each pair takes an assignment: the
 offset-form matrices of a group are built as one (pairs, n1, n2 + n1) array,
-in blocks of about `_DP_BLOCK_CELLS` cells, with one `linear_sum_assignment`
+in blocks of about `_BLOCK_CELLS` cells, with one `linear_sum_assignment`
 per pair and every pair's chosen entries summed at once, row by row. Each
 matrix and each row sum is the one a single pair gets, element for element,
-so batching changes no bit. A pair whose points all share one death (every
-capped dim 1) and whose larger set holds fewer than `_PAIRWISE_SUM_TERMS`
-points takes no assignment: matching two such points costs |b - b'|^p,
-convex in b - b', so some optimal matching never crosses, and a DP over
-sorted births finds one. It sums the traced matching as the assignment's
-entries are summed (in the first set's given order, left to right: numpy's
-order below eight terms), so most pairs keep the assignment's bits. The rest
-are tied optima, crossing matchings of equal cost that the assignment may
-pick and round differently (by about 1e-14). `wasserstein_distance` runs the
-same code for its one pair, so a build stays bit-equal to pairwise calls,
-serial or pooled.
+so batching changes no bit. `wasserstein_distance` runs the same code for
+its one pair, so a build stays bit-equal to pairwise calls, serial or
+pooled.
 
 A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
 pipeline and `knn_indices` read distances. Its constructor alone knows where
@@ -108,14 +100,9 @@ _MAX_LATTICE_POINTS = 100_000
 # distances `knn_indices` reads and ranks at a time (1 MB of float64): a block
 # of rows stays in cache and no |queries| x |pool| array is ever allocated
 _KNN_BLOCK_CELLS = 1 << 17
-# DP or cost-matrix cells `_matching_costs` fills at a time (2048 pairs of
-# 3-point sets), so its temporaries stay small whatever the number of pairs
-_DP_BLOCK_CELLS = 1 << 15
-# numpy adds fewer than eight terms left to right and more pairwise (eight
-# accumulators), which the DP's left-to-right re-sum of its matching does not
-# follow; so a pair whose larger set holds this many points takes the
-# assignment even when its points share one death, and keeps its bits
-_PAIRWISE_SUM_TERMS = 8
+# cost-matrix cells `_matching_costs` fills at a time (4096 pairs of 2-point
+# sets), so its temporaries stay small whatever the number of pairs
+_BLOCK_CELLS = 1 << 15
 
 
 class _Sets(NamedTuple):
@@ -175,49 +162,30 @@ def _matching_costs(sets: _Sets, first: np.ndarray, second: np.ndarray, p: float
     """Optimal matching cost (sum of p-th powers) of each pair (first[k],
     second[k]) of prepared point sets. Each pair is oriented by rank, so
     W(a, b) and W(b, a) are literally the same computation: equal keys cost
-    exactly 0.0 and an empty first set the other's diagonal sum. A pair whose
-    points all share one death and whose larger set holds fewer than
-    `_PAIRWISE_SUM_TERMS` points takes the DP over sorted births; every other
-    one its own `linear_sum_assignment`. Both run on blocks of about
-    `_DP_BLOCK_CELLS` cells of pairs grouped by set sizes, and no pair's
-    cost depends on the pairs solved with it."""
+    exactly 0.0 and an empty first set the other's diagonal sum. Every other
+    pair takes its own `linear_sum_assignment`, on blocks of about
+    `_BLOCK_CELLS` cost-matrix cells of pairs grouped by set sizes, and no
+    pair's cost depends on the pairs solved with it."""
     size, table, diag_sum, rank = sets
-    births, deaths, _ = table
     swap = rank[first] > rank[second]
     a, b = np.where(swap, second, first), np.where(swap, first, second)
     n1, n2 = size[a], size[b]  # after orientation a's set is the smaller (an empty one is a's)
     out = np.where(n1 == 0, diag_sum[b], 0.0)
-    todo = (rank[a] != rank[b]) & (n1 > 0)
-    if not todo.any():
+    pick = np.flatnonzero((rank[a] != rank[b]) & (n1 > 0))
+    if not pick.size:
         return out
-    real = np.arange(births.shape[1]) < size[:, None]
-    # the death every point of a set shares, NaN if none
-    death = np.where((deaths == np.where(real, deaths[:, :1], deaths)).all(1), deaths[:, 0], np.nan)
-    dp = todo & (death[a] == death[b]) & (n2 < _PAIRWISE_SUM_TERMS)
-    if dp.any():
-        order = np.argsort(np.where(real, births, np.inf), axis=1, kind="stable")
-        slot = np.argsort(order, axis=1)  # each given point's place in birth order
-        up = table[::2][:, np.arange(len(size))[:, None], order]  # births and diagonal costs, sorted
-    # one group per route and pair of set sizes; the DP pads the smaller set
-    # to the larger, so its groups go by the larger set's size alone
-    width = births.shape[1] + 1
-    group = (dp * width + np.where(dp, 0, n1)) * width + n2
-    pick = np.flatnonzero(todo)
-    pick = pick[np.argsort(group[pick], kind="stable")]
-    group = group[pick]
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()]
-    kinds = zip(*(x[pick[cuts]].tolist() for x in (dp, n1, n2)))
-    for i, j, (shared, s1, s2) in zip(cuts, cuts[1:] + [pick.size], kinds):
-        step = max(1, _DP_BLOCK_CELLS // ((s2 + 1) ** 2 if shared else s1 * (s1 + s2)))
+    group = n1[pick] * (table.shape[2] + 1) + n2[pick]
+    order = np.argsort(group, kind="stable")
+    pick, group = pick[order], group[order]
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), pick.size]
+    for i, j in zip(cuts, cuts[1:]):
+        s1, s2 = int(n1[pick[i]]), int(n2[pick[i]])
+        step = max(1, _BLOCK_CELLS // (s1 * (s1 + s2)))
         for start in range(i, j, step):
             k = pick[start : min(start + step, j)]
-            ka, kb = a[k], b[k]
-            if shared:
-                total = _sorted_matching(up[:, ka, :s2], slot[ka, :s2], n1[k], up[:, kb, :s2], p)
-            else:
-                total = _assigned_matching(table[:, ka, :s1], table[:, kb, :s2], p)
+            total = _assigned_matching(table[:, a[k], :s1], table[:, b[k], :s2], p)
             # the offset form can round a zero optimum to a hair below it
-            out[k] = np.maximum(0.0, diag_sum[kb] + total)
+            out[k] = np.maximum(0.0, diag_sum[b[k]] + total)
     return out
 
 
@@ -243,52 +211,6 @@ def _assigned_matching(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     cost.reshape(rows, -1)[:, n2 :: n1 + n2 + 1] = dx
     cols = np.array([linear_sum_assignment(c)[1] for c in cost]).reshape(rows, n1)
     return cost[np.arange(rows)[:, None], np.arange(n1), cols].sum(axis=1)
-
-
-def _sorted_matching(xs: np.ndarray, slot_x: np.ndarray, nx: np.ndarray, ys: np.ndarray, p: float) -> np.ndarray:
-    """Offset-form optimal matching costs, row by row, of sorted births x
-    (the first nx[r] real) with diagonal costs dx, xs = (x, dx), against
-    sorted births y (all real), ys = (y, dy), whose points share one death.
-    cost[i, j] is the best over the first i x and j y points; its last move
-    sends x_i or y_j to its diagonal (y_j at 0 in the offset form) or matches
-    the two. The traced matching is summed over the x points in their given
-    order (`slot_x`), left to right."""
-    (x, dx), (y, dy) = xs, ys
-    rows, m = y.shape
-    gap = np.abs(x[:, :, None] - y[:, None, :])
-    if p != 1.0:
-        gap **= p
-    gap -= dy[:, None, :]  # x_i to y_j instead of y_j to its diagonal
-    # the points a move uses up: bit 0 y_j, bit 1 x_i (1: y_j off, 2: x_i off, 3: matched)
-    move = np.zeros((rows, m + 1, m + 1), dtype=np.int8)
-    move[:, 0, 1:], move[:, 1:, 0] = 1, 2
-    cost = np.zeros((rows, m + 1))  # no x point yet: every y point on its diagonal
-    for i in range(1, m + 1):
-        best = cost + dx[:, i - 1 : i]  # x_i to its diagonal
-        pair = cost[:, :-1] + gap[:, i - 1]
-        take = pair < best[:, 1:]
-        np.minimum(best[:, 1:], pair, out=best[:, 1:])
-        cost = np.minimum.accumulate(best, axis=1)  # or y_j to its diagonal
-        move[:, i, 1:] = np.where(cost[:, :-1] < best[:, 1:], 1, 2 + take)
-    # trace back from (nx, m) over the flat cells i * (m + 1) + j
-    cells, every = move.reshape(rows, -1), np.arange(rows)
-    back = np.array([0, 1, m + 1, m + 2])  # the cells a move steps back
-    at = nx * (m + 1) + m
-    trail = np.empty((rows, int(nx.max()) + m), dtype=np.int64)
-    for s in range(trail.shape[1]):
-        trail[:, s] = at
-        at -= back[cells[every, at]]
-    # partner[r, i] is x_i's column of gap: its y point, or m for its own diagonal (dx)
-    every = every[:, None]
-    i, j = np.divmod(trail, m + 1)
-    partner = np.full((rows, m + 1), m)  # the spare last column takes the moves that match nothing
-    partner[every, np.where(cells[every, trail] == 3, i - 1, m)] = j - 1
-    partner = partner[:, :m]
-    entry = np.where(partner < m, gap[every, np.arange(m), np.minimum(partner, m - 1)], dx)[every, slot_x]
-    total = np.zeros(rows)
-    for column in entry.T:
-        total += column
-    return total
 
 
 def _dual_vertices(types: np.ndarray) -> np.ndarray | None:
@@ -409,10 +331,9 @@ def build_similarity_matrix(
     keeps its finite pairs and dim 1 deaths are capped at it, in copies. A
     fault of dim 0 in any diagram is reported before one of dim 1. For p = 1,
     a dimension whose points are all integer is solved by duality for all
-    pairs at once. The dimensions left are solved by `_matching_costs` (a DP
-    for small sets whose points share one death, an assignment per pair for
-    the rest, both batched over pairs grouped by set sizes) and summed per pair
-    by `_pair_costs`, in this process or, for `workers` > 1, on a pool of
+    pairs at once. The dimensions left are solved by `_matching_costs` (an
+    assignment per pair, batched over pairs grouped by set sizes) and summed
+    per pair by `_pair_costs`, in this process or, for `workers` > 1, on a pool of
     that many processes (at most the CPUs this process may use) that each
     take one contiguous run of the pairs. Each pair's distance is then the
     Python `** (1.0 / p)` of its sum, as in `wasserstein_distance`, so every

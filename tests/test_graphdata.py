@@ -125,7 +125,7 @@ def test_empty_edge_file_parses_without_a_warning(tmp_path):
 
 @pytest.mark.parametrize(
     "edit, line_reader",
-    [(lambda t: t.replace(", ", "\t"), False), (lambda t: t.replace("\n", "\n \t\n", 1), True)],
+    [(lambda t: t.replace(", ", "\t"), True), (lambda t: t.replace("\n", "\n \t\n", 1), True)],
     ids=["tab-separated", "whitespace-only-line"],
 )
 def test_both_readers_parse_as_the_reference(tmp_path, edit, line_reader):

@@ -421,13 +421,12 @@ def _all_pair_costs(point_sets, p):
     costs = similarity._matching_costs(sets, n + first, n + second, p)
     assert similarity._matching_costs(sets, n + second, n + first, p).tobytes() == costs.tobytes()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(similarity, "_DP_BLOCK_CELLS", 1)
+        m.setattr(similarity, "_BLOCK_CELLS", 1)
         assert similarity._matching_costs(sets, n + first, n + second, p).tobytes() == costs.tobytes()
     return costs, sets, diagrams, zip(first.tolist(), second.tolist())
 
 
-# sets whose points have pairwise different deaths: no two points share one,
-# so every pair of nonempty sets (one point each aside) takes the assignment
+# sets whose points have pairwise different deaths
 _distinct_deaths = st.lists(_point, max_size=7, unique_by=lambda pt: pt[1])
 
 
@@ -448,37 +447,26 @@ def test_property_batched_assignments_equal_the_one_pair_reference(sets, p):
 _shared_birth = st.one_of(st.sampled_from([0.0, 2.5, 5.0, 7.5, 10.0]), _coord)
 
 
-@settings(deadline=None)
-@given(st.lists(st.lists(_shared_birth, max_size=5), min_size=1, max_size=5), _order)
-def test_property_shared_death_dp_matches_assignment(births, p):
-    """Diagrams whose dim-1 points share one death, in any order, with empty
-    diagrams and copies (one with equal keys, one in reverse order): every DP
-    cost is the assignment's and the square reference's, both orientations
-    give the same bits, and so do blocks of one cell."""
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_shared_birth, max_size=40), min_size=1, max_size=5), _order)
+def test_property_shared_death_sets_equal_the_one_pair_reference(births, p):
+    """Diagrams whose dim-1 sets of 0-40 points share one death, in any
+    order, with copies (one with equal keys, one in reverse order): every
+    batched cost has the bits of the one-pair assignment and is within 1e-9
+    of the square reference, and both orientations give the same bits, as do
+    blocks of one cell."""
     births = [*births, births[0], births[0][::-1]]
-    dp, prepared, diagrams, pairs = _all_pair_costs([[(b, 10.0) for b in bs] for bs in births], p)
+    costs, prepared, diagrams, pairs = _all_pair_costs([[(b, 10.0) for b in bs] for bs in births], p)
     for k, (i, j) in enumerate(pairs):
-        assert dp[k] == pytest.approx(matching_cost(prepared, len(births) + i, len(births) + j, p), abs=1e-9)
-        assert dp[k] == pytest.approx(square_matching_cost(diagrams[i].dim1, diagrams[j].dim1, p), abs=1e-9)
+        assert costs[k] == matching_cost(prepared, len(births) + i, len(births) + j, p)
+        assert costs[k] == pytest.approx(square_matching_cost(diagrams[i].dim1, diagrams[j].dim1, p), abs=1e-9)
         assert wasserstein_distance(diagrams[i], diagrams[j], p) == wasserstein_distance(diagrams[j], diagrams[i], p)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(_shared_birth, min_size=8, max_size=40), min_size=1, max_size=4), _order)
-def test_property_large_shared_death_sets_take_the_assignment(births, p):
-    """Sets of 8-40 points that share one death, with an empty set: numpy
-    sums eight or more terms pairwise, so these take the assignment and keep
-    the one-pair reference's bits."""
-    births = [[], *births, births[0][::-1]]
-    costs, prepared, _, pairs = _all_pair_costs([[(b, 10.0) for b in bs] for bs in births], p)
-    for k, (i, j) in enumerate(pairs):
-        assert costs[k] == matching_cost(prepared, len(births) + i, len(births) + j, p)
-
-
-def test_only_sets_that_share_one_death_take_the_dp(monkeypatch):
-    # an empty set pairs with any set; two sets pair when every point of both
-    # has one death; every other pair solves one assignment of its own shape
-    sets = [[], [(0.0, 4.0), (1.0, 4.0)], [(2.0, 4.0)], [(2.0, 5.0)], [(0.0, 4.0), (1.0, 5.0)]]
+def test_every_pair_of_unequal_nonempty_sets_solves_one_assignment(monkeypatch):
+    # an empty set and equal keys solve none; every other pair solves one
+    # assignment of shape (n1, n2 + n1), whether or not its points share a death
+    sets = [[], [(0.0, 4.0), (1.0, 4.0)], [(2.0, 4.0)], [(2.0, 5.0)], [(0.0, 4.0), (1.0, 5.0)], [(2.0, 4.0)]]
     diagrams = [_diagram(gid, [], pts) for gid, pts in enumerate(sets)]
     prepared = similarity._per_diagram(*similarity._point_tables(diagrams, 1.0), 2 * len(sets), 1.0)
     first, second = np.triu_indices(len(sets), 1)
@@ -490,11 +478,12 @@ def test_only_sets_that_share_one_death_take_the_dp(monkeypatch):
         return linear_sum_assignment(cost)
 
     monkeypatch.setattr(similarity, "linear_sum_assignment", counted)
-    dp = similarity._matching_costs(prepared, first, second, 1.0)
-    # sets {1, 3}, {2, 4} and {3, 4} are (1, 1 + 2), {2, 3} is (1, 1 + 1), {1, 4} is (2, 2 + 2)
-    assert sorted(shapes) == [(1, 2), (1, 3), (1, 3), (1, 3), (2, 4)]
-    assert dp[0] == 3.5  # the empty set against (0, 4) and (1, 4): 2 + 1.5
-    assert dp[4] == 3.0  # (2, 4) matches (1, 4) at 1 and (0, 4) goes to its diagonal at 2
+    costs = similarity._matching_costs(prepared, first, second, 1.0)
+    # sets 2 and 5 are equal; {1, 4} is (2, 2 + 2), {2, 3} and {3, 5} are
+    # (1, 1 + 1), and the other pairs of nonempty sets are (1, 1 + 2)
+    assert sorted(shapes) == [(1, 2), (1, 2), *[(1, 3)] * 6, (2, 4)]
+    assert costs[0] == 3.5  # the empty set against (0, 4) and (1, 4): 2 + 1.5
+    assert costs[5] == 3.0  # (2, 4) matches (1, 4) at 1 and (0, 4) goes to its diagonal at 2
 
 
 # --- similarity matrix -------------------------------------------------------
@@ -602,8 +591,9 @@ def test_integer_diagrams_solve_no_assignment(monkeypatch):
     assert np.array_equal(build_similarity_matrix(diagrams, p=1.0, cap=cap).values, want)
 
 
-def test_capped_dim1_solves_no_assignment(monkeypatch):
-    # eigenvector-shaped: one assignment per pair, each the shape of the pair's dim-0 sets
+def test_eigenvector_build_solves_one_assignment_per_pair_of_unequal_sets(monkeypatch):
+    # both dimensions are matched: every pair of nonempty sets with unequal
+    # keys solves one assignment of its shape, the capped dim 1 included
     diagrams, cap = molecule_like_diagrams(FiltrationKind.EIGENVECTOR)
     shapes = []
 
@@ -614,16 +604,15 @@ def test_capped_dim1_solves_no_assignment(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(similarity, "linear_sum_assignment", counted)
         build_similarity_matrix(diagrams, p=1.0, cap=cap)
-    prepared = similarity._per_diagram(*similarity._point_tables(diagrams, 1.0, cap), 2 * len(diagrams), 1.0)
-    size, rank = prepared.size[: len(diagrams)], prepared.rank[: len(diagrams)]  # the dim-0 sets
-    assert size.min() > 0 and len(set(rank.tolist())) == len(size)
-    pairs = itertools.combinations(size.tolist(), 2)
+    n = len(diagrams)
+    prepared = similarity._per_diagram(*similarity._point_tables(diagrams, 1.0, cap), 2 * n, 1.0)
+    size, rank = prepared.size.tolist(), prepared.rank.tolist()
+    want = [[(min(size[a], size[b]), size[a] + size[b])
+             for a, b in itertools.combinations(range(dim * n, dim * n + n), 2)
+             if size[a] and size[b] and rank[a] != rank[b]] for dim in (0, 1)]
+    assert want[1]
     # solved in groups of equal shape, so the shapes are compared as sorted lists
-    assert sorted(shapes) == sorted((min(sizes), sum(sizes)) for sizes in pairs)
-    # an integer dim 0 at p = 1 (the dual path) plus a non-integer capped dim 1 (the DP) solves none
-    degree, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
-    shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in degree]
-    assert_build_equals_pairwise(monkeypatch, shifted, 1.0, (), cap=cap + 0.5)
+    assert sorted(shapes) == sorted(want[0] + want[1])
 
 
 def assignment_calls(monkeypatch, fn):
@@ -642,8 +631,7 @@ def assignment_calls(monkeypatch, fn):
 def assert_build_equals_pairwise(monkeypatch, diagrams, p, matched_dims, **kw):
     """The build equals pairwise `wasserstein_distance` bit for bit and solves
     the assignments that pairwise calls solve on the dimensions `matched_dims`
-    alone. A dimension whose points share one death (every capped dim 1)
-    solves none either way."""
+    alone."""
     mat, calls = assignment_calls(monkeypatch, lambda: build_similarity_matrix(diagrams, p=p, **kw))
     capped = [hand_capped(d, mat.cap) for d in diagrams]
     pairs = list(itertools.combinations(range(len(diagrams)), 2))
@@ -689,7 +677,8 @@ def test_lattice_over_the_limit_is_matched_pair_by_pair(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_only_the_non_integer_dimension_is_matched(monkeypatch, workers):
     # dim-1 deaths moved off the integers, where the capped dim 1 takes the
-    # shared-death DP in this process; dim 0 keeps them and takes the dual path
+    # assignment (in this process for one worker); dim 0 keeps them and takes
+    # the dual path
     diagrams, cap = molecule_like_diagrams(FiltrationKind.DEGREE)
     assert any(len(d.dim1) for d in diagrams)
     shifted = [PersistenceDiagram(d.graph_id, d.dim0, d.dim1 + [0.0, 0.5]) for d in diagrams]
