@@ -166,14 +166,14 @@ def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     comments = _comments(cfg)
     kind = FiltrationKind(cfg.filtration)
     table = _dataset_table(cfg)[0]
-    diagrams = dataset_diagrams(table, kind)
-    cap = max_finite_value(diagrams)
+    points = dataset_diagrams(table, kind)
+    cap = max_finite_value(points)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     dpath = out / f"{name}_{kind.value}_diagrams.csv"
     ipath = out / f"{name}_{kind.value}_images.csv"
-    diagrams_to_csv(diagrams, dpath, comments=comments)
-    images = [(d.graph_id, persistence_image(d, cfg.pi_resolution, cap=cap)) for d in diagrams]
+    diagrams_to_csv(points, dpath, comments=comments)
+    images = [(d.graph_id, persistence_image(d, cfg.pi_resolution, cap=cap)) for d in points.diagrams()]
     images_to_csv(images, ipath, comments=comments)
     print(f"{name}: {len(table.ids)} graphs -> {dpath.name}, {ipath.name} (cap={cap:g})")
 
@@ -222,10 +222,8 @@ def _simmat_with_cache(cfg: RunConfig, table: EdgeTable) -> tuple[similarity.Sim
             return matrix, path
         except CprocError as exc:
             warnings.warn(f"similarity cache unusable ({exc}); recomputing", stacklevel=2)
-    # the dataset pass's table of points, with no per-graph diagram
-    points = topology._diagrams(table, topology._filtration(table, kind))
     matrix = build_similarity_matrix(
-        points,
+        dataset_diagrams(table, kind),
         p=cfg.wasserstein_p,
         key=key,
         workers=cfg.pairs_parallel,

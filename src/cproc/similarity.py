@@ -270,10 +270,8 @@ def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: floa
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
     sets = _per_diagram(*_point_tables([d1, d2], p), 4, p)
-    # sets 0 and 1 are dim 0, sets 2 and 3 dim 1: one call solves both (with
-    # the sum and root of `build_similarity_matrix`, so the bits are its entry's)
-    dim0, dim1 = _matching_costs(sets, np.array([0, 2]), np.array([1, 3]), p).tolist()
-    return ((0.0 + dim0) + dim1) ** (1.0 / p)
+    (cost,) = _pair_costs(sets, 2, p, (np.array([0]), np.array([1]))).tolist()
+    return cost ** (1.0 / p)
 
 
 class SimilarityMatrix:

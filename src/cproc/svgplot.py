@@ -7,6 +7,7 @@ whatever the locale."""
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def band_svg(
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
     ]
     if comment:
-        parts.append(f"<!-- {comment.replace('--', '- -')} -->")
+        parts.append(f"<!-- {re.sub('-(?=-)', '- ', comment)} -->")
     parts.append(f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>')
     parts.append(
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_SIZE - 2 * _MARGIN}" '

@@ -2,9 +2,9 @@
 
 A dataset is read as one `graphdata.EdgeTable`: flat int64 arrays of the
 node and edge counts of its graphs and of every edge, in global vertex ids,
-graph by graph. `_diagrams` computes every graph's diagram from it in one
-pass, as one table of points (`_Points`) that the distances read as it is;
-`dataset_diagrams` cuts it into one `PersistenceDiagram` per graph, and
+graph by graph. `dataset_diagrams` returns every graph's diagram from one
+pass as one table of points (`_Points`), which the cap, the distances and
+the diagrams CSV read as it is; `.diagrams()` cuts it per graph, and
 `compute_filtration` and `sublevel_persistence` are its one-graph calls.
 The degree filtration is one bincount over the table. The other four are
 numpy on each graph's dense adjacency: betweenness is Brandes' dependency
@@ -236,10 +236,10 @@ def _pairs(table: EdgeTable, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return birth, death, owner
 
 
-def dataset_diagrams(table: EdgeTable, kind: FiltrationKind) -> list[PersistenceDiagram]:
-    """Every graph's persistence diagram under `kind`, in one pass: graph by
-    graph the same arrays as `sublevel_persistence(g, compute_filtration(g, kind))`."""
-    return _diagrams(table, _filtration(table, kind)).diagrams()
+def dataset_diagrams(table: EdgeTable, kind: FiltrationKind) -> _Points:
+    """Every graph's diagram under `kind`, in one pass, as one table of points: its
+    `.diagrams()` are graph by graph `sublevel_persistence(g, compute_filtration(g, kind))`."""
+    return _diagrams(table, _filtration(table, kind))
 
 
 def compute_filtration(g: Graph, kind: FiltrationKind) -> np.ndarray:
@@ -300,15 +300,15 @@ def max_finite_value(diagrams) -> float:
     return max(0.0, float(values[np.isfinite(values)].max(initial=0.0)))
 
 
-def diagrams_to_csv(
-    diagrams: list[PersistenceDiagram], path: str | Path, comments: tuple[str, ...] = ()
-) -> None:
-    blocks = [np.asarray(d.points(dim), dtype=float).reshape(-1, 2) for d in diagrams for dim in (0, 1)]
-    sizes = [len(block) for block in blocks]
-    ids = np.repeat([d.graph_id for d in diagrams for _ in (0, 1)], sizes)
-    dims = np.repeat([0, 1] * len(diagrams), sizes)
-    points = np.concatenate([np.zeros((0, 2)), *blocks])
-    write_tables([(path, [ids, dims, *points.T], ["graph_id", "dim", "birth", "death"], comments)])
+def diagrams_to_csv(diagrams, path: str | Path, comments: tuple[str, ...] = ()) -> None:
+    """One (graph_id, dim, birth, death) row per point of `diagrams` (a list,
+    or the table `dataset_diagrams` returns), graph by graph, dim 0 first."""
+    table = _Points.of(diagrams)
+    n = len(table.ids)
+    rows = np.argsort(table.owner % n, kind="stable")
+    owner = table.owner[rows]
+    columns = [np.asarray(table.ids)[owner % n], owner // n, *table.points[rows].T]
+    write_tables([(path, columns, ["graph_id", "dim", "birth", "death"], comments)])
 
 
 def images_to_csv(

@@ -298,6 +298,26 @@ def test_a_serial_cold_run_imports_no_process_pool(tmp_path):
     assert "simmat cache hit" not in proc.stdout and (tmp_path / "o" / "band.csv").exists()
 
 
+def test_every_command_runs_without_networkx(tmp_path):
+    """networkx is only the tests' filtration oracle: in a process that
+    cannot import it, and that turns numpy's and scipy's deprecations into
+    errors, `cproc topo` under every filtration, a cold `cproc simmat` and a
+    cold `cproc bands` exit 0."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    runs = [["topo", "--dataset", str(data), "--filtration", kind.value, "--out", str(tmp_path / "topo")]
+            for kind in FiltrationKind]
+    runs += [["simmat", "--dataset", str(data), "--out", str(tmp_path / "simmat")],
+             ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split), "--knn", "2",
+              "--thin-stratum", "widen", "--min-stratum", "2", "--out", str(tmp_path / "bands")]]
+    code = ("import json, sys; sys.modules['networkx'] = None; import cproc.cli; "
+            "print([cproc.cli.main(argv) for argv in json.loads(sys.argv[1])])")
+    flags = ("-W", "error::DeprecationWarning", "-W", "error::FutureWarning")
+    proc = run_cli([json.dumps(runs)], entry=(*flags, "-c", code), text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([0] * len(runs)), proc.stderr
+    assert (tmp_path / "bands" / "band.csv").exists() and "cache hit" not in proc.stdout
+
+
 def test_bands_byte_identical_reruns(tmp_path):
     data, scores, split, *_ = twin_star_dataset(tmp_path)
     out = tmp_path / "o"
@@ -411,6 +431,25 @@ def test_plot_escapes_band_names_and_the_title(tmp_path):
     band_svg([], tmp_path / "t.svg", title="x < y & z")
     titles = [node.firstChild.data for node in minidom.parse(str(tmp_path / "t.svg")).getElementsByTagName("text")]
     assert "x < y & z" in titles
+
+
+@pytest.mark.parametrize("comment", ["a--b", "a---b", "----", "ends in -"])
+def test_svg_comments_parse_whatever_their_dashes(tmp_path, comment):
+    """An XML comment may hold no "--", so `band_svg` writes a space after
+    every dash that a dash follows; the comment keeps its other characters."""
+    band_svg([], tmp_path / "c.svg", comment=comment)
+    nodes = minidom.parse(str(tmp_path / "c.svg")).documentElement.childNodes
+    (node,) = [node for node in nodes if node.nodeType == node.COMMENT_NODE]
+    assert node.data.replace(" ", "") == comment.replace(" ", "")
+
+
+def test_plot_out_with_dashes_writes_a_well_formed_svg(tmp_path, monkeypatch):
+    # the config comment of the SVG names --out, three dashes in a row included
+    band = tmp_path / "b.csv"
+    band.write_text("# config\nlambda,sen_lo,sen_up,spe_lo,spe_up\n0.0,1,1,1,1\n1.0,0,0,0,0\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", "b.csv", "--out", "o---x/"]) == 0
+    assert minidom.parse("o---x/bands.svg").documentElement.tagName == "svg"
 
 
 def test_plot_writes_utf8_under_an_ascii_locale(tmp_path):
@@ -799,6 +838,26 @@ def test_cold_runs_build_no_graph_and_no_diagram(tmp_path, capsys, monkeypatch):
     matrix = load_matrix(out / "STARS_degree_p1.simmat")
     assert matrix.values.tobytes() == build_similarity_matrix(diagrams).values.tobytes()
     assert (out / "band.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["topo", "simmat", "bands"])
+def test_a_cold_run_makes_one_dataset_pass_and_builds_no_graph(tmp_path, capsys, monkeypatch, command):
+    """A cold `cproc topo`, `simmat` or `bands` reads the dataset as tables,
+    and its diagrams come from one `dataset_diagrams` call."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path, n_pairs=16)
+    dataset = ["--dataset", str(data), "--out", str(tmp_path / "out")]
+    argv = {"topo": ["topo", *dataset], "simmat": ["simmat", *dataset],
+            "bands": ["bands", *dataset, "--scores", str(scores), "--split", str(split), "--knn", "3",
+                      "--mode", "exch"]}[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cold run built a Graph")
+
+    monkeypatch.setattr("cproc.graphdata.Graph", refuse)
+    dataset_pass = mock.Mock(wraps=cproc.topology.dataset_diagrams)
+    monkeypatch.setattr("cproc.cli.dataset_diagrams", dataset_pass)
+    assert main(argv) == 0, capsys.readouterr().err
+    assert dataset_pass.call_count == 1
 
 
 def test_cache_key_names_version_not_cap_and_old_keys_rebuild_once(tmp_path, capsys):

@@ -304,7 +304,7 @@ def test_dataset_diagrams_equal_the_one_graph_calls(case):
     degree = np.concatenate([reference.adjacency(g).sum(axis=1) for g in graphs])
     assert topology._filtration(table, FiltrationKind.DEGREE).tobytes() == degree.tobytes()
     for kind in FiltrationKind:
-        for g, d in zip(graphs, dataset_diagrams(table, kind), strict=True):
+        for g, d in zip(graphs, dataset_diagrams(table, kind).diagrams(), strict=True):
             values = compute_filtration(g, kind)
             assert_bit_equal(d, reference.sublevel_persistence(g, values))
             if kind is FiltrationKind.DEGREE:
@@ -457,6 +457,22 @@ def test_diagram_csv_roundtrip(tmp_path, triangle):
     assert lines[-3:] == ["2,0,-0.0,inf", "2,0,5e-324,0.30000000000000004", "2,1,0.30000000000000004,inf"]
     images_to_csv([(2, np.array([[-0.0, 5e-324], [0.1 + 0.2, np.inf]]))], tmp_path / "i.csv")
     assert (tmp_path / "i.csv").read_bytes() == b"2,-0.0,5e-324,0.30000000000000004,inf\r\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=datasets_with_values())
+def test_property_diagrams_csv_of_the_table_equals_its_diagrams(tmp_path_factory, case):
+    """The pass's table and the list of its diagrams write the same bytes:
+    graph by graph, dim 0 first, each diagram's points in their order."""
+    graphs, values = case
+    table = topology._diagrams(EdgeTable.of(graphs), values)
+    root = tmp_path_factory.mktemp("csv")
+    diagrams_to_csv(table, root / "table.csv", comments=("c",))
+    diagrams_to_csv(table.diagrams(), root / "list.csv", comments=("c",))
+    rows = [f"{d.graph_id},{dim},{b!r},{e!r}" for d in table.diagrams() for dim in (0, 1)
+            for b, e in d.points(dim).tolist()]
+    want = "# c\n" + "\r\n".join(["graph_id,dim,birth,death", *rows, ""])
+    assert (root / "table.csv").read_bytes() == (root / "list.csv").read_bytes() == want.encode()
 
 
 def test_max_finite_value():
