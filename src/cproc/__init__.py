@@ -1,17 +1,17 @@
 """Conformal prediction confidence bands for ROC curves.
 
-Pipeline: parse TU graph datasets, compute sublevel persistent homology under
-vertex filtrations, build a pairwise Wasserstein similarity matrix, calibrate
-soft conformal intervals for the latent class probability (globally or via
-K-nearest calibration neighborhoods), and combine them into pointwise ROC
-confidence bands with AUC intervals. A synthetic harness with a known oracle
-probability validates band coverage empirically.
+Pipeline: `read_tu_table` reads a TU graph dataset as one edge table and its
+labels, `dataset_diagrams` computes every graph's sublevel persistence under a
+vertex filtration in one pass, `build_similarity_matrix` makes the pairwise
+Wasserstein distances, and `cp_roc_bands` calibrates soft conformal intervals
+for the graphs `load_scores` reads (globally or on K-nearest calibration
+neighborhoods) and combines them into pointwise ROC bands with AUC intervals.
+A synthetic harness with a known oracle probability validates band coverage.
 """
 
 __version__ = "0.1.0"
 
 from .baseline import BootstrapBand, bootstrap_bands
-from .conformal import conformal_intervals, score_table
 from .errors import (
     CprocError,
     DegenerateTestError,
@@ -23,13 +23,11 @@ from .errors import (
     StratumError,
 )
 from .graphdata import (
-    Graph,
     ScoredDataset,
     SplitAssignment,
     load_scores,
-    parse_tu_dataset,
+    read_tu_table,
     split_dataset,
-    write_tu_dataset,
 )
 from .rocbands import (
     RocBand,
@@ -56,7 +54,6 @@ from .synthetic import (
 from .topology import (
     FiltrationKind,
     PersistenceDiagram,
-    compute_filtration,
+    dataset_diagrams,
     persistence_image,
-    sublevel_persistence,
 )

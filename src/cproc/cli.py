@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, graphdata, similarity, topology
+from . import __version__, similarity, topology
 from .baseline import bootstrap_bands
-from .errors import CprocError, NumericalError
-from .graphdata import load_scores, read_split_manifest, resplit, split_dataset, split_table, write_tables
+from .errors import CprocError, NumericalError, SplitError
+from .graphdata import load_scores, read_split_manifest, read_tu_table, resplit, split_dataset, split_table, write_tables
 from .graphdata import parse_tu_dataset, write_split_manifest  # noqa: F401  unused here; perfbench/spans.py hooks them by name
 from .rocbands import UNIFORM_GRID, band_table, empirical_roc, read_band_csv, split_bands
 from .rocbands import cp_roc_bands, default_lambda_grid, write_band_csv  # noqa: F401  unused here; perfbench/spans.py hooks them by name
@@ -156,16 +156,11 @@ def _dataset_name(cfg: RunConfig) -> str:
     return cfg.name or Path(cfg.dataset).name
 
 
-def _dataset_table(cfg: RunConfig) -> tuple[EdgeTable, np.ndarray]:
-    """The dataset's edge table and graph labels."""
-    return graphdata._tu_table(cfg.dataset, _dataset_name(cfg))
-
-
 def cmd_topo(cfg: RunConfig, args: argparse.Namespace) -> None:
     name = _dataset_name(cfg)
     comments = _comments(cfg)
     kind = FiltrationKind(cfg.filtration)
-    table = _dataset_table(cfg)[0]
+    table = read_tu_table(cfg.dataset, name)[0]
     points = dataset_diagrams(table, kind)
     cap = max_finite_value(points)
     out = Path(cfg.out)
@@ -233,7 +228,7 @@ def _simmat_with_cache(cfg: RunConfig, table: EdgeTable) -> tuple[similarity.Sim
 
 
 def cmd_simmat(cfg: RunConfig, args: argparse.Namespace) -> None:
-    matrix, path = _simmat_with_cache(cfg, _dataset_table(cfg)[0])
+    matrix, path = _simmat_with_cache(cfg, read_tu_table(cfg.dataset, _dataset_name(cfg))[0])
     csv_path = path.with_suffix(".csv")
     export_matrix_csv(matrix, csv_path, comments=_comments(cfg))
     print(f"{_dataset_name(cfg)}: {matrix.n}x{matrix.n} matrix -> {path.name}, {csv_path.name}")
@@ -245,7 +240,7 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
     comments = _comments(cfg)
 
     # scores and splits are checked against the graphs before any distance is computed
-    table, labels = _dataset_table(cfg) if cfg.dataset or not cfg.simmat else (None, None)
+    table, labels = read_tu_table(cfg.dataset, _dataset_name(cfg)) if cfg.dataset or not cfg.simmat else (None, None)
     scored = load_scores(cfg.scores, labels)
     if scored.num_labels > 2:
         raise ValueError(
@@ -264,7 +259,14 @@ def cmd_bands(cfg: RunConfig, args: argparse.Namespace) -> None:
         splits = [base_split]
     else:
         splits = [resplit(base_split, cfg.calib_split, cfg.seed + i) for i in range(cfg.repeats)]
+    for part in ("train", "calib", "test"):  # only a manifest can leave one empty
+        if not all(split.ids(part).size for split in splits):
+            raise SplitError(f"split leaves {part} empty: {cfg.split}")
     matrix = load_matrix(cfg.simmat) if cfg.simmat else _simmat_with_cache(cfg, table)[0]
+    if cfg.simmat and table is not None:
+        graphs = {part for part in matrix.key.split("|") if part.startswith("graphs=")}  # none in an external key
+        if graphs and graphs != {f"graphs={_graphs_digest(table)}"}:
+            raise ValueError(f"{cfg.simmat} was built from other graphs than {cfg.dataset}")
     mode = MODES[cfg.mode]
     # every band is built before --out is created, so a failing repeat leaves no file
     bands = split_bands(scored, splits, matrix, cfg.knn, cfg.alpha, mode=mode,

@@ -10,7 +10,7 @@ reads any other and names the line of every fault, and turns its values into
 int64 arrays one chunk of lines at a time.
 One stable argsort numbers the nodes of each graph and one np.unique over
 int64 keys dedupes and orders the edges, which makes them an `EdgeTable`'s
-global vertex ids, graph by graph: the parser yields that table and the
+global vertex ids, graph by graph: `read_tu_table` yields that table and the
 graph labels, the input of a cold run, and `parse_tu_dataset`'s `Graph`
 list is a view of them whose edges skip `Graph.__post_init__`'s per-edge
 loop. `load_scores` reads each cell with int() or float() and checks whole
@@ -249,8 +249,21 @@ def _edge_keys(path: Path, name: str, graph_of: np.ndarray, rank: np.ndarray) ->
     return np.unique(keys), keep.size - keys.size
 
 
-def _tu_table(dir_path: str | Path, name: str) -> tuple[EdgeTable, np.ndarray]:
-    """The dataset of `parse_tu_dataset` as its `EdgeTable`, and the graph labels."""
+def read_tu_table(dir_path: str | Path, name: str) -> tuple[EdgeTable, np.ndarray]:
+    """A dataset directory in the TU benchmark layout as an `EdgeTable` and the graph labels.
+
+    Mandatory files: ``NAME_A.txt`` (edge list, 1-indexed global node ids),
+    ``NAME_graph_indicator.txt`` (node -> graph id), ``NAME_graph_labels.txt``.
+    No filtration or distance uses node labels or attributes, so
+    ``NAME_node_labels.txt`` and ``NAME_node_attributes.txt`` are not read.
+
+    Graph labels are remapped onto {0, 1, ...} preserving the sorted order of
+    the original values.
+
+    Faults are reported in a fixed order: the indicator file, the labels
+    file, an empty dataset, an indicator value out of range, then the lines
+    of ``NAME_A.txt`` in file order, and last a graph without nodes.
+    """
     root = Path(dir_path)
     for fname in (f"{name}_A.txt", f"{name}_graph_indicator.txt", f"{name}_graph_labels.txt"):
         if not (root / fname).exists():
@@ -276,7 +289,7 @@ def _tu_table(dir_path: str | Path, name: str) -> tuple[EdgeTable, np.ndarray]:
 
     keys, dropped_loops = _edge_keys(root / f"{name}_A.txt", name, graph_of, rank)
     if dropped_loops:
-        warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=3)
+        warnings.warn(f"{name}: dropped {dropped_loops} self-loop(s)", stacklevel=2)
 
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -290,21 +303,8 @@ def _tu_table(dir_path: str | Path, name: str) -> tuple[EdgeTable, np.ndarray]:
 
 
 def parse_tu_dataset(dir_path: str | Path, name: str) -> list[Graph]:
-    """Parse a dataset directory in the TU benchmark layout.
-
-    Mandatory files: ``NAME_A.txt`` (edge list, 1-indexed global node ids),
-    ``NAME_graph_indicator.txt`` (node -> graph id), ``NAME_graph_labels.txt``.
-    No filtration or distance uses node labels or attributes, so
-    ``NAME_node_labels.txt`` and ``NAME_node_attributes.txt`` are not read.
-
-    Graph labels are remapped onto {0, 1, ...} preserving the sorted order of
-    the original values.
-
-    Faults are reported in a fixed order: the indicator file, the labels
-    file, an empty dataset, an indicator value out of range, then the lines
-    of ``NAME_A.txt`` in file order, and last a graph without nodes.
-    """
-    table, labels = _tu_table(dir_path, name)  # its checks stand in for Graph.__post_init__
+    """The `Graph` view of `read_tu_table`, kept for the benchmark and the tests."""
+    table, labels = read_tu_table(dir_path, name)  # its checks stand in for Graph.__post_init__
     local = table.edges - np.repeat(np.cumsum(table.nodes) - table.nodes, table.sizes)[:, None]
     pairs = list(zip(*local.T.tolist()))
     cuts = np.append(0, np.cumsum(table.sizes)).tolist()

@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import shlex
 import struct
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -19,7 +21,7 @@ import cproc
 import reference
 from cproc import svgplot
 from cproc.cli import VERSION, _code_digest, _graphs_digest, _read_config_file, main
-from cproc.errors import StratumError
+from cproc.errors import NumericalError, StratumError
 from cproc.graphdata import (
     Graph,
     ScoredDataset,
@@ -136,6 +138,8 @@ def test_topo_reruns_after_the_dataset_changes(tmp_path):
     pytest.param(["simmat"], "needs --dataset", False, id="simmat"),
     pytest.param(["bands", "--dataset", "{data}"], "needs --scores FILE", False, id="bands-no-scores"),
     pytest.param(["bands", "--scores", "{scores}"], "needs --dataset", False, id="bands-no-graphs"),
+    pytest.param(["bands", "--dataset", "{data}", "--scores", "{scores}", "--pool-split", "0.01"],
+                 "split leaves train empty: 24 graphs, pool_split=0.01", False, id="bands-pool-split-leaves-no-train"),
     pytest.param(["bands", "--dataset", "{data}", "--scores", "{missing}"], "No such file", False,
                  id="bands-missing-scores"),
 ])
@@ -229,6 +233,30 @@ def test_bands_bad_split_manifest_exit_2(tmp_path, capsys):
     rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(bad),
                "--knn", "1", "--mode", "exch", "--out", str(tmp_path / "o")])
     assert rc == 2 and "graph_id is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, repeats, message", [
+    pytest.param(lambda rows: rows[:-1], "1", "split manifest size does not match dataset", id="another-size"),
+    pytest.param(lambda rows: [r.replace(",train", ",calib") for r in rows], "1", "split leaves train empty",
+                 id="no-train"),
+    pytest.param(lambda rows: [r.replace(",train", ",calib") for r in rows], "2", "split leaves train empty",
+                 id="no-train-resplit"),
+    pytest.param(lambda rows: [r.replace(",calib", ",test") for r in rows], "1", "split leaves calib empty",
+                 id="no-calib"),
+    pytest.param(lambda rows: [r.replace(",test", ",calib") for r in rows], "1", "split leaves test empty",
+                 id="no-test"),
+])
+def test_bands_split_manifest_faults_exit_2_before_out_exists(tmp_path, capsys, edit, repeats, message):
+    """A manifest that does not fit the run fails before any distance is built, so --out is never made."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    header, *rows = split.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, *edit(rows)]) + "\n")
+    out = tmp_path / "o"
+    rc = main(["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(bad),
+               "--repeats", repeats, "--knn", "1", "--mode", "exch", "--out", str(out)])
+    assert rc == 2 and message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -509,6 +537,17 @@ def test_simulate_single_replicate_audit(tmp_path):
     assert payload["config"]["n_train"] == 200 and payload["reps"] == 1
 
 
+def test_a_numerical_error_exits_3_before_out_exists(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NumericalError("logistic fit did not converge")
+
+    monkeypatch.setattr("cproc.cli.coverage_experiment", diverge)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--repeats", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "cproc: numerical error: logistic fit did not converge\n"
+    assert not out.exists()
+
+
 def test_simulate_invalid_alpha_exit_2(tmp_path):
     rc = main(["simulate", "--alpha", "1.5", "--repeats", "1", "--out", str(tmp_path)])
     assert rc == 2
@@ -540,6 +579,27 @@ def test_readme_simulate_example_runs(tmp_path):
     small = ["--n-train", "150", "--n-calib", "80", "--n-test", "60", "--knn", "10", "--repeats", "1",
              "--out", str(tmp_path / "sim")]
     assert main(shlex.split(line)[1:] + small) == 0
+
+
+def test_readme_python_pipeline_runs(tmp_path, monkeypatch, capsys):
+    """The README's Python blocks, the pipeline and then the one-vs-rest
+    recipe, run as written on a twin-star set laid out as they name it."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert "read_tu_table(" in blocks[0] and "for k in range(scored.num_labels)" in blocks[1]
+    # 200 graphs: split_dataset pools 40, so each label has at least min_stratum = 5 calibration graphs
+    data, *_ = twin_star_dataset(tmp_path, n_pairs=100)
+    (tmp_path / "data" / "BZR").mkdir(parents=True)
+    for path in data.iterdir():
+        path.rename(tmp_path / "data" / "BZR" / path.name.replace("STARS", "BZR"))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks[:2]:
+        exec(block, namespace)
+    band = namespace["band"]
+    assert capsys.readouterr().out == f"AUC in [{band.auc_lo:.4f}, {band.auc_up:.4f}]\n"
+    assert 0.0 <= band.auc_lo <= band.auc_up <= 1.0
+    assert sorted(namespace["bands"]) == [0, 1]
 
 
 def test_config_file_defaults_and_flag_override(tmp_path):
@@ -657,6 +717,31 @@ def test_bands_simmat_of_another_size_exit_2_before_out(tmp_path, capsys):
     assert rc == 2
     assert "scores cover 130 graphs but matrix is 137x137" in capsys.readouterr().err
     assert not (tmp_path / "X").exists()
+
+
+def test_bands_simmat_of_other_graphs_exit_2_before_out(tmp_path, capsys):
+    """With --dataset, a --simmat whose key names other graphs is refused; a
+    key that names none (an external matrix) is accepted."""
+    data, scores, split, *_ = twin_star_dataset(tmp_path)
+    assert main(["simmat", "--dataset", str(data), "--out", str(tmp_path / "built")]) == 0
+    simmat = tmp_path / "built" / "STARS_degree_p1.simmat"
+    external = tmp_path / "external.simmat"
+    save_matrix(SimilarityMatrix(values=load_matrix(simmat).values), external)
+    bands = ["bands", "--dataset", str(data), "--scores", str(scores), "--split", str(split),
+             "--knn", "1", "--mode", "exch"]
+    for path in (simmat, external):
+        assert main([*bands, "--simmat", str(path), "--out", str(tmp_path / path.stem)]) == 0
+    # graph 0, a star with two leaves, loses the edge to its second leaf
+    edges = data / "STARS_A.txt"
+    lines = edges.read_text().splitlines()
+    assert lines[2:4] == ["1, 3", "3, 1"]
+    edges.write_text("\n".join(lines[:2] + lines[4:]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "X"
+    assert main([*bands, "--simmat", str(simmat), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cproc: error: {simmat} was built from other graphs than {data}\n"
+    assert not out.exists()
+    assert main([*bands, "--simmat", str(external), "--out", str(out)]) == 0
 
 
 def test_bands_bad_scores_exit_2_before_any_distance(tmp_path, capsys):
@@ -1033,6 +1118,24 @@ _DEFAULT_CONFIG = (
     '"pool_split": 0.8, "repeats": 1, "scores": null, "seed": 0, "shift": "", "simmat": null, '
     '"split": null, "thin_stratum": "%s", "wasserstein_p": 1.0}'
 )
+
+
+def test_package_exports_the_table_pipeline():
+    """`cproc`'s public names other than its modules; the one-graph layer and
+    the engine's internals stay importable from their modules only."""
+    names = {name for name, value in vars(cproc).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == {
+        "BootstrapBand", "bootstrap_bands",
+        "CprocError", "DegenerateTestError", "NumericalError", "ParseError", "ScoreIngestError",
+        "SeparationWarning", "SplitError", "StratumError",
+        "ScoredDataset", "SplitAssignment", "load_scores", "read_tu_table", "split_dataset",
+        "RocBand", "RocCurve", "band_from_intervals", "cp_roc_bands", "empirical_roc", "oracle_rates",
+        "SimilarityMatrix", "build_similarity_matrix", "knn_indices", "wasserstein_distance",
+        "CoverageReport", "FittedLogit", "SyntheticSpec", "coverage_experiment", "fit_logistic", "generate",
+        "FiltrationKind", "PersistenceDiagram", "dataset_diagrams", "persistence_image",
+    }
+    assert len(names) == 35
 
 
 def test_parser_flags_and_default_config_pinned():

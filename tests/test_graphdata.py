@@ -48,6 +48,10 @@ def test_parse_deduplicates_and_drops_self_loops(tmp_path):
     with pytest.warns(UserWarning, match="self-loop"):
         graphs = parse_tu_dataset(root, "D")
     assert graphs[0].edges == ((0, 1),)
+    # the public entry point's warning names the line that called it
+    with pytest.warns(UserWarning, match="self-loop") as caught:
+        table, _ = graphdata.read_tu_table(root, "D")
+    assert caught[0].filename == __file__ and table.edges.tolist() == [[0, 1]]
 
 
 def test_parse_missing_mandatory_file(tmp_path):
@@ -390,7 +394,7 @@ def test_tu_parser_equals_line_parser(tmp_path_factory, data):
     # the parser's table and labels are those of its graphs, array for array
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table, labels = graphdata._tu_table(root, "R")
+        table, labels = graphdata.read_tu_table(root, "R")
     want = EdgeTable.of(expected[0])
     assert table.ids == want.ids
     for got, arr in ((table.nodes, want.nodes), (table.sizes, want.sizes), (table.edges, want.edges),
@@ -511,6 +515,20 @@ def test_split_error_on_empty_part():
         split_dataset(3, seed=0)
 
 
+@pytest.mark.parametrize("pool_split, calib_split", [(0.0, 0.5), (1.0, 0.5), (0.8, 0.0), (0.8, 1.0)])
+def test_split_fractions_must_lie_inside_the_unit_interval(pool_split, calib_split):
+    with pytest.raises(ValueError, match=r"^pool_split and calib_split must lie strictly inside \(0, 1\)$"):
+        split_dataset(10, seed=0, pool_split=pool_split, calib_split=calib_split)
+
+
+def test_scored_dataset_split_checks():
+    scored = ScoredDataset(labels=np.array([0, 1, 1]), probs=np.full((3, 2), 0.5))
+    with pytest.raises(ValueError, match="^dataset carries no split assignment$"):
+        scored.part_ids("test")
+    with pytest.raises(ValueError, match="^split size does not match dataset size$"):
+        scored.with_split(SplitAssignment(("train", "test")))
+
+
 @settings(max_examples=200, deadline=None)
 @given(parts=st.lists(st.sampled_from(PARTS), max_size=40))
 def test_split_ids_equal_the_scan_of_its_parts(parts):
@@ -600,6 +618,13 @@ def test_split_manifest_bad_ids_raise(tmp_path, rows, message):
         read_split_manifest(tmp_path / "m.csv")
 
 
+@pytest.mark.parametrize("text", ["graph_id,split\n0,train\n", "id,part\n0,train\n", "", "# only a comment\n"])
+def test_split_manifest_bad_header_raises(tmp_path, text):
+    (tmp_path / "m.csv").write_text(text)
+    with pytest.raises(ParseError, match="bad split manifest header"):
+        read_split_manifest(tmp_path / "m.csv")
+
+
 # --- scores -----------------------------------------------------------------
 
 
@@ -616,6 +641,14 @@ def test_load_scores_column_convention(tmp_path):
     scored = load_scores(path, _two_graphs())
     assert scored.probs[0, 1] == pytest.approx(0.8)
     assert scored.probs[1, 1] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("header", ["graph_id,class,p0,p1", "label,graph_id,p0,p1", "graph_id,label,p0", ""])
+def test_load_scores_rejects_a_bad_header(tmp_path, header):
+    path = tmp_path / "scores.csv"
+    path.write_text(header + "\n0,1,0.2,0.8\n1,0,0.6,0.4\n")
+    with pytest.raises(ScoreIngestError, match="bad header"):
+        load_scores(path)
 
 
 def test_load_scores_header_may_space_its_cells(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,6 +367,12 @@ def test_band_csv_rejects_garbage(tmp_path):
         read_band_csv(tmp_path / "bad.csv")
 
 
+def test_band_csv_without_rows_is_rejected(tmp_path):
+    (tmp_path / "empty.csv").write_text("# comment\n" + ",".join(BAND_COLUMNS) + "\n\n")
+    with pytest.raises(ValueError, match="band CSV has no rows"):
+        read_band_csv(tmp_path / "empty.csv")
+
+
 # --- several splits in one pass ------------------------------------------------------
 
 
@@ -477,3 +485,17 @@ def test_split_bands_need_one_train_part():
     parts[moved] = "train"
     with pytest.raises(ValueError, match="^the splits must share their train ids$"):
         split_bands(scored, [scored.split, SplitAssignment(tuple(parts))], mat, K=10, alpha=0.1)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"mode": "local"}, "unknown mode 'local'"),
+    ({"thin_stratum": "drop"}, "unknown thin_stratum policy 'drop'"),
+    ({"splits": [None]}, "dataset carries no split assignment"),
+    ({"splits": [SplitAssignment(("train",) * 60 + ("calib",) * 40 + ("test",) * 29)]},
+     "split size does not match dataset size"),
+])
+def test_split_bands_reject_bad_arguments(change, message):
+    scored, mat = _pipeline_inputs(n_train=60, n_calib=40, n_test=30)
+    args = {"splits": [scored.split], "mode": "exchangeable", "thin_stratum": "error", **change}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_bands(scored, args.pop("splits"), mat, K=10, alpha=0.1, **args)
