@@ -52,25 +52,33 @@ its one pair, so a build stays bit-equal to pairwise calls, serial or
 pooled.
 
 A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
-pipeline and `knn_indices` read distances. Its constructor alone knows where
-they come from and installs the block function once: a slice of a dense table
-(every `.simmat` file and Wasserstein build), or `cdist` of the rows' and
-columns' Euclidean points (synthetic runs), so no n x n table is built unless
-`values` is asked for. A `.simmat` file carries one sha256 over its metadata
-and values (see `save_matrix`); `load_matrix` checks the header's sizes
-against the file's length before it reads on, and the digest before it
-decodes the metadata.
+pipeline reads distances. Its constructor alone knows where they come from
+and installs the block function once: a slice of a dense table (every
+`.simmat` file and Wasserstein build), or `cdist` of the rows' and columns'
+Euclidean points (synthetic runs), so no n x n table is built unless `values`
+is asked for. For `knn_indices` it also installs a screen, keys in distance
+order with a per-row bound, and the distances of chosen cells. A `.simmat`
+file carries one sha256 over its metadata and values (see `save_matrix`);
+`load_matrix` checks the header's sizes against the file's length before it
+reads on, and the digest before it decodes the metadata.
 
-`knn_indices` orders neighbours by ascending (distance, id). It reads and
-ranks one block of rows at a time, about `_KNN_BLOCK_CELLS` (2^17) distances,
-so no |queries| x |pool| array exists; rows never interact, so the result
-does not depend on the block size. In each block it selects the K nearest
-with `argpartition` and sorts only those; a row whose K-th distance is tied
-with a distance outside the K selected (or is not finite) is ranked by a full
-stable sort instead, so the result always equals the full sort's first K
-columns. A per-row member mask ranks each row over its own subset of the pool
+`knn_indices` orders neighbours by ascending (distance, id). It screens and
+ranks one block of rows at a time, about `_KNN_BLOCK_CELLS` (2^17) cells, so
+no |queries| x |pool| array exists; rows never interact, so the result does
+not depend on the block size. In each block one `argpartition` at kth = K
+yields each row's K smallest keys and its (K+1)-th. A row whose (K+1)-th key
+exceeds its K-th by more than the row's bound is decided: its K cells are its
+K nearest, and only their distances are computed and sorted. Any other row
+(a tie across the cut, keys closer than rounding can separate, or a K-th key
+that is not finite) is ranked by a full stable sort of its exact distances.
+So the result always equals the full sort's first K columns. A table's keys
+are its distances and its bound is 0, which is the plain tie rule. Points
+are screened by squared distances from one float64 GEMM, and the K picked
+cells get `cdist`-equal distances from a loop over coordinates (the bound's
+derivation is in `SimilarityMatrix`); a criterion-1 row never needs the full
+sort. A per-row member mask ranks each row over its own subset of the pool
 (one split's calibration graphs, within the union of several splits'), with
-non-members placed after every member.
+non-members keyed inf and placed after every member.
 """
 
 from __future__ import annotations
@@ -244,6 +252,14 @@ def _dual_vertices(types: np.ndarray) -> np.ndarray | None:
     return lattice[linked.all(1)]
 
 
+def _point_types(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(pts, axis=0, return_inverse=True)` of a (points, 2) table,
+    with a 1-D inverse: each (birth, death) row is read as one complex number,
+    which sorts in the same order, and a 1-D unique is about 13x faster."""
+    types, kind = np.unique(np.ascontiguousarray(pts).view(np.complex128)[:, 0], return_inverse=True)
+    return types.view(np.float64).reshape(-1, 2), kind
+
+
 def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | None:
     """The dual embedding of n diagrams in one dimension's table: twice the
     p = 1 matching cost of two is the Chebyshev distance of their rows. None
@@ -251,7 +267,7 @@ def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | 
     points, and a diagram's points times the largest |coordinate| <= 2^52."""
     if not np.array_equal(pts, np.round(pts)):
         return None
-    types, kind = np.unique(pts, axis=0, return_inverse=True)
+    types, kind = _point_types(pts)
     vertices = _dual_vertices(types)
     if vertices is None:
         return None
@@ -260,18 +276,58 @@ def _dual_embedding(pts: np.ndarray, owner: np.ndarray, n: int) -> np.ndarray | 
     # zero vector of no types) gives the same Chebyshev distances
     vertices = vertices[: (len(vertices) + 1) // 2]
     T = len(types)
-    counts = np.bincount(owner * T + kind.reshape(-1), minlength=n * T).reshape(n, T)
+    counts = np.bincount(owner * T + kind, minlength=n * T).reshape(n, T)
     if counts.sum(1).max() * np.abs(vertices).max(initial=0.0) > 2.0**52:
         return None
     return counts @ vertices.T
+
+
+def _root(costs: np.ndarray, p: float) -> np.ndarray:
+    """The distances of matching costs (sums of p-th powers): Python's
+    `c ** (1.0 / p)` of each, which `np.power` does not match bit for bit.
+    For p = 1 that is the costs themselves, as x ** 1.0 == x for every double."""
+    if p == 1.0:
+        return costs
+    return np.fromiter((c ** (1.0 / p) for c in costs.tolist()), float, len(costs))
 
 
 def wasserstein_distance(d1: PersistenceDiagram, d2: PersistenceDiagram, p: float = 1.0) -> float:
     """p-Wasserstein distance; dim0 and dim1 are matched separately and
     combined as (W0^p + W1^p)^(1/p). Essential deaths must be capped already."""
     sets = _per_diagram(*_point_tables([d1, d2], p), 4, p)
-    (cost,) = _pair_costs(sets, 2, p, (np.array([0]), np.array([1]))).tolist()
-    return cost ** (1.0 / p)
+    (cost,) = _root(_pair_costs(sets, 2, p, (np.array([0]), np.array([1]))), p).tolist()
+    return cost
+
+
+def _euclidean_screen(points: np.ndarray, cols: np.ndarray):
+    """The screen of `points[cols]`: a function of `rows` that returns keys,
+    keys[r, c] the squared distance from points[rows[r]] to points[cols[c]]
+    read off one GEMM, [q, |q|^2, 1] . [-2p, 1, |p|^2], and bounds, bound[r]
+    the separation bound of row r (see `SimilarityMatrix`)."""
+    d = points.shape[1]
+    pool = points[cols]
+    norms = np.einsum("ij,ij->i", pool, pool)
+    right = np.vstack([-2.0 * pool.T, np.ones(cols.size), norms])
+    top = norms.max()
+
+    def screen(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = points[rows]
+        left = np.column_stack([q, np.einsum("ij,ij->i", q, q), np.ones(rows.size)])
+        # 8 (|q|^2 + top) overflows, making the bound inf, before any partial sum of the product can
+        return left @ right, 8.0 * (left[:, d] + top) * ((d + 2) * 2.0**-51) + np.finfo(float).tiny
+
+    return screen
+
+
+def _euclidean_cells(points: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The distance from points[rows[r]] to points[ids[r, c]], as `cdist`
+    computes it: the squares of the coordinate differences summed in
+    coordinate order from 0.0, then `sqrt`, so bit for bit."""
+    acc = np.zeros(ids.shape)
+    for q, p in zip(points[rows].T, points.T):
+        step = q[:, None] - p[ids]
+        acc += np.multiply(step, step, out=step)
+    return np.sqrt(acc, out=acc)
 
 
 class SimilarityMatrix:
@@ -282,6 +338,37 @@ class SimilarityMatrix:
     each graph in `rows` to each graph in `cols`: a slice of the table, or
     `cdist` of the points. For points, `values` is the block of every graph
     against every graph, built on first access.
+
+    `knn_indices` reads two more things. `_screen(cols)` returns a function
+    of `rows` that gives screening keys, ordered as the distances, and a
+    per-row bound: two cells of a row whose keys differ by more than the
+    bound have distances in the same strict order. `_cells(rows, ids)` gives
+    the distances of the cells that the keys picked. For a table the keys
+    are its distances, the bound is 0 and the cells are table entries.
+
+    For points, a key is the squared distance read off one float64 GEMM of
+    the augmented rows [q, |q|^2, 1] and columns [-2p, 1, |p|^2]: d + 2
+    products per cell, against 3d operations in `cdist`. A cell's distance is
+    `_euclidean_cells`' loop over coordinates, bit-equal to `cdist`. The
+    bound is (d + 2) 2^-48 (|q|^2 + M) plus the smallest normal double, with
+    M the largest |p|^2 over `cols`. Write u = 2^-53, g = (d + 2) u / (1 - (d
+    + 2) u) (Higham's gamma_{d+2}, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1), Q = |q|^2 and P = |p|^2 in exact
+    arithmetic, and s the exact squared distance. The squared norms and the
+    product are inner products, so in any summation order, with or without
+    FMA, each lies within g times the sum of its terms' magnitudes of its
+    exact value; as 2|q_k p_k| <= q_k^2 + p_k^2, a key lies
+    within 3.01 g (Q + P) of s, at most a quarter of the bound. The exact sum
+    S of `cdist` has only nonnegative terms, each rounded three times, so
+    |S - s| <= g s; and S_j > (1 + 5u) S_i forces fl(sqrt(S_j)) >
+    fl(sqrt(S_i)), since a correctly rounded `sqrt` moves each side by at
+    most a factor 1 +- u. With s_i <= 2 (Q + P_i), keys more than 2 * 3.01 g
+    (Q + M) + 2 (Q + M) (2.01 g + 5.01 u) <= 13.4 (d + 2) u (Q + M) apart,
+    less than half the bound, have distances in the same strict order. The
+    smallest normal double absorbs the absolute errors of underflow. The
+    bound is inf once 8 (|q|^2 + M) overflows, before any partial sum of the
+    product can, and inf or NaN wherever a norm is; a non-finite K-th key or
+    bound sends its row to the exact path.
     """
 
     def __init__(self, values=None, *, points=None, cap: float = 0.0, key: str = "") -> None:
@@ -293,9 +380,13 @@ class SimilarityMatrix:
                 raise ValueError(f"similarity values must be a square 2-D array, got shape {table.shape}")
             self.values = table
             self.block = lambda rows, cols: table[np.ix_(rows, cols)]
+            self._screen = lambda cols: lambda rows: (table[np.ix_(rows, cols)].astype(float, copy=False), 0.0)
+            self._cells = lambda rows, ids: table[rows[:, None], ids]
         else:
             table = np.asarray(points, dtype=float)
             self.block = lambda rows, cols: cdist(table[rows], table[cols])
+            self._screen = partial(_euclidean_screen, table)
+            self._cells = partial(_euclidean_cells, table)
         self.n = len(table)
         self.shape = (self.n, self.n)
         self.cap, self.key = cap, key
@@ -334,8 +425,8 @@ def build_similarity_matrix(
     per pair by `_pair_costs`, in this process or, for `workers` > 1, on a pool of
     that many processes (at most the CPUs this process may use) that each
     take one contiguous run of the pairs. Each pair's distance is then the
-    Python `** (1.0 / p)` of its sum, as in `wasserstein_distance`, so every
-    entry is bit-equal to that pairwise call.
+    `_root` of its sum, as in `wasserstein_distance`, so every entry is
+    bit-equal to that pairwise call.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -370,7 +461,7 @@ def build_similarity_matrix(
             cost = np.concatenate(list(pool.map(solve, [(first[r], second[r]) for r in runs])))
     else:
         cost = solve((first, second))
-    values[first, second] += np.fromiter((c ** (1.0 / p) for c in cost.tolist()), float, len(first))
+    values[first, second] += _root(cost, p)
     values[second, first] = values[first, second]
     return SimilarityMatrix(values=values, cap=cap, key=key)
 
@@ -417,21 +508,30 @@ def knn_indices(values, query_ids, pool_ids, K: int, member=None) -> np.ndarray:
     # one block's arrays live until the next block's replace them: freeing them
     # all at the end of every block lets glibc trim the heap and fault it back
     # in once per block (9.8k minor faults per criterion-1 replicate, not 1.3k)
+    screen = matrix._screen(pool_sorted)
+    last = pool_sorted.size - 1
     step = max(1, _KNN_BLOCK_CELLS // pool_sorted.size)
     for start in range(0, query_ids.size, step):
         rows = slice(start, start + step)
-        sub = matrix.block(query_ids[rows], pool_sorted)
+        ids = query_ids[rows]
+        key, bound = screen(ids)
         masked = ()  # a lexsort key that ranks before the distance: members first
         if member is not None:
-            sub = np.where(member[rows], sub, np.inf)
             masked = (~member[rows],)
-        pick = np.argpartition(sub, width - 1, axis=1)[:, :width]
-        kth = np.take_along_axis(sub, pick[:, -1:], axis=1)
-        tied = np.flatnonzero((np.count_nonzero(sub <= kth, axis=1) != width) | ~np.isfinite(kth[:, 0]))
+            key[masked[0]] = np.inf
+        pick = np.argpartition(key, min(width, last), axis=1)
+        after = np.take_along_axis(key, pick[:, width : width + 1], axis=1)[:, 0] if width <= last else np.inf
+        pick = pick[:, :width]
+        kth = np.take_along_axis(key, pick, axis=1).max(axis=1)
+        # a row is decided when its (K+1)-th key exceeds the K-th by more than
+        # the bound (never when the K-th is not finite): the keys' K cells are
+        # its K nearest. The others are ranked by a full stable sort
+        tied = np.flatnonzero(~(after > kth + bound))
         if tied.size:
-            pick[tied] = stable_rank([a[tied] for a in (sub, *masked)])[:, :width]
+            pick[tied] = stable_rank([matrix.block(ids[tied], pool_sorted), *(a[tied] for a in masked)])[:, :width]
         pick.sort(axis=1)
-        rank = stable_rank([np.take_along_axis(a, pick, axis=1) for a in (sub, *masked)])
+        cells = matrix._cells(ids, pool_sorted[pick])
+        rank = stable_rank([cells, *(np.take_along_axis(a, pick, axis=1) for a in masked)])
         near[rows] = pool_sorted[np.take_along_axis(pick, rank, axis=1)]
     if member is not None:
         near[np.arange(width) >= np.minimum(counts, K)[:, None]] = -1

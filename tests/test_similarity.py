@@ -4,13 +4,14 @@ import json
 import os
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import cproc.similarity as similarity
 from cproc import topology
@@ -571,6 +572,34 @@ def test_property_dual_embedding_is_symmetric_under_negation(data):
             assert np.abs(embedding[i] - embedding[j]).max(initial=0.0) == (full[i] - full[j]).max()
 
 
+_integer_coordinate = st.integers(-4, 4).map(float) | st.just(-0.0) | st.integers(-2**53, 2**53).map(float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_integer_coordinate, _integer_coordinate), min_size=1, max_size=40))
+def test_property_point_types_equal_the_axis_0_unique(rows):
+    """The complex-number unique of `_dual_embedding` gives the types and
+    inverse of `np.unique(axis=0)`, also on tables that hold both -0.0 and 0.0."""
+    pts = np.array(rows)
+    types, kind = similarity._point_types(pts)
+    want_types, want_kind = np.unique(pts, axis=0, return_inverse=True)
+    assert np.array_equal(types, want_types)
+    assert kind.shape == (len(pts),) and np.array_equal(kind, want_kind.reshape(-1))
+
+
+def test_root_of_order_1_costs_is_the_costs_bit_for_bit():
+    """`build_similarity_matrix` and `wasserstein_distance` skip Python's
+    `c ** (1.0 / p)` for p = 1: it returns every double unchanged, zeros,
+    subnormals and the largest double included."""
+    rng = np.random.default_rng(1)
+    tiny, top = np.finfo(float).tiny, np.finfo(float).max
+    costs = np.concatenate([rng.random(20_000) * 10.0 ** rng.integers(-300, 300, 20_000),
+                            np.arange(1000) * 5e-324, [tiny, np.nextafter(tiny, 0.0), top, np.nextafter(top, 0.0)]])
+    assert np.array([c ** 1.0 for c in costs.tolist()]).tobytes() == costs.tobytes()
+    assert similarity._root(costs, 1.0).tobytes() == costs.tobytes()
+    assert similarity._root(costs, 2.0).tolist() == [c ** 0.5 for c in costs.tolist()]
+
+
 def test_many_copies_of_one_point_are_exact_without_assignments(monkeypatch):
     # 150,001 copies of (1, 4), each 1.5 from the diagonal, against an empty diagram
     copies = 150_001
@@ -923,21 +952,33 @@ def brute_force_knn(dense, queries, pool, K, member=None):
     return np.array([row + [-1] * (width - len(row)) for row in rows], dtype=np.int64)
 
 
+def draw_points(data, n):
+    """n Euclidean points in 1 to 16 dimensions: a small integer grid (repeated
+    points) or floats, scaled by 1e-150 to 1e150, offset by up to 1e6, and
+    with some coordinates moved by one ulp (near-ties)."""
+    dim = data.draw(st.integers(1, 16))
+    coord = st.integers(0, 3).map(float) if data.draw(st.booleans()) else st.floats(-10, 10)
+    x = np.array(data.draw(st.lists(coord, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+    scale = data.draw(st.sampled_from([1.0, 1e-150, 1e150]) | st.integers(-150, 150).map(lambda e: 10.0**e))
+    offset = data.draw(st.sampled_from([0.0, 1e3, -1e6, 1e6]) | st.floats(-1e6, 1e6))
+    x = x * scale + offset
+    nudge = np.array(data.draw(st.lists(st.sampled_from([0, 0, -1, 1]), min_size=n * dim, max_size=n * dim)))
+    return np.where(nudge.reshape(n, dim) == 0, x, np.nextafter(x, np.where(nudge.reshape(n, dim) > 0, np.inf, -np.inf)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_property_knn_row_blocks_equal_one_block(data):
     """`knn_indices` reads and ranks a few rows at a time. With blocks of 1 to
     64 cells, its result is still the one-block result and the brute-force
-    (distance, id) order, and bad arguments are refused as before. Drawn:
-    dense tables of tied integers or floats, both with inf; Euclidean points
-    on a small integer grid (repeated points) or floats; member masks whose
-    narrow rows pad with -1 in other blocks than the widest row's; K up to
-    |pool| + 2."""
+    (distance, id) order, and bad arguments are refused as before. Drawn (200
+    examples): dense tables of tied integers or floats, both with inf;
+    Euclidean points as `draw_points` draws them, where the screen's keys
+    tie, round and cancel; member masks whose narrow rows pad with -1 in
+    other blocks than the widest row's; K up to |pool| + 2."""
     n = data.draw(st.integers(2, 20))
     if data.draw(st.booleans()):
-        dim = data.draw(st.integers(1, 3))
-        coord = st.integers(0, 3).map(float) if data.draw(st.booleans()) else st.floats(-10, 10)
-        x = np.array(data.draw(st.lists(coord, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+        x = draw_points(data, n)
         dense = squareform(pdist(x))
         source = SimilarityMatrix(points=x)
     else:
@@ -980,6 +1021,42 @@ def test_property_knn_row_blocks_equal_one_block(data):
     assert got.dtype == whole.dtype == np.int64
     assert np.array_equal(got, whole)
     assert np.array_equal(got, brute_force_knn(dense, queries, pool, K, member))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_property_screen_keys_lie_within_their_bound(data):
+    """Over points as `draw_points` draws them (150 examples), every key of the
+    Euclidean screen lies within a quarter of its row's bound of the exact
+    squared distance, and two cells of a row whose keys differ by more than
+    the bound have `cdist` distances in the same strict order."""
+    n = data.draw(st.integers(2, 10))
+    x = draw_points(data, n)
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    keys, bound = SimilarityMatrix(points=x)._screen(cols)(rows)
+    assert np.isfinite(keys).all() and np.isfinite(bound).all()
+    for key_row, limit, r in zip(keys.tolist(), bound.tolist(), rows):
+        for key, c in zip(key_row, cols):
+            exact = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x[r].tolist(), x[c].tolist()))
+            assert abs(Fraction(key) - exact) <= Fraction(limit) / 4
+    apart = keys[:, None, :] > keys[:, :, None] + bound[:, None, None]
+    dist = cdist(x[rows], x[cols])
+    assert (dist[:, None, :] > dist[:, :, None])[apart].all()
+
+
+def test_coordinate_loop_distances_are_cdist_bit_for_bit():
+    """`knn_indices` ranks the cells it picks by `_cells`, a loop that sums the
+    squared coordinate differences in coordinate order; its full-sort path
+    and `block` use `cdist`. They must agree bit for bit, so a scipy release
+    that sums in another order fails here. Coordinates span 16 decades, so a
+    reordered sum changes about a third of the distances from dimension 3 on."""
+    rng = np.random.default_rng(24)
+    for dim in range(1, 25):
+        x = rng.normal(size=(60, dim)) * 10.0 ** rng.uniform(-8, 8, size=(60, dim))
+        ids = rng.integers(0, 60, size=(60, 7))
+        got = SimilarityMatrix(points=x)._cells(np.arange(60), ids)
+        assert got.tobytes() == np.take_along_axis(cdist(x, x), ids, axis=1).tobytes(), f"dimension {dim}"
 
 
 def test_knn_pads_narrow_rows_read_in_other_blocks(monkeypatch):
