@@ -51,16 +51,17 @@ so batching changes no bit. `wasserstein_distance` runs the same code for
 its one pair, so a build stays bit-equal to pairwise calls, serial or
 pooled.
 
-A `SimilarityMatrix` hands out `block(rows, cols)`, the one way the conformal
-pipeline reads distances. Its constructor alone knows where they come from
-and installs the block function once: a slice of a dense table (every
-`.simmat` file and Wasserstein build), or `cdist` of the rows' and columns'
-Euclidean points (synthetic runs), so no n x n table is built unless `values`
-is asked for. For `knn_indices` it also installs a screen, keys in distance
-order with a per-row bound, and the distances of chosen cells. A `.simmat`
-file carries one sha256 over its metadata and values (see `save_matrix`);
-`load_matrix` checks the header's sizes against the file's length before it
-reads on, and the digest before it decodes the metadata.
+A `SimilarityMatrix` hands out `block(rows, ids)`, the one way the conformal
+pipeline reads distances: each of `rows` against a 1-D `ids` (a block) or its
+own row of a 2-D `ids` (picked cells). Its constructor alone knows where they
+come from and installs that read once, with a screen for `knn_indices` (keys
+in distance order, a per-row bound): an index into a dense table (every
+`.simmat` file and Wasserstein build), or a loop over Euclidean points'
+coordinates that sums as `cdist` does (synthetic runs), so no n x n table is
+built unless `values` is asked for. A `.simmat` file carries one sha256 over
+its metadata and values (see `save_matrix`); `load_matrix` checks the
+header's sizes against the file's length before it reads on, and the digest
+before it decodes the metadata.
 
 `knn_indices` orders neighbours by ascending (distance, id). It screens and
 ranks one block of rows at a time, about `_KNN_BLOCK_CELLS` (2^17) cells, so
@@ -68,13 +69,12 @@ no |queries| x |pool| array exists; rows never interact, so the result does
 not depend on the block size. In each block one `argpartition` at kth = K
 yields each row's K smallest keys and its (K+1)-th. A row whose (K+1)-th key
 exceeds its K-th by more than the row's bound is decided: its K cells are its
-K nearest, and only their distances are computed and sorted. Any other row
-(a tie across the cut, keys closer than rounding can separate, or a K-th key
-that is not finite) is ranked by a full stable sort of its exact distances.
-So the result always equals the full sort's first K columns. A table's keys
+K nearest, and only their distances are read and sorted. Any other row (a
+tie across the cut, keys closer than rounding can separate, or a K-th key
+that is not finite) is ranked by a full stable sort of its exact block. So
+the result always equals the full sort's first K columns. A table's keys
 are its distances and its bound is 0, which is the plain tie rule. Points
-are screened by squared distances from one float64 GEMM, and the K picked
-cells get `cdist`-equal distances from a loop over coordinates (the bound's
+are screened by squared distances from one float64 GEMM (the bound's
 derivation is in `SimilarityMatrix`); a criterion-1 row never needs the full
 sort. A per-row member mask ranks each row over its own subset of the pool
 (one split's calibration graphs, within the union of several splits'), with
@@ -320,10 +320,11 @@ def _euclidean_screen(points: np.ndarray, cols: np.ndarray):
 
 
 def _euclidean_cells(points: np.ndarray, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The distance from points[rows[r]] to points[ids[r, c]], as `cdist`
+    """The distance from points[rows[r]] to points[ids[c]] (1-D ids: a
+    block) or to points[ids[r, c]] (2-D ids: picked cells), as `cdist`
     computes it: the squares of the coordinate differences summed in
     coordinate order from 0.0, then `sqrt`, so bit for bit."""
-    acc = np.zeros(ids.shape)
+    acc = np.zeros((len(rows), ids.shape[-1]))
     for q, p in zip(points[rows].T, points.T):
         step = q[:, None] - p[ids]
         acc += np.multiply(step, step, out=step)
@@ -334,24 +335,24 @@ class SimilarityMatrix:
     """Symmetric pairwise-distance table over all graphs, read by blocks.
 
     Built from exactly one of a dense square `values` table and Euclidean
-    `points` (one row per graph). `block(rows, cols)` gives the distances from
-    each graph in `rows` to each graph in `cols`: a slice of the table, or
-    `cdist` of the points. For points, `values` is the block of every graph
-    against every graph, built on first access.
+    `points` (one row per graph). `block(rows, ids)`, of integer arrays,
+    gives the distances from each graph in `rows` to each graph of a 1-D
+    `ids`, or to the graphs of its own row of a 2-D `ids`: table entries, or
+    `_euclidean_cells`' loop over coordinates, bit-equal to `cdist`. For
+    points, `values` is the block of every graph against every graph, built
+    on first access.
 
-    `knn_indices` reads two more things. `_screen(cols)` returns a function
+    `knn_indices` reads one more thing. `_screen(cols)` returns a function
     of `rows` that gives screening keys, ordered as the distances, and a
     per-row bound: two cells of a row whose keys differ by more than the
-    bound have distances in the same strict order. `_cells(rows, ids)` gives
-    the distances of the cells that the keys picked. For a table the keys
-    are its distances, the bound is 0 and the cells are table entries.
+    bound have distances in the same strict order. For a table the keys are
+    its block and the bound is 0.
 
     For points, a key is the squared distance read off one float64 GEMM of
     the augmented rows [q, |q|^2, 1] and columns [-2p, 1, |p|^2]: d + 2
-    products per cell, against 3d operations in `cdist`. A cell's distance is
-    `_euclidean_cells`' loop over coordinates, bit-equal to `cdist`. The
-    bound is (d + 2) 2^-48 (|q|^2 + M) plus the smallest normal double, with
-    M the largest |p|^2 over `cols`. Write u = 2^-53, g = (d + 2) u / (1 - (d
+    products per cell, against 3d operations in the exact loop. The bound is
+    (d + 2) 2^-48 (|q|^2 + M) plus the smallest normal double, with M the
+    largest |p|^2 over `cols`. Write u = 2^-53, g = (d + 2) u / (1 - (d
     + 2) u) (Higham's gamma_{d+2}, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 3.1), Q = |q|^2 and P = |p|^2 in exact
     arithmetic, and s the exact squared distance. The squared norms and the
@@ -359,7 +360,7 @@ class SimilarityMatrix:
     FMA, each lies within g times the sum of its terms' magnitudes of its
     exact value; as 2|q_k p_k| <= q_k^2 + p_k^2, a key lies
     within 3.01 g (Q + P) of s, at most a quarter of the bound. The exact sum
-    S of `cdist` has only nonnegative terms, each rounded three times, so
+    S of the loop has only nonnegative terms, each rounded three times, so
     |S - s| <= g s; and S_j > (1 + 5u) S_i forces fl(sqrt(S_j)) >
     fl(sqrt(S_i)), since a correctly rounded `sqrt` moves each side by at
     most a factor 1 +- u. With s_i <= 2 (Q + P_i), keys more than 2 * 3.01 g
@@ -379,14 +380,15 @@ class SimilarityMatrix:
             if table.ndim != 2 or table.shape[0] != table.shape[1]:
                 raise ValueError(f"similarity values must be a square 2-D array, got shape {table.shape}")
             self.values = table
-            self.block = lambda rows, cols: table[np.ix_(rows, cols)]
-            self._screen = lambda cols: lambda rows: (table[np.ix_(rows, cols)].astype(float, copy=False), 0.0)
-            self._cells = lambda rows, ids: table[rows[:, None], ids]
+            # closes over `block`, not `self`: no reference cycle keeps a loaded table alive
+            self.block = block = lambda rows, ids: table[rows[:, None], ids]
+            self._screen = lambda cols: lambda rows: (block(rows, cols).astype(float, copy=False), 0.0)
         else:
             table = np.asarray(points, dtype=float)
-            self.block = lambda rows, cols: cdist(table[rows], table[cols])
+            if table.ndim != 2:
+                raise ValueError(f"similarity points must be a 2-D array, got shape {table.shape}")
+            self.block = partial(_euclidean_cells, table)
             self._screen = partial(_euclidean_screen, table)
-            self._cells = partial(_euclidean_cells, table)
         self.n = len(table)
         self.shape = (self.n, self.n)
         self.cap, self.key = cap, key
@@ -500,11 +502,6 @@ def knn_indices(values, query_ids, pool_ids, K: int, member=None) -> np.ndarray:
     matrix = values if isinstance(values, SimilarityMatrix) else SimilarityMatrix(values=values)
     width = min(K, pool_sorted.size if member is None else int(counts.max(initial=1)))
     near = np.empty((query_ids.size, width), dtype=np.int64)
-
-    def stable_rank(keys):
-        # columns are in id order, so a stable sort of a row ranks by (distance, id)
-        return np.argsort(keys[0], axis=1, kind="stable") if len(keys) == 1 else np.lexsort(keys, axis=1)
-
     # one block's arrays live until the next block's replace them: freeing them
     # all at the end of every block lets glibc trim the heap and fault it back
     # in once per block (9.8k minor faults per criterion-1 replicate, not 1.3k)
@@ -525,13 +522,15 @@ def knn_indices(values, query_ids, pool_ids, K: int, member=None) -> np.ndarray:
         kth = np.take_along_axis(key, pick, axis=1).max(axis=1)
         # a row is decided when its (K+1)-th key exceeds the K-th by more than
         # the bound (never when the K-th is not finite): the keys' K cells are
-        # its K nearest. The others are ranked by a full stable sort
+        # its K nearest. The others are ranked by a full stable sort; columns
+        # are in id order, so a stable sort of a row ranks by (distance, id)
         tied = np.flatnonzero(~(after > kth + bound))
         if tied.size:
-            pick[tied] = stable_rank([matrix.block(ids[tied], pool_sorted), *(a[tied] for a in masked)])[:, :width]
+            full = [matrix.block(ids[tied], pool_sorted), *(a[tied] for a in masked)]
+            pick[tied] = np.lexsort(full, axis=1)[:, :width]
         pick.sort(axis=1)
-        cells = matrix._cells(ids, pool_sorted[pick])
-        rank = stable_rank([cells, *(np.take_along_axis(a, pick, axis=1) for a in masked)])
+        cells = matrix.block(ids, pool_sorted[pick])
+        rank = np.lexsort([cells, *(np.take_along_axis(a, pick, axis=1) for a in masked)], axis=1)
         near[rows] = pool_sorted[np.take_along_axis(pick, rank, axis=1)]
     if member is not None:
         near[np.arange(width) >= np.minimum(counts, K)[:, None]] = -1

@@ -1046,17 +1046,22 @@ def test_property_screen_keys_lie_within_their_bound(data):
 
 
 def test_coordinate_loop_distances_are_cdist_bit_for_bit():
-    """`knn_indices` ranks the cells it picks by `_cells`, a loop that sums the
-    squared coordinate differences in coordinate order; its full-sort path
-    and `block` use `cdist`. They must agree bit for bit, so a scipy release
-    that sums in another order fails here. Coordinates span 16 decades, so a
-    reordered sum changes about a third of the distances from dimension 3 on."""
+    """`block` of points is a loop that sums the squared coordinate
+    differences in coordinate order, both for the cells `knn_indices` picks
+    (2-D ids) and for whole blocks (1-D ids, one row or many). It must agree
+    with `cdist` bit for bit, so a scipy release that sums in another order
+    fails here. Coordinates span 16 decades, so a reordered sum changes about
+    a third of the distances from dimension 3 on."""
     rng = np.random.default_rng(24)
     for dim in range(1, 25):
         x = rng.normal(size=(60, dim)) * 10.0 ** rng.uniform(-8, 8, size=(60, dim))
         ids = rng.integers(0, 60, size=(60, 7))
-        got = SimilarityMatrix(points=x)._cells(np.arange(60), ids)
-        assert got.tobytes() == np.take_along_axis(cdist(x, x), ids, axis=1).tobytes(), f"dimension {dim}"
+        matrix, want = SimilarityMatrix(points=x), cdist(x, x)
+        got = matrix.block(np.arange(60), ids)
+        assert got.tobytes() == np.take_along_axis(want, ids, axis=1).tobytes(), f"dimension {dim}"
+        for rows in (np.arange(60), np.array([17])):
+            got = matrix.block(rows, ids[0])
+            assert got.tobytes() == want[np.ix_(rows, ids[0])].tobytes(), f"dimension {dim}, {rows.size} rows"
 
 
 def test_knn_pads_narrow_rows_read_in_other_blocks(monkeypatch):
@@ -1098,9 +1103,13 @@ def test_property_euclidean_block_bit_equal_to_dense_values(data):
     mat = SimilarityMatrix(points=points)
     rows = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     cols = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    width = data.draw(st.integers(1, n))
+    ids = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=width, max_size=width),
+                                      min_size=rows.size, max_size=rows.size)))
     want = squareform(pdist(points))
     assert mat.shape == (n, n) and mat.n == n
     assert np.array_equal(mat.block(rows, cols), want[np.ix_(rows, cols)])
+    assert np.array_equal(mat.block(rows, ids), np.take_along_axis(want[rows], ids, axis=1))
     assert np.array_equal(mat.values, want)
 
 
@@ -1115,6 +1124,12 @@ def test_similarity_matrix_needs_one_backend():
 def test_similarity_matrix_values_must_be_square(shape):
     with pytest.raises(ValueError, match=rf"square 2-D array, got shape \({', '.join(map(str, shape))},?\)"):
         SimilarityMatrix(values=np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_similarity_matrix_points_must_be_2d(shape):
+    with pytest.raises(ValueError, match=rf"points must be a 2-D array, got shape \({', '.join(map(str, shape))},?\)"):
+        SimilarityMatrix(points=np.zeros(shape))
 
 
 # --- disk format ---------------------------------------------------------------
